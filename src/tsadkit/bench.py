@@ -195,80 +195,45 @@ def _run_series(
     series: TimeSeries,
     curves: dict,
 ) -> list[ResultRow]:
-    rows = []
+    # A series that cannot be prepared or has no anomalous test label gives
+    # every detector the same status row without running it.
+    skip: Optional[tuple[str, str]] = None
     try:
         train, test = _preprocess(config, series)
-        prepared: Optional[str] = None
+        if test.labels is None or int(test.labels.sum()) == 0:
+            skip = ("excluded", "test segment has no anomalous label")
     except TsadError as exc:
-        prepared = f"{type(exc).__name__}: {exc}"
+        skip = ("failed", f"{type(exc).__name__}: {exc}")
 
-    excluded = prepared is None and (test.labels is None or int(test.labels.sum()) == 0)
+    rows = []
     for name in config.detectors:
-        if prepared is not None:
-            rows.append(
-                ResultRow(
-                    dataset_id=dataset_id,
-                    series_id=series.series_id,
-                    detector=name,
-                    auc=None,
-                    best_f1=None,
-                    nmm=None,
-                    train_seconds=0.0,
-                    inference_seconds=0.0,
-                    status="failed",
-                    failure_reason=prepared,
-                )
+        status, reason = skip or ("ok", "")
+        auc = best_f1 = nmm = None
+        train_seconds = inference_seconds = 0.0
+        if skip is None:
+            cfg = DetectorConfig(name=name, seed=_pair_seed(config.seed, series.series_id, name))
+            outcome = timed_run(get_detector(name), cfg, train, test)
+            report = outcome.report
+            train_seconds, inference_seconds = report.train_seconds, report.inference_seconds
+            if report.ok:
+                curves[(series.series_id, name)] = outcome
+                auc, best_f1, nmm = report.auc, report.best_f1, report.nmm
+            else:
+                status, reason = "failed", report.failure
+        rows.append(
+            ResultRow(
+                dataset_id=dataset_id,
+                series_id=series.series_id,
+                detector=name,
+                auc=auc,
+                best_f1=best_f1,
+                nmm=nmm,
+                train_seconds=train_seconds,
+                inference_seconds=inference_seconds,
+                status=status,
+                failure_reason=reason,
             )
-            continue
-        if excluded:
-            rows.append(
-                ResultRow(
-                    dataset_id=dataset_id,
-                    series_id=series.series_id,
-                    detector=name,
-                    auc=None,
-                    best_f1=None,
-                    nmm=None,
-                    train_seconds=0.0,
-                    inference_seconds=0.0,
-                    status="excluded",
-                    failure_reason="test segment has no anomalous label",
-                )
-            )
-            continue
-        cfg = DetectorConfig(name=name, seed=_pair_seed(config.seed, series.series_id, name))
-        outcome = timed_run(get_detector(name), cfg, train, test)
-        report = outcome.report
-        if report.ok:
-            curves[(series.series_id, name)] = outcome
-            rows.append(
-                ResultRow(
-                    dataset_id=dataset_id,
-                    series_id=series.series_id,
-                    detector=name,
-                    auc=report.auc,
-                    best_f1=report.best_f1,
-                    nmm=report.nmm,
-                    train_seconds=report.train_seconds,
-                    inference_seconds=report.inference_seconds,
-                    status="ok",
-                )
-            )
-        else:
-            rows.append(
-                ResultRow(
-                    dataset_id=dataset_id,
-                    series_id=series.series_id,
-                    detector=name,
-                    auc=None,
-                    best_f1=None,
-                    nmm=None,
-                    train_seconds=report.train_seconds,
-                    inference_seconds=report.inference_seconds,
-                    status="failed",
-                    failure_reason=report.failure,
-                )
-            )
+        )
     return rows
 
 

@@ -23,7 +23,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, SeriesTooShort
+from .errors import DimensionMismatch, NonFiniteScores, SeriesTooShort, UnknownHyperparameter
 
 __all__ = [
     "TimeSeries",
@@ -32,6 +32,7 @@ __all__ = [
     "Threshold",
     "DetectorConfig",
     "FittedDetector",
+    "reject_unknown_keys",
     "frame",
     "subsequences",
     "binarize",
@@ -158,7 +159,7 @@ class ScoreSeries:
         if scores.size != indices.size:
             raise DimensionMismatch("scores and indices must have equal length")
         if not np.all(np.isfinite(scores)):
-            raise ValueError(f"{self.detector_name}: scores contain non-finite values")
+            raise NonFiniteScores(f"{self.detector_name}: scores contain non-finite values")
         if indices.size > 1 and not np.all(np.diff(indices) > 0):
             raise ValueError("indices must be strictly increasing")
         object.__setattr__(self, "scores", scores)
@@ -226,6 +227,16 @@ class FittedDetector:
     @classmethod
     def wrap(cls, config: DetectorConfig, state: object) -> "FittedDetector":
         return cls(name=config.name, config=config, state=state, fingerprint=config.fingerprint())
+
+
+def reject_unknown_keys(cfg: DetectorConfig, allowed: frozenset) -> None:
+    """Fail when ``cfg`` names a hyperparameter outside ``allowed``."""
+    unknown = set(cfg.hyperparameters) - set(allowed)
+    if unknown:
+        raise UnknownHyperparameter(
+            f"{cfg.name}: unknown hyperparameter keys {sorted(unknown)}; "
+            f"allowed: {sorted(allowed)}"
+        )
 
 
 def frame(series: TimeSeries, width: int, stride: int = 1) -> WindowFrame:

@@ -23,6 +23,7 @@ from ..core import (
     TimeSeries,
     WindowFrame,
     frame,
+    reject_unknown_keys,
     subsequences,
 )
 from ..errors import NoCorePoints, TooFewWindows
@@ -279,21 +280,86 @@ def lof_score(reference: WindowFrame, query_window, k: int = 10) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Array-backed binary trees (shared by the isolation forest and boosting)
+
+
+@dataclass(frozen=True)
+class _Tree:
+    """Binary tree stored as parallel node arrays; node 0 is the root.
+
+    A row goes left when ``row[feature] < threshold`` and right otherwise,
+    so ties go right.  Leaves point to themselves, which lets ``apply``
+    descend a fixed ``depth`` levels for every row at once.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+    depth: int
+
+    @property
+    def is_leaf(self) -> np.ndarray:
+        return self.left == np.arange(self.left.size)
+
+    def apply(self, data: np.ndarray) -> np.ndarray:
+        """Value of the leaf each row of ``data`` lands in."""
+        rows = np.arange(data.shape[0])
+        node = np.zeros(data.shape[0], dtype=np.intp)
+        for _ in range(self.depth):
+            go_left = data[rows, self.feature[node]] < self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return self.value[node]
+
+
+def _grow_tree(data: np.ndarray, depth_cap: int, split_rule, leaf_value) -> _Tree:
+    """Grow depth first, left before right, so node ids (and leaves) follow
+    growth order.
+
+    ``split_rule(data, idx)`` returns ``(feature, threshold)`` or None for a
+    leaf; it is only asked below ``depth_cap`` and for at least two rows.
+    ``leaf_value(idx, depth)`` gives the value stored at a leaf.
+    """
+    nodes: list = []
+    depth_reached = 0
+
+    def grow(idx: np.ndarray, depth: int) -> int:
+        nonlocal depth_reached
+        nid = len(nodes)
+        nodes.append(None)
+        split = split_rule(data, idx) if depth < depth_cap and idx.size >= 2 else None
+        if split is None:
+            nodes[nid] = (0, 0.0, nid, nid, leaf_value(idx, depth))
+            depth_reached = max(depth_reached, depth)
+            return nid
+        feature, threshold = split
+        mask = data[idx, feature] < threshold
+        left = grow(idx[mask], depth + 1)
+        right = grow(idx[~mask], depth + 1)
+        nodes[nid] = (feature, threshold, left, right, 0.0)
+        return nid
+
+    grow(np.arange(data.shape[0]), 0)
+    feature, threshold, left, right, value = zip(*nodes)
+    return _Tree(
+        feature=np.array(feature, dtype=np.intp),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.intp),
+        right=np.array(right, dtype=np.intp),
+        value=np.array(value, dtype=np.float64),
+        depth=depth_reached,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Isolation forest
 
 
 @dataclass(frozen=True)
-class _IsoNode:
-    feature: int = -1
-    split: float = 0.0
-    left: int = -1
-    right: int = -1
-    size: int = 0
-    leaf: bool = True
-
-
-@dataclass(frozen=True)
 class IsoForest:
+    """Isolation trees whose leaves hold the path length depth + c(size)."""
+
     n_trees: int
     trees: tuple
     subsample: int
@@ -320,34 +386,6 @@ def _avg_path(n: int, harmonics: np.ndarray) -> float:
     return 2.0 * harmonics[n - 1] - 2.0 * (n - 1) / n
 
 
-def _build_itree(data: np.ndarray, rng: np.random.Generator, depth_cap: int) -> tuple:
-    nodes: list[_IsoNode] = []
-
-    def grow(idx: np.ndarray, depth: int) -> int:
-        nid = len(nodes)
-        nodes.append(_IsoNode())
-        if depth >= depth_cap or idx.size <= 1:
-            nodes[nid] = _IsoNode(size=idx.size, leaf=True)
-            return nid
-        feature = int(rng.integers(data.shape[1]))
-        column = data[idx, feature]
-        lo, hi = float(column.min()), float(column.max())
-        if lo == hi:
-            nodes[nid] = _IsoNode(size=idx.size, leaf=True)
-            return nid
-        split = float(rng.uniform(lo, hi))
-        mask = column < split
-        left = grow(idx[mask], depth + 1)
-        right = grow(idx[~mask], depth + 1)
-        nodes[nid] = _IsoNode(
-            feature=feature, split=split, left=left, right=right, size=idx.size, leaf=False
-        )
-        return nid
-
-    grow(np.arange(data.shape[0]), 0)
-    return tuple(nodes)
-
-
 def iforest_fit(train_windows: WindowFrame, n_trees: int = 10, seed: int = 0) -> IsoForest:
     """Build n_trees isolation trees on subsamples of at most 256 windows."""
     windows = train_windows.windows
@@ -356,29 +394,25 @@ def iforest_fit(train_windows: WindowFrame, n_trees: int = 10, seed: int = 0) ->
         raise TooFewWindows(f"isolation forest needs at least 2 windows, got {m}")
     subsample = min(256, m)
     depth_cap = math.ceil(math.log2(subsample))
+    harmonics = _harmonic(subsample)
     rng = np.random.default_rng(seed)
+
+    def random_split(data: np.ndarray, idx: np.ndarray):
+        feature = int(rng.integers(data.shape[1]))
+        column = data[idx, feature]
+        lo, hi = float(column.min()), float(column.max())
+        if lo == hi:
+            return None
+        return feature, float(rng.uniform(lo, hi))
+
+    def path_length(idx: np.ndarray, depth: int) -> float:
+        return depth + _avg_path(idx.size, harmonics)
+
     trees = []
     for _ in range(n_trees):
         chosen = rng.choice(m, size=subsample, replace=False)
-        trees.append(_build_itree(windows[chosen], rng, depth_cap))
+        trees.append(_grow_tree(windows[chosen], depth_cap, random_split, path_length))
     return IsoForest(n_trees=n_trees, trees=tuple(trees), subsample=subsample, max_depth=depth_cap)
-
-
-def _tree_path_lengths(nodes: tuple, data: np.ndarray, harmonics: np.ndarray) -> np.ndarray:
-    out = np.zeros(data.shape[0])
-    stack = [(0, np.arange(data.shape[0]), 0)]
-    while stack:
-        nid, idx, depth = stack.pop()
-        if idx.size == 0:
-            continue
-        node = nodes[nid]
-        if node.leaf:
-            out[idx] = depth + _avg_path(node.size, harmonics)
-            continue
-        mask = data[idx, node.feature] < node.split
-        stack.append((node.left, idx[mask], depth + 1))
-        stack.append((node.right, idx[~mask], depth + 1))
-    return out
 
 
 def iforest_score(
@@ -386,12 +420,11 @@ def iforest_score(
 ) -> ScoreSeries:
     """S(x) = 2^(-E(path length)/c(subsample)); deeper isolation scores lower."""
     data = test_windows.windows
-    harmonics = _harmonic(model.subsample)
     paths = np.zeros(data.shape[0])
-    for nodes in model.trees:
-        paths += _tree_path_lengths(nodes, data, harmonics)
+    for tree in model.trees:
+        paths += tree.apply(data)
     expected = paths / model.n_trees
-    scores = np.power(2.0, -expected / _avg_path(model.subsample, harmonics))
+    scores = np.power(2.0, -expected / _avg_path(model.subsample, _harmonic(model.subsample)))
     return ScoreSeries(
         scores=scores, indices=test_windows.target_indices, detector_name=detector_name
     )
@@ -512,16 +545,6 @@ def ocsvm_score(
 
 
 @dataclass(frozen=True)
-class _GbtNode:
-    feature: int = -1
-    split: float = 0.0
-    left: int = -1
-    right: int = -1
-    weight: float = 0.0
-    leaf: bool = True
-
-
-@dataclass(frozen=True)
 class GbtModel:
     """Additive ensemble minimizing squared error with second-order splits.
 
@@ -575,37 +598,6 @@ def _gbt_best_split(data: np.ndarray, g: np.ndarray, idx: np.ndarray, lam: float
     return best_gain, best_feature, best_split
 
 
-def _build_gbt_tree(
-    data: np.ndarray, g: np.ndarray, depth_cap: int, lam: float, gamma_reg: float
-) -> tuple[tuple, list]:
-    """One greedy tree; returns its nodes and (leaf index array, weight) pairs."""
-    nodes: list[_GbtNode] = []
-    leaf_updates: list[tuple[np.ndarray, float]] = []
-
-    def grow(idx: np.ndarray, depth: int) -> int:
-        nid = len(nodes)
-        nodes.append(_GbtNode())
-        split = None
-        if depth < depth_cap and idx.size >= 2:
-            split = _gbt_best_split(data, g, idx, lam)
-        if split is not None and split[0] > gamma_reg:
-            _, feature, threshold = split
-            mask = data[idx, feature] < threshold
-            left = grow(idx[mask], depth + 1)
-            right = grow(idx[~mask], depth + 1)
-            nodes[nid] = _GbtNode(
-                feature=feature, split=threshold, left=left, right=right, leaf=False
-            )
-        else:
-            weight = -g[idx].sum() / (idx.size + lam)
-            nodes[nid] = _GbtNode(weight=float(weight), leaf=True)
-            leaf_updates.append((idx, float(weight)))
-        return nid
-
-    grow(np.arange(data.shape[0]), 0)
-    return tuple(nodes), leaf_updates
-
-
 def gbt_fit(
     train_frame: WindowFrame,
     n_estimators: int = 1000,
@@ -628,14 +620,27 @@ def gbt_fit(
     omega_total = 0.0
     for _ in range(n_estimators):
         g = predictions - targets
-        nodes, leaf_updates = _build_gbt_tree(data, g, max_depth, lambda_, gamma_reg)
-        trees.append(nodes)
+
+        def best_split(data: np.ndarray, idx: np.ndarray):
+            found = _gbt_best_split(data, g, idx, lambda_)
+            if found is None or found[0] <= gamma_reg:
+                return None
+            return found[1], found[2]
+
+        def leaf_weight(idx: np.ndarray, depth: int) -> float:
+            return float(-g[idx].sum() / (idx.size + lambda_))
+
+        tree = _grow_tree(data, max_depth, best_split, leaf_weight)
+        trees.append(tree)
+        predictions += learning_rate * tree.apply(data)
+        # A plain loop over the leaves in growth order keeps loss_history
+        # reproducible: numpy's sum pairs terms, and Python 3.12's sum()
+        # compensates rounding.
+        steps = (learning_rate * tree.value[tree.is_leaf]).tolist()
         squared_norm = 0.0
-        for idx, weight in leaf_updates:
-            step = learning_rate * weight
-            predictions[idx] += step
+        for step in steps:
             squared_norm += step * step
-        omega_total += gamma_reg * len(leaf_updates) + 0.5 * lambda_ * squared_norm
+        omega_total += gamma_reg * len(steps) + 0.5 * lambda_ * squared_norm
         history.append(0.5 * float(((predictions - targets) ** 2).sum()) + omega_total)
     return GbtModel(
         trees=tuple(trees),
@@ -649,31 +654,14 @@ def gbt_fit(
     )
 
 
-def _gbt_predict(model: GbtModel, data: np.ndarray) -> np.ndarray:
-    out = np.full(data.shape[0], model.base_score)
-    for nodes in model.trees:
-        contrib = np.zeros(data.shape[0])
-        stack = [(0, np.arange(data.shape[0]))]
-        while stack:
-            nid, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            node = nodes[nid]
-            if node.leaf:
-                contrib[idx] = node.weight
-                continue
-            mask = data[idx, node.feature] < node.split
-            stack.append((node.left, idx[mask]))
-            stack.append((node.right, idx[~mask]))
-        out += model.learning_rate * contrib
-    return out
-
-
 def gbt_score(
     model: GbtModel, test_frame: WindowFrame, detector_name: str = "gbt"
 ) -> ScoreSeries:
     """Absolute one-step forecast error of the boosted ensemble."""
-    predictions = _gbt_predict(model, test_frame.windows)
+    data = test_frame.windows
+    predictions = np.full(data.shape[0], model.base_score)
+    for tree in model.trees:
+        predictions += model.learning_rate * tree.apply(data)
     return ScoreSeries(
         scores=np.abs(predictions - test_frame.targets),
         indices=test_frame.target_indices,
@@ -685,15 +673,6 @@ def gbt_score(
 # Detector adapters
 
 
-def _reject_unknown_keys(cfg: DetectorConfig, allowed: frozenset):
-    unknown = set(cfg.hyperparameters) - set(allowed)
-    if unknown:
-        raise ValueError(
-            f"{cfg.name}: unknown hyperparameter keys {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}"
-        )
-
-
 class KMeansDetector:
     """Subsequence clustering; a meaningless-but-standard comparison baseline."""
 
@@ -703,7 +682,7 @@ class KMeansDetector:
     defaults = {"k": 4}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        _reject_unknown_keys(cfg, self.keys)
+        reject_unknown_keys(cfg, self.keys)
         windows = subsequences(train, cfg.window_width)
         return FittedDetector.wrap(cfg, kmeans_fit(windows, int(cfg.param("k", 4)), cfg.seed))
 
@@ -722,7 +701,7 @@ class DbscanDetector:
     defaults = {"epsilon": 0.4, "mu": 5}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        _reject_unknown_keys(cfg, self.keys)
+        reject_unknown_keys(cfg, self.keys)
         windows = subsequences(train, cfg.window_width)
         model = dbscan_fit(
             windows, float(cfg.param("epsilon", 0.4)), int(cfg.param("mu", 5))
@@ -744,7 +723,7 @@ class LofDetector:
     defaults = {"k_neighbors": 10}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        _reject_unknown_keys(cfg, self.keys)
+        reject_unknown_keys(cfg, self.keys)
         windows = subsequences(train, cfg.window_width)
         model = LofModel(
             k_neighbors=int(cfg.param("k_neighbors", 10)), reference_windows=windows.windows
@@ -769,7 +748,7 @@ class IforestDetector:
     defaults = {"n_trees": 10}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        _reject_unknown_keys(cfg, self.keys)
+        reject_unknown_keys(cfg, self.keys)
         windows = subsequences(train, cfg.window_width)
         model = iforest_fit(windows, int(cfg.param("n_trees", 10)), cfg.seed)
         return FittedDetector.wrap(cfg, model)
@@ -792,7 +771,7 @@ class OcsvmDetector:
         return 2 if cfg.param("project_2d", False) else cfg.window_width
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        _reject_unknown_keys(cfg, self.keys)
+        reject_unknown_keys(cfg, self.keys)
         windows = subsequences(train, self._width(cfg))
         model = ocsvm_fit(windows, float(cfg.param("nu", 0.7)), cfg.param("rbf_gamma"))
         return FittedDetector.wrap(cfg, model)
@@ -811,7 +790,7 @@ class GbtDetector:
     defaults = {"n_estimators": 1000, "max_depth": 3, "learning_rate": 0.1}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        _reject_unknown_keys(cfg, self.keys)
+        reject_unknown_keys(cfg, self.keys)
         model = gbt_fit(
             frame(train, cfg.window_width),
             n_estimators=int(cfg.param("n_estimators", 1000)),

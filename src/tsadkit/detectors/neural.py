@@ -21,6 +21,7 @@ from ..core import (
     TimeSeries,
     WindowFrame,
     frame,
+    reject_unknown_keys,
     subsequences,
 )
 from ..errors import DimensionMismatch, NumericalDivergence
@@ -261,7 +262,7 @@ class MlpDetector:
     defaults = {"hidden_dims": (100, 50), "epochs": 50, "batch_size": 32, "learning_rate": 1e-3}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        _reject_unknown_keys(cfg, self.keys)
+        reject_unknown_keys(cfg, self.keys)
         hidden = tuple(int(h) for h in cfg.param("hidden_dims", (100, 50)))
         dims = [cfg.window_width, *hidden, 1]
         net = dense_net(dims, ["relu"] * len(hidden) + ["linear"], seed=cfg.seed)
@@ -287,7 +288,7 @@ class AutoencoderDetector:
     defaults = {"hidden_dims": (32, 16), "epochs": 50, "batch_size": 32, "learning_rate": 1e-3}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        _reject_unknown_keys(cfg, self.keys)
+        reject_unknown_keys(cfg, self.keys)
         width = cfg.window_width
         auto = _build_autoencoder(width, cfg.param("hidden_dims", (32, 16)), cfg.seed)
         windows = subsequences(train, width)
@@ -301,13 +302,4 @@ class AutoencoderDetector:
         errors = np.sqrt(((out - windows.windows) ** 2).sum(axis=1))
         return ScoreSeries(
             scores=errors, indices=windows.target_indices, detector_name=fitted.name
-        )
-
-
-def _reject_unknown_keys(cfg: DetectorConfig, allowed: frozenset):
-    unknown = set(cfg.hyperparameters) - set(allowed)
-    if unknown:
-        raise ValueError(
-            f"{cfg.name}: unknown hyperparameter keys {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}"
         )

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..core import DetectorConfig, FittedDetector, ScoreSeries, TimeSeries
+from ..core import DetectorConfig, FittedDetector, ScoreSeries, TimeSeries, reject_unknown_keys
 from ..errors import (
     InvalidOrder,
     InvalidPeriod,
@@ -783,15 +783,6 @@ def student_t_ppf(p: float, dof: int) -> float:
 # Detector adapters (uniform fit/score contract)
 
 
-def _reject_unknown_keys(cfg: DetectorConfig, allowed: frozenset):
-    unknown = set(cfg.hyperparameters) - set(allowed)
-    if unknown:
-        raise ValueError(
-            f"{cfg.name}: unknown hyperparameter keys {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}"
-        )
-
-
 class ArDetector:
     """Autoregression of order p (default: the lag-cap formula)."""
 
@@ -801,7 +792,7 @@ class ArDetector:
     defaults = {"p": "lag cap floor(12*(n_train/100)^(1/4))"}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        _reject_unknown_keys(cfg, self.keys)
+        reject_unknown_keys(cfg, self.keys)
         return FittedDetector.wrap(cfg, ar_fit(train, cfg.param("p")))
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
@@ -817,7 +808,7 @@ class MaDetector:
     defaults = {"q": "window width w"}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        _reject_unknown_keys(cfg, self.keys)
+        reject_unknown_keys(cfg, self.keys)
         q = cfg.param("q", cfg.window_width)
         return FittedDetector.wrap(cfg, ma_fit(train, q))
 
@@ -834,7 +825,7 @@ class ArimaDetector:
     defaults = {"p": 1, "d": "1 if trend detected else 0", "q": 2}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        _reject_unknown_keys(cfg, self.keys)
+        reject_unknown_keys(cfg, self.keys)
         fit = arima_fit(train, cfg.param("p", 1), cfg.param("d"), cfg.param("q", 2))
         return FittedDetector.wrap(cfg, fit)
 
@@ -851,7 +842,7 @@ class SesDetector:
     defaults = {"alpha": "grid search over {0.01..0.99}"}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        _reject_unknown_keys(cfg, self.keys)
+        reject_unknown_keys(cfg, self.keys)
         return FittedDetector.wrap(cfg, ses_fit(train, cfg.param("alpha")))
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
@@ -872,7 +863,7 @@ class EsDetector:
     }
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        _reject_unknown_keys(cfg, self.keys)
+        reject_unknown_keys(cfg, self.keys)
         period = cfg.param("period", train.period_hint)
         if period is None:
             fit = holt_fit(train, cfg.param("alpha"), cfg.param("beta"))
@@ -895,7 +886,7 @@ class PciDetector:
     defaults = {"k": 30, "pci_alpha": 98.5, "two_sided": False}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        _reject_unknown_keys(cfg, self.keys)
+        reject_unknown_keys(cfg, self.keys)
         fit = pci_fit(train, int(cfg.param("k", 30)), float(cfg.param("pci_alpha", 98.5)))
         return FittedDetector.wrap(cfg, fit)
 

@@ -60,6 +60,14 @@ class NumericalDivergence(TsadError, ArithmeticError):
         super().__init__(message or f"loss became non-finite at epoch {epoch}")
 
 
+class NonFiniteScores(TsadError, ValueError):
+    """A detector emitted NaN or infinite scores."""
+
+
+class UnknownHyperparameter(TsadError, ValueError):
+    """A detector config names a hyperparameter the detector does not take."""
+
+
 class DegenerateLabels(TsadError, ValueError):
     """Metric needs at least one positive and one negative label."""
 

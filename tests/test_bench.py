@@ -20,6 +20,8 @@ from tsadkit import (
 )
 from tsadkit.bench import _pair_seed
 from tsadkit.cli import main, parse_kv_file
+from tsadkit.core import FittedDetector, ScoreSeries
+from tsadkit.detectors import REGISTRY
 from tsadkit.errors import InvalidSpec, UnknownDetector
 
 from conftest import series
@@ -89,6 +91,35 @@ class TestRunBenchmark:
         assert len(rows) == 2
         assert all(row.status == "failed" for row in rows)
         assert all("SeriesTooShort" in row.failure_reason for row in rows)
+
+    def test_non_finite_scores_fail_only_their_pairs(self, monkeypatch):
+        class NanDetector:
+            name = "nan"
+            family = "ml"
+            keys = frozenset()
+            defaults = {}
+
+            def fit(self, train, cfg):
+                return FittedDetector.wrap(cfg, None)
+
+            def score(self, fitted, test):
+                return ScoreSeries(
+                    scores=np.full(len(test), np.nan),
+                    indices=np.arange(len(test)),
+                    detector_name=fitted.name,
+                )
+
+        monkeypatch.setitem(REGISTRY, "nan", NanDetector())
+        rows, summary, curves = run_benchmark(quick_config(detectors=("ar", "nan")))
+        assert [row.detector for row in rows] == ["ar", "nan"] * 5
+        for row in rows:
+            if row.detector == "ar":
+                assert row.status == "ok"
+            else:
+                assert row.status == "failed"
+                assert row.failure_reason.startswith("NonFiniteScores: nan:")
+        assert summary["n_ok"] == 5
+        assert len(curves) == 5
 
     def test_unknown_detector_fails_fast(self):
         with pytest.raises(UnknownDetector) as info:

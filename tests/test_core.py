@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tsadkit import (
+    DETECTOR_NAMES,
     DetectorConfig,
     ScoreSeries,
     Threshold,
@@ -13,9 +14,10 @@ from tsadkit import (
     WindowFrame,
     binarize,
     frame,
+    get_detector,
     subsequences,
 )
-from tsadkit.errors import SeriesTooShort
+from tsadkit.errors import NonFiniteScores, SeriesTooShort, TsadError, UnknownHyperparameter
 
 from conftest import series
 
@@ -171,6 +173,12 @@ class TestScoreSeries:
         with pytest.raises(ValueError):
             ScoreSeries(scores=np.array([np.nan]), indices=np.array([0]), detector_name="x")
 
+    def test_non_finite_scores_are_a_toolkit_error(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(NonFiniteScores, match="x: scores contain non-finite"):
+                ScoreSeries(scores=np.array([0.0, bad]), indices=np.array([0, 1]), detector_name="x")
+        assert issubclass(NonFiniteScores, TsadError)
+
 
 class TestDetectorConfig:
     def test_fingerprint_stable(self):
@@ -193,3 +201,11 @@ class TestDetectorConfig:
         cfg = DetectorConfig(name="ar", hyperparameters={"p": 4})
         assert cfg.param("p", 1) == 4
         assert cfg.param("q", 7) == 7
+
+    @pytest.mark.parametrize("name", DETECTOR_NAMES)
+    def test_every_detector_rejects_unknown_keys(self, name):
+        cfg = DetectorConfig(name=name, hyperparameters={"bogus": 1})
+        train = series(np.sin(np.arange(200) / 5.0))
+        with pytest.raises(UnknownHyperparameter, match=rf"{name}: unknown hyperparameter keys \['bogus'\]"):
+            get_detector(name).fit(train, cfg)
+        assert issubclass(UnknownHyperparameter, TsadError)

@@ -15,6 +15,7 @@ from tsadkit.detectors.ml import (
     KMeansModel,
     LofModel,
     OcSvmModel,
+    _Tree,
     _avg_path,
     _dbscan_model_score,
     _harmonic,
@@ -204,6 +205,59 @@ class TestLof:
         reference = raw_frame(rng.normal(0.0, 1.0, (50, 2)))
         value = lof_score(reference, np.full(2, 30.0), k=8)
         assert value > 2.0
+
+
+def descend(tree: _Tree, row: np.ndarray, node: int = 0) -> float:
+    """Reference descent of one row: strictly-below goes left, ties go right."""
+    while tree.left[node] != node:
+        if row[tree.feature[node]] < tree.threshold[node]:
+            node = tree.left[node]
+        else:
+            node = tree.right[node]
+    return float(tree.value[node])
+
+
+def rows_on_thresholds(tree: _Tree, data: np.ndarray) -> np.ndarray:
+    """Copies of the data rows, each moved exactly onto one split threshold."""
+    copies = []
+    for node in np.nonzero(~tree.is_leaf)[0]:
+        moved = data.copy()
+        moved[:, tree.feature[node]] = tree.threshold[node]
+        copies.append(moved)
+    return np.vstack([data] + copies)
+
+
+class TestTree:
+    def fitted_trees(self):
+        rng = np.random.default_rng(31)
+        x = np.cumsum(rng.normal(0.0, 1.0, 400)) * 0.1
+        forest = iforest_fit(subsequences(series(x), 5), n_trees=8, seed=4)
+        boosted = gbt_fit(frame(series(x), 5), n_estimators=12, max_depth=3)
+        return rng.normal(0.0, 1.0, (15, 5)), forest.trees + boosted.trees
+
+    def test_apply_matches_per_row_descent(self):
+        data, trees = self.fitted_trees()
+        for tree in trees:
+            assert tree.depth >= 1
+            rows = rows_on_thresholds(tree, data)
+            expected = [descend(tree, row) for row in rows]
+            assert np.array_equal(tree.apply(rows), expected)
+
+    def test_ties_go_right(self):
+        data, trees = self.fitted_trees()
+        for tree in trees:
+            rows = data.copy()
+            rows[:, tree.feature[0]] = tree.threshold[0]
+            expected = [descend(tree, row, node=tree.right[0]) for row in rows]
+            assert np.array_equal(tree.apply(rows), expected)
+
+    def test_leaves_point_to_themselves(self):
+        _, trees = self.fitted_trees()
+        for tree in trees:
+            leaves = np.nonzero(tree.is_leaf)[0]
+            assert np.array_equal(tree.right[leaves], leaves)
+            # A binary tree has one more leaf than it has internal nodes.
+            assert 2 * leaves.size == tree.value.size + 1
 
 
 class TestIforest:
