@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 from .bench import RunConfig, emit_reports, run_benchmark
 from .data import SynthSpec, generate_synthetic, write_series_csv
 from .detectors import catalog_lines
-from .errors import TsadError
+from .errors import InvalidSpec, TsadError
 from .preprocessing import SplitSpec
 
 __all__ = ["main", "parse_kv_file", "config_from_sources"]
@@ -40,82 +40,87 @@ def parse_kv_file(path: Path) -> dict:
     return values
 
 
-def _parse_bool(key: str, raw: str) -> bool:
+def _parse_bool(raw: str) -> bool:
     lowered = raw.lower()
     if lowered in _TRUE:
         return True
     if lowered in _FALSE:
         return False
-    raise ValueError(f"{key}: expected a boolean, got {raw!r}")
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
 def _split_list(raw: str) -> list[str]:
     return [item.strip() for item in raw.split(",") if item.strip()]
 
 
+# One converter per accepted key.  Only keys a file gives become keyword
+# arguments, so RunConfig, SplitSpec and SynthSpec hold the only defaults.
+_RUN_KEYS = {
+    "datasets": _split_list,
+    "detectors": _split_list,
+    "standardize": _parse_bool,
+    "detrend": _parse_bool,
+    "deseasonalize": _parse_bool,
+    "period": int,
+    "seed": int,
+    "output_dir": str,
+    "repeat": int,
+    "data_dir": str,
+    "train_ratio": float,
+    "validation_of_train": float,
+}
+_SPLIT_KEYS = ("train_ratio", "validation_of_train")
+_SYNTH_KEYS = {
+    "length": int,
+    "base": str,
+    "anomaly_rate": float,
+    "anomaly_kind": str,
+    "seed": int,
+    "ar_coeffs": lambda raw: tuple(float(v) for v in _split_list(raw)),
+    "season_period": int,
+}
+
+
+def _read_kv_file(path: Path, converters: dict) -> dict:
+    """Parse a key=value file and convert each value; unknown keys are an error."""
+    values = parse_kv_file(path)
+    unknown = sorted(set(values) - set(converters))
+    if unknown:
+        raise InvalidSpec(
+            f"{path}: unknown keys {', '.join(unknown)}; accepted keys: {', '.join(converters)}"
+        )
+    converted = {}
+    for key, raw in values.items():
+        try:
+            converted[key] = converters[key](raw)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {key}: {exc}") from exc
+    return converted
+
+
 def config_from_sources(args: argparse.Namespace) -> RunConfig:
     """Merge the config file (if any) with CLI flags; flags win."""
-    file_values: dict = {}
-    if args.config is not None:
-        file_values = parse_kv_file(Path(args.config))
-
-    datasets = list(args.dataset or [])
-    if not datasets and "datasets" in file_values:
-        datasets = _split_list(file_values["datasets"])
-    if not datasets:
-        datasets = ["SYNTH"]
-
-    detectors = list(args.detector or [])
-    if not detectors and "detectors" in file_values:
-        detectors = _split_list(file_values["detectors"])
-    if not detectors:
-        detectors = ["ar", "kmeans", "iforest"]
-
-    standardize = True
-    if "standardize" in file_values:
-        standardize = _parse_bool("standardize", file_values["standardize"])
+    kwargs = {} if args.config is None else _read_kv_file(Path(args.config), _RUN_KEYS)
+    split_kwargs = {key: kwargs.pop(key) for key in _SPLIT_KEYS if key in kwargs}
+    if "train_ratio" in split_kwargs:
+        split_kwargs["test_ratio"] = 1.0 - split_kwargs["train_ratio"]
+    kwargs["split"] = SplitSpec(**split_kwargs)
+    kwargs["datasets"] = args.dataset or kwargs.get("datasets") or ["SYNTH"]
+    kwargs["detectors"] = args.detector or kwargs.get("detectors") or ["ar", "kmeans", "iforest"]
     if args.no_standardize:
-        standardize = False
-
-    detrend = args.detrend or _parse_bool("detrend", file_values.get("detrend", "false"))
-
-    period: Optional[int] = None
-    deseasonalize = False
-    if "deseasonalize" in file_values:
-        deseasonalize = _parse_bool("deseasonalize", file_values["deseasonalize"])
-    if "period" in file_values:
-        period = int(file_values["period"])
+        kwargs["standardize"] = False
+    if args.detrend:
+        kwargs["detrend"] = True
     if args.deseasonalize is not None:
-        deseasonalize = True
-        period = args.deseasonalize
-
-    seed = args.seed if args.seed is not None else int(file_values.get("seed", "0"))
-    out = args.out or file_values.get("output_dir", "bench-out")
-    repeat = int(file_values.get("repeat", "1"))
-
-    data_dir = args.data_dir or file_values.get("data_dir") or os.environ.get("TSAD_DATA_DIR")
-
-    split_kwargs = {}
-    if "train_ratio" in file_values:
-        ratio = float(file_values["train_ratio"])
-        split_kwargs["train_ratio"] = ratio
-        split_kwargs["test_ratio"] = 1.0 - ratio
-    if "validation_of_train" in file_values:
-        split_kwargs["validation_of_train"] = float(file_values["validation_of_train"])
-
-    return RunConfig(
-        datasets=tuple(datasets),
-        detectors=tuple(detectors),
-        standardize=standardize,
-        detrend=detrend,
-        deseasonalize=deseasonalize,
-        period=period,
-        split=SplitSpec(**split_kwargs),
-        seed=seed,
-        output_dir=Path(out),
-        repeat=repeat,
-        data_dir=Path(data_dir) if data_dir else None,
-    )
+        kwargs.update(deseasonalize=True, period=args.deseasonalize)
+    if args.seed is not None:
+        kwargs["seed"] = args.seed
+    if args.out:
+        kwargs["output_dir"] = args.out
+    data_dir = args.data_dir or kwargs.pop("data_dir", None) or os.environ.get("TSAD_DATA_DIR")
+    if data_dir:
+        kwargs["data_dir"] = data_dir
+    return RunConfig(**kwargs)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -134,22 +139,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_generate_synth(args: argparse.Namespace) -> int:
-    values = parse_kv_file(Path(args.spec))
-    kwargs: dict = {}
-    if "length" in values:
-        kwargs["length"] = int(values["length"])
-    if "base" in values:
-        kwargs["base"] = values["base"]
-    if "anomaly_rate" in values:
-        kwargs["anomaly_rate"] = float(values["anomaly_rate"])
-    if "anomaly_kind" in values:
-        kwargs["anomaly_kind"] = values["anomaly_kind"]
-    if "seed" in values:
-        kwargs["seed"] = int(values["seed"])
-    if "ar_coeffs" in values:
-        kwargs["ar_coeffs"] = tuple(float(v) for v in _split_list(values["ar_coeffs"]))
-    if "season_period" in values:
-        kwargs["season_period"] = int(values["season_period"])
+    kwargs = _read_kv_file(Path(args.spec), _SYNTH_KEYS)
     series = generate_synthetic(SynthSpec(**kwargs))
     out = Path(args.out) if args.out else Path(f"{series.series_id}.csv")
     write_series_csv(series, out)

@@ -23,7 +23,13 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteScores, SeriesTooShort, UnknownHyperparameter
+from .errors import (
+    DimensionMismatch,
+    NonFiniteScores,
+    NonFiniteValues,
+    SeriesTooShort,
+    UnknownHyperparameter,
+)
 
 __all__ = [
     "TimeSeries",
@@ -63,7 +69,7 @@ class TimeSeries:
         if values.size == 0:
             raise SeriesTooShort("a time series must contain at least one observation")
         if not np.all(np.isfinite(values)):
-            raise ValueError(f"series {self.series_id!r} contains non-finite values")
+            raise NonFiniteValues(f"series {self.series_id!r} contains non-finite values")
         object.__setattr__(self, "values", values)
         if self.labels is not None:
             labels = np.asarray(self.labels, dtype=np.int64)

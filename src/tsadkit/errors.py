@@ -64,6 +64,10 @@ class NonFiniteScores(TsadError, ValueError):
     """A detector emitted NaN or infinite scores."""
 
 
+class NonFiniteValues(TsadError, ValueError):
+    """A series, or a statistic computed from it, is NaN or infinite."""
+
+
 class UnknownHyperparameter(TsadError, ValueError):
     """A detector config names a hyperparameter the detector does not take."""
 

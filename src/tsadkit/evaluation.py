@@ -118,66 +118,65 @@ def _check_labels(labels: np.ndarray) -> tuple[int, int]:
     return positives, negatives
 
 
+def _aligned_labels(scores: ScoreSeries, labels) -> np.ndarray:
+    labels = np.asarray(labels, dtype=np.int64)
+    if labels.shape != scores.scores.shape:
+        raise ValueError("labels must align with scores")
+    return labels
+
+
+def _sweep(values: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cuts ``score >= u`` for every unique score ``u``, highest first.
+
+    One stable descending sort and one cumulative sum give each cut's value,
+    true positives and predicted positives (Fawcett 2006, Alg. 1-2).
+    """
+    order = np.argsort(-values, kind="stable")
+    sorted_scores = values[order]
+    # One step per unique score value: indices of the last occurrence.
+    step_ends = np.append(np.nonzero(np.diff(sorted_scores))[0], values.size - 1)
+    tp = np.cumsum(labels[order])[step_ends]
+    return sorted_scores[step_ends], tp, step_ends + 1
+
+
 def roc_auc(scores: ScoreSeries, labels) -> tuple[RocCurve, float]:
-    """Threshold sweep over unique score values; trapezoid area under it.
+    """ROC over the cuts ``score >= u``, one per unique score; trapezoid area.
 
     Tied scores step tp and fp simultaneously, which makes the area equal to
     the Mann-Whitney statistic with half credit for ties.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    values = scores.scores
-    if labels.shape != values.shape:
-        raise ValueError("labels must align with scores")
+    labels = _aligned_labels(scores, labels)
     positives, negatives = _check_labels(labels)
-
-    order = np.argsort(-values, kind="stable")
-    sorted_scores = values[order]
-    sorted_labels = labels[order]
-    # One step per unique score value: indices of the last occurrence.
-    last = np.nonzero(np.diff(sorted_scores))[0]
-    step_ends = np.concatenate((last, [values.size - 1]))
-    tp = np.cumsum(sorted_labels)[step_ends]
-    fp = (step_ends + 1) - tp
+    cuts, tp, n_pred = _sweep(scores.scores, labels)
     tpr = np.concatenate(([0.0], tp / positives))
-    fpr = np.concatenate(([0.0], fp / negatives))
-    thresholds = np.concatenate(([np.inf], sorted_scores[step_ends]))
+    fpr = np.concatenate(([0.0], (n_pred - tp) / negatives))
+    thresholds = np.concatenate(([np.inf], cuts))
     curve = RocCurve(points=np.column_stack((fpr, tpr)), thresholds=thresholds)
     auc = float(np.trapezoid(tpr, fpr))
     return curve, auc
 
 
 def best_f1(scores: ScoreSeries, labels) -> tuple[float, float]:
-    """Maximum F-score over candidate thresholds and the threshold achieving it.
+    """Maximum F-score over the cuts ``score >= u``, one per unique score.
 
-    Candidates are the midpoints between consecutive unique scores plus one
-    value below the minimum (the predict-everything cut).  Thresholds with
-    zero predicted positives are skipped, precision is undefined there.
+    Among equal maxima the lowest cut wins.  The returned threshold is the
+    midpoint between the winning cut and the next lower unique score, or one
+    below the minimum for the predict-everything cut.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    values = scores.scores
-    if labels.shape != values.shape:
-        raise ValueError("labels must align with scores")
+    labels = _aligned_labels(scores, labels)
     positives = int(labels.sum())
     if positives == 0:
         raise DegenerateLabels("need at least one positive label for the F-score")
-
-    unique = np.unique(values)
-    candidates = np.concatenate(([unique[0] - 1.0], (unique[:-1] + unique[1:]) / 2.0))
-    best_score = -1.0
-    best_threshold = float(candidates[0])
-    for threshold in candidates:
-        predicted = values > threshold
-        n_pred = int(predicted.sum())
-        if n_pred == 0:
-            continue
-        tp = int((predicted & (labels == 1)).sum())
-        precision = tp / n_pred
-        recall = tp / positives
-        f1 = 0.0 if tp == 0 else 2.0 * precision * recall / (precision + recall)
-        if f1 > best_score:
-            best_score = f1
-            best_threshold = float(threshold)
-    return best_score, best_threshold
+    cuts, tp, n_pred = _sweep(scores.scores, labels)
+    precision = tp / n_pred
+    recall = tp / positives
+    f1 = np.divide(
+        2.0 * precision * recall, precision + recall, out=np.zeros_like(precision), where=tp > 0
+    )
+    best = f1.size - 1 - int(np.argmax(f1[::-1]))  # the last maximum is the lowest cut
+    lowest = best == f1.size - 1
+    threshold = cuts[best] - 1.0 if lowest else (cuts[best + 1] + cuts[best]) / 2.0
+    return float(f1[best]), float(threshold)
 
 
 def naive_mse(series: TimeSeries, indices=None) -> float:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import TimeSeries
-from .errors import ConstantSeries, InvalidPeriod, PeriodTooLong, SeriesTooShort
+from .errors import ConstantSeries, InvalidPeriod, NonFiniteValues, PeriodTooLong, SeriesTooShort
 
 __all__ = [
     "SplitSpec",
@@ -87,7 +87,7 @@ class StandardizeParams:
 
     def __post_init__(self):
         if not (np.isfinite(self.mu) and np.isfinite(self.sigma)):
-            raise ValueError("standardization parameters must be finite")
+            raise NonFiniteValues("standardization parameters must be finite")
         if self.sigma <= 0.0:
             raise ConstantSeries("standard deviation must be positive")
 

@@ -121,6 +121,22 @@ class TestRunBenchmark:
         assert summary["n_ok"] == 5
         assert len(curves) == 5
 
+    def test_overflowing_series_fails_only_its_rows(self, tmp_path):
+        # Finite values whose variance overflows: standardization cannot
+        # proceed, and that must not abort the normal series after it.
+        huge = labelled_series(n=300, anomaly_at=250, seed=5)
+        huge = series(huge.values * 1e307, labels=huge.labels)
+        manifest = write_manifest(tmp_path, [huge, labelled_series(n=300, anomaly_at=250)])
+        with np.errstate(over="ignore"):
+            rows, summary, _ = run_benchmark(
+                quick_config(datasets=(str(manifest),), detectors=("ar", "kmeans"))
+            )
+        first, second = rows[:2], rows[2:]
+        assert [row.status for row in first] == ["failed", "failed"]
+        assert all(row.failure_reason.startswith("NonFiniteValues:") for row in first)
+        assert [row.status for row in second] == ["ok", "ok"]
+        assert summary["n_ok"] == 2
+
     def test_unknown_detector_fails_fast(self):
         with pytest.raises(UnknownDetector) as info:
             run_benchmark(quick_config(detectors=("nope",)))
@@ -312,6 +328,42 @@ class TestCli:
         assert merged.standardize is False
         assert merged.split.train_ratio == 0.4
         assert abs(merged.split.test_ratio - 0.6) < 1e-12
+
+    def test_unknown_config_key_is_a_clean_error(self, tmp_path, capsys):
+        config = tmp_path / "bench.cfg"
+        config.write_text("detector = lof\nseed = 2\n", encoding="utf-8")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(config) in err
+        assert "unknown keys detector;" in err
+        assert "accepted keys: datasets, detectors," in err
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_spec_key_is_a_clean_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("length = 400\nlenght = 9\n", encoding="utf-8")
+        out = tmp_path / "series.csv"
+        assert main(["generate-synth", "--spec", str(spec), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown keys lenght;" in err
+        assert "season_period" in err
+        assert not out.exists()
+
+    def test_unknown_config_key_raises_invalid_spec(self, tmp_path):
+        from tsadkit.cli import build_parser, config_from_sources
+
+        config = tmp_path / "bench.cfg"
+        config.write_text("seed = 1\nout = x\nrepeats = 2\n", encoding="utf-8")
+        args = build_parser().parse_args(["run", "--config", str(config)])
+        with pytest.raises(InvalidSpec, match="unknown keys out, repeats;"):
+            config_from_sources(args)
+
+    def test_bad_config_value_names_its_key(self, tmp_path, capsys):
+        config = tmp_path / "bench.cfg"
+        config.write_text("standardize = maybe\n", encoding="utf-8")
+        assert main(["run", "--config", str(config)]) == 2
+        assert "standardize: expected a boolean, got 'maybe'" in capsys.readouterr().err
 
     def test_data_dir_env_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("TSAD_DATA_DIR", str(tmp_path))

@@ -36,6 +36,43 @@ def mann_whitney_auc(scores, labels) -> float:
     return wins / (pos.size * neg.size)
 
 
+def brute_force_f1(scores, labels) -> tuple[float, float]:
+    """F of ``scores >= u`` for every unique ``u``; the independent oracle.
+
+    Returns the best F and its cut; ascending order with a strict ``>``
+    makes the lowest cut win among equal maxima.
+    """
+    best, best_cut = -1.0, float("nan")
+    for cut in np.unique(scores):
+        predicted = scores >= cut
+        tp = int(np.sum(predicted & (labels == 1)))
+        precision = tp / int(predicted.sum())
+        recall = tp / int(labels.sum())
+        f1 = 0.0 if tp == 0 else 2.0 * precision * recall / (precision + recall)
+        if f1 > best:
+            best, best_cut = f1, float(cut)
+    return best, best_cut
+
+
+def ulp_neighbours(start: float, count: int) -> np.ndarray:
+    """``count`` consecutive doubles upwards from ``start``."""
+    grid = [start]
+    for _ in range(count - 1):
+        grid.append(np.nextafter(grid[-1], np.inf))
+    return np.array(grid)
+
+
+def score_families(rng, n):
+    """Seeded score vectors: distinct, tied, three-valued, constant, adjacent doubles."""
+    yield rng.standard_normal(n)
+    yield np.round(rng.standard_normal(n), 1)
+    yield rng.integers(0, 3, n).astype(np.float64)
+    yield np.full(n, rng.standard_normal())
+    yield ulp_neighbours(float(rng.standard_normal()), 6)[rng.integers(0, 6, n)]
+    distinct = rng.standard_normal(n)
+    yield np.where(rng.random(n) < 0.5, distinct, np.nextafter(distinct, np.inf))
+
+
 class TestRocAuc:
     def test_perfect(self):
         _, auc = roc_auc(scored([1, 2, 3, 4]), [0, 0, 1, 1])
@@ -124,6 +161,40 @@ class TestBestF1:
     def test_degenerate(self):
         with pytest.raises(DegenerateLabels):
             best_f1(scored([1.0, 2.0]), [0, 0])
+
+    def test_matches_brute_force_over_every_cut(self):
+        rng = np.random.default_rng(5)
+        for _ in range(60):
+            n = int(rng.integers(2, 150))
+            for scores in score_families(rng, n):
+                labels = (rng.random(n) < rng.uniform(0.02, 0.6)).astype(int)
+                labels[rng.integers(n)] = 1
+                f1, threshold = best_f1(scored(scores), labels)
+                expected, cut = brute_force_f1(scores, labels)
+                assert f1 == expected
+                below = np.unique(scores[scores < cut])
+                if below.size == 0:
+                    assert threshold == cut - 1.0
+                else:
+                    assert threshold == (below[-1] + cut) / 2.0
+
+    def test_adjacent_doubles_keep_the_upper_cut(self):
+        # The midpoint of two adjacent doubles rounds onto one of them; the
+        # cut ``score >= 1.0000000000000004`` must still be found.
+        low, high = ulp_neighbours(1.0000000000000002, 2)
+        assert high == 1.0000000000000004
+        f1, _ = best_f1(scored([low, high]), [0, 1])
+        assert f1 == 1.0
+
+    def test_lowest_cut_wins_ties(self):
+        # Cuts at 4 and at 1 both give F = 2/3; the lower one is reported.
+        f1, threshold = best_f1(scored([4.0, 3.0, 2.0, 1.0, 0.0]), [1, 0, 0, 1, 0])
+        assert f1 == 2.0 / 3.0
+        assert threshold == 0.5
+        # Here the tie includes the predict-everything cut.
+        f1, threshold = best_f1(scored([3.0, 2.0, 1.0, 0.0]), [1, 0, 0, 1])
+        assert f1 == 2.0 / 3.0
+        assert threshold == -1.0
 
 
 class TestNmm:

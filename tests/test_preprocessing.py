@@ -13,7 +13,14 @@ from tsadkit import (
     split,
     standardize,
 )
-from tsadkit.errors import ConstantSeries, InvalidPeriod, PeriodTooLong, SeriesTooShort
+from tsadkit.errors import (
+    ConstantSeries,
+    InvalidPeriod,
+    NonFiniteValues,
+    PeriodTooLong,
+    SeriesTooShort,
+    TsadError,
+)
 
 from conftest import series
 
@@ -77,6 +84,12 @@ class TestStandardize:
         with pytest.raises(ConstantSeries):
             fit_standardizer(series([4.0, 4.0, 4.0]))
 
+    def test_overflowing_variance_is_a_toolkit_error(self):
+        values = np.random.default_rng(0).normal(size=300) * 1e307
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteValues, match="must be finite"):
+            fit_standardizer(series(values))
+        assert issubclass(NonFiniteValues, TsadError)
+
     def test_no_test_leakage(self):
         train = series([1.0, 2.0, 3.0, 4.0])
         a = fit_standardizer(train)
@@ -117,6 +130,11 @@ class TestDifference:
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
             difference(series([1.0]), 1)
+
+    def test_overflowing_differences_are_a_toolkit_error(self):
+        values = np.tile([1.5e308, -1.5e308], 10)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteValues, match="non-finite"):
+            difference(series(values), 1)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_cumsum_reconstruction(self, d):
