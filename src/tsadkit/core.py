@@ -16,8 +16,6 @@ Two window layouts exist:
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -25,6 +23,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    InvalidHyperparameter,
     NonFiniteScores,
     NonFiniteValues,
     SeriesTooShort,
@@ -38,7 +37,8 @@ __all__ = [
     "Threshold",
     "DetectorConfig",
     "FittedDetector",
-    "reject_unknown_keys",
+    "Derived",
+    "resolve",
     "frame",
     "subsequences",
     "binarize",
@@ -186,10 +186,11 @@ class Threshold:
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    """Name, window width, free-form hyperparameters and RNG seed.
+    """Name, window width, hyperparameters and RNG seed.
 
-    Every hyperparameter key is documented by the detector that consumes it;
-    unknown keys are rejected at fit time.
+    Each detector declares the keys it takes, with their defaults, in one
+    ``params`` table; at fit time :func:`resolve` fills in missing keys,
+    converts given values to their default's type and rejects unknown keys.
     """
 
     name: str
@@ -204,45 +205,53 @@ class DetectorConfig:
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         object.__setattr__(self, "hyperparameters", dict(self.hyperparameters))
 
-    def param(self, key: str, default=None):
-        return self.hyperparameters.get(key, default)
-
-    def fingerprint(self) -> str:
-        """Stable digest of the full configuration."""
-        payload = json.dumps(
-            {
-                "name": self.name,
-                "window_width": self.window_width,
-                "hyperparameters": {k: repr(v) for k, v in sorted(self.hyperparameters.items())},
-                "seed": int(self.seed),
-            },
-            sort_keys=True,
-        )
-        return hashlib.blake2b(payload.encode(), digest_size=8).hexdigest()
-
 
 @dataclass(frozen=True)
 class FittedDetector:
-    """Opaque trained state of one detector plus its config fingerprint."""
+    """Opaque trained state of one detector plus the config it was fitted with."""
 
     name: str
     config: DetectorConfig
     state: object
-    fingerprint: str
 
     @classmethod
     def wrap(cls, config: DetectorConfig, state: object) -> "FittedDetector":
-        return cls(name=config.name, config=config, state=state, fingerprint=config.fingerprint())
+        return cls(name=config.name, config=config, state=state)
 
 
-def reject_unknown_keys(cfg: DetectorConfig, allowed: frozenset) -> None:
-    """Fail when ``cfg`` names a hyperparameter outside ``allowed``."""
-    unknown = set(cfg.hyperparameters) - set(allowed)
+class Derived(str):
+    """A table default the detector works out at fit time; the text says how."""
+
+
+def resolve(cfg: DetectorConfig, params: Mapping[str, object]) -> dict:
+    """Every hyperparameter in a detector's ``params`` table, for ``cfg``.
+
+    A missing key gets its default, or None when the default is
+    :class:`Derived`.  A given value is converted to its default's type
+    (int, float or bool; a tuple element-wise to int); a value for a
+    Derived key is passed through unchanged.
+    """
+    unknown = set(cfg.hyperparameters) - set(params)
     if unknown:
         raise UnknownHyperparameter(
             f"{cfg.name}: unknown hyperparameter keys {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}"
+            f"allowed: {sorted(params)}"
         )
+    resolved = {key: None if isinstance(d, Derived) else d for key, d in params.items()}
+    for key, value in cfg.hyperparameters.items():
+        default = params[key]
+        try:
+            if isinstance(default, Derived):
+                resolved[key] = value
+            elif isinstance(default, tuple):
+                resolved[key] = tuple(int(v) for v in value)
+            else:
+                resolved[key] = type(default)(value)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise InvalidHyperparameter(
+                f"{cfg.name}: {key}={value!r} is not a valid {type(default).__name__}"
+            ) from exc
+    return resolved
 
 
 def frame(series: TimeSeries, width: int, stride: int = 1) -> WindowFrame:

@@ -64,9 +64,6 @@ def catalog_lines() -> list[str]:
         doc = (detector.__class__.__doc__ or "").strip().splitlines()
         if doc:
             lines.append(f"  {doc[0]}")
-        if detector.defaults:
-            for key in sorted(detector.defaults):
-                lines.append(f"  {key} = {detector.defaults[key]}")
-        else:
-            lines.append("  (no hyperparameters)")
+        for key in sorted(detector.params):
+            lines.append(f"  {key} = {detector.params[key]}")
     return lines

@@ -17,16 +17,17 @@ from typing import Optional
 import numpy as np
 
 from ..core import (
+    Derived,
     DetectorConfig,
     FittedDetector,
     ScoreSeries,
     TimeSeries,
     WindowFrame,
     frame,
-    reject_unknown_keys,
+    resolve,
     subsequences,
 )
-from ..errors import NoCorePoints, TooFewWindows
+from ..errors import InvalidHyperparameter, NoCorePoints, TooFewWindows
 
 __all__ = [
     "KMeansModel",
@@ -81,6 +82,8 @@ class KMeansModel:
 def kmeans_fit(train_windows: WindowFrame, k: int = 4, seed: int = 0) -> KMeansModel:
     """Lloyd iterations from distance-weighted seeding until the assignment
     stops changing (at most 300 rounds); empty clusters keep their centroid."""
+    if k < 1:
+        raise InvalidHyperparameter(f"k-means needs k >= 1 centroids, got k={k}")
     windows = train_windows.windows
     m = windows.shape[0]
     if m < k:
@@ -141,9 +144,9 @@ class DbscanModel:
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+            raise InvalidHyperparameter(f"epsilon must be positive, got {self.epsilon}")
         if self.mu_min_pts < 1:
-            raise ValueError(f"mu must be >= 1, got {self.mu_min_pts}")
+            raise InvalidHyperparameter(f"mu must be >= 1, got {self.mu_min_pts}")
         core = np.asarray(self.core_points, dtype=np.float64)
         if core.ndim != 2 or core.shape[0] < 1:
             raise NoCorePoints("model must retain at least one core point")
@@ -367,7 +370,7 @@ class IsoForest:
 
     def __post_init__(self):
         if self.n_trees < 1 or len(self.trees) != self.n_trees:
-            raise ValueError("need n_trees >= 1 built trees")
+            raise InvalidHyperparameter("need n_trees >= 1 built trees")
 
 
 def _harmonic(n: int) -> np.ndarray:
@@ -449,9 +452,9 @@ class OcSvmModel:
         if vectors.shape[0] != coeffs.size or vectors.shape[0] < 1:
             raise ValueError("support vectors and dual coefficients must align")
         if not (0.0 < self.nu <= 1.0):
-            raise ValueError(f"nu must lie in (0, 1], got {self.nu}")
+            raise InvalidHyperparameter(f"nu must lie in (0, 1], got {self.nu}")
         if self.rbf_gamma <= 0.0:
-            raise ValueError(f"rbf_gamma must be positive, got {self.rbf_gamma}")
+            raise InvalidHyperparameter(f"rbf_gamma must be positive, got {self.rbf_gamma}")
         if np.any(coeffs < -1e-12) or abs(coeffs.sum() - 1.0) > 1e-6:
             raise ValueError("dual coefficients must be non-negative and sum to 1")
         object.__setattr__(self, "support_vectors", vectors)
@@ -475,7 +478,7 @@ def ocsvm_fit(
     if m < 2:
         raise TooFewWindows(f"one-class SVM needs at least 2 windows, got {m}")
     if not (0.0 < nu <= 1.0):
-        raise ValueError(f"nu must lie in (0, 1], got {nu}")
+        raise InvalidHyperparameter(f"nu must lie in (0, 1], got {nu}")
     gamma = 1.0 / windows.shape[1] if rbf_gamma is None else rbf_gamma
     kernel = np.exp(-gamma * _pairwise_sq(windows, windows))
     box = 1.0 / (nu * m)
@@ -566,7 +569,7 @@ class GbtModel:
         if len(self.trees) != self.n_estimators:
             raise ValueError("tree count must equal n_estimators")
         if self.learning_rate <= 0.0 or self.max_depth < 1:
-            raise ValueError("learning_rate must be positive and max_depth >= 1")
+            raise InvalidHyperparameter("learning_rate must be positive and max_depth >= 1")
 
 
 def _gbt_best_split(data: np.ndarray, g: np.ndarray, idx: np.ndarray, lam: float):
@@ -678,13 +681,12 @@ class KMeansDetector:
 
     name = "kmeans"
     family = "ml"
-    keys = frozenset({"k"})
-    defaults = {"k": 4}
+    params = {"k": 4}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        reject_unknown_keys(cfg, self.keys)
+        k = resolve(cfg, self.params)["k"]
         windows = subsequences(train, cfg.window_width)
-        return FittedDetector.wrap(cfg, kmeans_fit(windows, int(cfg.param("k", 4)), cfg.seed))
+        return FittedDetector.wrap(cfg, kmeans_fit(windows, k, cfg.seed))
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         return kmeans_score(
@@ -697,16 +699,12 @@ class DbscanDetector:
 
     name = "dbscan"
     family = "ml"
-    keys = frozenset({"epsilon", "mu"})
-    defaults = {"epsilon": 0.4, "mu": 5}
+    params = {"epsilon": 0.4, "mu": 5}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        reject_unknown_keys(cfg, self.keys)
+        p = resolve(cfg, self.params)
         windows = subsequences(train, cfg.window_width)
-        model = dbscan_fit(
-            windows, float(cfg.param("epsilon", 0.4)), int(cfg.param("mu", 5))
-        )
-        return FittedDetector.wrap(cfg, model)
+        return FittedDetector.wrap(cfg, dbscan_fit(windows, p["epsilon"], p["mu"]))
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         return _dbscan_model_score(
@@ -719,15 +717,12 @@ class LofDetector:
 
     name = "lof"
     family = "ml"
-    keys = frozenset({"k_neighbors"})
-    defaults = {"k_neighbors": 10}
+    params = {"k_neighbors": 10}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        reject_unknown_keys(cfg, self.keys)
+        k_neighbors = resolve(cfg, self.params)["k_neighbors"]
         windows = subsequences(train, cfg.window_width)
-        model = LofModel(
-            k_neighbors=int(cfg.param("k_neighbors", 10)), reference_windows=windows.windows
-        )
+        model = LofModel(k_neighbors=k_neighbors, reference_windows=windows.windows)
         return FittedDetector.wrap(cfg, model)
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
@@ -744,14 +739,12 @@ class IforestDetector:
 
     name = "iforest"
     family = "ml"
-    keys = frozenset({"n_trees"})
-    defaults = {"n_trees": 10}
+    params = {"n_trees": 10}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        reject_unknown_keys(cfg, self.keys)
+        n_trees = resolve(cfg, self.params)["n_trees"]
         windows = subsequences(train, cfg.window_width)
-        model = iforest_fit(windows, int(cfg.param("n_trees", 10)), cfg.seed)
-        return FittedDetector.wrap(cfg, model)
+        return FittedDetector.wrap(cfg, iforest_fit(windows, n_trees, cfg.seed))
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         return iforest_score(
@@ -764,17 +757,15 @@ class OcsvmDetector:
 
     name = "ocsvm"
     family = "ml"
-    keys = frozenset({"nu", "rbf_gamma", "project_2d"})
-    defaults = {"nu": 0.7, "rbf_gamma": "1/w", "project_2d": False}
+    params = {"nu": 0.7, "rbf_gamma": Derived("1/w"), "project_2d": False}
 
     def _width(self, cfg: DetectorConfig) -> int:
-        return 2 if cfg.param("project_2d", False) else cfg.window_width
+        return 2 if resolve(cfg, self.params)["project_2d"] else cfg.window_width
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        reject_unknown_keys(cfg, self.keys)
+        p = resolve(cfg, self.params)
         windows = subsequences(train, self._width(cfg))
-        model = ocsvm_fit(windows, float(cfg.param("nu", 0.7)), cfg.param("rbf_gamma"))
-        return FittedDetector.wrap(cfg, model)
+        return FittedDetector.wrap(cfg, ocsvm_fit(windows, p["nu"], p["rbf_gamma"]))
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         windows = subsequences(test, self._width(fitted.config))
@@ -786,17 +777,10 @@ class GbtDetector:
 
     name = "gbt"
     family = "ml"
-    keys = frozenset({"n_estimators", "max_depth", "learning_rate"})
-    defaults = {"n_estimators": 1000, "max_depth": 3, "learning_rate": 0.1}
+    params = {"n_estimators": 1000, "max_depth": 3, "learning_rate": 0.1}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        reject_unknown_keys(cfg, self.keys)
-        model = gbt_fit(
-            frame(train, cfg.window_width),
-            n_estimators=int(cfg.param("n_estimators", 1000)),
-            max_depth=int(cfg.param("max_depth", 3)),
-            learning_rate=float(cfg.param("learning_rate", 0.1)),
-        )
+        model = gbt_fit(frame(train, cfg.window_width), **resolve(cfg, self.params))
         return FittedDetector.wrap(cfg, model)
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:

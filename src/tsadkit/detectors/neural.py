@@ -21,10 +21,10 @@ from ..core import (
     TimeSeries,
     WindowFrame,
     frame,
-    reject_unknown_keys,
+    resolve,
     subsequences,
 )
-from ..errors import DimensionMismatch, NumericalDivergence
+from ..errors import DimensionMismatch, InvalidHyperparameter, NumericalDivergence
 
 __all__ = [
     "DenseLayer",
@@ -90,11 +90,11 @@ class TrainSpec:
 
     def __post_init__(self):
         if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+            raise InvalidHyperparameter(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise InvalidHyperparameter(f"epochs must be >= 1, got {self.epochs}")
         if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+            raise InvalidHyperparameter("learning_rate must be positive")
 
 
 def dense_net(dims: Sequence[int], activations: Sequence[str], seed: int = 0) -> DenseNet:
@@ -245,12 +245,12 @@ def _build_autoencoder(width: int, hidden_dims: Sequence[int], seed: int) -> Aut
     )
 
 
-def _train_spec_from(cfg: DetectorConfig) -> TrainSpec:
-    return TrainSpec(
-        batch_size=int(cfg.param("batch_size", 32)),
-        epochs=int(cfg.param("epochs", 50)),
-        learning_rate=float(cfg.param("learning_rate", 1e-3)),
-    )
+# Both detectors take TrainSpec's schedule keys; the defaults live in TrainSpec.
+_TRAIN_PARAMS = {
+    "epochs": TrainSpec.epochs,
+    "batch_size": TrainSpec.batch_size,
+    "learning_rate": TrainSpec.learning_rate,
+}
 
 
 class MlpDetector:
@@ -258,15 +258,14 @@ class MlpDetector:
 
     name = "mlp"
     family = "neural"
-    keys = frozenset({"hidden_dims", "epochs", "batch_size", "learning_rate"})
-    defaults = {"hidden_dims": (100, 50), "epochs": 50, "batch_size": 32, "learning_rate": 1e-3}
+    params = {"hidden_dims": (100, 50), **_TRAIN_PARAMS}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        reject_unknown_keys(cfg, self.keys)
-        hidden = tuple(int(h) for h in cfg.param("hidden_dims", (100, 50)))
+        p = resolve(cfg, self.params)
+        hidden = p.pop("hidden_dims")
         dims = [cfg.window_width, *hidden, 1]
         net = dense_net(dims, ["relu"] * len(hidden) + ["linear"], seed=cfg.seed)
-        net_train(net, frame(train, cfg.window_width), _train_spec_from(cfg))
+        net_train(net, frame(train, cfg.window_width), TrainSpec(**p))
         return FittedDetector.wrap(cfg, net)
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
@@ -284,15 +283,14 @@ class AutoencoderDetector:
 
     name = "autoencoder"
     family = "neural"
-    keys = frozenset({"hidden_dims", "epochs", "batch_size", "learning_rate"})
-    defaults = {"hidden_dims": (32, 16), "epochs": 50, "batch_size": 32, "learning_rate": 1e-3}
+    params = {"hidden_dims": (32, 16), **_TRAIN_PARAMS}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        reject_unknown_keys(cfg, self.keys)
+        p = resolve(cfg, self.params)
         width = cfg.window_width
-        auto = _build_autoencoder(width, cfg.param("hidden_dims", (32, 16)), cfg.seed)
+        auto = _build_autoencoder(width, p.pop("hidden_dims"), cfg.seed)
         windows = subsequences(train, width)
-        net_train(auto.net, (windows.windows, windows.windows), _train_spec_from(cfg))
+        net_train(auto.net, (windows.windows, windows.windows), TrainSpec(**p))
         return FittedDetector.wrap(cfg, auto)
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:

@@ -16,8 +16,9 @@ from typing import Optional
 
 import numpy as np
 
-from ..core import DetectorConfig, FittedDetector, ScoreSeries, TimeSeries, reject_unknown_keys
+from ..core import Derived, DetectorConfig, FittedDetector, ScoreSeries, TimeSeries, resolve
 from ..errors import (
+    InvalidHyperparameter,
     InvalidOrder,
     InvalidPeriod,
     OrderTooLarge,
@@ -451,7 +452,7 @@ class SmoothingFit:
     def __post_init__(self):
         for name, value in (("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)):
             if value is not None and not (0.0 <= value <= 1.0):
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
+                raise InvalidHyperparameter(f"{name} must lie in [0, 1], got {value}")
         if self.gamma is not None:
             if self.season_period is None or self.season_period < 2:
                 raise InvalidPeriod("seasonal smoothing requires season_period >= 2")
@@ -627,9 +628,9 @@ class PciFit:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+            raise InvalidHyperparameter(f"k must be >= 1, got {self.k}")
         if not (50.0 < self.alpha < 100.0):
-            raise ValueError(f"alpha must lie in (50, 100), got {self.alpha}")
+            raise InvalidHyperparameter(f"alpha must lie in (50, 100), got {self.alpha}")
         if not math.isfinite(self.residual_s) or self.residual_s < 0.0:
             raise ValueError("residual_s must be finite and non-negative")
 
@@ -788,12 +789,10 @@ class ArDetector:
 
     name = "ar"
     family = "statistical"
-    keys = frozenset({"p"})
-    defaults = {"p": "lag cap floor(12*(n_train/100)^(1/4))"}
+    params = {"p": Derived("lag cap floor(12*(n_train/100)^(1/4))")}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        reject_unknown_keys(cfg, self.keys)
-        return FittedDetector.wrap(cfg, ar_fit(train, cfg.param("p")))
+        return FittedDetector.wrap(cfg, ar_fit(train, resolve(cfg, self.params)["p"]))
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         return ar_score(fitted.state, test, detector_name=fitted.name)
@@ -804,13 +803,11 @@ class MaDetector:
 
     name = "ma"
     family = "statistical"
-    keys = frozenset({"q"})
-    defaults = {"q": "window width w"}
+    params = {"q": Derived("window width w")}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        reject_unknown_keys(cfg, self.keys)
-        q = cfg.param("q", cfg.window_width)
-        return FittedDetector.wrap(cfg, ma_fit(train, q))
+        q = resolve(cfg, self.params)["q"]
+        return FittedDetector.wrap(cfg, ma_fit(train, cfg.window_width if q is None else q))
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         return ma_score(fitted.state, test, detector_name=fitted.name)
@@ -821,13 +818,11 @@ class ArimaDetector:
 
     name = "arima"
     family = "statistical"
-    keys = frozenset({"p", "d", "q"})
-    defaults = {"p": 1, "d": "1 if trend detected else 0", "q": 2}
+    params = {"p": 1, "d": Derived("1 if trend detected else 0"), "q": 2}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        reject_unknown_keys(cfg, self.keys)
-        fit = arima_fit(train, cfg.param("p", 1), cfg.param("d"), cfg.param("q", 2))
-        return FittedDetector.wrap(cfg, fit)
+        p = resolve(cfg, self.params)
+        return FittedDetector.wrap(cfg, arima_fit(train, p["p"], p["d"], p["q"]))
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         return arima_score(fitted.state, test, detector_name=fitted.name)
@@ -838,12 +833,10 @@ class SesDetector:
 
     name = "ses"
     family = "statistical"
-    keys = frozenset({"alpha"})
-    defaults = {"alpha": "grid search over {0.01..0.99}"}
+    params = {"alpha": Derived("grid search over {0.01..0.99}")}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        reject_unknown_keys(cfg, self.keys)
-        return FittedDetector.wrap(cfg, ses_fit(train, cfg.param("alpha")))
+        return FittedDetector.wrap(cfg, ses_fit(train, resolve(cfg, self.params)["alpha"]))
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         return smoothing_score(fitted.state, test, detector_name=fitted.name)
@@ -854,23 +847,20 @@ class EsDetector:
 
     name = "es"
     family = "statistical"
-    keys = frozenset({"alpha", "beta", "gamma", "period"})
-    defaults = {
-        "alpha": "grid search",
-        "beta": "grid search",
-        "gamma": "grid search (seasonal only)",
-        "period": "series period hint; trend-only smoothing when absent",
+    params = {
+        "alpha": Derived("grid search"),
+        "beta": Derived("grid search"),
+        "gamma": Derived("grid search (seasonal only)"),
+        "period": Derived("series period hint; trend-only smoothing when absent"),
     }
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        reject_unknown_keys(cfg, self.keys)
-        period = cfg.param("period", train.period_hint)
+        p = resolve(cfg, self.params)
+        period = train.period_hint if p["period"] is None else p["period"]
         if period is None:
-            fit = holt_fit(train, cfg.param("alpha"), cfg.param("beta"))
+            fit = holt_fit(train, p["alpha"], p["beta"])
         else:
-            fit = holtwinters_fit(
-                train, int(period), cfg.param("alpha"), cfg.param("beta"), cfg.param("gamma")
-            )
+            fit = holtwinters_fit(train, int(period), p["alpha"], p["beta"], p["gamma"])
         return FittedDetector.wrap(cfg, fit)
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
@@ -882,18 +872,16 @@ class PciDetector:
 
     name = "pci"
     family = "statistical"
-    keys = frozenset({"k", "pci_alpha", "two_sided"})
-    defaults = {"k": 30, "pci_alpha": 98.5, "two_sided": False}
+    params = {"k": 30, "pci_alpha": 98.5, "two_sided": False}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        reject_unknown_keys(cfg, self.keys)
-        fit = pci_fit(train, int(cfg.param("k", 30)), float(cfg.param("pci_alpha", 98.5)))
-        return FittedDetector.wrap(cfg, fit)
+        p = resolve(cfg, self.params)
+        return FittedDetector.wrap(cfg, pci_fit(train, p["k"], p["pci_alpha"]))
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         return pci_score_fitted(
             fitted.state,
             test,
-            two_sided=bool(fitted.config.param("two_sided", False)),
+            two_sided=resolve(fitted.config, self.params)["two_sided"],
             detector_name=fitted.name,
         )

@@ -68,7 +68,11 @@ class NonFiniteValues(TsadError, ValueError):
     """A series, or a statistic computed from it, is NaN or infinite."""
 
 
-class UnknownHyperparameter(TsadError, ValueError):
+class InvalidHyperparameter(TsadError, ValueError):
+    """A hyperparameter value has the wrong type or lies outside its range."""
+
+
+class UnknownHyperparameter(InvalidHyperparameter):
     """A detector config names a hyperparameter the detector does not take."""
 
 

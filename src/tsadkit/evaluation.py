@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DetectorConfig, ScoreSeries, TimeSeries
-from .errors import DegenerateLabels, NaiveZero, TsadError
+from .errors import DegenerateLabels, NaiveZero, NonFiniteValues, TsadError
 
 __all__ = [
     "RocCurve",
@@ -196,6 +196,8 @@ def nmm(model_mse: float, naive: float) -> float:
     """Ratio of model MSE to naive last-value MSE; < 1 beats persistence."""
     if not naive > 0.0:
         raise NaiveZero(f"naive MSE must be positive, got {naive}")
+    if not np.isfinite(naive):
+        raise NonFiniteValues(f"naive MSE is {naive}; NMM undefined")
     return float(model_mse) / float(naive)
 
 

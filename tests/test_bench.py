@@ -137,6 +137,23 @@ class TestRunBenchmark:
         assert [row.status for row in second] == ["ok", "ok"]
         assert summary["n_ok"] == 2
 
+    def test_finite_spike_that_overflows_both_mses_fails_its_rows(self, tmp_path):
+        # 1e160 squared overflows the naive MSE as well as the model's, so
+        # NMM is undefined: each pair must become a failed row.
+        rng = np.random.default_rng(8)
+        values = np.sin(np.arange(1500) / 10.0) + 0.1 * rng.standard_normal(1500)
+        labels = np.zeros(1500, dtype=np.int64)
+        values[1200], labels[1200] = 1e160, 1
+        manifest = write_manifest(tmp_path, [series(values, labels=labels)])
+        detectors = ("ar", "ma", "arima", "ses", "es", "pci", "mlp")
+        with np.errstate(over="ignore"):
+            rows, summary, _ = run_benchmark(
+                quick_config(datasets=(str(manifest),), detectors=detectors)
+            )
+        assert [row.status for row in rows] == ["failed"] * len(detectors)
+        assert all(row.failure_reason.startswith("NonFiniteValues:") for row in rows)
+        assert summary["n_ok"] == 0
+
     def test_unknown_detector_fails_fast(self):
         with pytest.raises(UnknownDetector) as info:
             run_benchmark(quick_config(detectors=("nope",)))
@@ -262,6 +279,48 @@ class TestCatalog:
         for name in DETECTOR_NAMES:
             assert f"{name} [" in text
         assert "lag cap" in text
+
+    def test_catalog_entries(self):
+        entries = {}
+        for line in catalog_lines():
+            if not line.startswith("  "):
+                entries[line.split()[0]] = entry = []
+            entry.append(line)
+        assert entries["ar"] == [
+            "ar [statistical]",
+            "  Autoregression of order p (default: the lag-cap formula).",
+            "  p = lag cap floor(12*(n_train/100)^(1/4))",
+        ]
+        assert entries["arima"] == [
+            "arima [statistical]",
+            "  ARIMA(p, d, q); d defaults to a cheap trend test, orders to (1, 2).",
+            "  d = 1 if trend detected else 0",
+            "  p = 1",
+            "  q = 2",
+        ]
+        assert entries["es"] == [
+            "es [statistical]",
+            "  Seasonal (or, without a period, trend-only) exponential smoothing.",
+            "  alpha = grid search",
+            "  beta = grid search",
+            "  gamma = grid search (seasonal only)",
+            "  period = series period hint; trend-only smoothing when absent",
+        ]
+        assert entries["ocsvm"] == [
+            "ocsvm [ml]",
+            "  nu-one-class SVM with an RBF kernel over sliding windows.",
+            "  nu = 0.7",
+            "  project_2d = False",
+            "  rbf_gamma = 1/w",
+        ]
+        assert entries["mlp"] == [
+            "mlp [neural]",
+            "  Window-to-next-value forecaster: w -> 100 -> 50 -> 1, relu hidden.",
+            "  batch_size = 32",
+            "  epochs = 50",
+            "  hidden_dims = (100, 50)",
+            "  learning_rate = 0.001",
+        ]
 
     def test_unknown_detector_lists_the_valid_names(self):
         with pytest.raises(UnknownDetector) as info:

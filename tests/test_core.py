@@ -16,8 +16,16 @@ from tsadkit import (
     frame,
     get_detector,
     subsequences,
+    timed_run,
 )
-from tsadkit.errors import NonFiniteScores, SeriesTooShort, TsadError, UnknownHyperparameter
+from tsadkit.core import Derived, resolve
+from tsadkit.errors import (
+    InvalidHyperparameter,
+    NonFiniteScores,
+    SeriesTooShort,
+    TsadError,
+    UnknownHyperparameter,
+)
 
 from conftest import series
 
@@ -180,27 +188,74 @@ class TestScoreSeries:
         assert issubclass(NonFiniteScores, TsadError)
 
 
+def short_noisy_sine():
+    """120 training and 80 labelled test points every detector can fit."""
+    rng = np.random.default_rng(0)
+    values = np.sin(np.arange(200) / 4.0) + 0.1 * rng.standard_normal(200)
+    labels = np.zeros(80, dtype=np.int64)
+    labels[40] = 1
+    return series(values[:120]), series(values[120:], labels=labels)
+
+
 class TestDetectorConfig:
-    def test_fingerprint_stable(self):
-        a = DetectorConfig(name="ar", hyperparameters={"p": 2}, seed=9)
-        b = DetectorConfig(name="ar", hyperparameters={"p": 2}, seed=9)
-        assert a.fingerprint() == b.fingerprint()
-
-    def test_fingerprint_sensitive(self):
-        a = DetectorConfig(name="ar", hyperparameters={"p": 2}, seed=9)
-        b = DetectorConfig(name="ar", hyperparameters={"p": 3}, seed=9)
-        c = DetectorConfig(name="ar", hyperparameters={"p": 2}, seed=10)
-        assert a.fingerprint() != b.fingerprint()
-        assert a.fingerprint() != c.fingerprint()
-
     def test_window_width_positive(self):
         with pytest.raises(ValueError):
             DetectorConfig(name="ar", window_width=0)
 
-    def test_param_lookup(self):
-        cfg = DetectorConfig(name="ar", hyperparameters={"p": 4})
-        assert cfg.param("p", 1) == 4
-        assert cfg.param("q", 7) == 7
+    def test_resolve_fills_and_converts(self):
+        params = {
+            "k": 4,
+            "rate": 0.1,
+            "flag": False,
+            "dims": (8, 4),
+            "given": Derived("at fit time"),
+            "missing": Derived("at fit time"),
+        }
+        cfg = DetectorConfig(
+            name="x", hyperparameters={"k": "7", "rate": 1, "flag": 1, "dims": [4.0, 2], "given": "2"}
+        )
+        resolved = resolve(cfg, params)
+        assert resolved == {
+            "k": 7, "rate": 1.0, "flag": True, "dims": (4, 2), "given": "2", "missing": None
+        }
+        assert [type(resolved[key]) for key in ("k", "rate", "flag")] == [int, float, bool]
+        assert resolve(DetectorConfig(name="x"), params)["k"] == 4
+        with pytest.raises(InvalidHyperparameter, match=r"x: k='four' is not a valid int"):
+            resolve(DetectorConfig(name="x", hyperparameters={"k": "four"}), params)
+        assert issubclass(UnknownHyperparameter, InvalidHyperparameter)
+
+    @pytest.mark.parametrize("name", DETECTOR_NAMES)
+    def test_table_defaults_are_the_defaults_in_use(self, name):
+        detector = get_detector(name)
+        explicit = {k: v for k, v in detector.params.items() if not isinstance(v, Derived)}
+        train, test = short_noisy_sine()
+        # The autoencoder's 16-unit bottleneck needs windows wider than 16.
+        width = 20 if name == "autoencoder" else 8
+        scores = []
+        for hyperparameters in ({}, explicit):
+            cfg = DetectorConfig(name=name, window_width=width, hyperparameters=hyperparameters)
+            scores.append(detector.score(detector.fit(train, cfg), test).scores)
+        np.testing.assert_array_equal(scores[0], scores[1])
+
+    @pytest.mark.parametrize(
+        "name, hyperparameters",
+        [
+            ("kmeans", {"k": 0}),
+            ("kmeans", {"k": "four"}),
+            ("pci", {"k": 0}),
+            ("ses", {"alpha": 2.0}),
+            ("iforest", {"n_trees": 0}),
+            ("ocsvm", {"nu": 2.0}),
+            ("gbt", {"max_depth": 0}),
+            ("mlp", {"epochs": 0}),
+        ],
+    )
+    def test_bad_values_become_failed_reports(self, name, hyperparameters):
+        train, test = short_noisy_sine()
+        cfg = DetectorConfig(name=name, window_width=8, hyperparameters=hyperparameters)
+        with np.errstate(all="ignore"):
+            report = timed_run(get_detector(name), cfg, train, test).report
+        assert report.failure.startswith("InvalidHyperparameter:")
 
     @pytest.mark.parametrize("name", DETECTOR_NAMES)
     def test_every_detector_rejects_unknown_keys(self, name):

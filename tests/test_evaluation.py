@@ -14,7 +14,7 @@ from tsadkit import (
     roc_auc,
     timed_run,
 )
-from tsadkit.errors import DegenerateLabels, NaiveZero, SeriesTooShort
+from tsadkit.errors import DegenerateLabels, NaiveZero, NonFiniteValues, SeriesTooShort
 
 from conftest import series
 
@@ -207,6 +207,11 @@ class TestNmm:
     def test_naive_zero(self):
         with pytest.raises(NaiveZero):
             nmm(0.5, 0.0)
+
+    def test_naive_not_finite(self):
+        with pytest.raises(NonFiniteValues):
+            nmm(np.inf, np.inf)
+        assert nmm(np.inf, 1.0) == np.inf
 
     def test_naive_mse_definition(self):
         s = series([1.0, 2.0, 4.0, 4.0])
