@@ -15,15 +15,13 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from .bench import RunConfig, emit_reports, run_benchmark
+from .core import parse_bool
 from .data import SynthSpec, generate_synthetic, write_series_csv
 from .detectors import catalog_lines
 from .errors import InvalidSpec, TsadError
 from .preprocessing import SplitSpec
 
 __all__ = ["main", "parse_kv_file", "config_from_sources"]
-
-_TRUE = {"1", "true", "yes", "on"}
-_FALSE = {"0", "false", "no", "off"}
 
 
 def parse_kv_file(path: Path) -> dict:
@@ -40,15 +38,6 @@ def parse_kv_file(path: Path) -> dict:
     return values
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in _TRUE:
-        return True
-    if lowered in _FALSE:
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
 def _split_list(raw: str) -> list[str]:
     return [item.strip() for item in raw.split(",") if item.strip()]
 
@@ -58,9 +47,9 @@ def _split_list(raw: str) -> list[str]:
 _RUN_KEYS = {
     "datasets": _split_list,
     "detectors": _split_list,
-    "standardize": _parse_bool,
-    "detrend": _parse_bool,
-    "deseasonalize": _parse_bool,
+    "standardize": parse_bool,
+    "detrend": parse_bool,
+    "deseasonalize": parse_bool,
     "period": int,
     "seed": int,
     "output_dir": str,

@@ -38,6 +38,7 @@ __all__ = [
     "DetectorConfig",
     "FittedDetector",
     "Derived",
+    "parse_bool",
     "resolve",
     "frame",
     "subsequences",
@@ -220,7 +221,29 @@ class FittedDetector:
 
 
 class Derived(str):
-    """A table default the detector works out at fit time; the text says how."""
+    """A table default the detector works out at fit time; the text says how.
+
+    ``kind`` is the type a given value is converted to.
+    """
+
+    def __new__(cls, text: str, kind: type = str):
+        derived = super().__new__(cls, text)
+        derived.kind = kind
+        return derived
+
+
+_TRUE = {"1", "true", "yes", "on"}
+_FALSE = {"0", "false", "no", "off"}
+
+
+def parse_bool(raw) -> bool:
+    """A bool, or one of the spellings 1/true/yes/on and 0/false/no/off."""
+    lowered = str(raw).lower()
+    if lowered in _TRUE:
+        return True
+    if lowered in _FALSE:
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
 
 
 def resolve(cfg: DetectorConfig, params: Mapping[str, object]) -> dict:
@@ -228,8 +251,8 @@ def resolve(cfg: DetectorConfig, params: Mapping[str, object]) -> dict:
 
     A missing key gets its default, or None when the default is
     :class:`Derived`.  A given value is converted to its default's type
-    (int, float or bool; a tuple element-wise to int); a value for a
-    Derived key is passed through unchanged.
+    (int, float or bool, parsed strictly; a tuple element-wise to int), or
+    to a Derived default's ``kind``.
     """
     unknown = set(cfg.hyperparameters) - set(params)
     if unknown:
@@ -240,16 +263,15 @@ def resolve(cfg: DetectorConfig, params: Mapping[str, object]) -> dict:
     resolved = {key: None if isinstance(d, Derived) else d for key, d in params.items()}
     for key, value in cfg.hyperparameters.items():
         default = params[key]
+        kind = default.kind if isinstance(default, Derived) else type(default)
         try:
-            if isinstance(default, Derived):
-                resolved[key] = value
-            elif isinstance(default, tuple):
+            if kind is tuple:
                 resolved[key] = tuple(int(v) for v in value)
             else:
-                resolved[key] = type(default)(value)
+                resolved[key] = parse_bool(value) if kind is bool else kind(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidHyperparameter(
-                f"{cfg.name}: {key}={value!r} is not a valid {type(default).__name__}"
+                f"{cfg.name}: {key}={value!r} is not a valid {kind.__name__}"
             ) from exc
     return resolved
 

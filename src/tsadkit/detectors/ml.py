@@ -568,37 +568,36 @@ class GbtModel:
     def __post_init__(self):
         if len(self.trees) != self.n_estimators:
             raise ValueError("tree count must equal n_estimators")
-        if self.learning_rate <= 0.0 or self.max_depth < 1:
-            raise InvalidHyperparameter("learning_rate must be positive and max_depth >= 1")
 
 
-def _gbt_best_split(data: np.ndarray, g: np.ndarray, idx: np.ndarray, lam: float):
-    """Best (gain, feature, split) over all features for one node; h_i = 1."""
-    g_node = g[idx]
-    G = g_node.sum()
-    H = float(idx.size)
-    parent = G * G / (H + lam)
-    best_gain, best_feature, best_split = 0.0, -1, 0.0
-    for feature in range(data.shape[1]):
-        values = data[idx, feature]
-        order = np.argsort(values, kind="stable")
-        sv = values[order]
-        if sv[0] == sv[-1]:
-            continue
-        gl = np.cumsum(g_node[order])[:-1]
-        hl = np.arange(1, idx.size, dtype=np.float64)
-        gr = G - gl
-        hr = H - hl
-        gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
-        gains[sv[1:] == sv[:-1]] = -np.inf
-        pos = int(gains.argmax())
-        if gains[pos] > best_gain:
-            best_gain = float(gains[pos])
-            best_feature = feature
-            best_split = float(0.5 * (sv[pos] + sv[pos + 1]))
-    if best_feature < 0:
+def _gbt_best_split(order, sorted_vals, g, idx, lam: float, gamma: float):
+    """Best (feature, split) over all features for one node, or None; h_i = 1.
+
+    Row f of ``order`` and ``sorted_vals`` is feature f's stable argsort and
+    sorted values (presorted columns, Chen & Guestrin 2016).  Node index sets
+    are ascending, so the node's rows in ``order[f]`` are the stable sort of
+    its values of f.  The first feature of largest gain wins if that gain is
+    > 0 and > gamma."""
+    d, n = order.shape[0], idx.size
+    member = np.zeros(order.shape[1], dtype=bool)
+    member[idx] = True
+    keep = member[order]
+    sv = sorted_vals[keep].reshape(d, n)
+    G = g[idx].sum()
+    parent = G * G / (n + lam)
+    gl = np.cumsum(g[order[keep].reshape(d, n)], axis=1)[:, :-1]
+    hl = np.arange(1, n, dtype=np.float64)
+    gr = G - gl
+    hr = n - hl
+    gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
+    gains[sv[:, 1:] == sv[:, :-1]] = -np.inf
+    pos = gains.argmax(axis=1)
+    best = gains[np.arange(d), pos]
+    feature = int(best.argmax())
+    if not best[feature] > 0.0 or best[feature] <= gamma:
         return None
-    return best_gain, best_feature, best_split
+    at = pos[feature]
+    return feature, float(0.5 * (sv[feature, at] + sv[feature, at + 1]))
 
 
 def gbt_fit(
@@ -614,8 +613,12 @@ def gbt_fit(
     Squared-error loss gives gradients g_i = prediction - target and unit
     hessians; each round adds learning_rate times the new tree.
     """
+    if not learning_rate > 0.0 or max_depth < 1:
+        raise InvalidHyperparameter("learning_rate must be positive and max_depth >= 1")
     data = train_frame.windows
     targets = train_frame.targets
+    order = np.argsort(data.T, axis=1, kind="stable")
+    sorted_vals = np.take_along_axis(data.T, order, axis=1)
     base = float(targets.mean())
     predictions = np.full(targets.size, base)
     trees = []
@@ -625,10 +628,7 @@ def gbt_fit(
         g = predictions - targets
 
         def best_split(data: np.ndarray, idx: np.ndarray):
-            found = _gbt_best_split(data, g, idx, lambda_)
-            if found is None or found[0] <= gamma_reg:
-                return None
-            return found[1], found[2]
+            return _gbt_best_split(order, sorted_vals, g, idx, lambda_, gamma_reg)
 
         def leaf_weight(idx: np.ndarray, depth: int) -> float:
             return float(-g[idx].sum() / (idx.size + lambda_))
@@ -757,7 +757,7 @@ class OcsvmDetector:
 
     name = "ocsvm"
     family = "ml"
-    params = {"nu": 0.7, "rbf_gamma": Derived("1/w"), "project_2d": False}
+    params = {"nu": 0.7, "rbf_gamma": Derived("1/w", float), "project_2d": False}
 
     def _width(self, cfg: DetectorConfig) -> int:
         return 2 if resolve(cfg, self.params)["project_2d"] else cfg.window_width

@@ -789,7 +789,7 @@ class ArDetector:
 
     name = "ar"
     family = "statistical"
-    params = {"p": Derived("lag cap floor(12*(n_train/100)^(1/4))")}
+    params = {"p": Derived("lag cap floor(12*(n_train/100)^(1/4))", int)}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
         return FittedDetector.wrap(cfg, ar_fit(train, resolve(cfg, self.params)["p"]))
@@ -803,7 +803,7 @@ class MaDetector:
 
     name = "ma"
     family = "statistical"
-    params = {"q": Derived("window width w")}
+    params = {"q": Derived("window width w", int)}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
         q = resolve(cfg, self.params)["q"]
@@ -818,7 +818,7 @@ class ArimaDetector:
 
     name = "arima"
     family = "statistical"
-    params = {"p": 1, "d": Derived("1 if trend detected else 0"), "q": 2}
+    params = {"p": 1, "d": Derived("1 if trend detected else 0", int), "q": 2}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
         p = resolve(cfg, self.params)
@@ -833,7 +833,7 @@ class SesDetector:
 
     name = "ses"
     family = "statistical"
-    params = {"alpha": Derived("grid search over {0.01..0.99}")}
+    params = {"alpha": Derived("grid search over {0.01..0.99}", float)}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
         return FittedDetector.wrap(cfg, ses_fit(train, resolve(cfg, self.params)["alpha"]))
@@ -848,10 +848,10 @@ class EsDetector:
     name = "es"
     family = "statistical"
     params = {
-        "alpha": Derived("grid search"),
-        "beta": Derived("grid search"),
-        "gamma": Derived("grid search (seasonal only)"),
-        "period": Derived("series period hint; trend-only smoothing when absent"),
+        "alpha": Derived("grid search", float),
+        "beta": Derived("grid search", float),
+        "gamma": Derived("grid search (seasonal only)", float),
+        "period": Derived("series period hint; trend-only smoothing when absent", int),
     }
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
@@ -860,7 +860,7 @@ class EsDetector:
         if period is None:
             fit = holt_fit(train, p["alpha"], p["beta"])
         else:
-            fit = holtwinters_fit(train, int(period), p["alpha"], p["beta"], p["gamma"])
+            fit = holtwinters_fit(train, period, p["alpha"], p["beta"], p["gamma"])
         return FittedDetector.wrap(cfg, fit)
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:

@@ -161,7 +161,11 @@ def best_f1(scores: ScoreSeries, labels) -> tuple[float, float]:
 
     Among equal maxima the lowest cut wins.  The returned threshold is the
     midpoint between the winning cut and the next lower unique score, or one
-    below the minimum for the predict-everything cut.
+    below the minimum for the predict-everything cut.  Where the midpoint
+    overflows, or one below the minimum rounds back onto it, the threshold is
+    the next double below the cut instead.  The midpoint of two adjacent
+    doubles can still round onto the cut, and ``score > threshold`` then
+    misses the cut's points.
     """
     labels = _aligned_labels(scores, labels)
     positives = int(labels.sum())
@@ -175,7 +179,11 @@ def best_f1(scores: ScoreSeries, labels) -> tuple[float, float]:
     )
     best = f1.size - 1 - int(np.argmax(f1[::-1]))  # the last maximum is the lowest cut
     lowest = best == f1.size - 1
-    threshold = cuts[best] - 1.0 if lowest else (cuts[best + 1] + cuts[best]) / 2.0
+    cut = cuts[best]
+    with np.errstate(over="ignore"):  # an overflowing midpoint is replaced below
+        threshold = cut - 1.0 if lowest else (cuts[best + 1] + cut) / 2.0
+    if not np.isfinite(threshold) or (lowest and threshold == cut):
+        threshold = np.nextafter(cut, -np.inf)
     return float(f1[best]), float(threshold)
 
 

@@ -224,6 +224,38 @@ class TestDetectorConfig:
             resolve(DetectorConfig(name="x", hyperparameters={"k": "four"}), params)
         assert issubclass(UnknownHyperparameter, InvalidHyperparameter)
 
+    def test_derived_values_and_booleans_are_converted_strictly(self):
+        params = {"p": Derived("at fit time", int), "flag": False}
+        assert str(params["p"]) == "at fit time"
+        resolved = resolve(DetectorConfig(name="x", hyperparameters={"p": "7"}), params)
+        assert resolved == {"p": 7, "flag": False}
+        for given, expected in (("false", False), ("ON", True), (True, True), (False, False)):
+            cfg = DetectorConfig(name="x", hyperparameters={"flag": given})
+            assert resolve(cfg, params)["flag"] is expected
+        for bad in ({"p": "seven"}, {"flag": "maybe"}, {"flag": 2}, {"flag": None}):
+            with pytest.raises(InvalidHyperparameter, match="is not a valid (int|bool)"):
+                resolve(DetectorConfig(name="x", hyperparameters=bad), params)
+
+    @pytest.mark.parametrize(
+        "name, given, typed",
+        [
+            ("ar", {"p": "2"}, {"p": 2}),
+            ("ma", {"q": "3"}, {"q": 3}),
+            ("es", {"period": "10"}, {"period": 10}),
+            ("ocsvm", {"rbf_gamma": "0.5"}, {"rbf_gamma": 0.5}),
+            ("pci", {"k": 5, "two_sided": "false"}, {"k": 5, "two_sided": False}),
+            ("pci", {"k": 5, "two_sided": "yes"}, {"k": 5, "two_sided": True}),
+        ],
+    )
+    def test_given_strings_run_like_typed_values(self, name, given, typed):
+        detector = get_detector(name)
+        train, test = short_noisy_sine()
+        scores = []
+        for hyperparameters in (given, typed):
+            cfg = DetectorConfig(name=name, window_width=8, hyperparameters=hyperparameters)
+            scores.append(detector.score(detector.fit(train, cfg), test).scores)
+        np.testing.assert_array_equal(scores[0], scores[1])
+
     @pytest.mark.parametrize("name", DETECTOR_NAMES)
     def test_table_defaults_are_the_defaults_in_use(self, name):
         detector = get_detector(name)
@@ -248,6 +280,12 @@ class TestDetectorConfig:
             ("ocsvm", {"nu": 2.0}),
             ("gbt", {"max_depth": 0}),
             ("mlp", {"epochs": 0}),
+            ("ar", {"p": "two"}),
+            ("ma", {"q": [3]}),
+            ("ocsvm", {"rbf_gamma": "abc"}),
+            ("es", {"period": "x"}),
+            ("pci", {"two_sided": "maybe"}),
+            ("ocsvm", {"project_2d": 2}),
         ],
     )
     def test_bad_values_become_failed_reports(self, name, hyperparameters):

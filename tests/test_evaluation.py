@@ -8,7 +8,9 @@ import pytest
 from tsadkit import (
     DetectorConfig,
     ScoreSeries,
+    Threshold,
     best_f1,
+    binarize,
     naive_mse,
     nmm,
     roc_auc,
@@ -185,6 +187,22 @@ class TestBestF1:
         assert high == 1.0000000000000004
         f1, _ = best_f1(scored([low, high]), [0, 1])
         assert f1 == 1.0
+
+    @pytest.mark.parametrize(
+        "scores, labels",
+        [
+            ([1e308, 1.7e308], [0, 1]),  # the midpoint overflows to inf
+            ([-1.7e308, -1e308], [0, 1]),  # ... and to -inf
+            ([1e17, 3e17, 2e17], [1, 0, 1]),  # predict-all: 1e17 - 1.0 == 1e17
+            ([-1e17, 1.0, 2.0], [1, 0, 1]),  # ... and -1e17 - 1.0 == -1e17
+        ],
+    )
+    def test_threshold_reproduces_the_cut(self, scores, labels):
+        f1, threshold = best_f1(scored(scores), labels)
+        expected, cut = brute_force_f1(np.asarray(scores), np.asarray(labels))
+        assert f1 == expected
+        predicted = binarize(scored(scores), Threshold(threshold))
+        np.testing.assert_array_equal(predicted, np.asarray(scores) >= cut)
 
     def test_lowest_cut_wins_ties(self):
         # Cuts at 4 and at 1 both give F = 2/3; the lower one is reported.

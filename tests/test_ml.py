@@ -7,7 +7,22 @@ import math
 import numpy as np
 import pytest
 
-from tsadkit import DetectorConfig, WindowFrame, get_detector, naive_mse, nmm, frame, subsequences
+from tsadkit import (
+    DetectorConfig,
+    SplitSpec,
+    WindowFrame,
+    fit_standardizer,
+    frame,
+    get_detector,
+    naive_mse,
+    nmm,
+    smoke_series,
+    split,
+    standardize,
+    subsequences,
+    timed_run,
+)
+from tsadkit.detectors import ml
 from tsadkit.detectors.ml import (
     DbscanModel,
     GbtModel,
@@ -430,6 +445,136 @@ class TestGbt:
     def test_model_validation(self):
         with pytest.raises(ValueError):
             GbtModel(trees=(), n_estimators=3)
+
+    @pytest.mark.parametrize(
+        "hyperparameters",
+        [
+            {"learning_rate": -0.1},
+            {"learning_rate": 0.0},
+            {"learning_rate": "nan"},
+            {"max_depth": 0},
+        ],
+    )
+    def test_bad_values_fail_before_any_tree_is_grown(self, monkeypatch, hyperparameters):
+        def grow_nothing(*args):
+            raise AssertionError("a tree was grown")
+
+        monkeypatch.setattr(ml, "_grow_tree", grow_nothing)
+        x = np.sin(np.arange(200) / 5.0)
+        labels = np.zeros(80, dtype=np.int64)
+        labels[40] = 1
+        train, test = series(x[:120]), series(x[120:], labels)
+        cfg = DetectorConfig(name="gbt", window_width=8, hyperparameters=hyperparameters)
+        report = timed_run(get_detector("gbt"), cfg, train, test).report
+        assert report.failure.startswith("InvalidHyperparameter:")
+
+
+def per_feature_best_split(data: np.ndarray, g: np.ndarray, idx: np.ndarray, lam: float):
+    """The split search before presorting: one stable argsort per feature per
+    node.  Frozen here as the oracle for the presorted search."""
+    g_node = g[idx]
+    G = g_node.sum()
+    H = float(idx.size)
+    parent = G * G / (H + lam)
+    best_gain, best_feature, best_split = 0.0, -1, 0.0
+    for feature in range(data.shape[1]):
+        values = data[idx, feature]
+        order = np.argsort(values, kind="stable")
+        sv = values[order]
+        if sv[0] == sv[-1]:
+            continue
+        gl = np.cumsum(g_node[order])[:-1]
+        hl = np.arange(1, idx.size, dtype=np.float64)
+        gr = G - gl
+        hr = H - hl
+        gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
+        gains[sv[1:] == sv[:-1]] = -np.inf
+        pos = int(gains.argmax())
+        if gains[pos] > best_gain:
+            best_gain = float(gains[pos])
+            best_feature = feature
+            best_split = float(0.5 * (sv[pos] + sv[pos + 1]))
+    if best_feature < 0:
+        return None
+    return best_gain, best_feature, best_split
+
+
+def reference_gbt_fit(train_frame: WindowFrame, **kwargs) -> GbtModel:
+    """gbt_fit with every node split by the per-feature search."""
+
+    def split_rule(order, sorted_vals, g, idx, lam, gamma):
+        found = per_feature_best_split(train_frame.windows, g, idx, lam)
+        if found is None or found[0] <= gamma:
+            return None
+        return found[1], found[2]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ml, "_gbt_best_split", split_rule)
+        return gbt_fit(train_frame, **kwargs)
+
+
+def synth_frames(width: int) -> tuple[WindowFrame, WindowFrame]:
+    """Train and test frames of the first SYNTH series as a run prepares them."""
+    parts = split(smoke_series()[0], SplitSpec())
+    params = fit_standardizer(parts.train)
+    return (
+        frame(standardize(parts.train, params), width),
+        frame(standardize(parts.test, params), width),
+    )
+
+
+def window_frame(windows: np.ndarray, targets: np.ndarray) -> WindowFrame:
+    m, w = windows.shape
+    return WindowFrame(
+        windows=windows, targets=targets, target_indices=np.arange(w, w + m), width=w
+    )
+
+
+def tied_frames(seed: int, width: int, constant_column: bool = False):
+    rng = np.random.default_rng(seed)
+    windows = np.round(rng.normal(0.0, 1.0, (260, width)), 1)
+    if constant_column:
+        windows[:, 1] = 0.3
+    targets = np.round(windows[:, 0] - 0.5 * windows[:, -1] + rng.normal(0.0, 0.2, 260), 1)
+    return window_frame(windows[:200], targets[:200]), window_frame(windows[200:], targets[200:])
+
+
+class TestPresortedSplit:
+    """The presorted search grows the same ensembles as the per-feature one."""
+
+    @pytest.mark.parametrize(
+        "frames, kwargs",
+        [
+            (lambda: synth_frames(30), {"n_estimators": 50}),
+            (lambda: tied_frames(1, 6), {"n_estimators": 40}),
+            (lambda: tied_frames(2, 5, constant_column=True), {"n_estimators": 40}),
+            (lambda: tied_frames(3, 1), {"n_estimators": 40}),
+            (lambda: tied_frames(4, 6), {"n_estimators": 30, "max_depth": 1}),
+            (lambda: tied_frames(5, 6), {"n_estimators": 30, "max_depth": 2}),
+            (lambda: tied_frames(6, 6), {"n_estimators": 30, "max_depth": 4}),
+            (lambda: tied_frames(7, 6), {"n_estimators": 30, "gamma_reg": 0.5}),
+            (lambda: synth_frames(8), {"n_estimators": 20, "max_depth": 4, "gamma_reg": 0.5}),
+        ],
+        ids=[
+            "synth-w30", "ties", "constant-column", "width-1",
+            "depth-1", "depth-2", "depth-4", "gamma", "synth-depth-4-gamma",
+        ],
+    )
+    def test_matches_per_feature_search(self, frames, kwargs):
+        train, test = frames()
+        model = gbt_fit(train, **kwargs)
+        reference = reference_gbt_fit(train, **kwargs)
+        assert model.loss_history == reference.loss_history
+        assert len(model.trees) == len(reference.trees)
+        for tree, expected in zip(model.trees, reference.trees):
+            assert tree.depth == expected.depth
+            for name in ("feature", "threshold", "left", "right", "value"):
+                np.testing.assert_array_equal(getattr(tree, name), getattr(expected, name))
+        np.testing.assert_array_equal(
+            gbt_score(model, test).scores, gbt_score(reference, test).scores
+        )
+        # The cases must exercise splitting, not only single-leaf trees.
+        assert max(tree.depth for tree in model.trees) == kwargs.get("max_depth", 3)
 
 
 class TestAdapters:
