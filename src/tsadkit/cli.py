@@ -91,8 +91,6 @@ def config_from_sources(args: argparse.Namespace) -> RunConfig:
     """Merge the config file (if any) with CLI flags; flags win."""
     kwargs = {} if args.config is None else _read_kv_file(Path(args.config), _RUN_KEYS)
     split_kwargs = {key: kwargs.pop(key) for key in _SPLIT_KEYS if key in kwargs}
-    if "train_ratio" in split_kwargs:
-        split_kwargs["test_ratio"] = 1.0 - split_kwargs["train_ratio"]
     kwargs["split"] = SplitSpec(**split_kwargs)
     kwargs["datasets"] = args.dataset or kwargs.get("datasets") or ["SYNTH"]
     kwargs["detectors"] = args.detector or kwargs.get("detectors") or ["ar", "kmeans", "iforest"]

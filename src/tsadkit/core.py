@@ -87,19 +87,19 @@ class TimeSeries:
     def __len__(self) -> int:
         return int(self.values.size)
 
-    def segment(self, start: int, stop: int, suffix: str = "") -> "TimeSeries":
+    def segment(self, start: int, stop: int) -> "TimeSeries":
         """Contiguous sub-series [start:stop), labels carried through."""
         return TimeSeries(
             values=self.values[start:stop],
             labels=None if self.labels is None else self.labels[start:stop],
-            series_id=self.series_id + suffix,
+            series_id=self.series_id,
             period_hint=self.period_hint,
         )
 
-    def with_values(self, values: np.ndarray, labels: Optional[np.ndarray] = None) -> "TimeSeries":
+    def with_values(self, values: np.ndarray) -> "TimeSeries":
         return TimeSeries(
             values=values,
-            labels=self.labels if labels is None else labels,
+            labels=self.labels,
             series_id=self.series_id,
             period_hint=self.period_hint,
         )
@@ -111,7 +111,7 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class WindowFrame:
-    """Matrix of width-w sliding subsequences with aligned per-window indices.
+    """Sliding subsequences, one per start position, with aligned indices.
 
     ``target_indices`` locate each window in the source series; ``targets``
     hold the observation at that index.  In the forecasting layout the window
@@ -122,26 +122,26 @@ class WindowFrame:
     windows: np.ndarray
     targets: np.ndarray
     target_indices: np.ndarray
-    width: int
-    stride: int = 1
 
     def __post_init__(self):
         windows = np.asarray(self.windows, dtype=np.float64)
         targets = _as_float_array(self.targets, "targets")
         indices = np.asarray(self.target_indices, dtype=np.int64)
-        if windows.ndim != 2 or windows.shape[1] != self.width:
+        if windows.ndim != 2 or windows.shape[1] < 1:
             raise DimensionMismatch(
-                f"windows must have shape (m, {self.width}), got {windows.shape}"
+                f"windows must have shape (m, w) with w >= 1, got {windows.shape}"
             )
         if not (windows.shape[0] == targets.size == indices.size):
             raise DimensionMismatch("windows, targets and target_indices must align")
         if indices.size > 1 and not np.all(np.diff(indices) > 0):
             raise ValueError("target_indices must be strictly increasing")
-        if self.width < 1 or self.stride < 1:
-            raise ValueError("width and stride must be >= 1")
         object.__setattr__(self, "windows", windows)
         object.__setattr__(self, "targets", targets)
         object.__setattr__(self, "target_indices", indices)
+
+    @property
+    def width(self) -> int:
+        return int(self.windows.shape[1])
 
     def __len__(self) -> int:
         return int(self.targets.size)
@@ -246,13 +246,24 @@ def parse_bool(raw) -> bool:
     raise ValueError(f"expected a boolean, got {raw!r}")
 
 
+def _parse_int(raw) -> int:
+    """An integral number or integer string; a bool or a fraction is an error."""
+    if isinstance(raw, (bool, np.bool_)):
+        raise TypeError(f"expected an integer, got {raw!r}")
+    value = int(raw)
+    if not isinstance(raw, str) and value != raw:
+        raise ValueError(f"expected an integer, got {raw!r}")
+    return value
+
+
 def resolve(cfg: DetectorConfig, params: Mapping[str, object]) -> dict:
     """Every hyperparameter in a detector's ``params`` table, for ``cfg``.
 
     A missing key gets its default, or None when the default is
     :class:`Derived`.  A given value is converted to its default's type
     (int, float or bool, parsed strictly; a tuple element-wise to int), or
-    to a Derived default's ``kind``.
+    to a Derived default's ``kind``.  An int is never truncated: 2.0 and
+    "3" convert, 2.7 and True do not.
     """
     unknown = set(cfg.hyperparameters) - set(params)
     if unknown:
@@ -266,9 +277,10 @@ def resolve(cfg: DetectorConfig, params: Mapping[str, object]) -> dict:
         kind = default.kind if isinstance(default, Derived) else type(default)
         try:
             if kind is tuple:
-                resolved[key] = tuple(int(v) for v in value)
+                resolved[key] = tuple(_parse_int(v) for v in value)
             else:
-                resolved[key] = parse_bool(value) if kind is bool else kind(value)
+                convert = {bool: parse_bool, int: _parse_int}.get(kind, kind)
+                resolved[key] = convert(value)
         except (TypeError, ValueError, OverflowError) as exc:
             raise InvalidHyperparameter(
                 f"{cfg.name}: {key}={value!r} is not a valid {kind.__name__}"
@@ -276,51 +288,42 @@ def resolve(cfg: DetectorConfig, params: Mapping[str, object]) -> dict:
     return resolved
 
 
-def frame(series: TimeSeries, width: int, stride: int = 1) -> WindowFrame:
+def frame(series: TimeSeries, width: int) -> WindowFrame:
     """Sliding windows paired with the observation immediately after each.
 
-    Window i covers ``values[t_i - width : t_i]`` and its target is
-    ``values[t_i]`` with ``t_i = width + i * stride``, so the frame holds
-    ``floor((n - width - 1) / stride) + 1`` rows.
+    Window i covers ``values[i : i + width]`` and its target is
+    ``values[i + width]``, so the frame holds ``n - width`` rows.
     """
-    if width < 1 or stride < 1:
-        raise ValueError("width and stride must be >= 1")
+    if width < 1:
+        raise ValueError("width must be >= 1")
     values = series.values
     n = values.size
     if n <= width:
         raise SeriesTooShort(f"need more than width={width} observations, got {n}")
-    target_indices = np.arange(width, n, stride, dtype=np.int64)
-    windows = np.lib.stride_tricks.sliding_window_view(values, width)[target_indices - width]
     return WindowFrame(
-        windows=windows.copy(),
-        targets=values[target_indices],
-        target_indices=target_indices,
-        width=width,
-        stride=stride,
+        windows=np.lib.stride_tricks.sliding_window_view(values[:-1], width).copy(),
+        targets=values[width:],
+        target_indices=np.arange(width, n, dtype=np.int64),
     )
 
 
-def subsequences(series: TimeSeries, width: int, stride: int = 1) -> WindowFrame:
+def subsequences(series: TimeSeries, width: int) -> WindowFrame:
     """Plain sliding subsequences; each window's index is its last element.
 
-    Window i covers ``values[t_i - width + 1 : t_i + 1]`` with
-    ``t_i = width - 1 + i * stride``, so a score computed from the window can
-    be assigned to the window's final timestamp.
+    Window i covers ``values[i : i + width]`` and is indexed by
+    ``i + width - 1``, so a score computed from the window can be assigned
+    to the window's final timestamp.
     """
-    if width < 1 or stride < 1:
-        raise ValueError("width and stride must be >= 1")
+    if width < 1:
+        raise ValueError("width must be >= 1")
     values = series.values
     n = values.size
     if n < width:
         raise SeriesTooShort(f"need at least width={width} observations, got {n}")
-    target_indices = np.arange(width - 1, n, stride, dtype=np.int64)
-    windows = np.lib.stride_tricks.sliding_window_view(values, width)[target_indices - width + 1]
     return WindowFrame(
-        windows=windows.copy(),
-        targets=values[target_indices],
-        target_indices=target_indices,
-        width=width,
-        stride=stride,
+        windows=np.lib.stride_tricks.sliding_window_view(values, width).copy(),
+        targets=values[width - 1 :],
+        target_indices=np.arange(width - 1, n, dtype=np.int64),
     )
 
 

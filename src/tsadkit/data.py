@@ -53,7 +53,6 @@ class DatasetManifest:
 
     dataset_id: str
     series: tuple[tuple[str, Path], ...]
-    expected_count: Optional[int] = None
 
     def __post_init__(self):
         if self.dataset_id not in DATASET_IDS:
@@ -298,7 +297,7 @@ def write_series_csv(series: TimeSeries, path) -> None:
             writer.writerow([i, repr(float(value)), int(label)])
 
 
-def load_manifest(path, dataset_id: str, expected_count: Optional[int] = None) -> DatasetManifest:
+def load_manifest(path, dataset_id: str) -> DatasetManifest:
     """Read a manifest: one series path per line, '#' lines and blanks ignored.
 
     Relative paths resolve against the manifest's own directory; each series
@@ -315,14 +314,7 @@ def load_manifest(path, dataset_id: str, expected_count: Optional[int] = None) -
             if not series_path.is_absolute():
                 series_path = path.parent / series_path
             entries.append((series_path.stem, series_path))
-    manifest = DatasetManifest(
-        dataset_id=dataset_id, series=tuple(entries), expected_count=expected_count
-    )
-    if expected_count is not None and len(manifest) != expected_count:
-        raise InvalidSpec(
-            f"manifest {path} lists {len(manifest)} series, expected {expected_count}"
-        )
-    return manifest
+    return DatasetManifest(dataset_id=dataset_id, series=tuple(entries))
 
 
 def excluded_from_benchmark(series: TimeSeries, spec: SplitSpec = SplitSpec()) -> bool:

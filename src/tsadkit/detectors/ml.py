@@ -27,7 +27,7 @@ from ..core import (
     resolve,
     subsequences,
 )
-from ..errors import InvalidHyperparameter, NoCorePoints, TooFewWindows
+from ..errors import InvalidHyperparameter, NoCorePoints, NonFiniteValues, TooFewWindows
 
 __all__ = [
     "KMeansModel",
@@ -50,14 +50,23 @@ __all__ = [
 ]
 
 _KDIST_FLOOR = 1e-12
+_OCSVM_TOL = 1e-4
+_OCSVM_MAX_ITER = 100000
 
 
 def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between row sets, clipped at zero."""
+    """Squared Euclidean distances between row sets, clipped at zero.
+
+    Raises NonFiniteValues when they overflow, as they do for windows of
+    values near 1e200; the overflow leaves inf or NaN, which ``max``
+    propagates.
+    """
     aa = np.einsum("ij,ij->i", a, a)
     bb = np.einsum("ij,ij->i", b, b)
-    sq = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(sq, 0.0)
+    sq = np.maximum(aa[:, None] + bb[None, :] - 2.0 * (a @ b.T), 0.0)
+    if not np.isfinite(sq.max(initial=0.0)):
+        raise NonFiniteValues("pairwise window distances overflow")
+    return sq
 
 
 # ---------------------------------------------------------------------------
@@ -169,26 +178,15 @@ def dbscan_fit(train_windows: WindowFrame, epsilon: float = 0.4, mu: int = 5) ->
     return DbscanModel(epsilon=epsilon, mu_min_pts=mu, core_points=windows[core_mask].copy())
 
 
-def _dbscan_model_score(
-    model: DbscanModel, test_windows: WindowFrame, detector_name: str
+def dbscan_score(
+    model: DbscanModel, test_windows: WindowFrame, detector_name: str = "dbscan"
 ) -> ScoreSeries:
+    """Distance to the nearest training core point; 0 inside its epsilon ball."""
     d = np.sqrt(_pairwise_sq(test_windows.windows, model.core_points)).min(axis=1)
     scores = np.where(d <= model.epsilon, 0.0, d)
     return ScoreSeries(
         scores=scores, indices=test_windows.target_indices, detector_name=detector_name
     )
-
-
-def dbscan_score(
-    train_windows: WindowFrame,
-    test_windows: WindowFrame,
-    epsilon: float = 0.4,
-    mu: int = 5,
-    detector_name: str = "dbscan",
-) -> ScoreSeries:
-    """Distance to the nearest training core point; 0 inside its epsilon ball."""
-    model = dbscan_fit(train_windows, epsilon, mu)
-    return _dbscan_model_score(model, test_windows, detector_name)
 
 
 # ---------------------------------------------------------------------------
@@ -199,14 +197,13 @@ def dbscan_score(
 class LofModel:
     """Reference windows with the precomputed structures for exact queries.
 
-    Distances to every reference point, their k-distances and the runner-up
-    (k-1) distances are cached so each query costs O(m) instead of O(m^2).
+    Euclidean distances to every reference point, their k-distances and the
+    runner-up (k-1) distances are cached so each query costs O(m) instead of
+    O(m^2).
     """
 
     k_neighbors: int
     reference_windows: np.ndarray
-    distance: str = "euclidean"
-    minkowski_p: float = 2.0
     ref_distances: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
     kdist: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
     kdist_prev: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
@@ -218,11 +215,9 @@ class LofModel:
             raise TooFewWindows(
                 f"need k_neighbors < m reference windows, got k={self.k_neighbors}, m={m}"
             )
-        if self.distance not in ("euclidean", "minkowski_p"):
-            raise ValueError(f"unknown distance {self.distance!r}")
         object.__setattr__(self, "reference_windows", windows)
         if self.ref_distances is None:
-            d = self._distances(windows, windows)
+            d = np.sqrt(_pairwise_sq(windows, windows))
             np.fill_diagonal(d, np.inf)
             k = self.k_neighbors
             part = np.partition(d, (k - 1, max(k - 2, 0)), axis=1)
@@ -231,12 +226,6 @@ class LofModel:
             object.__setattr__(self, "ref_distances", d)
             object.__setattr__(self, "kdist", kdist)
             object.__setattr__(self, "kdist_prev", kdist_prev)
-
-    def _distances(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.distance == "euclidean" or self.minkowski_p == 2.0:
-            return np.sqrt(_pairwise_sq(a, b))
-        p = self.minkowski_p
-        return (np.abs(a[:, None, :] - b[None, :, :]) ** p).sum(axis=2) ** (1.0 / p)
 
     def query(self, window: np.ndarray) -> float:
         """Exact LOF of the window against reference union {window}."""
@@ -249,7 +238,7 @@ class LofModel:
             dq = self.ref_distances[duplicates[0]].copy()
             dq[duplicates[0]] = 0.0
         else:
-            dq = self._distances(q, self.reference_windows)[0]
+            dq = np.sqrt(_pairwise_sq(q, self.reference_windows))[0]
         k = self.k_neighbors
         kdist_q = max(float(np.partition(dq, k - 1)[k - 1]), _KDIST_FLOOR)
         # Reference k-distances after the query joins the set: the query can
@@ -462,16 +451,13 @@ class OcSvmModel:
 
 
 def ocsvm_fit(
-    train_windows: WindowFrame,
-    nu: float = 0.7,
-    rbf_gamma: Optional[float] = None,
-    tol: float = 1e-4,
-    max_iter: int = 100000,
+    train_windows: WindowFrame, nu: float = 0.7, rbf_gamma: Optional[float] = None
 ) -> OcSvmModel:
     """Solve the nu-one-class dual by most-violating-pair coordinate updates.
 
     Constraints: each alpha_i in [0, 1/(nu*m)], sum alpha_i = 1.  Stops when
-    the largest KKT violation falls below tol.
+    the largest KKT violation falls below _OCSVM_TOL, or after
+    _OCSVM_MAX_ITER updates.
     """
     windows = train_windows.windows
     m = windows.shape[0]
@@ -491,13 +477,13 @@ def ocsvm_fit(
     gradient = kernel @ alpha
 
     converged = False
-    for _ in range(max_iter):
+    for _ in range(_OCSVM_MAX_ITER):
         can_down = alpha > 1e-12
         can_up = alpha < box - 1e-12
         i = int(np.where(can_down, gradient, -np.inf).argmax())
         j = int(np.where(can_up, gradient, np.inf).argmin())
         gap = gradient[i] - gradient[j]
-        if gap < tol:
+        if gap < _OCSVM_TOL:
             converged = True
             break
         total = alpha[i] + alpha[j]
@@ -707,7 +693,7 @@ class DbscanDetector:
         return FittedDetector.wrap(cfg, dbscan_fit(windows, p["epsilon"], p["mu"]))
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
-        return _dbscan_model_score(
+        return dbscan_score(
             fitted.state, subsequences(test, fitted.config.window_width), fitted.name
         )
 

@@ -19,7 +19,6 @@ from ..core import (
     FittedDetector,
     ScoreSeries,
     TimeSeries,
-    WindowFrame,
     frame,
     resolve,
     subsequences,
@@ -38,6 +37,11 @@ __all__ = [
 ]
 
 _ACTIVATIONS = ("relu", "linear")
+# Adam's moment decay rates and denominator guard, at the values Kingma & Ba
+# (ICLR 2015, Alg. 1) recommend.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPS = 1e-8
 
 
 @dataclass
@@ -79,14 +83,11 @@ class DenseNet:
 
 @dataclass(frozen=True)
 class TrainSpec:
-    """Mini-batch schedule and adaptive-moment optimizer constants."""
+    """Mini-batch schedule and Adam step size."""
 
     batch_size: int = 32
     epochs: int = 50
     learning_rate: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -157,19 +158,15 @@ def net_gradients(net: DenseNet, batch: np.ndarray, targets: np.ndarray):
 def net_train(net: DenseNet, data, spec: TrainSpec = TrainSpec()) -> list[float]:
     """Train in place; returns one mean loss per epoch.
 
-    ``data`` is a WindowFrame (windows predict targets) or an
-    (inputs, targets) array pair for reconstruction training.  Shuffling is
-    seeded from the net, so training is reproducible bit for bit.
+    ``data`` is an (inputs, targets) array pair; one-dimensional targets
+    are one output each.  Shuffling is seeded from the net, so training is
+    reproducible bit for bit.
     """
-    if isinstance(data, WindowFrame):
-        inputs = data.windows
-        targets = data.targets[:, None]
-    else:
-        inputs, targets = data
-        inputs = np.asarray(inputs, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
-        if targets.ndim == 1:
-            targets = targets[:, None]
+    inputs, targets = data
+    inputs = np.asarray(inputs, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if targets.ndim == 1:
+        targets = targets[:, None]
     n = inputs.shape[0]
     if n == 0:
         raise DimensionMismatch("training data is empty")
@@ -195,19 +192,19 @@ def net_train(net: DenseNet, data, spec: TrainSpec = TrainSpec()) -> list[float]
                 loss, grads = net_gradients(net, inputs[chosen], targets[chosen])
                 epoch_loss += loss * chosen.size
                 step += 1
-                correction1 = 1.0 - spec.beta1**step
-                correction2 = 1.0 - spec.beta2**step
+                correction1 = 1.0 - _BETA1**step
+                correction2 = 1.0 - _BETA2**step
                 for layer, m, v, (gw, gb) in zip(net.layers, moment1, moment2, grads):
                     for param, grad, m_arr, v_arr in (
                         (layer.weights, gw, m[0], v[0]),
                         (layer.bias, gb, m[1], v[1]),
                     ):
-                        m_arr *= spec.beta1
-                        m_arr += (1.0 - spec.beta1) * grad
-                        v_arr *= spec.beta2
-                        v_arr += (1.0 - spec.beta2) * grad**2
+                        m_arr *= _BETA1
+                        m_arr += (1.0 - _BETA1) * grad
+                        v_arr *= _BETA2
+                        v_arr += (1.0 - _BETA2) * grad**2
                         param -= spec.learning_rate * (m_arr / correction1) / (
-                            np.sqrt(v_arr / correction2) + spec.eps
+                            np.sqrt(v_arr / correction2) + _EPS
                         )
         mean_loss = epoch_loss / n
         if not np.isfinite(mean_loss):
@@ -265,7 +262,8 @@ class MlpDetector:
         hidden = p.pop("hidden_dims")
         dims = [cfg.window_width, *hidden, 1]
         net = dense_net(dims, ["relu"] * len(hidden) + ["linear"], seed=cfg.seed)
-        net_train(net, frame(train, cfg.window_width), TrainSpec(**p))
+        windows = frame(train, cfg.window_width)
+        net_train(net, (windows.windows, windows.targets), TrainSpec(**p))
         return FittedDetector.wrap(cfg, net)
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:

@@ -21,6 +21,7 @@ from ..errors import (
     InvalidHyperparameter,
     InvalidOrder,
     InvalidPeriod,
+    NonFiniteValues,
     OrderTooLarge,
     PeriodTooLong,
     SeriesTooShort,
@@ -631,8 +632,10 @@ class PciFit:
             raise InvalidHyperparameter(f"k must be >= 1, got {self.k}")
         if not (50.0 < self.alpha < 100.0):
             raise InvalidHyperparameter(f"alpha must lie in (50, 100), got {self.alpha}")
-        if not math.isfinite(self.residual_s) or self.residual_s < 0.0:
-            raise ValueError("residual_s must be finite and non-negative")
+        if not math.isfinite(self.residual_s):
+            raise NonFiniteValues(f"residual_s must be finite, got {self.residual_s}")
+        if self.residual_s < 0.0:
+            raise ValueError("residual_s must be non-negative")
 
 
 def _pci_predict(values: np.ndarray, k: int, two_sided: bool = False) -> tuple[np.ndarray, np.ndarray]:
@@ -663,21 +666,9 @@ def pci_fit(train: TimeSeries, k: int = 30, alpha: float = 98.5) -> PciFit:
 
 
 def pci_score(
-    train: TimeSeries,
-    test: TimeSeries,
-    k: int = 30,
-    alpha: float = 98.5,
-    two_sided: bool = False,
-    detector_name: str = "pci",
-) -> ScoreSeries:
-    """|residual| / interval half-width; score > 1 means outside the band."""
-    fit = pci_fit(train, k, alpha)
-    return pci_score_fitted(fit, test, two_sided=two_sided, detector_name=detector_name)
-
-
-def pci_score_fitted(
     fit: PciFit, test: TimeSeries, two_sided: bool = False, detector_name: str = "pci"
 ) -> ScoreSeries:
+    """|residual| / interval half-width; score > 1 means outside the band."""
     predictions, idx = _pci_predict(test.values, fit.k, two_sided=two_sided)
     t_quantile = student_t_ppf(fit.alpha / 100.0, 2 * fit.k - 1)
     half_width = t_quantile * max(fit.residual_s, 1e-12) * math.sqrt(1.0 + 1.0 / (2 * fit.k))
@@ -879,7 +870,7 @@ class PciDetector:
         return FittedDetector.wrap(cfg, pci_fit(train, p["k"], p["pci_alpha"]))
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
-        return pci_score_fitted(
+        return pci_score(
             fitted.state,
             test,
             two_sided=resolve(fitted.config, self.params)["two_sided"],

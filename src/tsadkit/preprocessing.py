@@ -32,23 +32,25 @@ class SplitSpec:
 
     The leading ``train_ratio`` share of the series is set aside for fitting;
     its trailing ``validation_of_train`` share becomes the validation segment.
-    Everything after that head is the test segment.  Sizes are
+    Everything after that head is the test segment, so ``test_ratio`` is
+    ``1 - train_ratio``.  Sizes are
     ``head = floor(train_ratio * n)``,
     ``train = floor((1 - validation_of_train) * head)``, ``val = head - train``,
     ``test = n - head``, so train+val+test == n always holds.
     """
 
     train_ratio: float = 0.3
-    test_ratio: float = 0.7
     validation_of_train: float = 0.1
 
     def __post_init__(self):
-        if not (0.0 < self.train_ratio < 1.0 and 0.0 < self.test_ratio < 1.0):
-            raise ValueError("train_ratio and test_ratio must lie in (0, 1)")
-        if abs(self.train_ratio + self.test_ratio - 1.0) > 1e-12:
-            raise ValueError("train_ratio + test_ratio must equal 1")
+        if not (0.0 < self.train_ratio < 1.0):
+            raise ValueError("train_ratio must lie in (0, 1)")
         if not (0.0 <= self.validation_of_train < 1.0):
             raise ValueError("validation_of_train must lie in [0, 1)")
+
+    @property
+    def test_ratio(self) -> float:
+        return 1.0 - self.train_ratio
 
     def sizes(self, n: int) -> tuple[int, int, int]:
         head = math.floor(self.train_ratio * n)

@@ -24,6 +24,4 @@ def raw_frame(windows: np.ndarray) -> WindowFrame:
         windows=windows,
         targets=np.zeros(m),
         target_indices=np.arange(w - 1, w - 1 + m),
-        width=w,
-        stride=1,
     )

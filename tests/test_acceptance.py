@@ -107,7 +107,6 @@ def test_criterion_02_lof_matches_quadratic_reference():
             windows=reference,
             targets=reference[:, -1],
             target_indices=np.arange(width - 1, width - 1 + 40),
-            width=width,
         )
         queries = (
             rng.normal(0.0, 1.0, size=width),  # inlier

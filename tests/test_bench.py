@@ -154,6 +154,23 @@ class TestRunBenchmark:
         assert all(row.failure_reason.startswith("NonFiniteValues:") for row in rows)
         assert summary["n_ok"] == 0
 
+    def test_extreme_scale_series_gives_rows_for_every_detector(self, tmp_path):
+        # Finite values near 1e200, not standardized: distances and residual
+        # spreads overflow, and each pair must end as a row, never abort.
+        rng = np.random.default_rng(11)
+        values = rng.standard_normal(600) * 1e200
+        labels = np.zeros(600, dtype=np.int64)
+        labels[450] = 1
+        manifest = write_manifest(tmp_path, [series(values, labels=labels)])
+        with np.errstate(all="ignore"):
+            rows, _, _ = run_benchmark(
+                quick_config(
+                    datasets=(str(manifest),), detectors=DETECTOR_NAMES, standardize=False
+                )
+            )
+        assert [row.detector for row in rows] == list(DETECTOR_NAMES)
+        assert {row.status for row in rows} <= {"ok", "failed"}
+
     def test_unknown_detector_fails_fast(self):
         with pytest.raises(UnknownDetector) as info:
             run_benchmark(quick_config(detectors=("nope",)))

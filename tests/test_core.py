@@ -79,11 +79,6 @@ class TestFrame:
         with pytest.raises(SeriesTooShort):
             frame(series([5, 5]), width=2)
 
-    def test_stride(self):
-        wf = frame(series(np.arange(10, dtype=float)), width=3, stride=2)
-        assert wf.target_indices.tolist() == [3, 5, 7, 9]
-        assert wf.windows[1].tolist() == [2.0, 3.0, 4.0]
-
     def test_round_trip_suffix(self):
         rng = np.random.default_rng(0)
         values = rng.standard_normal(57)
@@ -125,8 +120,6 @@ class TestWindowFrameValidation:
                 windows=np.zeros((3, 2)),
                 targets=np.zeros(2),
                 target_indices=np.arange(2, 5),
-                width=2,
-                stride=1,
             )
 
     def test_indices_must_increase(self):
@@ -135,8 +128,6 @@ class TestWindowFrameValidation:
                 windows=np.zeros((2, 2)),
                 targets=np.zeros(2),
                 target_indices=np.array([3, 3]),
-                width=2,
-                stride=1,
             )
 
 
@@ -286,6 +277,9 @@ class TestDetectorConfig:
             ("es", {"period": "x"}),
             ("pci", {"two_sided": "maybe"}),
             ("ocsvm", {"project_2d": 2}),
+            ("kmeans", {"k": 2.7}),
+            ("ar", {"p": 2.9}),
+            ("iforest", {"n_trees": True}),
         ],
     )
     def test_bad_values_become_failed_reports(self, name, hyperparameters):

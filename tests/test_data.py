@@ -140,14 +140,6 @@ class TestManifest:
         out = load_manifest(manifest, "UD1")
         assert [sid for sid, _ in out.series] == ["s1", "s2"]
 
-    def test_expected_count_mismatch(self, tmp_path):
-        csv_a = tmp_path / "s1.csv"
-        csv_a.write_text("timestamp,value,is_anomaly\n1,1.0,0\n")
-        manifest = tmp_path / "UD1.txt"
-        manifest.write_text("s1.csv\n")
-        with pytest.raises(InvalidSpec):
-            load_manifest(manifest, "UD1", expected_count=2)
-
     def test_duplicate_series_id(self):
         with pytest.raises(InvalidSpec):
             DatasetManifest(dataset_id="UD1", series=(("s", "a.csv"), ("s", "b.csv")))

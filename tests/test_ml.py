@@ -32,7 +32,6 @@ from tsadkit.detectors.ml import (
     OcSvmModel,
     _Tree,
     _avg_path,
-    _dbscan_model_score,
     _harmonic,
     dbscan_fit,
     dbscan_score,
@@ -113,7 +112,7 @@ class TestDbscan:
         windows = raw_frame(np.ones((10, 3)))
         model = dbscan_fit(windows, epsilon=0.5, mu=5)
         assert model.core_points.shape[0] == 10
-        out = dbscan_score(windows, raw_frame(np.ones((2, 3))), epsilon=0.5, mu=5)
+        out = dbscan_score(model, raw_frame(np.ones((2, 3))))
         assert np.array_equal(out.scores, np.zeros(2))
 
     def test_core_flags_match_brute_force(self):
@@ -133,7 +132,7 @@ class TestDbscan:
 
     def test_score_is_zero_or_distance(self):
         model = DbscanModel(epsilon=1.0, mu_min_pts=1, core_points=np.array([[0.0, 0.0]]))
-        scored = _dbscan_model_score(model, raw_frame([[0.0, 0.5], [0.0, 3.0]]), "dbscan")
+        scored = dbscan_score(model, raw_frame([[0.0, 0.5], [0.0, 3.0]]))
         assert scored.scores[0] == 0.0
         assert abs(scored.scores[1] - 3.0) < 1e-12
 
@@ -202,14 +201,6 @@ class TestLof:
         model = LofModel(k_neighbors=5, reference_windows=reference)
         value = model.query(np.zeros(2))
         assert math.isfinite(value) and value > 0.0
-
-    def test_minkowski_distance(self):
-        rng = np.random.default_rng(12)
-        reference = rng.normal(0.0, 1.0, (30, 3))
-        model = LofModel(k_neighbors=5, reference_windows=reference, distance="minkowski_p", minkowski_p=2.0)
-        euclid = LofModel(k_neighbors=5, reference_windows=reference)
-        query = rng.normal(0.0, 1.0, 3)
-        assert abs(model.query(query) - euclid.query(query)) < 1e-12
 
     def test_too_few_windows(self):
         with pytest.raises(TooFewWindows):
@@ -397,8 +388,6 @@ class TestGbt:
             windows=windows,
             targets=np.full(10, 4.0),
             target_indices=np.arange(3, 13),
-            width=3,
-            stride=1,
         )
         model = gbt_fit(fr, n_estimators=10)
         assert model.base_score == 4.0
@@ -421,8 +410,6 @@ class TestGbt:
             windows=windows,
             targets=targets,
             target_indices=np.arange(1, 41),
-            width=1,
-            stride=1,
         )
         model = gbt_fit(fr, n_estimators=200, max_depth=1)
         predictions = np.abs(gbt_score(model, fr).scores)
@@ -525,9 +512,7 @@ def synth_frames(width: int) -> tuple[WindowFrame, WindowFrame]:
 
 def window_frame(windows: np.ndarray, targets: np.ndarray) -> WindowFrame:
     m, w = windows.shape
-    return WindowFrame(
-        windows=windows, targets=targets, target_indices=np.arange(w, w + m), width=w
-    )
+    return WindowFrame(windows=windows, targets=targets, target_indices=np.arange(w, w + m))
 
 
 def tied_frames(seed: int, width: int, constant_column: bool = False):

@@ -58,9 +58,7 @@ class TestSplit:
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
-            SplitSpec(train_ratio=0.4, test_ratio=0.7)
-        with pytest.raises(ValueError):
-            SplitSpec(train_ratio=0.0, test_ratio=1.0)
+            SplitSpec(train_ratio=0.0)
         with pytest.raises(ValueError):
             SplitSpec(validation_of_train=1.0)
 

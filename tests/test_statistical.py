@@ -27,7 +27,6 @@ from tsadkit.detectors.statistical import (
     ma_score,
     pci_fit,
     pci_score,
-    pci_score_fitted,
     ses_fit,
     smoothing_score,
     student_t_ppf,
@@ -356,7 +355,7 @@ class TestSmoothing:
 class TestPci:
     def test_constant_scores_zero(self):
         train = series(np.full(100, 3.0))
-        out = pci_score(train, series(np.full(80, 3.0)), k=5)
+        out = pci_score(pci_fit(train, k=5), series(np.full(80, 3.0)))
         assert np.max(out.scores) == 0.0
 
     def test_defaults(self):
@@ -372,7 +371,7 @@ class TestPci:
 
     def test_hand_formula(self):
         fit = PciFit(k=1, alpha=95.0, residual_s=1.0)
-        out = pci_score_fitted(fit, series([1.0, 2.0, 3.0, 4.0, 5.0]))
+        out = pci_score(fit, series([1.0, 2.0, 3.0, 4.0, 5.0]))
         # Weighted forecast (0.5 x_{t-2} + x_{t-1}) / 1.5 leaves residual 4/3
         # everywhere on a unit-slope line; dof = 2k - 1 = 1.
         half_width = 6.313751514800932 * math.sqrt(1.5)
@@ -381,7 +380,7 @@ class TestPci:
 
     def test_two_sided_uses_both_neighbours(self):
         fit = PciFit(k=1, alpha=95.0, residual_s=1.0)
-        out = pci_score_fitted(fit, series([0.0, 10.0, 0.0]), two_sided=True)
+        out = pci_score(fit, series([0.0, 10.0, 0.0]), two_sided=True)
         assert np.array_equal(out.indices, [1])
         half_width = 6.313751514800932 * math.sqrt(1.5)
         assert abs(out.scores[0] - 10.0 / half_width) < 1e-9
@@ -390,14 +389,14 @@ class TestPci:
         train = ar1(300, seed=41)
         test_values = ar1(260, seed=42).values.copy()
         test_values[140] += 12.0
-        out = pci_score(train, series(test_values), k=10)
+        out = pci_score(pci_fit(train, k=10), series(test_values))
         assert out.indices[np.argmax(out.scores)] == 140
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
             pci_fit(series(np.arange(10.0)), k=5)
         with pytest.raises(SeriesTooShort):
-            pci_score_fitted(PciFit(k=5, residual_s=1.0), series(np.arange(10.0)), two_sided=True)
+            pci_score(PciFit(k=5, residual_s=1.0), series(np.arange(10.0)), two_sided=True)
 
 
 class TestStudentT:
