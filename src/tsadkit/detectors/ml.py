@@ -5,7 +5,8 @@ All of them consume sliding subsequences; a window's score lands on its
 final timestamp.  The boosted-tree detector is the exception: it forecasts
 the observation after each window, like the statistical family.
 Neighbor searches are exact brute force, which keeps every detector
-oracle-testable at the corpus sizes involved (at most ~10^4 windows).
+oracle-testable at the corpus sizes involved (at most ~10^4 windows); no
+distance matrix grows past _MAX_PAIRWISE_ENTRIES entries.
 """
 
 from __future__ import annotations
@@ -27,7 +28,13 @@ from ..core import (
     resolve,
     subsequences,
 )
-from ..errors import InvalidHyperparameter, NoCorePoints, NonFiniteValues, TooFewWindows
+from ..errors import (
+    DistanceMatrixTooLarge,
+    InvalidHyperparameter,
+    NoCorePoints,
+    NonFiniteValues,
+    TooFewWindows,
+)
 
 __all__ = [
     "KMeansModel",
@@ -49,7 +56,13 @@ __all__ = [
     "gbt_score",
 ]
 
+# Largest distance matrix _pairwise_sq builds: 2**27 float64 entries, 1 GiB.
+_MAX_PAIRWISE_ENTRIES = 2**27
 _KDIST_FLOOR = 1e-12
+# LOF scores queries in blocks of about this many query-reference distances,
+# and expands neighbour lists in chunks of at most this many entries.
+_LOF_BLOCK_ENTRIES = 2**16
+_LOF_CHUNK_ENTRIES = 2**16
 _OCSVM_TOL = 1e-4
 _OCSVM_MAX_ITER = 100000
 
@@ -57,10 +70,16 @@ _OCSVM_MAX_ITER = 100000
 def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between row sets, clipped at zero.
 
-    Raises NonFiniteValues when they overflow, as they do for windows of
-    values near 1e200; the overflow leaves inf or NaN, which ``max``
-    propagates.
+    Raises DistanceMatrixTooLarge before building more than
+    _MAX_PAIRWISE_ENTRIES entries, and NonFiniteValues when the distances
+    overflow, as they do for windows of values near 1e200; the overflow
+    leaves inf or NaN, which ``max`` propagates.
     """
+    if a.shape[0] * b.shape[0] > _MAX_PAIRWISE_ENTRIES:
+        raise DistanceMatrixTooLarge(
+            f"{a.shape[0]} x {b.shape[0]} distance matrix exceeds "
+            f"{_MAX_PAIRWISE_ENTRIES} entries"
+        )
     aa = np.einsum("ij,ij->i", a, a)
     bb = np.einsum("ij,ij->i", b, b)
     sq = np.maximum(aa[:, None] + bb[None, :] - 2.0 * (a @ b.T), 0.0)
@@ -197,72 +216,126 @@ def dbscan_score(
 class LofModel:
     """Reference windows with the precomputed structures for exact queries.
 
-    Euclidean distances to every reference point, their k-distances and the
-    runner-up (k-1) distances are cached so each query costs O(m) instead of
-    O(m^2).
+    Fit caches the Euclidean distances between reference windows, their
+    k-distances, the runner-up (k-1) distances and each window y's
+    neighbourhood {x : d(y, x) <= kdist[y]} as CSR lists (``nbr_ptr``,
+    ``nbr_idx`` in ascending order, ``nbr_dist``).  A query can only shrink
+    a k-distance, so y's neighbourhood in reference union {query} is a
+    subset of its cached list, and scoring costs O(m) per query plus O(k)
+    per neighbour.  ``first_row`` maps each distinct window's bytes to its
+    first row, for the duplicate rule in ``_score_block``.
     """
 
     k_neighbors: int
     reference_windows: np.ndarray
-    ref_distances: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    kdist: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
-    kdist_prev: np.ndarray = field(default=None, repr=False)  # type: ignore[assignment]
+    ref_distances: np.ndarray = field(init=False, repr=False)
+    kdist: np.ndarray = field(init=False, repr=False)
+    kdist_prev: np.ndarray = field(init=False, repr=False)
+    nbr_ptr: np.ndarray = field(init=False, repr=False)
+    nbr_idx: np.ndarray = field(init=False, repr=False)
+    nbr_dist: np.ndarray = field(init=False, repr=False)
+    first_row: dict = field(init=False, repr=False)
 
     def __post_init__(self):
         windows = np.asarray(self.reference_windows, dtype=np.float64)
         m = windows.shape[0]
-        if not (1 <= self.k_neighbors < m):
-            raise TooFewWindows(
-                f"need k_neighbors < m reference windows, got k={self.k_neighbors}, m={m}"
-            )
-        object.__setattr__(self, "reference_windows", windows)
-        if self.ref_distances is None:
-            d = np.sqrt(_pairwise_sq(windows, windows))
-            np.fill_diagonal(d, np.inf)
-            k = self.k_neighbors
-            part = np.partition(d, (k - 1, max(k - 2, 0)), axis=1)
-            kdist = np.maximum(part[:, k - 1], _KDIST_FLOOR)
-            kdist_prev = part[:, k - 2] if k >= 2 else np.zeros(m)
-            object.__setattr__(self, "ref_distances", d)
-            object.__setattr__(self, "kdist", kdist)
-            object.__setattr__(self, "kdist_prev", kdist_prev)
+        k = self.k_neighbors
+        if not (1 <= k < m):
+            raise TooFewWindows(f"need k_neighbors < m reference windows, got k={k}, m={m}")
+        d = np.sqrt(_pairwise_sq(windows, windows))
+        np.fill_diagonal(d, np.inf)
+        part = np.partition(d, (k - 1, max(k - 2, 0)), axis=1)
+        kdist = np.maximum(part[:, k - 1], _KDIST_FLOOR)
+        kdist_prev = part[:, k - 2].copy() if k >= 2 else np.zeros(m)
+        del part
+        rows, cols = np.nonzero(d <= kdist[:, None])
+        first_row: dict = {}
+        for i, row in enumerate(windows + 0.0):  # + 0.0 folds -0.0 into 0.0, as == does
+            first_row.setdefault(row.tobytes(), i)
+        for name, value in (
+            ("reference_windows", windows),
+            ("ref_distances", d),
+            ("kdist", kdist),
+            ("kdist_prev", kdist_prev),
+            ("nbr_ptr", np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))),
+            ("nbr_idx", cols),
+            ("nbr_dist", d[rows, cols]),
+            ("first_row", first_row),
+        ):
+            object.__setattr__(self, name, value)
 
     def query(self, window: np.ndarray) -> float:
         """Exact LOF of the window against reference union {window}."""
-        q = np.asarray(window, dtype=np.float64).reshape(1, -1)
-        duplicates = np.nonzero((self.reference_windows == q[0]).all(axis=1))[0]
-        if duplicates.size:
-            # A duplicated reference row must see bit-identical distances, or
-            # ties exactly at a k-distance boundary resolve differently here
-            # than they do inside the cached matrix.
-            dq = self.ref_distances[duplicates[0]].copy()
-            dq[duplicates[0]] = 0.0
-        else:
-            dq = np.sqrt(_pairwise_sq(q, self.reference_windows))[0]
+        return float(self.scores(np.asarray(window, dtype=np.float64).reshape(1, -1))[0])
+
+    def scores(self, windows: np.ndarray) -> np.ndarray:
+        """Exact LOF of each row against reference union {row}, in row blocks."""
+        windows = np.asarray(windows, dtype=np.float64)
+        step = max(1, _LOF_BLOCK_ENTRIES // self.kdist.size)
+        out = np.empty(windows.shape[0])
+        for i in range(0, windows.shape[0], step):
+            out[i : i + step] = self._score_block(windows[i : i + step])
+        return out
+
+    def _joined_kdist(self, dq: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """k-distances of reference windows x once a query at distances dq
+        joins the set: the query displaces the old k-th neighbour when it
+        lands closer."""
+        kdist = self.kdist[x]
+        joined = np.where(dq >= kdist, kdist, np.maximum(self.kdist_prev[x], dq))
+        return np.maximum(joined, _KDIST_FLOOR)
+
+    def _score_block(self, block: np.ndarray) -> np.ndarray:
         k = self.k_neighbors
-        kdist_q = max(float(np.partition(dq, k - 1)[k - 1]), _KDIST_FLOOR)
-        # Reference k-distances after the query joins the set: the query can
-        # displace the old k-th neighbor when it lands closer.
-        kdist_c = np.where(dq >= self.kdist, self.kdist, np.maximum(self.kdist_prev, dq))
-        kdist_c = np.maximum(kdist_c, _KDIST_FLOOR)
+        dq = np.sqrt(_pairwise_sq(block, self.reference_windows))
+        for r, row in enumerate(block + 0.0):
+            i = self.first_row.get(row.tobytes())
+            if i is not None:
+                # A duplicated reference row must see bit-identical distances,
+                # or ties exactly at a k-distance boundary resolve differently
+                # here than they do inside the cached matrix.
+                dq[r] = self.ref_distances[i]
+                dq[r, i] = 0.0
+        kdist_q = np.maximum(np.partition(dq, k - 1, axis=1)[:, k - 1], _KDIST_FLOOR)
 
-        neighborhood = np.nonzero(dq <= kdist_q)[0]
-        rd_query = np.maximum(kdist_c[neighborhood], dq[neighborhood])
-        lrd_query = neighborhood.size / float(rd_query.sum())
+        # (query, y) pairs with y in the query's neighbourhood, query-major.
+        pq, py = np.nonzero(dq <= kdist_q[:, None])
+        dq_pair = dq[pq, py]
+        bound = self._joined_kdist(dq_pair, py)
+        # y's reachability sum and count over its neighbours x, gathered from
+        # its cached list in chunks of at most _LOF_CHUNK_ENTRIES entries
+        # (a pair's list is at most m long, so a chunk holds at least one).
+        total = np.empty(pq.size)
+        count = np.empty(pq.size)
+        lengths = self.nbr_ptr[py + 1] - self.nbr_ptr[py]
+        ends = np.cumsum(lengths)
+        starts = ends - lengths
+        lo = 0
+        while lo < pq.size:
+            hi = max(int(np.searchsorted(ends, starts[lo] + _LOF_CHUNK_ENTRIES, "right")), lo + 1)
+            span = lengths[lo:hi]
+            pair = np.repeat(np.arange(hi - lo), span)
+            shift = self.nbr_ptr[py[lo:hi]] - (starts[lo:hi] - starts[lo])
+            entry = np.arange(ends[hi - 1] - starts[lo]) + np.repeat(shift, span)
+            dist = self.nbr_dist[entry]
+            inside = dist <= bound[lo:hi][pair]
+            pair, dist = pair[inside], dist[inside]
+            x = self.nbr_idx[entry[inside]]
+            rd = np.maximum(self._joined_kdist(dq[pq[lo:hi][pair], x], x), dist)
+            total[lo:hi] = np.bincount(pair, weights=rd, minlength=hi - lo)
+            count[lo:hi] = np.bincount(pair, minlength=hi - lo)
+            lo = hi
+        # The query itself is one of y's neighbours when it lies within y's
+        # updated k-distance.
+        own = dq_pair <= bound
+        total[own] += np.maximum(kdist_q[pq[own]], dq_pair[own])
+        count[own] += 1.0
+        lrds = count / total
 
-        lrds = np.empty(neighborhood.size)
-        for pos, y in enumerate(neighborhood):
-            row = self.ref_distances[y]
-            bound = kdist_c[y]
-            inside = row <= bound
-            rd = np.maximum(kdist_c[inside], row[inside])
-            total = float(rd.sum())
-            count = int(inside.sum())
-            if dq[y] <= bound:  # the query itself is one of y's neighbors
-                total += max(kdist_q, dq[y])
-                count += 1
-            lrds[pos] = count / total
-        return float(lrds.mean() / lrd_query)
+        size = np.bincount(pq, minlength=block.shape[0])
+        rd_query = np.bincount(pq, weights=np.maximum(bound, dq_pair), minlength=block.shape[0])
+        lrd_query = size / rd_query
+        return np.bincount(pq, weights=lrds, minlength=block.shape[0]) / size / lrd_query
 
 
 def lof_score(reference: WindowFrame, query_window, k: int = 10) -> float:
@@ -712,11 +785,11 @@ class LofDetector:
         return FittedDetector.wrap(cfg, model)
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
-        model: LofModel = fitted.state
         windows = subsequences(test, fitted.config.window_width)
-        scores = np.array([model.query(w) for w in windows.windows])
         return ScoreSeries(
-            scores=scores, indices=windows.target_indices, detector_name=fitted.name
+            scores=fitted.state.scores(windows.windows),
+            indices=windows.target_indices,
+            detector_name=fitted.name,
         )
 
 

@@ -44,6 +44,10 @@ class TooFewWindows(TsadError, ValueError):
     """Not enough training windows for the requested model size."""
 
 
+class DistanceMatrixTooLarge(TsadError, ValueError):
+    """A pairwise distance matrix would exceed the stated entry cap."""
+
+
 class NoCorePoints(TsadError, ValueError):
     """DBSCAN found no core point in the training windows (degenerate fit)."""
 

@@ -21,7 +21,7 @@ from tsadkit import (
 from tsadkit.bench import _pair_seed
 from tsadkit.cli import main, parse_kv_file
 from tsadkit.core import FittedDetector, ScoreSeries
-from tsadkit.detectors import REGISTRY
+from tsadkit.detectors import REGISTRY, ml
 from tsadkit.errors import InvalidSpec, UnknownDetector
 
 from conftest import series
@@ -170,6 +170,16 @@ class TestRunBenchmark:
             )
         assert [row.detector for row in rows] == list(DETECTOR_NAMES)
         assert {row.status for row in rows} <= {"ok", "failed"}
+
+    def test_oversized_distance_matrices_fail_their_rows(self, monkeypatch):
+        # Every distance matrix these detectors build on SYNTH (>= 300 train
+        # windows) is past a 10,000-entry cap.
+        monkeypatch.setattr(ml, "_MAX_PAIRWISE_ENTRIES", 10_000)
+        rows, _, _ = run_benchmark(quick_config(detectors=("lof", "dbscan", "ocsvm")))
+        assert len(rows) == 15
+        for row in rows:
+            assert row.status == "failed", (row.series_id, row.detector)
+            assert row.failure_reason.startswith("DistanceMatrixTooLarge:"), row.failure_reason
 
     def test_unknown_detector_fails_fast(self):
         with pytest.raises(UnknownDetector) as info:

@@ -45,7 +45,7 @@ from tsadkit.detectors.ml import (
     ocsvm_fit,
     ocsvm_score,
 )
-from tsadkit.errors import NoCorePoints, TooFewWindows
+from tsadkit.errors import DistanceMatrixTooLarge, NoCorePoints, TooFewWindows
 
 from conftest import raw_frame, series
 
@@ -174,6 +174,14 @@ def naive_lof(reference: np.ndarray, query: np.ndarray, k: int) -> float:
     return float(np.mean([lrd(j) for j in neigh]) / lrd(q))
 
 
+class TestPairwiseGuard:
+    def test_cap_counts_entries(self, monkeypatch):
+        monkeypatch.setattr(ml, "_MAX_PAIRWISE_ENTRIES", 12)
+        assert ml._pairwise_sq(np.zeros((3, 2)), np.ones((4, 2))).shape == (3, 4)
+        with pytest.raises(DistanceMatrixTooLarge):
+            ml._pairwise_sq(np.zeros((13, 2)), np.ones((1, 2)))
+
+
 class TestLof:
     def test_uniform_cloud_is_close_to_one(self):
         rng = np.random.default_rng(9)
@@ -211,6 +219,130 @@ class TestLof:
         reference = raw_frame(rng.normal(0.0, 1.0, (50, 2)))
         value = lof_score(reference, np.full(2, 30.0), k=8)
         assert value > 2.0
+
+
+def per_window_lof(model: LofModel, window: np.ndarray) -> float:
+    """LOF scoring before row blocks: one distance row and one Python loop
+    over the neighbourhood per window.  Frozen here as the oracle for
+    ``LofModel.scores``."""
+    q = np.asarray(window, dtype=np.float64).reshape(1, -1)
+    duplicates = np.nonzero((model.reference_windows == q[0]).all(axis=1))[0]
+    if duplicates.size:
+        dq = model.ref_distances[duplicates[0]].copy()
+        dq[duplicates[0]] = 0.0
+    else:
+        dq = np.sqrt(ml._pairwise_sq(q, model.reference_windows))[0]
+    k = model.k_neighbors
+    kdist_q = max(float(np.partition(dq, k - 1)[k - 1]), ml._KDIST_FLOOR)
+    kdist_c = np.where(dq >= model.kdist, model.kdist, np.maximum(model.kdist_prev, dq))
+    kdist_c = np.maximum(kdist_c, ml._KDIST_FLOOR)
+
+    neighborhood = np.nonzero(dq <= kdist_q)[0]
+    rd_query = np.maximum(kdist_c[neighborhood], dq[neighborhood])
+    lrd_query = neighborhood.size / float(rd_query.sum())
+
+    lrds = np.empty(neighborhood.size)
+    for pos, y in enumerate(neighborhood):
+        row = model.ref_distances[y]
+        bound = kdist_c[y]
+        inside = row <= bound
+        rd = np.maximum(kdist_c[inside], row[inside])
+        total = float(rd.sum())
+        count = int(inside.sum())
+        if dq[y] <= bound:
+            total += max(kdist_q, dq[y])
+            count += 1
+        lrds[pos] = count / total
+    return float(lrds.mean() / lrd_query)
+
+
+def lof_synth_w30():
+    train, test = synth_frames(30)
+    return train.windows, test.windows, 10
+
+
+def lof_ties(k: int):
+    # Quarter steps: every distance is computed exactly, by any BLAS kernel,
+    # so the many ties at k-distance boundaries are real ties.  On a 0.1 grid
+    # they are broken by the last bits of the distance kernel instead, which
+    # differ between a block (gemm) and a single row (gemv).
+    rng = np.random.default_rng(20 + k)
+    windows = np.round(rng.normal(0.0, 1.0, (330, 3)) * 4.0) / 4.0
+    return windows[:250], windows[250:], k
+
+
+def lof_duplicates():
+    # Continuous width-30 rows, so the distance of a row to its own copy is
+    # rounding noise unless the duplicate rule supplies the cached zero; one
+    # row appears more than k times, so its k-distance is that noise.
+    rng = np.random.default_rng(31)
+    base = rng.normal(0.0, 1.0, (120, 30))
+    base[:, 0] = 0.0
+    reference = np.vstack((base, base[:40], np.repeat(base[50:51], 14, axis=0)))
+    copies = np.vstack((base[5:25], base[45:55], base[45:55]))
+    copies[30:, 0] = -0.0  # equal to the reference's 0.0 under ==
+    return reference, np.vstack((copies, rng.normal(0.0, 1.0, (20, 30)))), 10
+
+
+def lof_flat_run():
+    # A long run of 160 identical windows: each has all the others in its
+    # neighbourhood, so one (query, y) pair expands to 160 list entries.
+    rng = np.random.default_rng(41)
+    flat = np.repeat(rng.normal(0.0, 1.0, (1, 5)), 160, axis=0)
+    reference = np.vstack((flat, rng.normal(0.0, 1.0, (80, 5))))
+    queries = np.vstack((flat[:12], flat[:12] + rng.normal(0.0, 0.05, (12, 5)), reference[170:190]))
+    return reference, queries, 10
+
+
+LOF_CASES = {
+    "synth-w30": lof_synth_w30,
+    "ties-k1": lambda: lof_ties(1),
+    "ties-k2": lambda: lof_ties(2),
+    "ties-k10": lambda: lof_ties(10),
+    "duplicates": lof_duplicates,
+    "flat-run": lof_flat_run,
+}
+
+
+class TestBlockLof:
+    """Row-block LOF scores match the per-window loop."""
+
+    @pytest.mark.parametrize("case", LOF_CASES, ids=list(LOF_CASES))
+    @pytest.mark.parametrize(
+        "chunk_entries", [ml._LOF_CHUNK_ENTRIES, 97], ids=["default-chunks", "97-entry-chunks"]
+    )
+    def test_matches_per_window_loop(self, case, chunk_entries, monkeypatch):
+        reference, queries, k = LOF_CASES[case]()
+        model = LofModel(k_neighbors=k, reference_windows=reference)
+        # Blocks of 7 rows, so every case ends in a ragged block; 97 entries
+        # per chunk splits the flat run's neighbour lists across chunks.
+        monkeypatch.setattr(ml, "_LOF_BLOCK_ENTRIES", 7 * reference.shape[0])
+        monkeypatch.setattr(ml, "_LOF_CHUNK_ENTRIES", chunk_entries)
+        assert queries.shape[0] % 7 != 0
+        got = model.scores(queries)
+        want = np.array([per_window_lof(model, q) for q in queries])
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(model.scores(queries), got)
+
+    def test_chunking_leaves_scores_unchanged(self, monkeypatch):
+        reference, queries, k = lof_flat_run()
+        model = LofModel(k_neighbors=k, reference_windows=reference)
+        whole = model.scores(queries)
+        monkeypatch.setattr(ml, "_LOF_CHUNK_ENTRIES", 1)
+        np.testing.assert_array_equal(model.scores(queries), whole)
+
+    def test_neighbour_lists_hold_the_fit_neighbourhoods(self):
+        reference, _, k = lof_ties(2)
+        model = LofModel(k_neighbors=k, reference_windows=reference)
+        for y in range(reference.shape[0]):
+            lo, hi = model.nbr_ptr[y], model.nbr_ptr[y + 1]
+            expected = np.nonzero(model.ref_distances[y] <= model.kdist[y])[0]
+            np.testing.assert_array_equal(model.nbr_idx[lo:hi], expected)
+            np.testing.assert_array_equal(model.nbr_dist[lo:hi], model.ref_distances[y, expected])
+
+    def test_cached_structures_are_not_init_arguments(self):
+        with pytest.raises(TypeError):
+            LofModel(k_neighbors=2, reference_windows=np.zeros((5, 2)), kdist=np.ones(5))
 
 
 def descend(tree: _Tree, row: np.ndarray, node: int = 0) -> float:
