@@ -23,7 +23,6 @@ from .data import (
     DATASET_IDS,
     DatasetManifest,
     SynthSpec,
-    excluded_from_benchmark,
     generate_synthetic,
     load_manifest,
     load_nab_csv,
@@ -34,7 +33,6 @@ from .data import (
 from .detectors import DETECTOR_NAMES, REGISTRY, catalog_lines, get_detector
 from .errors import TsadError
 from .evaluation import (
-    EvalReport,
     RocCurve,
     TimedRun,
     best_f1,
@@ -62,7 +60,6 @@ __all__ = [
     "REGISTRY",
     "DatasetManifest",
     "DetectorConfig",
-    "EvalReport",
     "FittedDetector",
     "ResultRow",
     "RocCurve",
@@ -82,7 +79,6 @@ __all__ = [
     "catalog_lines",
     "difference",
     "emit_reports",
-    "excluded_from_benchmark",
     "fit_standardizer",
     "frame",
     "generate_synthetic",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -27,7 +27,7 @@ from .data import (
 )
 from .detectors import DETECTOR_NAMES, get_detector
 from .errors import InvalidSpec, TsadError
-from .evaluation import TimedRun, timed_run
+from .evaluation import RocCurve, TimedRun, timed_run
 from .preprocessing import (
     SplitSpec,
     difference,
@@ -62,14 +62,11 @@ class RunConfig:
     split: SplitSpec = field(default_factory=SplitSpec)
     seed: int = 0
     output_dir: Path = Path("bench-out")
-    repeat: int = 1
     data_dir: Optional[Path] = None
 
     def __post_init__(self):
         if not self.detectors:
             raise InvalidSpec("at least one detector is required")
-        if self.repeat < 1:
-            raise InvalidSpec("repeat must be >= 1")
         object.__setattr__(self, "datasets", tuple(self.datasets))
         object.__setattr__(self, "detectors", tuple(self.detectors))
         object.__setattr__(self, "output_dir", Path(self.output_dir))
@@ -178,14 +175,11 @@ def run_benchmark(config: RunConfig) -> tuple[list[ResultRow], dict, dict]:
         get_detector(name)  # unknown names fail before any work happens
 
     rows: list[ResultRow] = []
-    curves: dict[tuple[str, str], TimedRun] = {}
-    for _ in range(config.repeat):
-        for entry in config.datasets:
-            dataset_id, series_list = _resolve_dataset(str(entry), config.data_dir)
-            for series in series_list:
-                rows.extend(
-                    _run_series(config, dataset_id, series, curves)
-                )
+    curves: dict[tuple[str, str], RocCurve] = {}
+    for entry in config.datasets:
+        dataset_id, series_list = _resolve_dataset(str(entry), config.data_dir)
+        for series in series_list:
+            rows.extend(_run_series(config, dataset_id, series, curves))
     return rows, _summarize(rows), curves
 
 
@@ -193,7 +187,7 @@ def _run_series(
     config: RunConfig,
     dataset_id: str,
     series: TimeSeries,
-    curves: dict,
+    curves: dict[tuple[str, str], RocCurve],
 ) -> list[ResultRow]:
     # A series that cannot be prepared or has no anomalous test label gives
     # every detector the same status row without running it.
@@ -207,31 +201,27 @@ def _run_series(
 
     rows = []
     for name in config.detectors:
-        status, reason = skip or ("ok", "")
-        auc = best_f1 = nmm = None
-        train_seconds = inference_seconds = 0.0
         if skip is None:
             cfg = DetectorConfig(name=name, seed=_pair_seed(config.seed, series.series_id, name))
-            outcome = timed_run(get_detector(name), cfg, train, test)
-            report = outcome.report
-            train_seconds, inference_seconds = report.train_seconds, report.inference_seconds
-            if report.ok:
-                curves[(series.series_id, name)] = outcome
-                auc, best_f1, nmm = report.auc, report.best_f1, report.nmm
-            else:
-                status, reason = "failed", report.failure
+            run = timed_run(get_detector(name), cfg, train, test)
+            status = "ok" if run.ok else "failed"
+            if run.ok:
+                curves[(series.series_id, name)] = run.curve
+        else:
+            status, reason = skip
+            run = TimedRun(train_seconds=0.0, inference_seconds=0.0, failure=reason)
         rows.append(
             ResultRow(
                 dataset_id=dataset_id,
                 series_id=series.series_id,
                 detector=name,
-                auc=auc,
-                best_f1=best_f1,
-                nmm=nmm,
-                train_seconds=train_seconds,
-                inference_seconds=inference_seconds,
+                auc=run.auc,
+                best_f1=run.best_f1,
+                nmm=run.nmm,
+                train_seconds=run.train_seconds,
+                inference_seconds=run.inference_seconds,
                 status=status,
-                failure_reason=reason,
+                failure_reason=run.failure,
             )
         )
     return rows
@@ -266,63 +256,33 @@ def _summarize(rows: Sequence[ResultRow]) -> dict:
     return summary
 
 
-_CSV_HEADER = (
-    "dataset_id",
-    "series_id",
-    "detector",
-    "auc",
-    "best_f1",
-    "nmm",
-    "train_seconds",
-    "inference_seconds",
-    "status",
-    "failure_reason",
-)
-
-
-def _fmt(value: Optional[float]) -> str:
-    return "" if value is None else repr(float(value))
+def _cell(value) -> str:
+    """A results.csv cell: empty for a missing metric, repr for a float."""
+    if value is None:
+        return ""
+    return repr(float(value)) if isinstance(value, float) else value
 
 
 def emit_reports(rows: Sequence[ResultRow], output_dir, summary: dict, curves: dict) -> None:
     """Write results.csv, summary.json and one ROC file per ok row.
 
-    Floats are serialized with repr, so re-parsing them recovers the exact
-    values.
+    The results.csv columns are ``ResultRow``'s fields.  Floats are
+    serialized with repr, so re-parsing them recovers the exact values.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
+    columns = [column.name for column in fields(ResultRow)]
     with (output_dir / "results.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_CSV_HEADER)
-        for row in rows:
-            writer.writerow(
-                [
-                    row.dataset_id,
-                    row.series_id,
-                    row.detector,
-                    _fmt(row.auc),
-                    _fmt(row.best_f1),
-                    _fmt(row.nmm),
-                    repr(row.train_seconds),
-                    repr(row.inference_seconds),
-                    row.status,
-                    row.failure_reason,
-                ]
-            )
+        writer.writerow(columns)
+        writer.writerows([_cell(getattr(row, name)) for name in columns] for row in rows)
     with (output_dir / "summary.json").open("w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     roc_dir = output_dir / "roc"
     roc_dir.mkdir(exist_ok=True)
-    for (series_id, detector), outcome in curves.items():
-        curve = outcome.curve
-        if curve is None:
-            continue
-        with (roc_dir / f"{series_id}_{detector}.csv").open(
-            "w", newline="", encoding="utf-8"
-        ) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["fpr", "tpr", "threshold"])
-            for (fpr, tpr), threshold in zip(curve.points, curve.thresholds):
-                writer.writerow([repr(float(fpr)), repr(float(tpr)), repr(float(threshold))])
+    for (series_id, detector), curve in curves.items():
+        points = zip(curve.fpr.tolist(), curve.tpr.tolist(), curve.thresholds.tolist())
+        text = "fpr,tpr,threshold\r\n" + "".join(f"{a!r},{b!r},{t!r}\r\n" for a, b, t in points)
+        with (roc_dir / f"{series_id}_{detector}.csv").open("w", newline="", encoding="utf-8") as fh:
+            fh.write(text)

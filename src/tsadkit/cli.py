@@ -53,7 +53,6 @@ _RUN_KEYS = {
     "period": int,
     "seed": int,
     "output_dir": str,
-    "repeat": int,
     "data_dir": str,
     "train_ratio": float,
     "validation_of_train": float,

@@ -25,7 +25,6 @@ from .errors import (
     MissingColumn,
     ParseError,
 )
-from .preprocessing import SplitSpec, split
 
 __all__ = [
     "DATASET_IDS",
@@ -35,7 +34,6 @@ __all__ = [
     "load_nab_csv",
     "write_series_csv",
     "load_manifest",
-    "excluded_from_benchmark",
     "synthetic_base",
     "generate_synthetic",
 ]
@@ -315,18 +313,6 @@ def load_manifest(path, dataset_id: str) -> DatasetManifest:
                 series_path = path.parent / series_path
             entries.append((series_path.stem, series_path))
     return DatasetManifest(dataset_id=dataset_id, series=tuple(entries))
-
-
-def excluded_from_benchmark(series: TimeSeries, spec: SplitSpec = SplitSpec()) -> bool:
-    """True when the test segment carries no anomalous label.
-
-    Such series cannot contribute to ranking metrics and are tagged excluded
-    rather than deleted.
-    """
-    if series.labels is None:
-        return True
-    parts = split(series, spec)
-    return int(parts.test.labels.sum()) == 0
 
 
 def synthetic_base(spec: SynthSpec) -> np.ndarray:

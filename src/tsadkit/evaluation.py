@@ -17,7 +17,6 @@ from .errors import DegenerateLabels, NaiveZero, NonFiniteValues, TsadError
 
 __all__ = [
     "RocCurve",
-    "EvalReport",
     "TimedRun",
     "roc_auc",
     "best_f1",
@@ -62,27 +61,31 @@ class RocCurve:
 
 
 @dataclass(frozen=True)
-class EvalReport:
-    """Metrics and wall-clock seconds for one (detector, series) pair.
+class TimedRun:
+    """Outcome of one timed fit+score+evaluate for one (detector, series) pair.
 
-    ``failure`` is set instead of metrics when the detector raised; a report
-    never carries both a failure and metric values.
+    An ok run carries all three metrics and its ROC curve; a failed run
+    carries ``failure`` instead, never both.
     """
 
-    auc: float
-    best_f1: float
-    best_f1_threshold: float
-    nmm: float
     train_seconds: float
     inference_seconds: float
-    n_scored: int
-    n_anomalies: int
-    failure: Optional[str] = None
+    auc: Optional[float] = None
+    best_f1: Optional[float] = None
+    nmm: Optional[float] = None
+    curve: Optional[RocCurve] = None
+    failure: str = ""
 
     def __post_init__(self):
         if self.train_seconds < 0.0 or self.inference_seconds < 0.0:
             raise ValueError("timings must be non-negative")
-        if self.failure is None:
+        results = (self.auc, self.best_f1, self.nmm, self.curve)
+        if self.failure:
+            if any(value is not None for value in results):
+                raise ValueError("a failed run carries no metrics")
+        else:
+            if None in results:
+                raise ValueError("an ok run carries all metrics and its curve")
             if not (0.0 <= self.auc <= 1.0 and 0.0 <= self.best_f1 <= 1.0):
                 raise ValueError("auc and best_f1 must lie in [0, 1]")
             # Zero is legal: a detector may emit an all-zero score vector.
@@ -91,20 +94,7 @@ class EvalReport:
 
     @property
     def ok(self) -> bool:
-        return self.failure is None
-
-    @property
-    def total_seconds(self) -> float:
-        return self.train_seconds + self.inference_seconds
-
-
-@dataclass(frozen=True)
-class TimedRun:
-    """Outcome of one timed fit+score: the report plus plot-ready artifacts."""
-
-    report: EvalReport
-    curve: Optional[RocCurve] = None
-    scores: Optional[ScoreSeries] = None
+        return not self.failure
 
 
 def _check_labels(labels: np.ndarray) -> tuple[int, int]:
@@ -212,59 +202,41 @@ def nmm(model_mse: float, naive: float) -> float:
 def timed_run(detector, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries) -> TimedRun:
     """Fit and score under monotonic wall-clock timers, then evaluate.
 
-    Detector and metric errors become a failure record in the report instead
-    of aborting the caller's batch.  The run makes no internal concurrency;
-    callers wanting meaningful timings must not run anything else in parallel.
+    Detector and metric errors become a failed run instead of aborting the
+    caller's batch; its timings cover the stages reached.  The run makes no
+    internal concurrency; callers wanting meaningful timings must not run
+    anything else in parallel.
     """
-    t0 = time.perf_counter()
+    fit_end = score_end = None
+    start = time.perf_counter()
     try:
         fitted = detector.fit(train, cfg)
-    except TsadError as exc:
-        return TimedRun(report=_failure_report(exc, time.perf_counter() - t0, 0.0))
-    train_seconds = time.perf_counter() - t0
-
-    t1 = time.perf_counter()
-    try:
+        fit_end = time.perf_counter()
         scores = detector.score(fitted, test)
-    except TsadError as exc:
-        return TimedRun(report=_failure_report(exc, train_seconds, time.perf_counter() - t1))
-    inference_seconds = time.perf_counter() - t1
-
-    try:
+        score_end = time.perf_counter()
         if test.labels is None:
             raise DegenerateLabels("test segment has no labels")
         if len(scores) == 0:
             raise DegenerateLabels("detector produced no scores")
         labels = test.labels[scores.indices]
         curve, auc = roc_auc(scores, labels)
-        f1, threshold = best_f1(scores, labels)
+        f1, _ = best_f1(scores, labels)
         model_mse = float(np.mean(scores.scores**2))
         ratio = nmm(model_mse, naive_mse(test, scores.indices))
     except TsadError as exc:
-        return TimedRun(report=_failure_report(exc, train_seconds, inference_seconds))
-
-    report = EvalReport(
+        stop = time.perf_counter()
+        fit_end = stop if fit_end is None else fit_end
+        score_end = stop if score_end is None else score_end
+        return TimedRun(
+            train_seconds=fit_end - start,
+            inference_seconds=score_end - fit_end,
+            failure=f"{type(exc).__name__}: {exc}",
+        )
+    return TimedRun(
+        train_seconds=fit_end - start,
+        inference_seconds=score_end - fit_end,
         auc=auc,
         best_f1=f1,
-        best_f1_threshold=threshold,
         nmm=ratio,
-        train_seconds=train_seconds,
-        inference_seconds=inference_seconds,
-        n_scored=len(scores),
-        n_anomalies=int(labels.sum()),
-    )
-    return TimedRun(report=report, curve=curve, scores=scores)
-
-
-def _failure_report(exc: Exception, train_seconds: float, inference_seconds: float) -> EvalReport:
-    return EvalReport(
-        auc=float("nan"),
-        best_f1=float("nan"),
-        best_f1_threshold=float("nan"),
-        nmm=float("nan"),
-        train_seconds=train_seconds,
-        inference_seconds=inference_seconds,
-        n_scored=0,
-        n_anomalies=0,
-        failure=f"{type(exc).__name__}: {exc}",
+        curve=curve,
     )

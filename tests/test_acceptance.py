@@ -313,8 +313,8 @@ def test_criterion_06_every_detector_separates_point_anomalies():
                 name=name, window_width=width, hyperparameters=hyper, seed=seed * 7 + 1
             )
             run = timed_run(get_detector(name), cfg, train, test)
-            assert run.report.ok, f"{name} failed on seed {seed}: {run.report.failure}"
-            minima[name] = min(minima[name], run.report.auc)
+            assert run.ok, f"{name} failed on seed {seed}: {run.failure}"
+            minima[name] = min(minima[name], run.auc)
     for name, worst_auc in minima.items():
         if name == "kmeans":
             assert worst_auc > 0.6, f"kmeans worst AUC {worst_auc:.4f} <= 0.6"

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import csv
 import json
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from tsadkit import (
     DETECTOR_NAMES,
+    ResultRow,
+    RocCurve,
     RunConfig,
     catalog_lines,
     emit_reports,
@@ -22,7 +25,7 @@ from tsadkit.bench import _pair_seed
 from tsadkit.cli import main, parse_kv_file
 from tsadkit.core import FittedDetector, ScoreSeries
 from tsadkit.detectors import REGISTRY, ml
-from tsadkit.errors import InvalidSpec, UnknownDetector
+from tsadkit.errors import InvalidSpec, TsadError, UnknownDetector
 
 from conftest import series
 
@@ -83,6 +86,21 @@ class TestRunBenchmark:
         cell = summary["datasets"]["UD1"]["ar"]
         assert cell["n_ok"] == 1
         assert cell["n_excluded"] == 1
+
+    def test_detrend_can_exclude_a_series(self, tmp_path):
+        # The only anomaly is the first test point (head = 0.3 * 200 = 60);
+        # first differencing drops that point, and its label with it.  SES
+        # scores every test point, so undifferenced the pair is ok.
+        manifest = write_manifest(tmp_path, [labelled_series(n=200, anomaly_at=60)])
+        config = quick_config(datasets=(str(manifest),), detectors=("ses",))
+        rows, _, _ = run_benchmark(config)
+        assert [row.status for row in rows] == ["ok"]
+        rows, summary, curves = run_benchmark(replace(config, detrend=True))
+        assert [(row.status, row.failure_reason) for row in rows] == [
+            ("excluded", "test segment has no anomalous label")
+        ]
+        assert summary["datasets"]["UD1"]["ses"]["n_excluded"] == 1
+        assert curves == {}
 
     def test_preprocess_failure_marks_all_detectors(self, tmp_path):
         short = series(np.arange(9.0))
@@ -186,10 +204,6 @@ class TestRunBenchmark:
             run_benchmark(quick_config(detectors=("nope",)))
         assert "ar" in str(info.value)
 
-    def test_repeat_duplicates_rows(self):
-        rows, _, _ = run_benchmark(quick_config(detectors=("ar",), repeat=2))
-        assert len(rows) == 10
-
     def test_deseasonalize_uses_period_hint(self):
         rows, _, _ = run_benchmark(quick_config(detectors=("ar",), deseasonalize=True))
         assert all(row.status == "ok" for row in rows)
@@ -209,8 +223,6 @@ class TestRunBenchmark:
     def test_config_validation(self):
         with pytest.raises(InvalidSpec):
             RunConfig(datasets=("SYNTH",), detectors=())
-        with pytest.raises(InvalidSpec):
-            quick_config(repeat=0)
 
 
 class TestPairSeeds:
@@ -249,6 +261,61 @@ class TestReports:
             assert float(record["auc"]) == row.auc
             assert float(record["nmm"]) == row.nmm
             assert record["status"] == "ok"
+
+    def test_results_csv_round_trips_non_ok_rows(self, tmp_path, monkeypatch):
+        class BrokenDetector:
+            name = "broken"
+            family = "ml"
+
+            def fit(self, train, cfg):
+                raise TsadError('bad fit, "quoted" part')
+
+            def score(self, fitted, test):  # pragma: no cover - fit always raises
+                raise AssertionError
+
+        monkeypatch.setitem(REGISTRY, "broken", BrokenDetector())
+        manifest = write_manifest(
+            tmp_path,
+            [labelled_series(anomaly_at=100, seed=1), labelled_series(anomaly_at=5, seed=2)],
+        )
+        rows, summary, curves = run_benchmark(
+            quick_config(datasets=(str(manifest),), detectors=("ar", "broken"))
+        )
+        assert [row.status for row in rows] == ["ok", "failed", "excluded", "excluded"]
+        out = tmp_path / "out"
+        emit_reports(rows, out, summary, curves)
+        with (out / "results.csv").open(newline="", encoding="utf-8") as fh:
+            assert next(csv.reader(fh)) == [column.name for column in fields(ResultRow)]
+            fh.seek(0)
+            parsed = list(csv.DictReader(fh))
+
+        excluded = parsed[2]
+        assert [excluded[k] for k in ("auc", "best_f1", "nmm")] == ["", "", ""]
+        assert excluded["train_seconds"] == excluded["inference_seconds"] == "0.0"
+        assert parsed[1]["failure_reason"] == 'TsadError: bad fit, "quoted" part'
+
+        numeric = {"auc", "best_f1", "nmm", "train_seconds", "inference_seconds"}
+
+        def parse(record):
+            return ResultRow(
+                **{k: (float(v) if v else None) if k in numeric else v for k, v in record.items()}
+            )
+
+        assert [parse(record) for record in parsed] == rows
+
+    def test_roc_file_bytes(self, tmp_path):
+        curve = RocCurve(
+            points=np.array([[0.0, 0.0], [1.0 / 3.0, 0.0], [1.0 / 3.0, 1.0], [1.0, 1.0]]),
+            thresholds=np.array([np.inf, 2.5, 1e-300, -3.0]),
+        )
+        emit_reports([], tmp_path, {}, {("s1", "ar"): curve})
+        assert (tmp_path / "roc" / "s1_ar.csv").read_bytes() == (
+            b"fpr,tpr,threshold\r\n"
+            b"0.0,0.0,inf\r\n"
+            b"0.3333333333333333,0.0,2.5\r\n"
+            b"0.3333333333333333,1.0,1e-300\r\n"
+            b"1.0,1.0,-3.0\r\n"
+        )
 
     def test_summary_layout(self, completed):
         _, summary, out = completed

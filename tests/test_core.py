@@ -286,8 +286,8 @@ class TestDetectorConfig:
         train, test = short_noisy_sine()
         cfg = DetectorConfig(name=name, window_width=8, hyperparameters=hyperparameters)
         with np.errstate(all="ignore"):
-            report = timed_run(get_detector(name), cfg, train, test).report
-        assert report.failure.startswith("InvalidHyperparameter:")
+            run = timed_run(get_detector(name), cfg, train, test)
+        assert run.failure.startswith("InvalidHyperparameter:")
 
     @pytest.mark.parametrize("name", DETECTOR_NAMES)
     def test_every_detector_rejects_unknown_keys(self, name):

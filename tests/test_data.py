@@ -10,7 +10,6 @@ import pytest
 from tsadkit import (
     DatasetManifest,
     SynthSpec,
-    excluded_from_benchmark,
     generate_synthetic,
     load_manifest,
     load_nab_csv,
@@ -215,17 +214,3 @@ class TestSynthetic:
         spec = SynthSpec(length=120, base="ar_process", anomaly_rate=0.1, seed=1, ar_coeffs=(0.5, -0.3))
         assert generate_synthetic(spec).values.size == 120
 
-
-class TestExclusion:
-    def test_anomaly_free_test_split(self):
-        labels = np.zeros(100, dtype=np.int64)
-        labels[4] = 1  # only inside the train segment
-        assert excluded_from_benchmark(series(np.arange(100.0), labels=labels))
-
-    def test_kept_when_test_has_positives(self):
-        labels = np.zeros(100, dtype=np.int64)
-        labels[80] = 1
-        assert not excluded_from_benchmark(series(np.arange(100.0), labels=labels))
-
-    def test_unlabeled_series_excluded(self):
-        assert excluded_from_benchmark(series(np.arange(100.0)))

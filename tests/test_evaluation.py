@@ -286,30 +286,24 @@ class TestTimedRun:
 
     def test_timers_and_metrics(self):
         train, test = self._data()
-        out = timed_run(_SpyDetector(), DetectorConfig(name="spy"), train, test)
-        report = out.report
-        assert report.ok
-        assert report.train_seconds >= 0 and report.inference_seconds >= 0
-        assert report.total_seconds == pytest.approx(
-            report.train_seconds + report.inference_seconds
-        )
-        assert report.auc == 1.0
-        assert report.n_scored == 100
-        assert report.n_anomalies == 3
+        run = timed_run(_SpyDetector(), DetectorConfig(name="spy"), train, test)
+        assert run.ok
+        assert run.train_seconds >= 0 and run.inference_seconds >= 0
+        assert run.auc == 1.0
 
     def test_deterministic_metrics(self):
         train, test = self._data()
         a = timed_run(_SpyDetector(), DetectorConfig(name="spy"), train, test)
         b = timed_run(_SpyDetector(), DetectorConfig(name="spy"), train, test)
-        assert a.report.auc == b.report.auc
-        assert a.report.best_f1 == b.report.best_f1
-        assert a.report.nmm == b.report.nmm
+        assert a.auc == b.auc
+        assert a.best_f1 == b.best_f1
+        assert a.nmm == b.nmm
 
     def test_failure_becomes_report(self):
         train, test = self._data()
         out = timed_run(_FailingDetector(), DetectorConfig(name="broken"), train, test)
-        assert not out.report.ok
-        assert "SeriesTooShort" in out.report.failure
+        assert not out.ok
+        assert "SeriesTooShort" in out.failure
         assert out.curve is None
 
     def test_unlabeled_test_fails_gracefully(self):
@@ -317,4 +311,4 @@ class TestTimedRun:
         train = series(rng.standard_normal(50))
         test = series(rng.standard_normal(60))
         out = timed_run(_SpyDetector(), DetectorConfig(name="spy"), train, test)
-        assert not out.report.ok
+        assert not out.ok
