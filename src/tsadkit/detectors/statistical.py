@@ -39,6 +39,7 @@ __all__ = [
     "lag_cap",
     "ar_fit",
     "ar_score",
+    "invertible_ma",
     "ma_fit",
     "ma_score",
     "arma_fit",
@@ -161,11 +162,33 @@ class MaFit:
         object.__setattr__(self, "coefficients", coeffs)
 
 
+def invertible_ma(coefficients: np.ndarray) -> np.ndarray:
+    """Coefficients b with no root of 1 + b_1 z + ... + b_q z^q inside the unit circle.
+
+    Returned unchanged (the same array) when no root lies inside the unit
+    circle.  Otherwise each root r with |r| < 1 is reflected to 1/conj(r) and
+    the real coefficients are rebuilt from the roots; this keeps the model's
+    autocorrelations (Brockwell & Davis 2016, sec. 3.1) and makes the
+    innovation recursion in ``ma_score`` decay instead of grow geometrically.
+    A root with |r| = 1 is its own reflection and stays where it is: the
+    recursion then neither decays nor grows geometrically along it.
+    """
+    roots = np.polynomial.polynomial.polyroots(np.concatenate(([1.0], coefficients)))
+    inside = np.abs(roots) < 1.0
+    if not inside.any():
+        return coefficients
+    roots[inside] = 1.0 / np.conj(roots[inside])
+    rebuilt = np.polynomial.polynomial.polyfromroots(roots).real
+    rebuilt = rebuilt[1:] / rebuilt[0]
+    return np.concatenate((rebuilt, np.zeros(coefficients.size - rebuilt.size)))
+
+
 def ma_fit(train: TimeSeries, q: int) -> MaFit:
     """Two-stage estimation: long-AR residuals, then OLS on their lags.
 
     Stage one fits an AR of lag-cap order to proxy the innovations; stage
-    two regresses x_t - mu on the q lagged residual estimates.
+    two regresses x_t - mu on the q lagged residual estimates.  The
+    estimate is then made invertible (``invertible_ma``).
     """
     values = train.values
     n = values.size
@@ -189,7 +212,7 @@ def ma_fit(train: TimeSeries, q: int) -> MaFit:
     coeffs, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < q:
         raise SingularDesign(f"MA design matrix is rank-deficient (rank {rank} < {q})")
-    return MaFit(q=q, coefficients=coeffs, mu=mu, long_ar_order=long_order)
+    return MaFit(q=q, coefficients=invertible_ma(coeffs), mu=mu, long_ar_order=long_order)
 
 
 def ma_score(fit: MaFit, test: TimeSeries, detector_name: str = "ma") -> ScoreSeries:

@@ -28,10 +28,12 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RocCurve:
-    """Threshold sweep as (fpr, tpr) pairs from (0,0) to (1,1).
+    """Vertices of a threshold sweep as (fpr, tpr) pairs from (0,0) to (1,1).
 
     ``thresholds[i]`` is the cut producing ``points[i]``; the initial point
-    uses +inf (nothing predicted positive).
+    uses +inf (nothing predicted positive).  Cuts that fall inside a straight
+    run of the sweep are left out: they lie on the segment between the
+    vertices around them, so the curve and its area are the same.
     """
 
     points: np.ndarray
@@ -133,16 +135,24 @@ def roc_auc(scores: ScoreSeries, labels) -> tuple[RocCurve, float]:
     """ROC over the cuts ``score >= u``, one per unique score; trapezoid area.
 
     Tied scores step tp and fp simultaneously, which makes the area equal to
-    the Mann-Whitney statistic with half credit for ties.
+    the Mann-Whitney statistic with half credit for ties.  The area is taken
+    over every cut; the curve keeps only the vertices, the cuts where the
+    step in and the step out are not parallel (Fawcett 2006).
     """
     labels = _aligned_labels(scores, labels)
     positives, negatives = _check_labels(labels)
     cuts, tp, n_pred = _sweep(scores.scores, labels)
-    tpr = np.concatenate(([0.0], tp / positives))
-    fpr = np.concatenate(([0.0], (n_pred - tp) / negatives))
-    thresholds = np.concatenate(([np.inf], cuts))
-    curve = RocCurve(points=np.column_stack((fpr, tpr)), thresholds=thresholds)
+    fp = np.concatenate(([0], n_pred - tp))
+    tp = np.concatenate(([0], tp))
+    tpr = tp / positives
+    fpr = fp / negatives
     auc = float(np.trapezoid(tpr, fpr))
+    # Exact on the integer counts: the cross product of consecutive steps.
+    dtp, dfp = np.diff(tp), np.diff(fp)
+    keep = np.ones(tp.size, dtype=bool)
+    keep[1:-1] = dfp[:-1] * dtp[1:] != dtp[:-1] * dfp[1:]
+    thresholds = np.concatenate(([np.inf], cuts))
+    curve = RocCurve(points=np.column_stack((fpr[keep], tpr[keep])), thresholds=thresholds[keep])
     return curve, auc
 
 
@@ -151,11 +161,10 @@ def best_f1(scores: ScoreSeries, labels) -> tuple[float, float]:
 
     Among equal maxima the lowest cut wins.  The returned threshold is the
     midpoint between the winning cut and the next lower unique score, or one
-    below the minimum for the predict-everything cut.  Where the midpoint
-    overflows, or one below the minimum rounds back onto it, the threshold is
-    the next double below the cut instead.  The midpoint of two adjacent
-    doubles can still round onto the cut, and ``score > threshold`` then
-    misses the cut's points.
+    below the minimum for the predict-everything cut.  Where that is not
+    strictly below the cut (two adjacent doubles, or a cut too large for 1.0
+    to move), it is the next double below the cut instead, so
+    ``score > threshold`` always selects exactly ``score >= cut``.
     """
     labels = _aligned_labels(scores, labels)
     positives = int(labels.sum())
@@ -170,9 +179,9 @@ def best_f1(scores: ScoreSeries, labels) -> tuple[float, float]:
     best = f1.size - 1 - int(np.argmax(f1[::-1]))  # the last maximum is the lowest cut
     lowest = best == f1.size - 1
     cut = cuts[best]
-    with np.errstate(over="ignore"):  # an overflowing midpoint is replaced below
-        threshold = cut - 1.0 if lowest else (cuts[best + 1] + cut) / 2.0
-    if not np.isfinite(threshold) or (lowest and threshold == cut):
+    # Halves first, so the midpoint cannot overflow.
+    threshold = cut - 1.0 if lowest else cuts[best + 1] / 2.0 + cut / 2.0
+    if not threshold < cut:
         threshold = np.nextafter(cut, -np.inf)
     return float(f1[best]), float(threshold)
 

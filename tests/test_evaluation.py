@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,28 @@ def brute_force_f1(scores, labels) -> tuple[float, float]:
         if f1 > best:
             best, best_cut = f1, float(cut)
     return best, best_cut
+
+
+def full_sweep(scores, labels) -> tuple[list[int], list[int], list[float]]:
+    """(fp, tp) counts and threshold of every cut ``scores >= u``, highest first.
+
+    The unthinned curve, one point per unique score after the (0, 0, inf)
+    start, counted cut by cut; the frozen oracle for the thinned ROC curve.
+    """
+    fp, tp, thresholds = [0], [0], [np.inf]
+    for cut in np.unique(scores)[::-1]:
+        predicted = scores >= cut
+        tp.append(int(np.sum(predicted & (labels == 1))))
+        fp.append(int(predicted.sum()) - tp[-1])
+        thresholds.append(float(cut))
+    return fp, tp, thresholds
+
+
+def collinear(fp, tp, before: int, at: int, after: int) -> bool:
+    """Integer cross product: does point ``at`` lie on the line through the other two?"""
+    return (fp[at] - fp[before]) * (tp[after] - tp[before]) == (tp[at] - tp[before]) * (
+        fp[after] - fp[before]
+    )
 
 
 def ulp_neighbours(start: float, count: int) -> np.ndarray:
@@ -122,6 +146,43 @@ class TestRocAuc:
         assert np.all(np.diff(curve.tpr) >= 0)
         assert curve.thresholds[0] == np.inf
 
+    def test_curve_keeps_only_vertices(self):
+        curve, auc = roc_auc(scored([1, 2, 3, 4]), [0, 0, 1, 1])
+        assert curve.points.tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        assert curve.thresholds.tolist() == [np.inf, 3.0, 1.0]
+        assert auc == 1.0
+
+    def test_thinned_curve_drops_exactly_the_collinear_cuts(self):
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            n = int(rng.integers(2, 150))
+            for scores in score_families(rng, n):
+                labels = (rng.random(n) < rng.uniform(0.05, 0.6)).astype(int)
+                labels[rng.integers(n)] = 1
+                if labels.sum() == n:
+                    continue
+                curve, auc = roc_auc(scored(scores), labels)
+                fp, tp, thresholds = full_sweep(scores, labels)
+                last = len(fp) - 1
+                kept = [0] + [i for i in range(1, last) if not collinear(fp, tp, i - 1, i, i + 1)]
+                kept.append(last)
+                negatives, positives = n - int(labels.sum()), int(labels.sum())
+                expected = [[fp[i] / negatives, tp[i] / positives] for i in kept]
+                assert curve.points.tolist() == expected
+                assert curve.thresholds.tolist() == [thresholds[i] for i in kept]
+                # Every dropped cut lies on the segment between its kept neighbours.
+                for before, after in zip(kept, kept[1:]):
+                    for i in range(before + 1, after):
+                        assert collinear(fp, tp, before, i, after)
+                        assert fp[before] <= fp[i] <= fp[after]
+                        assert tp[before] <= tp[i] <= tp[after]
+                fpr, tpr = curve.fpr.tolist(), curve.tpr.tolist()
+                area = math.fsum(
+                    (fpr[i] - fpr[i - 1]) * (tpr[i] + tpr[i - 1]) / 2.0 for i in range(1, len(fpr))
+                )
+                assert area == pytest.approx(auc, abs=1e-12)
+                assert auc == pytest.approx(mann_whitney_auc(scores, labels), abs=1e-12)
+
     def test_degenerate_labels(self):
         with pytest.raises(DegenerateLabels):
             roc_auc(scored([1, 2, 3]), [1, 1, 1])
@@ -175,10 +236,13 @@ class TestBestF1:
                 expected, cut = brute_force_f1(scores, labels)
                 assert f1 == expected
                 below = np.unique(scores[scores < cut])
-                if below.size == 0:
-                    assert threshold == cut - 1.0
+                midpoint = cut - 1.0 if below.size == 0 else (below[-1] + cut) / 2.0
+                if midpoint < cut:
+                    assert threshold == midpoint
                 else:
-                    assert threshold == (below[-1] + cut) / 2.0
+                    assert threshold == np.nextafter(cut, -np.inf)
+                predicted = binarize(scored(scores), Threshold(threshold))
+                np.testing.assert_array_equal(predicted, scores >= cut)
 
     def test_adjacent_doubles_keep_the_upper_cut(self):
         # The midpoint of two adjacent doubles rounds onto one of them; the

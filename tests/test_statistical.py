@@ -7,7 +7,8 @@ import math
 import numpy as np
 import pytest
 
-from tsadkit import DetectorConfig, get_detector, naive_mse, nmm
+from tsadkit import DetectorConfig, RunConfig, get_detector, naive_mse, nmm, run_benchmark
+from tsadkit.detectors import statistical
 from tsadkit.detectors.statistical import (
     ArFit,
     ArimaFit,
@@ -22,6 +23,7 @@ from tsadkit.detectors.statistical import (
     arma_fit,
     holt_fit,
     holtwinters_fit,
+    invertible_ma,
     lag_cap,
     ma_fit,
     ma_score,
@@ -196,6 +198,88 @@ class TestMa:
             MaFit(q=0, coefficients=np.empty(0), mu=0.0, long_ar_order=1)
         with pytest.raises(ValueError):
             MaFit(q=1, coefficients=np.array([np.inf]), mu=0.0, long_ar_order=1)
+
+
+def ma_acf(coefficients) -> np.ndarray:
+    """Autocorrelations of x_t = e_t + sum_j b_j e_{t-j} at lags 0..q."""
+    c = np.concatenate(([1.0], coefficients))
+    return np.correlate(c, c, "full")[c.size - 1 :] / (c @ c)
+
+
+def random_non_invertible_ma(rng) -> np.ndarray:
+    """Real coefficients from random real and conjugate-pair roots, at least one inside |z| < 1.
+
+    Moduli stay 5 % away from the unit circle, so reflected fits decay fast.
+    """
+    moduli = rng.uniform(0.3, 2.0, int(rng.integers(1, 6)))
+    moduli = np.where(np.abs(moduli - 1.0) < 0.05, moduli + 0.1, moduli)
+    moduli[0] = rng.uniform(0.3, 0.95)
+    roots = []
+    for modulus in moduli:
+        if rng.random() < 0.5:
+            roots.append(modulus * rng.choice((-1.0, 1.0)))
+        else:
+            root = modulus * np.exp(1j * rng.uniform(0.1, np.pi - 0.1))
+            roots.extend((root, np.conj(root)))
+    poly = np.polynomial.polynomial.polyfromroots(roots).real
+    return poly[1:] / poly[0]
+
+
+class TestInvertibleMa:
+    def test_invertible_coefficients_are_returned_unchanged(self):
+        for coefficients in ([0.6], [0.5, -0.2], [0.0, 0.0], [1.0], [0.0, 1.0]):
+            b = np.array(coefficients)
+            assert invertible_ma(b) is b  # unit roots stay: they are their own reflection
+
+    def test_hand_example(self):
+        # 1 + 2.5z + z^2 = (1 + 2z)(1 + 0.5z); the root -1/2 becomes -2.
+        np.testing.assert_allclose(invertible_ma(np.array([2.5, 1.0])), [1.0, 0.25], rtol=1e-14)
+        # A trailing zero coefficient is kept.
+        np.testing.assert_allclose(invertible_ma(np.array([2.0, 0.0])), [0.5, 0.0], rtol=1e-14)
+
+    def test_reflection_keeps_autocorrelations(self):
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            raw = random_non_invertible_ma(rng)
+            reflected = invertible_ma(raw)
+            assert reflected.shape == raw.shape
+            roots = np.polynomial.polynomial.polyroots(np.concatenate(([1.0], reflected)))
+            assert np.abs(roots).min() > 1.0
+            np.testing.assert_allclose(ma_acf(reflected), ma_acf(raw), atol=1e-9)
+
+    def test_reflected_fit_scores_stay_bounded(self):
+        # The innovations are a linear filter of x - mu with impulse response
+        # psi, so |e_t| <= sum |psi_j| * max |x - mu|; psi must decay.
+        rng = np.random.default_rng(31)
+        n, mu = 3000, 0.5
+        impulse = np.full(n, mu)
+        impulse[0] += 1.0
+        for _ in range(30):
+            b = invertible_ma(random_non_invertible_ma(rng))
+            fit = MaFit(q=b.size, coefficients=b, mu=mu, long_ar_order=1)
+            psi = ma_score(fit, series(impulse)).scores
+            assert psi[-500:].max() < 1e-9
+            values = mu + rng.standard_normal(n) * rng.uniform(0.1, 100.0)
+            values[rng.integers(n, size=5)] += 50.0
+            scores = ma_score(fit, series(values)).scores
+            assert np.all(np.isfinite(scores))
+            assert scores.max() <= psi.sum() * np.abs(values - mu).max() * (1.0 + 1e-9)
+
+    def test_synth_auc_recovers_where_roots_were_reflected(self, monkeypatch):
+        reflected = []
+
+        def spy(coefficients):
+            out = invertible_ma(coefficients)
+            reflected.append(out is not coefficients)
+            return out
+
+        monkeypatch.setattr(statistical, "invertible_ma", spy)
+        rows, _, _ = run_benchmark(RunConfig(datasets=("SYNTH",), detectors=("ma",), seed=0))
+        assert [row.series_id[-3:] for row in rows] == ["101", "102", "103", "104", "105"]
+        # Series 103 (min |root| 1.006) keeps its least-squares fit bit for bit.
+        assert reflected == [True, True, False, True, True]
+        for row in rows:
+            assert row.status == "ok" and row.auc >= 0.99, (row.series_id, row.auc)
 
 
 class TestArma:
