@@ -2,14 +2,15 @@
 
 The engine is a plain list of affine layers with relu or linear
 activations, trained by mini-batch gradient descent with adaptive moment
-estimates on a squared-error loss.  The forecaster predicts the value
-after each window; the autoencoder reconstructs whole windows and scores
-by reconstruction error.
+estimates on a squared-error loss.  All weights and biases of a net live in
+one flat vector, so Adam updates them in one step per batch.  The
+forecaster predicts the value after each window; the autoencoder
+reconstructs whole windows and scores by reconstruction error.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -57,12 +58,31 @@ class DenseLayer:
             raise DimensionMismatch("bias must match the weight matrix's output dimension")
 
 
+def _param_views(flat: np.ndarray, layers: Sequence[DenseLayer]) -> list[tuple]:
+    """(weights, bias) views of ``flat``, laid out layer by layer."""
+    views = []
+    offset = 0
+    for layer in layers:
+        fan_in, fan_out = layer.weights.shape
+        weights = flat[offset : offset + fan_in * fan_out].reshape(fan_in, fan_out)
+        offset += fan_in * fan_out
+        views.append((weights, flat[offset : offset + fan_out]))
+        offset += fan_out
+    return views
+
+
 @dataclass
 class DenseNet:
-    """Chain of dense layers; mutated in place by training."""
+    """Chain of dense layers; mutated in place by training.
+
+    The layers' weights and biases are copied into one flat vector,
+    ``params``, and each layer then holds views of it: write through them
+    rather than rebinding them.
+    """
 
     layers: list[DenseLayer]
     seed: int = 0
+    params: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for previous, current in zip(self.layers, self.layers[1:]):
@@ -71,6 +91,11 @@ class DenseNet:
                     f"layer dimensions do not chain: {previous.weights.shape} then "
                     f"{current.weights.shape}"
                 )
+        self.params = np.empty(sum(l.weights.size + l.bias.size for l in self.layers))
+        for layer, (weights, bias) in zip(self.layers, _param_views(self.params, self.layers)):
+            weights[...] = layer.weights
+            bias[...] = layer.bias
+            layer.weights, layer.bias = weights, bias
 
     @property
     def input_dim(self) -> int:
@@ -138,21 +163,28 @@ def net_forward(net: DenseNet, x) -> np.ndarray:
     return out[0]
 
 
-def net_gradients(net: DenseNet, batch: np.ndarray, targets: np.ndarray):
-    """Loss and backprop gradients of mean squared error over the batch."""
+def _backprop(net: DenseNet, batch: np.ndarray, targets: np.ndarray, grads: list) -> float:
+    """Mean squared error over the batch; writes its gradients into ``grads``."""
     out, inputs, pre_activations = _forward_batch(net, batch)
     diff = out - targets
     loss = float(np.mean(diff**2))
     delta = 2.0 * diff / diff.size
-    grads = [None] * len(net.layers)
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         if layer.activation == "relu":
             delta = delta * (pre_activations[i] > 0.0)
-        grads[i] = (inputs[i].T @ delta, delta.sum(axis=0))
+        grad_w, grad_b = grads[i]
+        np.matmul(inputs[i].T, delta, out=grad_w)
+        np.add.reduce(delta, axis=0, out=grad_b)
         if i:
             delta = delta @ layer.weights.T
-    return loss, grads
+    return loss
+
+
+def net_gradients(net: DenseNet, batch: np.ndarray, targets: np.ndarray):
+    """Loss and backprop gradients of mean squared error over the batch."""
+    grads = _param_views(np.empty_like(net.params), net.layers)
+    return _backprop(net, batch, targets, grads), grads
 
 
 def net_train(net: DenseNet, data, spec: TrainSpec = TrainSpec()) -> list[float]:
@@ -160,7 +192,8 @@ def net_train(net: DenseNet, data, spec: TrainSpec = TrainSpec()) -> list[float]
 
     ``data`` is an (inputs, targets) array pair; one-dimensional targets
     are one output each.  Shuffling is seeded from the net, so training is
-    reproducible bit for bit.
+    reproducible bit for bit.  Each batch is one Adam step on the whole
+    parameter vector (Kingma & Ba, ICLR 2015, Alg. 1).
     """
     inputs, targets = data
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -177,35 +210,47 @@ def net_train(net: DenseNet, data, spec: TrainSpec = TrainSpec()) -> list[float]
         )
 
     rng = np.random.default_rng(net.seed)
-    moment1 = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
-    moment2 = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
+    theta = net.params
+    grad = np.empty_like(theta)
+    grad_views = _param_views(grad, net.layers)
+    moment1 = np.zeros_like(theta)
+    moment2 = np.zeros_like(theta)
+    denominator = np.empty_like(theta)
+    update = np.empty_like(theta)
     step = 0
     history = []
     for epoch in range(spec.epochs):
         order = rng.permutation(n)
+        shuffled_inputs, shuffled_targets = inputs[order], targets[order]
         epoch_loss = 0.0
         # Overflow inside a batch is not a crash: the non-finite epoch loss
         # below turns it into a NumericalDivergence report.
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, spec.batch_size):
-                chosen = order[start : start + spec.batch_size]
-                loss, grads = net_gradients(net, inputs[chosen], targets[chosen])
-                epoch_loss += loss * chosen.size
+                batch = shuffled_inputs[start : start + spec.batch_size]
+                batch_targets = shuffled_targets[start : start + spec.batch_size]
+                epoch_loss += _backprop(net, batch, batch_targets, grad_views) * batch.shape[0]
                 step += 1
                 correction1 = 1.0 - _BETA1**step
                 correction2 = 1.0 - _BETA2**step
-                for layer, m, v, (gw, gb) in zip(net.layers, moment1, moment2, grads):
-                    for param, grad, m_arr, v_arr in (
-                        (layer.weights, gw, m[0], v[0]),
-                        (layer.bias, gb, m[1], v[1]),
-                    ):
-                        m_arr *= _BETA1
-                        m_arr += (1.0 - _BETA1) * grad
-                        v_arr *= _BETA2
-                        v_arr += (1.0 - _BETA2) * grad**2
-                        param -= spec.learning_rate * (m_arr / correction1) / (
-                            np.sqrt(v_arr / correction2) + _EPS
-                        )
+                # Adam, with each product and quotient in the order that
+                # tests/test_neural.py's per-layer oracle fixes bit for bit:
+                # m = m*b1 + (1-b1)g;  v = v*b2 + (1-b2)g^2
+                moment1 *= _BETA1
+                np.multiply(grad, 1.0 - _BETA1, out=update)
+                moment1 += update
+                moment2 *= _BETA2
+                np.square(grad, out=update)
+                update *= 1.0 - _BETA2
+                moment2 += update
+                # theta -= lr * (m/c1) / (sqrt(v/c2) + eps)
+                np.divide(moment2, correction2, out=denominator)
+                np.sqrt(denominator, out=denominator)
+                denominator += _EPS
+                np.divide(moment1, correction1, out=update)
+                update *= spec.learning_rate
+                update /= denominator
+                theta -= update
         mean_loss = epoch_loss / n
         if not np.isfinite(mean_loss):
             raise NumericalDivergence(epoch)

@@ -230,7 +230,9 @@ def timed_run(detector, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries
         labels = test.labels[scores.indices]
         curve, auc = roc_auc(scores, labels)
         f1, _ = best_f1(scores, labels)
-        model_mse = float(np.mean(scores.scores**2))
+        # Finite scores above ~1e154 square to inf: nmm is then inf, an ok row.
+        with np.errstate(over="ignore"):
+            model_mse = float(np.mean(scores.scores**2))
         ratio = nmm(model_mse, naive_mse(test, scores.indices))
     except TsadError as exc:
         stop = time.perf_counter()

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -327,6 +328,19 @@ class _SpyDetector:
         )
 
 
+class _HugeDetector(_SpyDetector):
+    """Finite scores whose squares overflow: |x| * 1e200."""
+
+    name = "huge"
+
+    def score(self, fitted, test):
+        return ScoreSeries(
+            scores=np.abs(test.values) * 1e200,
+            indices=np.arange(test.values.size),
+            detector_name="huge",
+        )
+
+
 class _FailingDetector:
     name = "broken"
 
@@ -362,6 +376,15 @@ class TestTimedRun:
         assert a.auc == b.auc
         assert a.best_f1 == b.best_f1
         assert a.nmm == b.nmm
+
+    def test_overflowing_model_mse_is_an_ok_row_without_warnings(self):
+        train, test = self._data()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run = timed_run(_HugeDetector(), DetectorConfig(name="huge"), train, test)
+        assert run.ok, run.failure
+        assert run.nmm == np.inf
+        assert run.auc == 1.0
 
     def test_failure_becomes_report(self):
         train, test = self._data()

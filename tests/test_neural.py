@@ -7,11 +7,15 @@ import pytest
 
 from tsadkit import DetectorConfig, get_detector
 from tsadkit.detectors.neural import (
+    _BETA1,
+    _BETA2,
+    _EPS,
     AutoencoderNet,
     DenseLayer,
     DenseNet,
     TrainSpec,
     _build_autoencoder,
+    _forward_batch,
     dense_net,
     net_forward,
     net_gradients,
@@ -154,6 +158,176 @@ class TestEngine:
             net_train(net, (np.empty((0, 3)), np.empty(0)))
         with pytest.raises(DimensionMismatch):
             net_train(net, (np.zeros((5, 4)), np.zeros(5)))
+
+
+def reference_gradients(net: DenseNet, batch: np.ndarray, targets: np.ndarray):
+    """Backprop into fresh per-layer arrays, as before the flat parameter
+    vector.  Frozen here as the oracle for ``net_gradients``."""
+    out, inputs, pre_activations = _forward_batch(net, batch)
+    diff = out - targets
+    loss = float(np.mean(diff**2))
+    delta = 2.0 * diff / diff.size
+    grads = [None] * len(net.layers)
+    for i in range(len(net.layers) - 1, -1, -1):
+        layer = net.layers[i]
+        if layer.activation == "relu":
+            delta = delta * (pre_activations[i] > 0.0)
+        grads[i] = (inputs[i].T @ delta, delta.sum(axis=0))
+        if i:
+            delta = delta @ layer.weights.T
+    return loss, grads
+
+
+def reference_train(net: DenseNet, data, spec: TrainSpec = TrainSpec()) -> list[float]:
+    """Adam with one pair of moment arrays per weight and bias array, updated
+    layer by layer, as before the flat parameter vector.  Frozen here as the
+    oracle for ``net_train``."""
+    inputs, targets = (np.asarray(a, dtype=np.float64) for a in data)
+    if targets.ndim == 1:
+        targets = targets[:, None]
+    n = inputs.shape[0]
+    rng = np.random.default_rng(net.seed)
+    moment1 = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
+    moment2 = [(np.zeros_like(l.weights), np.zeros_like(l.bias)) for l in net.layers]
+    step = 0
+    history = []
+    for epoch in range(spec.epochs):
+        order = rng.permutation(n)
+        epoch_loss = 0.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            for start in range(0, n, spec.batch_size):
+                chosen = order[start : start + spec.batch_size]
+                loss, grads = reference_gradients(net, inputs[chosen], targets[chosen])
+                epoch_loss += loss * chosen.size
+                step += 1
+                correction1 = 1.0 - _BETA1**step
+                correction2 = 1.0 - _BETA2**step
+                for layer, m, v, (gw, gb) in zip(net.layers, moment1, moment2, grads):
+                    for param, grad, m_arr, v_arr in (
+                        (layer.weights, gw, m[0], v[0]),
+                        (layer.bias, gb, m[1], v[1]),
+                    ):
+                        m_arr *= _BETA1
+                        m_arr += (1.0 - _BETA1) * grad
+                        v_arr *= _BETA2
+                        v_arr += (1.0 - _BETA2) * grad**2
+                        param -= spec.learning_rate * (m_arr / correction1) / (
+                            np.sqrt(v_arr / correction2) + _EPS
+                        )
+        mean_loss = epoch_loss / n
+        if not np.isfinite(mean_loss):
+            raise NumericalDivergence(epoch)
+        history.append(mean_loss)
+    return history
+
+
+def same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+# name: (net builder, n, targets from (inputs, rng), schedule, data seed)
+ORACLE_CASES = {
+    # The forecaster's default shape on 30-point windows, n a multiple of 32.
+    "mlp": (
+        lambda: dense_net([30, 100, 50, 1], ["relu", "relu", "linear"], seed=4),
+        256,
+        lambda x, rng: x[:, -1] * 0.8 + rng.normal(0.0, 0.1, x.shape[0]),
+        TrainSpec(epochs=4),
+        1,
+    ),
+    "autoencoder": (
+        lambda: _build_autoencoder(30, (32, 16), seed=6).net,
+        160,
+        lambda x, rng: x,
+        TrainSpec(epochs=4, learning_rate=3e-3),
+        2,
+    ),
+    # 203 = 12 * 16 + 11: every epoch ends on a short batch.
+    "ragged_batches": (
+        lambda: dense_net([5, 9, 4, 2], ["relu", "relu", "linear"], seed=8),
+        203,
+        lambda x, rng: rng.normal(0.0, 1.0, (x.shape[0], 2)),
+        TrainSpec(epochs=6, batch_size=16, learning_rate=1e-2),
+        3,
+    ),
+    "hand_built": (
+        two_layer_net,
+        37,
+        lambda x, rng: x @ np.array([0.5, -1.5]),
+        TrainSpec(epochs=20, batch_size=5, learning_rate=5e-2),
+        4,
+    ),
+}
+
+
+def oracle_case(name: str):
+    """(net builder, (inputs, targets), schedule) for one oracle case."""
+    make_net, n, targets_of, spec, seed = ORACLE_CASES[name]
+    rng = np.random.default_rng(seed)
+    inputs = rng.normal(0.0, 1.0, (n, make_net().input_dim))
+    return make_net, (inputs, targets_of(inputs, rng)), spec
+
+
+class TestFlatParameters:
+    def test_layers_are_views_of_one_vector(self):
+        net = dense_net([4, 6, 3, 1], ["relu", "relu", "linear"], seed=5)
+        assert net.params.size == sum(l.weights.size + l.bias.size for l in net.layers)
+        for layer in net.layers:
+            assert np.shares_memory(layer.weights, net.params)
+            assert np.shares_memory(layer.bias, net.params)
+        net.params[:] = 0.0
+        assert all(not l.weights.any() and not l.bias.any() for l in net.layers)
+
+    def test_hand_built_values_are_kept(self):
+        net = two_layer_net()
+        assert net.params.tolist() == [1.0, -1.0, 2.0, 0.5, 0.5, -1.0, 1.0, 2.0, 0.25]
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_training_matches_per_layer_adam_bit_for_bit(self, case):
+        make_net, data, spec = oracle_case(case)
+        net, oracle = make_net(), make_net()
+        history = net_train(net, data, spec)
+        expected = reference_train(oracle, data, spec)
+        assert history == expected
+        for layer, old in zip(net.layers, oracle.layers):
+            assert same_bits(layer.weights, old.weights)
+            assert same_bits(layer.bias, old.bias)
+        assert not same_bits(net.params, make_net().params)  # training moved them
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_gradients_match_per_layer_backprop_bit_for_bit(self, case):
+        make_net, (inputs, targets), _ = oracle_case(case)
+        net = make_net()
+        targets = targets[:, None] if targets.ndim == 1 else targets
+        loss, grads = net_gradients(net, inputs[:17], targets[:17])
+        expected_loss, expected = reference_gradients(net, inputs[:17], targets[:17])
+        assert loss == expected_loss
+        for (gw, gb), (ew, eb) in zip(grads, expected):
+            assert same_bits(gw, ew)
+            assert same_bits(gb, eb)
+
+    def test_gradients_are_fresh_arrays(self):
+        rng = np.random.default_rng(3)
+        net = dense_net([4, 6, 1], ["relu", "linear"], seed=5)
+        batch, targets = rng.normal(0.0, 1.0, (8, 4)), rng.normal(0.0, 1.0, (8, 1))
+        _, first = net_gradients(net, batch, targets)
+        kept = [(gw.copy(), gb.copy()) for gw, gb in first]
+        net_gradients(net, batch * 2.0, targets)
+        for (gw, gb), (kw, kb) in zip(first, kept):
+            assert same_bits(gw, kw) and same_bits(gb, kb)
+
+    def test_divergence_stops_at_the_same_epoch(self):
+        rng = np.random.default_rng(9)
+        inputs = rng.normal(0.0, 1.0, (40, 3))
+        targets = rng.normal(0.0, 1.0, 40)
+        spec = TrainSpec(epochs=10, learning_rate=1e200)
+        epochs = []
+        for train in (net_train, reference_train):
+            net = dense_net([3, 8, 1], ["relu", "linear"], seed=1)
+            with pytest.raises(NumericalDivergence) as info:
+                train(net, (inputs, targets), spec)
+            epochs.append(info.value.epoch)
+        assert epochs[0] == epochs[1]
 
 
 def wavy_series(n, seed, noise=0.05):
