@@ -12,10 +12,8 @@ from .core import (
     DetectorConfig,
     FittedDetector,
     ScoreSeries,
-    Threshold,
     TimeSeries,
     WindowFrame,
-    binarize,
     frame,
     subsequences,
 )
@@ -69,13 +67,11 @@ __all__ = [
     "SplitSpec",
     "StandardizeParams",
     "SynthSpec",
-    "Threshold",
     "TimeSeries",
     "TimedRun",
     "TsadError",
     "WindowFrame",
     "best_f1",
-    "binarize",
     "catalog_lines",
     "difference",
     "emit_reports",

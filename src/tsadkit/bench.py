@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -113,13 +113,7 @@ def _resolve_dataset(entry: str, data_dir: Optional[Path]) -> tuple[str, list[Ti
         if entry == "NYCT":
             series = load_nab_csv(root / "nyc_taxi.csv", root / "combined_windows.json")
             # Half-hourly sampling: one day spans 48 observations.
-            series = TimeSeries(
-                values=series.values,
-                labels=series.labels,
-                series_id=series.series_id,
-                period_hint=48,
-            )
-            return entry, [series]
+            return entry, [replace(series, period_hint=48)]
         manifest_path = root / "manifest.txt"
         if manifest_path.exists():
             manifest = load_manifest(manifest_path, entry)
@@ -191,25 +185,23 @@ def _run_series(
 ) -> list[ResultRow]:
     # A series that cannot be prepared or has no anomalous test label gives
     # every detector the same status row without running it.
-    skip: Optional[tuple[str, str]] = None
+    skip: Optional[TimedRun] = None
     try:
         train, test = _preprocess(config, series)
         if test.labels is None or int(test.labels.sum()) == 0:
-            skip = ("excluded", "test segment has no anomalous label")
+            skip = TimedRun(0.0, 0.0, failure="test segment has no anomalous label", excluded=True)
     except TsadError as exc:
-        skip = ("failed", f"{type(exc).__name__}: {exc}")
+        skip = TimedRun(0.0, 0.0, failure=f"{type(exc).__name__}: {exc}")
 
     rows = []
     for name in config.detectors:
         if skip is None:
             cfg = DetectorConfig(name=name, seed=_pair_seed(config.seed, series.series_id, name))
             run = timed_run(get_detector(name), cfg, train, test)
-            status = "ok" if run.ok else "failed"
             if run.ok:
                 curves[(series.series_id, name)] = run.curve
         else:
-            status, reason = skip
-            run = TimedRun(train_seconds=0.0, inference_seconds=0.0, failure=reason)
+            run = skip
         rows.append(
             ResultRow(
                 dataset_id=dataset_id,
@@ -220,7 +212,7 @@ def _run_series(
                 nmm=run.nmm,
                 train_seconds=run.train_seconds,
                 inference_seconds=run.inference_seconds,
-                status=status,
+                status=run.status,
                 failure_reason=run.failure,
             )
         )

@@ -16,7 +16,7 @@ Two window layouts exist:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -34,7 +34,6 @@ __all__ = [
     "TimeSeries",
     "WindowFrame",
     "ScoreSeries",
-    "Threshold",
     "DetectorConfig",
     "FittedDetector",
     "Derived",
@@ -42,7 +41,6 @@ __all__ = [
     "resolve",
     "frame",
     "subsequences",
-    "binarize",
 ]
 
 
@@ -89,20 +87,8 @@ class TimeSeries:
 
     def segment(self, start: int, stop: int) -> "TimeSeries":
         """Contiguous sub-series [start:stop), labels carried through."""
-        return TimeSeries(
-            values=self.values[start:stop],
-            labels=None if self.labels is None else self.labels[start:stop],
-            series_id=self.series_id,
-            period_hint=self.period_hint,
-        )
-
-    def with_values(self, values: np.ndarray) -> "TimeSeries":
-        return TimeSeries(
-            values=values,
-            labels=self.labels,
-            series_id=self.series_id,
-            period_hint=self.period_hint,
-        )
+        labels = None if self.labels is None else self.labels[start:stop]
+        return replace(self, values=self.values[start:stop], labels=labels)
 
     @property
     def anomaly_count(self) -> int:
@@ -174,15 +160,6 @@ class ScoreSeries:
 
     def __len__(self) -> int:
         return int(self.scores.size)
-
-
-@dataclass(frozen=True)
-class Threshold:
-    delta: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.delta):
-            raise ValueError("threshold must be finite")
 
 
 @dataclass(frozen=True)
@@ -325,8 +302,3 @@ def subsequences(series: TimeSeries, width: int) -> WindowFrame:
         targets=values[width - 1 :],
         target_indices=np.arange(width - 1, n, dtype=np.int64),
     )
-
-
-def binarize(scores: ScoreSeries, delta: Threshold) -> np.ndarray:
-    """Mark every score strictly greater than ``delta`` as anomalous (1)."""
-    return (scores.scores > delta.delta).astype(np.int64)

@@ -315,6 +315,13 @@ def load_manifest(path, dataset_id: str) -> DatasetManifest:
     return DatasetManifest(dataset_id=dataset_id, series=tuple(entries))
 
 
+def _season(spec: SynthSpec) -> Optional[int]:
+    """The sine carrier's period, 50 unless the spec gives one; None for other bases."""
+    if spec.base != "sine_seasonal":
+        return None
+    return spec.season_period if spec.season_period is not None else 50
+
+
 def synthetic_base(spec: SynthSpec) -> np.ndarray:
     """Anomaly-free carrier signal for ``spec``; same stream the generator uses."""
     rng = np.random.default_rng(np.random.SeedSequence(spec.seed).spawn(2)[0])
@@ -329,7 +336,7 @@ def synthetic_base(spec: SynthSpec) -> np.ndarray:
             out[t] = coeffs @ out[t - p : t][::-1] + noise[t]
         return out[burn:]
     if spec.base == "sine_seasonal":
-        period = spec.season_period if spec.season_period is not None else 50
+        period = _season(spec)
         t = np.arange(n)
         # Noise kept small so windows one period apart stay close in L2,
         # which density detectors with default radii rely on.
@@ -377,12 +384,9 @@ def generate_synthetic(spec: SynthSpec) -> TimeSeries:
         values[change:] += shift
         labels[change : min(n, change + k)] = 1
 
-    period = spec.season_period if spec.base == "sine_seasonal" else None
-    if spec.base == "sine_seasonal" and period is None:
-        period = 50
     return TimeSeries(
         values=values,
         labels=labels,
         series_id=f"synth-{spec.base}-{spec.anomaly_kind}-{spec.seed}",
-        period_hint=period,
+        period_hint=_season(spec),
     )

@@ -67,7 +67,8 @@ class TimedRun:
     """Outcome of one timed fit+score+evaluate for one (detector, series) pair.
 
     An ok run carries all three metrics and its ROC curve; a failed run
-    carries ``failure`` instead, never both.
+    carries ``failure`` instead, never both.  An excluded run is a failed
+    run that the labels, not the detector, made unscorable.
     """
 
     train_seconds: float
@@ -77,10 +78,13 @@ class TimedRun:
     nmm: Optional[float] = None
     curve: Optional[RocCurve] = None
     failure: str = ""
+    excluded: bool = False
 
     def __post_init__(self):
         if self.train_seconds < 0.0 or self.inference_seconds < 0.0:
             raise ValueError("timings must be non-negative")
+        if self.excluded and not self.failure:
+            raise ValueError("an excluded run carries its reason as failure")
         results = (self.auc, self.best_f1, self.nmm, self.curve)
         if self.failure:
             if any(value is not None for value in results):
@@ -97,6 +101,12 @@ class TimedRun:
     @property
     def ok(self) -> bool:
         return not self.failure
+
+    @property
+    def status(self) -> str:
+        if self.ok:
+            return "ok"
+        return "excluded" if self.excluded else "failed"
 
 
 def _check_labels(labels: np.ndarray) -> tuple[int, int]:
@@ -156,34 +166,19 @@ def roc_auc(scores: ScoreSeries, labels) -> tuple[RocCurve, float]:
     return curve, auc
 
 
-def best_f1(scores: ScoreSeries, labels) -> tuple[float, float]:
-    """Maximum F-score over the cuts ``score >= u``, one per unique score.
-
-    Among equal maxima the lowest cut wins.  The returned threshold is the
-    midpoint between the winning cut and the next lower unique score, or one
-    below the minimum for the predict-everything cut.  Where that is not
-    strictly below the cut (two adjacent doubles, or a cut too large for 1.0
-    to move), it is the next double below the cut instead, so
-    ``score > threshold`` always selects exactly ``score >= cut``.
-    """
+def best_f1(scores: ScoreSeries, labels) -> float:
+    """Maximum F-score over the cuts ``score >= u``, one per unique score."""
     labels = _aligned_labels(scores, labels)
     positives = int(labels.sum())
     if positives == 0:
         raise DegenerateLabels("need at least one positive label for the F-score")
-    cuts, tp, n_pred = _sweep(scores.scores, labels)
+    _, tp, n_pred = _sweep(scores.scores, labels)
     precision = tp / n_pred
     recall = tp / positives
     f1 = np.divide(
         2.0 * precision * recall, precision + recall, out=np.zeros_like(precision), where=tp > 0
     )
-    best = f1.size - 1 - int(np.argmax(f1[::-1]))  # the last maximum is the lowest cut
-    lowest = best == f1.size - 1
-    cut = cuts[best]
-    # Halves first, so the midpoint cannot overflow.
-    threshold = cut - 1.0 if lowest else cuts[best + 1] / 2.0 + cut / 2.0
-    if not threshold < cut:
-        threshold = np.nextafter(cut, -np.inf)
-    return float(f1[best]), float(threshold)
+    return float(f1.max())
 
 
 def naive_mse(series: TimeSeries, indices=None) -> float:
@@ -212,11 +207,14 @@ def timed_run(detector, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries
     """Fit and score under monotonic wall-clock timers, then evaluate.
 
     Detector and metric errors become a failed run instead of aborting the
-    caller's batch; its timings cover the stages reached.  The run makes no
+    caller's batch; its timings cover the stages reached.  A run whose scored
+    indices hold only one label class (say, every anomaly lies in the
+    detector's warm-up prefix) is excluded, not failed.  The run makes no
     internal concurrency; callers wanting meaningful timings must not run
     anything else in parallel.
     """
     fit_end = score_end = None
+    excluded = False
     start = time.perf_counter()
     try:
         fitted = detector.fit(train, cfg)
@@ -228,8 +226,11 @@ def timed_run(detector, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries
         if len(scores) == 0:
             raise DegenerateLabels("detector produced no scores")
         labels = test.labels[scores.indices]
+        # One label class among the scored indices: roc_auc raises
+        # DegenerateLabels, and the labels, not the detector, are the cause.
+        excluded = int(labels.sum()) in (0, labels.size)
         curve, auc = roc_auc(scores, labels)
-        f1, _ = best_f1(scores, labels)
+        f1 = best_f1(scores, labels)
         # Finite scores above ~1e154 square to inf: nmm is then inf, an ok row.
         with np.errstate(over="ignore"):
             model_mse = float(np.mean(scores.scores**2))
@@ -242,6 +243,7 @@ def timed_run(detector, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries
             train_seconds=fit_end - start,
             inference_seconds=score_end - fit_end,
             failure=f"{type(exc).__name__}: {exc}",
+            excluded=excluded,
         )
     return TimedRun(
         train_seconds=fit_end - start,

@@ -7,7 +7,7 @@ to later segments, preserving the causal ordering of a time series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -106,7 +106,7 @@ def fit_standardizer(train: TimeSeries) -> StandardizeParams:
 
 def standardize(series: TimeSeries, params: StandardizeParams) -> TimeSeries:
     """Apply (x - mu) / sigma elementwise; labels and id are unchanged."""
-    return series.with_values((series.values - params.mu) / params.sigma)
+    return replace(series, values=(series.values - params.mu) / params.sigma)
 
 
 def difference(series: TimeSeries, order: int = 1) -> TimeSeries:
@@ -126,12 +126,7 @@ def difference(series: TimeSeries, order: int = 1) -> TimeSeries:
     for _ in range(order):
         values = np.diff(values)
     labels = None if series.labels is None else series.labels[order:]
-    return TimeSeries(
-        values=values,
-        labels=labels,
-        series_id=series.series_id,
-        period_hint=series.period_hint,
-    )
+    return replace(series, values=values, labels=labels)
 
 
 def seasonal_difference(series: TimeSeries, period: int) -> TimeSeries:
@@ -143,9 +138,4 @@ def seasonal_difference(series: TimeSeries, period: int) -> TimeSeries:
         raise PeriodTooLong(f"period {period} leaves no observations from n={n}")
     values = series.values[period:] - series.values[:-period]
     labels = None if series.labels is None else series.labels[period:]
-    return TimeSeries(
-        values=values,
-        labels=labels,
-        series_id=series.series_id,
-        period_hint=series.period_hint,
-    )
+    return replace(series, values=values, labels=labels)

@@ -102,6 +102,41 @@ class TestRunBenchmark:
         assert summary["datasets"]["UD1"]["ses"]["n_excluded"] == 1
         assert curves == {}
 
+    def test_anomalies_only_in_the_warm_up_prefix_are_excluded(self, tmp_path, monkeypatch):
+        # The only anomaly is the first test point (head = 0.3 * 200 = 60).
+        # SES scores it; ar, kmeans and iforest start scoring later, so the
+        # labels, not the detectors, leave their scored indices one class.
+        class EmptyDetector:
+            name = "empty"
+            family = "ml"
+            keys = frozenset()
+            defaults = {}
+
+            def fit(self, train, cfg):
+                return FittedDetector.wrap(cfg, None)
+
+            def score(self, fitted, test):
+                return ScoreSeries(scores=[], indices=[], detector_name=fitted.name)
+
+        monkeypatch.setitem(REGISTRY, "empty", EmptyDetector())
+        manifest = write_manifest(tmp_path, [labelled_series(n=200, anomaly_at=60)])
+        detectors = ("ses", "ar", "kmeans", "iforest", "empty")
+        rows, summary, curves = run_benchmark(
+            quick_config(datasets=(str(manifest),), detectors=detectors)
+        )
+        assert [row.status for row in rows] == ["ok", "excluded", "excluded", "excluded", "failed"]
+        for row in rows[1:4]:
+            assert row.failure_reason.startswith(
+                "DegenerateLabels: need both classes among scored indices, got 0 positives"
+            )
+            assert (row.auc, row.best_f1, row.nmm) == (None, None, None)
+        # A detector that scores nothing is at fault itself.
+        assert rows[4].failure_reason == "DegenerateLabels: detector produced no scores"
+        assert set(curves) == {("series_0", "ses")}
+        cells = summary["datasets"]["UD1"]
+        assert [cells[name]["n_excluded"] for name in detectors] == [0, 1, 1, 1, 0]
+        assert [cells[name]["n_failed"] for name in detectors] == [0, 0, 0, 0, 1]
+
     def test_preprocess_failure_marks_all_detectors(self, tmp_path):
         short = series(np.arange(9.0))
         manifest = write_manifest(tmp_path, [short])

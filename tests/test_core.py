@@ -1,4 +1,4 @@
-"""Core types: sliding windows, score containers, thresholding."""
+"""Core types: sliding windows, score containers, the detector contract."""
 
 from __future__ import annotations
 
@@ -9,10 +9,8 @@ from tsadkit import (
     DETECTOR_NAMES,
     DetectorConfig,
     ScoreSeries,
-    Threshold,
     TimeSeries,
     WindowFrame,
-    binarize,
     frame,
     get_detector,
     subsequences,
@@ -129,38 +127,6 @@ class TestWindowFrameValidation:
                 targets=np.zeros(2),
                 target_indices=np.array([3, 3]),
             )
-
-
-class TestBinarize:
-    def test_strict_boundary(self):
-        out = binarize(
-            ScoreSeries(scores=np.array([0.1, 0.9, 0.5]), indices=np.arange(3), detector_name="x"),
-            Threshold(delta=0.5),
-        )
-        assert out.tolist() == [0, 1, 0]
-
-    def test_all_below(self):
-        out = binarize(
-            ScoreSeries(scores=np.array([-1.0, -2.0]), indices=np.arange(2), detector_name="x"),
-            Threshold(delta=0.0),
-        )
-        assert out.tolist() == [0, 0]
-
-    def test_all_above(self):
-        out = binarize(
-            ScoreSeries(scores=np.array([3.0, 3.0, 3.0]), indices=np.arange(3), detector_name="x"),
-            Threshold(delta=2.999),
-        )
-        assert out.tolist() == [1, 1, 1]
-
-    def test_monotone_in_delta(self):
-        rng = np.random.default_rng(1)
-        sc = ScoreSeries(scores=rng.standard_normal(64), indices=np.arange(64), detector_name="x")
-        previous = binarize(sc, Threshold(delta=-10.0))
-        for delta in np.linspace(-10, 10, 41):
-            current = binarize(sc, Threshold(delta=float(delta)))
-            assert np.all(current <= previous)
-            previous = current
 
 
 class TestScoreSeries:

@@ -200,6 +200,15 @@ class TestSynthetic:
         spec = SynthSpec(length=300, base="sine_seasonal", anomaly_rate=0.01, seed=1, season_period=25)
         assert generate_synthetic(spec).period_hint == 25
 
+    def test_sine_default_period_is_fifty(self):
+        implicit = generate_synthetic(SynthSpec(length=300, base="sine_seasonal", seed=2))
+        explicit = generate_synthetic(
+            SynthSpec(length=300, base="sine_seasonal", seed=2, season_period=50)
+        )
+        assert implicit.period_hint == 50
+        assert np.array_equal(implicit.values, explicit.values)
+        assert np.array_equal(implicit.labels, explicit.labels)
+
     def test_invalid_specs(self):
         with pytest.raises(InvalidSpec):
             SynthSpec(length=50, base="ar_process", anomaly_rate=0.01, seed=1)  # rate*length < 1

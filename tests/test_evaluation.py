@@ -11,9 +11,7 @@ import pytest
 from tsadkit import (
     DetectorConfig,
     ScoreSeries,
-    Threshold,
     best_f1,
-    binarize,
     naive_mse,
     nmm,
     roc_auc,
@@ -41,22 +39,17 @@ def mann_whitney_auc(scores, labels) -> float:
     return wins / (pos.size * neg.size)
 
 
-def brute_force_f1(scores, labels) -> tuple[float, float]:
-    """F of ``scores >= u`` for every unique ``u``; the independent oracle.
-
-    Returns the best F and its cut; ascending order with a strict ``>``
-    makes the lowest cut win among equal maxima.
-    """
-    best, best_cut = -1.0, float("nan")
+def brute_force_f1(scores, labels) -> float:
+    """Best F of ``scores >= u`` over every unique ``u``; the independent oracle."""
+    best = -1.0
     for cut in np.unique(scores):
         predicted = scores >= cut
         tp = int(np.sum(predicted & (labels == 1)))
         precision = tp / int(predicted.sum())
         recall = tp / int(labels.sum())
         f1 = 0.0 if tp == 0 else 2.0 * precision * recall / (precision + recall)
-        if f1 > best:
-            best, best_cut = f1, float(cut)
-    return best, best_cut
+        best = max(best, f1)
+    return best
 
 
 def full_sweep(scores, labels) -> tuple[list[int], list[int], list[float]]:
@@ -193,26 +186,23 @@ class TestRocAuc:
 
 class TestBestF1:
     def test_perfect(self):
-        f1, _ = best_f1(scored([1, 2, 3, 4]), [0, 0, 1, 1])
-        assert f1 == 1.0
+        assert best_f1(scored([1, 2, 3, 4]), [0, 0, 1, 1]) == 1.0
 
     def test_all_equal_scores(self):
         n, p = 200, 0.01
         labels = np.zeros(n, dtype=int)
         labels[: int(n * p)] = 1
-        f1, _ = best_f1(scored(np.ones(n)), labels)
+        f1 = best_f1(scored(np.ones(n)), labels)
         assert f1 == pytest.approx(2 * p / (p + 1), abs=1e-12)
 
     def test_single_positive_on_top(self):
-        f1, threshold = best_f1(scored([0.1, 0.2, 5.0]), [0, 0, 1])
-        assert f1 == 1.0
-        assert 0.2 < threshold < 5.0
+        assert best_f1(scored([0.1, 0.2, 5.0]), [0, 0, 1]) == 1.0
 
     def test_beats_any_fixed_threshold(self):
         rng = np.random.default_rng(4)
         scores = rng.standard_normal(250)
         labels = (rng.random(250) < 0.15).astype(int)
-        best, _ = best_f1(scored(scores), labels)
+        best = best_f1(scored(scores), labels)
         for delta in rng.standard_normal(25):
             pred = scores > delta
             tp = int(np.sum(pred & (labels == 1)))
@@ -233,51 +223,36 @@ class TestBestF1:
             for scores in score_families(rng, n):
                 labels = (rng.random(n) < rng.uniform(0.02, 0.6)).astype(int)
                 labels[rng.integers(n)] = 1
-                f1, threshold = best_f1(scored(scores), labels)
-                expected, cut = brute_force_f1(scores, labels)
-                assert f1 == expected
-                below = np.unique(scores[scores < cut])
-                midpoint = cut - 1.0 if below.size == 0 else (below[-1] + cut) / 2.0
-                if midpoint < cut:
-                    assert threshold == midpoint
-                else:
-                    assert threshold == np.nextafter(cut, -np.inf)
-                predicted = binarize(scored(scores), Threshold(threshold))
-                np.testing.assert_array_equal(predicted, scores >= cut)
+                f1 = best_f1(scored(scores), labels)
+                assert isinstance(f1, float)
+                assert f1 == brute_force_f1(scores, labels)
 
     def test_adjacent_doubles_keep_the_upper_cut(self):
-        # The midpoint of two adjacent doubles rounds onto one of them; the
-        # cut ``score >= 1.0000000000000004`` must still be found.
+        # The cut ``score >= 1.0000000000000004`` must be found although no
+        # double lies strictly between it and the score below.
         low, high = ulp_neighbours(1.0000000000000002, 2)
         assert high == 1.0000000000000004
-        f1, _ = best_f1(scored([low, high]), [0, 1])
-        assert f1 == 1.0
+        assert best_f1(scored([low, high]), [0, 1]) == 1.0
 
     @pytest.mark.parametrize(
         "scores, labels",
         [
-            ([1e308, 1.7e308], [0, 1]),  # the midpoint overflows to inf
-            ([-1.7e308, -1e308], [0, 1]),  # ... and to -inf
-            ([1e17, 3e17, 2e17], [1, 0, 1]),  # predict-all: 1e17 - 1.0 == 1e17
-            ([-1e17, 1.0, 2.0], [1, 0, 1]),  # ... and -1e17 - 1.0 == -1e17
+            ([1e308, 1.7e308], [0, 1]),  # near the largest double
+            ([-1.7e308, -1e308], [0, 1]),  # ... and the most negative
+            ([1e17, 3e17, 2e17], [1, 0, 1]),  # predict-all wins; 1.0 is below one ulp
+            ([-1e17, 1.0, 2.0], [1, 0, 1]),  # ... with a negative lowest score
         ],
     )
     def test_threshold_reproduces_the_cut(self, scores, labels):
-        f1, threshold = best_f1(scored(scores), labels)
-        expected, cut = brute_force_f1(np.asarray(scores), np.asarray(labels))
-        assert f1 == expected
-        predicted = binarize(scored(scores), Threshold(threshold))
-        np.testing.assert_array_equal(predicted, np.asarray(scores) >= cut)
+        # Extreme scales: the best F of the sweep equals the brute-force one.
+        f1 = best_f1(scored(scores), labels)
+        assert f1 == brute_force_f1(np.asarray(scores), np.asarray(labels))
 
     def test_lowest_cut_wins_ties(self):
-        # Cuts at 4 and at 1 both give F = 2/3; the lower one is reported.
-        f1, threshold = best_f1(scored([4.0, 3.0, 2.0, 1.0, 0.0]), [1, 0, 0, 1, 0])
-        assert f1 == 2.0 / 3.0
-        assert threshold == 0.5
+        # Cuts at 4 and at 1 both give F = 2/3.
+        assert best_f1(scored([4.0, 3.0, 2.0, 1.0, 0.0]), [1, 0, 0, 1, 0]) == 2.0 / 3.0
         # Here the tie includes the predict-everything cut.
-        f1, threshold = best_f1(scored([3.0, 2.0, 1.0, 0.0]), [1, 0, 0, 1])
-        assert f1 == 2.0 / 3.0
-        assert threshold == -1.0
+        assert best_f1(scored([3.0, 2.0, 1.0, 0.0]), [1, 0, 0, 1]) == 2.0 / 3.0
 
 
 class TestNmm:

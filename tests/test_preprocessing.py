@@ -171,3 +171,25 @@ class TestSeasonalDifference:
     def test_length_shrinks_by_period(self):
         out = seasonal_difference(series(np.arange(10.0)), 3)
         assert out.values.size == 7
+
+
+class TestSeriesCopies:
+    @pytest.mark.parametrize(
+        "transform, dropped",
+        [
+            (lambda s: s.segment(3, 17), None),
+            (lambda s: standardize(s, fit_standardizer(s)), 0),
+            (lambda s: difference(s, 2), 2),
+            (lambda s: seasonal_difference(s, 4), 4),
+        ],
+    )
+    def test_id_period_hint_and_labels_carried(self, transform, dropped):
+        rng = np.random.default_rng(8)
+        labels = (rng.random(20) < 0.3).astype(int)
+        source = series(rng.standard_normal(20), labels=labels, series_id="s7", period_hint=4)
+        out = transform(source)
+        assert out.series_id == "s7"
+        assert out.period_hint == 4
+        expected = labels[3:17] if dropped is None else labels[dropped:]
+        assert out.labels.tolist() == expected.tolist()
+        assert len(out) == expected.size
