@@ -188,13 +188,12 @@ class DetectorConfig:
 class FittedDetector:
     """Opaque trained state of one detector plus the config it was fitted with."""
 
-    name: str
     config: DetectorConfig
     state: object
 
-    @classmethod
-    def wrap(cls, config: DetectorConfig, state: object) -> "FittedDetector":
-        return cls(name=config.name, config=config, state=state)
+    @property
+    def name(self) -> str:
+        return self.config.name
 
 
 class Derived(str):

@@ -65,6 +65,8 @@ _LOF_BLOCK_ENTRIES = 2**16
 _LOF_CHUNK_ENTRIES = 2**16
 _OCSVM_TOL = 1e-4
 _OCSVM_MAX_ITER = 100000
+# L2 penalty on boosted leaf weights (XGBoost's lambda, Chen & Guestrin 2016).
+_GBT_LAMBDA = 1.0
 
 
 def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -94,17 +96,20 @@ def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class KMeansModel:
-    k: int
     centroids: np.ndarray
     inertia: float
 
     def __post_init__(self):
         centroids = np.asarray(self.centroids, dtype=np.float64)
-        if self.k < 1 or centroids.shape[0] != self.k:
-            raise ValueError(f"need k >= 1 centroids, got k={self.k}, {centroids.shape}")
+        if centroids.shape[0] < 1:
+            raise ValueError("need at least one centroid")
         if not np.all(np.isfinite(centroids)):
             raise ValueError("centroids must be finite")
         object.__setattr__(self, "centroids", centroids)
+
+    @property
+    def k(self) -> int:
+        return int(self.centroids.shape[0])
 
 
 def kmeans_fit(train_windows: WindowFrame, k: int = 4, seed: int = 0) -> KMeansModel:
@@ -145,7 +150,7 @@ def kmeans_fit(train_windows: WindowFrame, k: int = 4, seed: int = 0) -> KMeansM
             members = windows[assignment == c]
             if members.shape[0]:
                 centroids[c] = members.mean(axis=0)
-    return KMeansModel(k=k, centroids=centroids.copy(), inertia=inertia)
+    return KMeansModel(centroids=centroids.copy(), inertia=inertia)
 
 
 def kmeans_score(
@@ -167,14 +172,11 @@ def kmeans_score(
 @dataclass(frozen=True)
 class DbscanModel:
     epsilon: float
-    mu_min_pts: int
     core_points: np.ndarray
 
     def __post_init__(self):
         if self.epsilon <= 0.0:
             raise InvalidHyperparameter(f"epsilon must be positive, got {self.epsilon}")
-        if self.mu_min_pts < 1:
-            raise InvalidHyperparameter(f"mu must be >= 1, got {self.mu_min_pts}")
         core = np.asarray(self.core_points, dtype=np.float64)
         if core.ndim != 2 or core.shape[0] < 1:
             raise NoCorePoints("model must retain at least one core point")
@@ -184,6 +186,8 @@ class DbscanModel:
 def dbscan_fit(train_windows: WindowFrame, epsilon: float = 0.4, mu: int = 5) -> DbscanModel:
     """Find the training windows whose epsilon-neighborhood (self excluded)
     holds at least mu points."""
+    if mu < 1:
+        raise InvalidHyperparameter(f"mu must be >= 1, got {mu}")
     windows = train_windows.windows
     d2 = _pairwise_sq(windows, windows)
     within = d2 <= epsilon * epsilon
@@ -194,7 +198,7 @@ def dbscan_fit(train_windows: WindowFrame, epsilon: float = 0.4, mu: int = 5) ->
         raise NoCorePoints(
             f"no training window has {mu} neighbors within epsilon={epsilon}"
         )
-    return DbscanModel(epsilon=epsilon, mu_min_pts=mu, core_points=windows[core_mask].copy())
+    return DbscanModel(epsilon=epsilon, core_points=windows[core_mask].copy())
 
 
 def dbscan_score(
@@ -425,14 +429,16 @@ def _grow_tree(data: np.ndarray, depth_cap: int, split_rule, leaf_value) -> _Tre
 class IsoForest:
     """Isolation trees whose leaves hold the path length depth + c(size)."""
 
-    n_trees: int
     trees: tuple
     subsample: int
-    max_depth: int
 
     def __post_init__(self):
-        if self.n_trees < 1 or len(self.trees) != self.n_trees:
+        if len(self.trees) < 1:
             raise InvalidHyperparameter("need n_trees >= 1 built trees")
+
+    @property
+    def n_trees(self) -> int:
+        return len(self.trees)
 
 
 def _harmonic(n: int) -> np.ndarray:
@@ -477,7 +483,7 @@ def iforest_fit(train_windows: WindowFrame, n_trees: int = 10, seed: int = 0) ->
     for _ in range(n_trees):
         chosen = rng.choice(m, size=subsample, replace=False)
         trees.append(_grow_tree(windows[chosen], depth_cap, random_split, path_length))
-    return IsoForest(n_trees=n_trees, trees=tuple(trees), subsample=subsample, max_depth=depth_cap)
+    return IsoForest(trees=tuple(trees), subsample=subsample)
 
 
 def iforest_score(
@@ -505,7 +511,6 @@ class OcSvmModel:
     dual_coeffs: np.ndarray
     rho: float
     rbf_gamma: float
-    nu: float
     converged: bool = True
 
     def __post_init__(self):
@@ -513,8 +518,6 @@ class OcSvmModel:
         coeffs = np.asarray(self.dual_coeffs, dtype=np.float64)
         if vectors.shape[0] != coeffs.size or vectors.shape[0] < 1:
             raise ValueError("support vectors and dual coefficients must align")
-        if not (0.0 < self.nu <= 1.0):
-            raise InvalidHyperparameter(f"nu must lie in (0, 1], got {self.nu}")
         if self.rbf_gamma <= 0.0:
             raise InvalidHyperparameter(f"rbf_gamma must be positive, got {self.rbf_gamma}")
         if np.any(coeffs < -1e-12) or abs(coeffs.sum() - 1.0) > 1e-6:
@@ -586,7 +589,6 @@ def ocsvm_fit(
         dual_coeffs=alpha[keep],
         rho=rho,
         rbf_gamma=gamma,
-        nu=nu,
         converged=converged,
     )
 
@@ -610,50 +612,42 @@ def ocsvm_score(
 class GbtModel:
     """Additive ensemble minimizing squared error with second-order splits.
 
-    Regularizer per tree: gamma_reg * leaves + 0.5 * lambda_ * ||w||^2.
+    Regularizer per tree: 0.5 * _GBT_LAMBDA * ||w||^2.
     ``base_score`` is the constant prediction boosting starts from and
     ``loss_history`` records the regularized train loss after every round.
     """
 
     trees: tuple
     learning_rate: float = 0.1
-    n_estimators: int = 1000
-    max_depth: int = 3
-    lambda_: float = 1.0
-    gamma_reg: float = 0.0
     base_score: float = 0.0
     loss_history: tuple = ()
 
-    def __post_init__(self):
-        if len(self.trees) != self.n_estimators:
-            raise ValueError("tree count must equal n_estimators")
 
-
-def _gbt_best_split(order, sorted_vals, g, idx, lam: float, gamma: float):
+def _gbt_best_split(order, sorted_vals, g, idx):
     """Best (feature, split) over all features for one node, or None; h_i = 1.
 
     Row f of ``order`` and ``sorted_vals`` is feature f's stable argsort and
     sorted values (presorted columns, Chen & Guestrin 2016).  Node index sets
     are ascending, so the node's rows in ``order[f]`` are the stable sort of
     its values of f.  The first feature of largest gain wins if that gain is
-    > 0 and > gamma."""
+    > 0."""
     d, n = order.shape[0], idx.size
     member = np.zeros(order.shape[1], dtype=bool)
     member[idx] = True
     keep = member[order]
     sv = sorted_vals[keep].reshape(d, n)
     G = g[idx].sum()
-    parent = G * G / (n + lam)
+    parent = G * G / (n + _GBT_LAMBDA)
     gl = np.cumsum(g[order[keep].reshape(d, n)], axis=1)[:, :-1]
     hl = np.arange(1, n, dtype=np.float64)
     gr = G - gl
     hr = n - hl
-    gains = 0.5 * (gl * gl / (hl + lam) + gr * gr / (hr + lam) - parent)
+    gains = 0.5 * (gl * gl / (hl + _GBT_LAMBDA) + gr * gr / (hr + _GBT_LAMBDA) - parent)
     gains[sv[:, 1:] == sv[:, :-1]] = -np.inf
     pos = gains.argmax(axis=1)
     best = gains[np.arange(d), pos]
     feature = int(best.argmax())
-    if not best[feature] > 0.0 or best[feature] <= gamma:
+    if not best[feature] > 0.0:
         return None
     at = pos[feature]
     return feature, float(0.5 * (sv[feature, at] + sv[feature, at + 1]))
@@ -664,16 +658,16 @@ def gbt_fit(
     n_estimators: int = 1000,
     max_depth: int = 3,
     learning_rate: float = 0.1,
-    lambda_: float = 1.0,
-    gamma_reg: float = 0.0,
 ) -> GbtModel:
     """Boost depth-capped trees against the one-step forecasting targets.
 
     Squared-error loss gives gradients g_i = prediction - target and unit
     hessians; each round adds learning_rate times the new tree.
     """
-    if not learning_rate > 0.0 or max_depth < 1:
-        raise InvalidHyperparameter("learning_rate must be positive and max_depth >= 1")
+    if not learning_rate > 0.0 or max_depth < 1 or n_estimators < 0:
+        raise InvalidHyperparameter(
+            "learning_rate must be positive, max_depth >= 1 and n_estimators >= 0"
+        )
     data = train_frame.windows
     targets = train_frame.targets
     order = np.argsort(data.T, axis=1, kind="stable")
@@ -687,10 +681,10 @@ def gbt_fit(
         g = predictions - targets
 
         def best_split(data: np.ndarray, idx: np.ndarray):
-            return _gbt_best_split(order, sorted_vals, g, idx, lambda_, gamma_reg)
+            return _gbt_best_split(order, sorted_vals, g, idx)
 
         def leaf_weight(idx: np.ndarray, depth: int) -> float:
-            return float(-g[idx].sum() / (idx.size + lambda_))
+            return float(-g[idx].sum() / (idx.size + _GBT_LAMBDA))
 
         tree = _grow_tree(data, max_depth, best_split, leaf_weight)
         trees.append(tree)
@@ -702,15 +696,11 @@ def gbt_fit(
         squared_norm = 0.0
         for step in steps:
             squared_norm += step * step
-        omega_total += gamma_reg * len(steps) + 0.5 * lambda_ * squared_norm
+        omega_total += 0.5 * _GBT_LAMBDA * squared_norm
         history.append(0.5 * float(((predictions - targets) ** 2).sum()) + omega_total)
     return GbtModel(
         trees=tuple(trees),
         learning_rate=learning_rate,
-        n_estimators=n_estimators,
-        max_depth=max_depth,
-        lambda_=lambda_,
-        gamma_reg=gamma_reg,
         base_score=base,
         loss_history=tuple(history),
     )
@@ -745,7 +735,7 @@ class KMeansDetector:
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
         k = resolve(cfg, self.params)["k"]
         windows = subsequences(train, cfg.window_width)
-        return FittedDetector.wrap(cfg, kmeans_fit(windows, k, cfg.seed))
+        return FittedDetector(cfg, kmeans_fit(windows, k, cfg.seed))
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         return kmeans_score(
@@ -763,7 +753,7 @@ class DbscanDetector:
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
         p = resolve(cfg, self.params)
         windows = subsequences(train, cfg.window_width)
-        return FittedDetector.wrap(cfg, dbscan_fit(windows, p["epsilon"], p["mu"]))
+        return FittedDetector(cfg, dbscan_fit(windows, p["epsilon"], p["mu"]))
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         return dbscan_score(
@@ -782,7 +772,7 @@ class LofDetector:
         k_neighbors = resolve(cfg, self.params)["k_neighbors"]
         windows = subsequences(train, cfg.window_width)
         model = LofModel(k_neighbors=k_neighbors, reference_windows=windows.windows)
-        return FittedDetector.wrap(cfg, model)
+        return FittedDetector(cfg, model)
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         windows = subsequences(test, fitted.config.window_width)
@@ -803,7 +793,7 @@ class IforestDetector:
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
         n_trees = resolve(cfg, self.params)["n_trees"]
         windows = subsequences(train, cfg.window_width)
-        return FittedDetector.wrap(cfg, iforest_fit(windows, n_trees, cfg.seed))
+        return FittedDetector(cfg, iforest_fit(windows, n_trees, cfg.seed))
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         return iforest_score(
@@ -824,7 +814,7 @@ class OcsvmDetector:
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
         p = resolve(cfg, self.params)
         windows = subsequences(train, self._width(cfg))
-        return FittedDetector.wrap(cfg, ocsvm_fit(windows, p["nu"], p["rbf_gamma"]))
+        return FittedDetector(cfg, ocsvm_fit(windows, p["nu"], p["rbf_gamma"]))
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         windows = subsequences(test, self._width(fitted.config))
@@ -840,7 +830,7 @@ class GbtDetector:
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
         model = gbt_fit(frame(train, cfg.window_width), **resolve(cfg, self.params))
-        return FittedDetector.wrap(cfg, model)
+        return FittedDetector(cfg, model)
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         return gbt_score(

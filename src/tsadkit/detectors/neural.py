@@ -309,7 +309,7 @@ class MlpDetector:
         net = dense_net(dims, ["relu"] * len(hidden) + ["linear"], seed=cfg.seed)
         windows = frame(train, cfg.window_width)
         net_train(net, (windows.windows, windows.targets), TrainSpec(**p))
-        return FittedDetector.wrap(cfg, net)
+        return FittedDetector(cfg, net)
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         windows = frame(test, fitted.config.window_width)
@@ -334,7 +334,7 @@ class AutoencoderDetector:
         auto = _build_autoencoder(width, p.pop("hidden_dims"), cfg.seed)
         windows = subsequences(train, width)
         net_train(auto.net, (windows.windows, windows.windows), TrainSpec(**p))
-        return FittedDetector.wrap(cfg, auto)
+        return FittedDetector(cfg, auto)
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         auto: AutoencoderNet = fitted.state

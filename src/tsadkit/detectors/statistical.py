@@ -70,20 +70,23 @@ def lag_cap(n_train: int) -> int:
 class ArFit:
     """Autoregression x_t = c + sum_i a_i x_{t-i} + e_t."""
 
-    p: int
     coefficients: np.ndarray
     intercept: float
     residual_sigma: float
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=np.float64)
-        if self.p < 1 or coeffs.shape != (self.p,):
-            raise InvalidOrder(f"need p >= 1 coefficients, got p={self.p}, {coeffs.shape}")
+        if coeffs.size < 1:
+            raise InvalidOrder("need at least one AR coefficient")
         if not (np.all(np.isfinite(coeffs)) and math.isfinite(self.intercept)):
             raise ValueError("AR parameters must be finite")
         if not math.isfinite(self.residual_sigma) or self.residual_sigma < 0.0:
             raise ValueError("residual_sigma must be finite and non-negative")
         object.__setattr__(self, "coefficients", coeffs)
+
+    @property
+    def p(self) -> int:
+        return int(self.coefficients.size)
 
 
 def _lag_matrix(values: np.ndarray, p: int) -> np.ndarray:
@@ -117,7 +120,6 @@ def ar_fit(train: TimeSeries, p: Optional[int] = None) -> ArFit:
         raise SingularDesign(f"AR design matrix is rank-deficient (rank {rank} < {p + 1})")
     residuals = target - design @ theta
     return ArFit(
-        p=p,
         coefficients=theta[:p],
         intercept=float(theta[p]),
         residual_sigma=float(np.sqrt(np.mean(residuals**2))),
@@ -148,18 +150,20 @@ def ar_score(fit: ArFit, test: TimeSeries, detector_name: str = "ar") -> ScoreSe
 class MaFit:
     """Moving average x_t = mu + sum_j b_j e_{t-j} + e_t."""
 
-    q: int
     coefficients: np.ndarray
     mu: float
-    long_ar_order: int
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=np.float64)
-        if self.q < 1 or coeffs.shape != (self.q,):
-            raise InvalidOrder(f"need q >= 1 coefficients, got q={self.q}, {coeffs.shape}")
+        if coeffs.size < 1:
+            raise InvalidOrder("need at least one MA coefficient")
         if not (np.all(np.isfinite(coeffs)) and math.isfinite(self.mu)):
             raise ValueError("MA parameters must be finite")
         object.__setattr__(self, "coefficients", coeffs)
+
+    @property
+    def q(self) -> int:
+        return int(self.coefficients.size)
 
 
 def invertible_ma(coefficients: np.ndarray) -> np.ndarray:
@@ -212,7 +216,7 @@ def ma_fit(train: TimeSeries, q: int) -> MaFit:
     coeffs, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < q:
         raise SingularDesign(f"MA design matrix is rank-deficient (rank {rank} < {q})")
-    return MaFit(q=q, coefficients=invertible_ma(coeffs), mu=mu, long_ar_order=long_order)
+    return MaFit(coefficients=invertible_ma(coeffs), mu=mu)
 
 
 def ma_score(fit: MaFit, test: TimeSeries, detector_name: str = "ma") -> ScoreSeries:
@@ -240,8 +244,6 @@ def ma_score(fit: MaFit, test: TimeSeries, detector_name: str = "ma") -> ScoreSe
 class ArmaFit:
     """Mixed model x_t = c + sum a_i x_{t-i} + sum b_j e_{t-j} + e_t."""
 
-    p: int
-    q: int
     ar: np.ndarray
     ma: np.ndarray
     intercept: float
@@ -250,33 +252,41 @@ class ArmaFit:
     def __post_init__(self):
         ar = np.asarray(self.ar, dtype=np.float64)
         ma = np.asarray(self.ma, dtype=np.float64)
-        if self.p < 0 or self.q < 0 or self.p + self.q < 1:
-            raise InvalidOrder(f"need p, q >= 0 and p+q >= 1, got p={self.p}, q={self.q}")
-        if ar.shape != (self.p,) or ma.shape != (self.q,):
-            raise InvalidOrder("coefficient lengths must match p and q")
+        if ar.size + ma.size < 1:
+            raise InvalidOrder("need at least one AR or MA coefficient")
         if not (np.all(np.isfinite(ar)) and np.all(np.isfinite(ma)) and math.isfinite(self.intercept)):
             raise ValueError("ARMA parameters must be finite")
         object.__setattr__(self, "ar", ar)
         object.__setattr__(self, "ma", ma)
 
+    @property
+    def p(self) -> int:
+        return int(self.ar.size)
+
+    @property
+    def q(self) -> int:
+        return int(self.ma.size)
+
 
 @dataclass(frozen=True)
 class ArimaFit:
-    """ARMA after d rounds of differencing; keeps the train tail for warm-up."""
+    """ARMA after d rounds of differencing; ``warmup`` holds the last d train
+    values, which difference the start of the test."""
 
-    d: int
     inner: ArmaFit
     warmup: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.d not in (0, 1, 2):
-            raise InvalidOrder(f"d must be 0, 1 or 2, got {self.d}")
         warmup = (
             np.empty(0) if self.warmup is None else np.asarray(self.warmup, dtype=np.float64)
         )
-        if warmup.size != self.d:
-            raise ValueError(f"warm-up must hold exactly d={self.d} trailing train values")
+        if warmup.size not in (0, 1, 2):
+            raise InvalidOrder(f"d must be 0, 1 or 2, got {warmup.size} warm-up values")
         object.__setattr__(self, "warmup", warmup)
+
+    @property
+    def d(self) -> int:
+        return int(self.warmup.size)
 
 
 def _css_residuals(values: np.ndarray, theta: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -361,8 +371,6 @@ def arma_fit(train: TimeSeries, p: int, q: int) -> ArmaFit:
             converged = True
             break
     return ArmaFit(
-        p=p,
-        q=q,
         ar=theta[1 : 1 + p],
         ma=theta[1 + p :],
         intercept=float(theta[0]),
@@ -414,7 +422,7 @@ def arima_fit(
     differenced = difference(train, d)
     inner = arma_fit(differenced, p, q)
     warmup = train.values[len(train) - d :] if d else np.empty(0)
-    return ArimaFit(d=d, inner=inner, warmup=warmup)
+    return ArimaFit(inner=inner, warmup=warmup)
 
 
 def _trend_order(values: np.ndarray) -> int:
@@ -467,7 +475,6 @@ class SmoothingFit:
     alpha: float
     beta: Optional[float] = None
     gamma: Optional[float] = None
-    season_period: Optional[int] = None
     level: float = 0.0
     trend: float = 0.0
     season: Optional[tuple] = None
@@ -477,11 +484,12 @@ class SmoothingFit:
         for name, value in (("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)):
             if value is not None and not (0.0 <= value <= 1.0):
                 raise InvalidHyperparameter(f"{name} must lie in [0, 1], got {value}")
-        if self.gamma is not None:
-            if self.season_period is None or self.season_period < 2:
-                raise InvalidPeriod("seasonal smoothing requires season_period >= 2")
-            if self.season is None or len(self.season) != self.season_period:
-                raise ValueError("season state must hold season_period values")
+        if self.gamma is not None and (self.season is None or len(self.season) < 2):
+            raise InvalidPeriod("seasonal smoothing needs a season state of at least 2 values")
+
+    @property
+    def season_period(self) -> Optional[int]:
+        return None if self.season is None else len(self.season)
 
 
 def ses_fit(train: TimeSeries, alpha: Optional[float] = None) -> SmoothingFit:
@@ -604,7 +612,6 @@ def holtwinters_fit(
         alpha=current["alpha"],
         beta=current["beta"],
         gamma=current["gamma"],
-        season_period=period,
         level=float(levels[0]),
         trend=float(trends[0]),
         season=tuple(season_tail[:, 0]),
@@ -706,69 +713,24 @@ def pci_score(
 # Student-t quantile (no lookup tables)
 
 
-def _beta_cont_frac(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta (modified Lentz)."""
-    tiny = 1e-300
-    qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
-    h = d
-    for m in range(1, 300):
-        m2 = 2 * m
-        coef = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + coef * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coef / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        coef = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + coef * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + coef / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        step = d * c
-        h *= step
-        if abs(step - 1.0) < 3e-16:
-            break
-    return h
-
-
-def _reg_inc_beta(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta I_x(a, b)."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    log_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(log_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_frac(a, b, x) / a
-    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
-
-
 def _student_t_cdf(t: float, dof: int) -> float:
-    x = dof / (dof + t * t)
-    tail = 0.5 * _reg_inc_beta(dof / 2.0, 0.5, x)
-    return 1.0 - tail if t >= 0.0 else tail
+    """P(T <= t) for an integer dof, from the finite series in
+    theta = atan(t / sqrt(dof)) (Abramowitz & Stegun 26.7.3-26.7.4)."""
+    theta = math.atan(t / math.sqrt(dof))
+    cos2 = math.cos(theta) ** 2
+    odd = dof % 2
+    total, term = 0.0, math.cos(theta) if odd else 1.0
+    for j in range(1, dof // 2 + 1):
+        total += term
+        term *= cos2 * (2 * j - 1 + odd) / (2 * j + odd)
+    a = math.sin(theta) * total
+    if odd:
+        a = 2.0 / math.pi * (theta + a)
+    return 0.5 + 0.5 * a  # a = P(|T| <= |t|), signed like t
 
 
 def student_t_ppf(p: float, dof: int) -> float:
-    """Quantile of Student's t via bisection on the incomplete-beta CDF.
+    """Quantile of Student's t via bisection on the closed-form CDF.
 
     Bisection runs until the bracket is narrower than 1e-10.
     """
@@ -806,7 +768,7 @@ class ArDetector:
     params = {"p": Derived("lag cap floor(12*(n_train/100)^(1/4))", int)}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        return FittedDetector.wrap(cfg, ar_fit(train, resolve(cfg, self.params)["p"]))
+        return FittedDetector(cfg, ar_fit(train, resolve(cfg, self.params)["p"]))
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         return ar_score(fitted.state, test, detector_name=fitted.name)
@@ -821,7 +783,7 @@ class MaDetector:
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
         q = resolve(cfg, self.params)["q"]
-        return FittedDetector.wrap(cfg, ma_fit(train, cfg.window_width if q is None else q))
+        return FittedDetector(cfg, ma_fit(train, cfg.window_width if q is None else q))
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         return ma_score(fitted.state, test, detector_name=fitted.name)
@@ -836,7 +798,7 @@ class ArimaDetector:
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
         p = resolve(cfg, self.params)
-        return FittedDetector.wrap(cfg, arima_fit(train, p["p"], p["d"], p["q"]))
+        return FittedDetector(cfg, arima_fit(train, p["p"], p["d"], p["q"]))
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         return arima_score(fitted.state, test, detector_name=fitted.name)
@@ -850,7 +812,7 @@ class SesDetector:
     params = {"alpha": Derived("grid search over {0.01..0.99}", float)}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        return FittedDetector.wrap(cfg, ses_fit(train, resolve(cfg, self.params)["alpha"]))
+        return FittedDetector(cfg, ses_fit(train, resolve(cfg, self.params)["alpha"]))
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         return smoothing_score(fitted.state, test, detector_name=fitted.name)
@@ -875,7 +837,7 @@ class EsDetector:
             fit = holt_fit(train, p["alpha"], p["beta"])
         else:
             fit = holtwinters_fit(train, period, p["alpha"], p["beta"], p["gamma"])
-        return FittedDetector.wrap(cfg, fit)
+        return FittedDetector(cfg, fit)
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         return smoothing_score(fitted.state, test, detector_name=fitted.name)
@@ -890,7 +852,7 @@ class PciDetector:
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
         p = resolve(cfg, self.params)
-        return FittedDetector.wrap(cfg, pci_fit(train, p["k"], p["pci_alpha"]))
+        return FittedDetector(cfg, pci_fit(train, p["k"], p["pci_alpha"]))
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         return pci_score(

@@ -113,7 +113,7 @@ class TestRunBenchmark:
             defaults = {}
 
             def fit(self, train, cfg):
-                return FittedDetector.wrap(cfg, None)
+                return FittedDetector(cfg, None)
 
             def score(self, fitted, test):
                 return ScoreSeries(scores=[], indices=[], detector_name=fitted.name)
@@ -153,7 +153,7 @@ class TestRunBenchmark:
             defaults = {}
 
             def fit(self, train, cfg):
-                return FittedDetector.wrap(cfg, None)
+                return FittedDetector(cfg, None)
 
             def score(self, fitted, test):
                 return ScoreSeries(

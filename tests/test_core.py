@@ -255,6 +255,25 @@ class TestDetectorConfig:
             run = timed_run(get_detector(name), cfg, train, test)
         assert run.failure.startswith("InvalidHyperparameter:")
 
+    @pytest.mark.parametrize(
+        "name, key, value, derived",
+        [
+            ("ma", "q", 4, lambda state: state.q),
+            ("arima", "d", 2, lambda state: state.d),
+            ("es", "period", 6, lambda state: state.season_period),
+            ("kmeans", "k", 3, lambda state: state.k),
+            ("iforest", "n_trees", 7, lambda state: state.n_trees),
+            ("gbt", "n_estimators", 9, lambda state: len(state.trees)),
+        ],
+    )
+    def test_fitted_state_holds_the_requested_value(self, name, key, value, derived):
+        # A drifting walk, so that differencing twice still leaves an ARMA fit.
+        walk = np.cumsum(0.5 + np.random.default_rng(1).normal(0.0, 1.0, 400))
+        cfg = DetectorConfig(name=name, window_width=10, hyperparameters={key: value})
+        fitted = get_detector(name).fit(series(walk), cfg)
+        assert derived(fitted.state) == value
+        assert fitted.name == cfg.name
+
     @pytest.mark.parametrize("name", DETECTOR_NAMES)
     def test_every_detector_rejects_unknown_keys(self, name):
         cfg = DetectorConfig(name=name, hyperparameters={"bogus": 1})

@@ -295,7 +295,7 @@ class _SpyDetector:
     def fit(self, train, cfg):
         from tsadkit import FittedDetector
 
-        return FittedDetector.wrap(cfg, state=None)
+        return FittedDetector(cfg, state=None)
 
     def score(self, fitted, test):
         return ScoreSeries(

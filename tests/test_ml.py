@@ -45,7 +45,12 @@ from tsadkit.detectors.ml import (
     ocsvm_fit,
     ocsvm_score,
 )
-from tsadkit.errors import DistanceMatrixTooLarge, NoCorePoints, TooFewWindows
+from tsadkit.errors import (
+    DistanceMatrixTooLarge,
+    InvalidHyperparameter,
+    NoCorePoints,
+    TooFewWindows,
+)
 
 from conftest import raw_frame, series
 
@@ -64,9 +69,7 @@ class TestKMeans:
         assert abs(model.inertia - expected) < 1e-9 * max(expected, 1.0)
 
     def test_hand_scores(self):
-        model = KMeansModel(
-            k=2, centroids=np.array([[0.0, 0.0], [10.0, 10.0]]), inertia=0.0
-        )
+        model = KMeansModel(centroids=np.array([[0.0, 0.0], [10.0, 10.0]]), inertia=0.0)
         out = kmeans_score(model, raw_frame([[0.0, 0.0], [10.0, 11.0], [5.0, 5.0]]))
         assert np.allclose(out.scores, [0.0, 1.0, math.sqrt(50.0)], atol=1e-12)
 
@@ -104,7 +107,7 @@ class TestKMeans:
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
-            KMeansModel(k=2, centroids=np.zeros((1, 3)), inertia=0.0)
+            KMeansModel(centroids=np.zeros((0, 3)), inertia=0.0)
 
 
 class TestDbscan:
@@ -131,7 +134,7 @@ class TestDbscan:
         assert np.array_equal(model.core_points, windows[np.array(flags)])
 
     def test_score_is_zero_or_distance(self):
-        model = DbscanModel(epsilon=1.0, mu_min_pts=1, core_points=np.array([[0.0, 0.0]]))
+        model = DbscanModel(epsilon=1.0, core_points=np.array([[0.0, 0.0]]))
         scored = dbscan_score(model, raw_frame([[0.0, 0.5], [0.0, 3.0]]))
         assert scored.scores[0] == 0.0
         assert abs(scored.scores[1] - 3.0) < 1e-12
@@ -148,9 +151,15 @@ class TestDbscan:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            DbscanModel(epsilon=0.0, mu_min_pts=1, core_points=np.ones((1, 2)))
-        with pytest.raises(ValueError):
-            DbscanModel(epsilon=1.0, mu_min_pts=0, core_points=np.ones((1, 2)))
+            DbscanModel(epsilon=0.0, core_points=np.ones((1, 2)))
+
+    def test_mu_is_checked_before_the_distance_matrix(self, monkeypatch):
+        def no_matrix(*args):
+            raise AssertionError("a distance matrix was built")
+
+        monkeypatch.setattr(ml, "_pairwise_sq", no_matrix)
+        with pytest.raises(InvalidHyperparameter):
+            dbscan_fit(raw_frame(np.ones((5, 2))), epsilon=1.0, mu=0)
 
 
 def naive_lof(reference: np.ndarray, query: np.ndarray, k: int) -> float:
@@ -417,12 +426,7 @@ class TestIforest:
         rng = np.random.default_rng(16)
         windows = raw_frame(rng.normal(0.0, 1.0, (80, 3)))
         model = iforest_fit(windows, n_trees=12, seed=2)
-        shuffled = IsoForest(
-            n_trees=model.n_trees,
-            trees=tuple(reversed(model.trees)),
-            subsample=model.subsample,
-            max_depth=model.max_depth,
-        )
+        shuffled = IsoForest(trees=tuple(reversed(model.trees)), subsample=model.subsample)
         assert np.allclose(
             iforest_score(model, windows).scores,
             iforest_score(shuffled, windows).scores,
@@ -509,7 +513,6 @@ class TestOcsvm:
                 dual_coeffs=np.array([0.7, 0.7]),
                 rho=0.0,
                 rbf_gamma=1.0,
-                nu=0.5,
             )
 
 
@@ -561,10 +564,6 @@ class TestGbt:
         ratio = nmm(float(np.mean(out.scores**2)), naive_mse(test, out.indices))
         assert ratio < 0.5
 
-    def test_model_validation(self):
-        with pytest.raises(ValueError):
-            GbtModel(trees=(), n_estimators=3)
-
     @pytest.mark.parametrize(
         "hyperparameters",
         [
@@ -572,6 +571,7 @@ class TestGbt:
             {"learning_rate": 0.0},
             {"learning_rate": "nan"},
             {"max_depth": 0},
+            {"n_estimators": -1},
         ],
     )
     def test_bad_values_fail_before_any_tree_is_grown(self, monkeypatch, hyperparameters):
@@ -621,11 +621,9 @@ def per_feature_best_split(data: np.ndarray, g: np.ndarray, idx: np.ndarray, lam
 def reference_gbt_fit(train_frame: WindowFrame, **kwargs) -> GbtModel:
     """gbt_fit with every node split by the per-feature search."""
 
-    def split_rule(order, sorted_vals, g, idx, lam, gamma):
-        found = per_feature_best_split(train_frame.windows, g, idx, lam)
-        if found is None or found[0] <= gamma:
-            return None
-        return found[1], found[2]
+    def split_rule(order, sorted_vals, g, idx):
+        found = per_feature_best_split(train_frame.windows, g, idx, lam=1.0)
+        return None if found is None else found[1:]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(ml, "_gbt_best_split", split_rule)
@@ -669,12 +667,11 @@ class TestPresortedSplit:
             (lambda: tied_frames(4, 6), {"n_estimators": 30, "max_depth": 1}),
             (lambda: tied_frames(5, 6), {"n_estimators": 30, "max_depth": 2}),
             (lambda: tied_frames(6, 6), {"n_estimators": 30, "max_depth": 4}),
-            (lambda: tied_frames(7, 6), {"n_estimators": 30, "gamma_reg": 0.5}),
-            (lambda: synth_frames(8), {"n_estimators": 20, "max_depth": 4, "gamma_reg": 0.5}),
+            (lambda: synth_frames(8), {"n_estimators": 20, "max_depth": 4}),
         ],
         ids=[
             "synth-w30", "ties", "constant-column", "width-1",
-            "depth-1", "depth-2", "depth-4", "gamma", "synth-depth-4-gamma",
+            "depth-1", "depth-2", "depth-4", "synth-w8-depth-4",
         ],
     )
     def test_matches_per_feature_search(self, frames, kwargs):

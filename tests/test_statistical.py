@@ -69,7 +69,7 @@ class TestLagCap:
 
 class TestAr:
     def test_hand_example(self):
-        fit = ArFit(p=1, coefficients=np.array([1.0]), intercept=0.0, residual_sigma=0.0)
+        fit = ArFit(coefficients=np.array([1.0]), intercept=0.0, residual_sigma=0.0)
         out = ar_score(fit, series([2.0, 2.0, 2.0, 9.0]))
         assert np.array_equal(out.scores, [0.0, 0.0, 7.0])
         assert np.array_equal(out.indices, [1, 2, 3])
@@ -139,25 +139,23 @@ class TestAr:
 
     def test_fit_validation(self):
         with pytest.raises(InvalidOrder):
-            ArFit(p=0, coefficients=np.empty(0), intercept=0.0, residual_sigma=1.0)
-        with pytest.raises(InvalidOrder):
-            ArFit(p=2, coefficients=np.array([0.5]), intercept=0.0, residual_sigma=1.0)
+            ArFit(coefficients=np.empty(0), intercept=0.0, residual_sigma=1.0)
         with pytest.raises(ValueError):
-            ArFit(p=1, coefficients=np.array([np.nan]), intercept=0.0, residual_sigma=1.0)
+            ArFit(coefficients=np.array([np.nan]), intercept=0.0, residual_sigma=1.0)
         with pytest.raises(ValueError):
-            ArFit(p=1, coefficients=np.array([0.5]), intercept=0.0, residual_sigma=-1.0)
+            ArFit(coefficients=np.array([0.5]), intercept=0.0, residual_sigma=-1.0)
 
 
 class TestMa:
     def test_recursion_hand_example(self):
-        fit = MaFit(q=1, coefficients=np.array([0.5]), mu=0.0, long_ar_order=1)
+        fit = MaFit(coefficients=np.array([0.5]), mu=0.0)
         out = ma_score(fit, series([1.0, 0.0]))
         # e_0 = 1 - 0 = 1; e_1 = 0 - 0.5 * 1 = -0.5.
         assert np.allclose(out.scores, [1.0, 0.5], atol=1e-15)
         assert np.array_equal(out.indices, [0, 1])
 
     def test_zero_coefficients_reduce_to_mean_distance(self):
-        fit = MaFit(q=1, coefficients=np.array([0.0]), mu=2.5, long_ar_order=3)
+        fit = MaFit(coefficients=np.array([0.0]), mu=2.5)
         out = ma_score(fit, series([7.0, 7.0, 7.0, 7.0]))
         assert np.array_equal(out.scores, np.full(4, 4.5))
 
@@ -195,9 +193,9 @@ class TestMa:
 
     def test_fit_validation(self):
         with pytest.raises(InvalidOrder):
-            MaFit(q=0, coefficients=np.empty(0), mu=0.0, long_ar_order=1)
+            MaFit(coefficients=np.empty(0), mu=0.0)
         with pytest.raises(ValueError):
-            MaFit(q=1, coefficients=np.array([np.inf]), mu=0.0, long_ar_order=1)
+            MaFit(coefficients=np.array([np.inf]), mu=0.0)
 
 
 def ma_acf(coefficients) -> np.ndarray:
@@ -256,7 +254,7 @@ class TestInvertibleMa:
         impulse[0] += 1.0
         for _ in range(30):
             b = invertible_ma(random_non_invertible_ma(rng))
-            fit = MaFit(q=b.size, coefficients=b, mu=mu, long_ar_order=1)
+            fit = MaFit(coefficients=b, mu=mu)
             psi = ma_score(fit, series(impulse)).scores
             assert psi[-500:].max() < 1e-9
             values = mu + rng.standard_normal(n) * rng.uniform(0.1, 100.0)
@@ -309,7 +307,9 @@ class TestArma:
 
     def test_fit_validation(self):
         with pytest.raises(InvalidOrder):
-            ArmaFit(p=1, q=1, ar=np.array([0.5, 0.1]), ma=np.array([0.3]), intercept=0.0)
+            ArmaFit(ar=np.empty(0), ma=np.empty(0), intercept=0.0)
+        with pytest.raises(ValueError):
+            ArmaFit(ar=np.array([0.5]), ma=np.array([np.nan]), intercept=0.0)
 
 
 class TestArima:
@@ -333,16 +333,19 @@ class TestArima:
         with pytest.raises(InvalidOrder):
             arima_fit(ar1(400), p=1, d=3, q=1)
         with pytest.raises(InvalidOrder):
-            ArimaFit(d=3, inner=ArmaFit(p=1, q=0, ar=np.array([0.5]), ma=np.empty(0), intercept=0.0))
+            ArimaFit(
+                inner=ArmaFit(ar=np.array([0.5]), ma=np.empty(0), intercept=0.0),
+                warmup=np.zeros(3),
+            )
 
     def test_warmup_length_must_match_d(self):
-        inner = ArmaFit(p=1, q=0, ar=np.array([0.5]), ma=np.empty(0), intercept=0.0)
-        with pytest.raises(ValueError):
-            ArimaFit(d=1, inner=inner, warmup=np.array([1.0, 2.0]))
+        inner = ArmaFit(ar=np.array([0.5]), ma=np.empty(0), intercept=0.0)
+        assert ArimaFit(inner=inner).d == 0
+        assert ArimaFit(inner=inner, warmup=np.array([1.0, 2.0])).d == 2
 
     def test_score_hand_example(self):
-        inner = ArmaFit(p=1, q=0, ar=np.array([0.0]), ma=np.empty(0), intercept=0.5)
-        fit = ArimaFit(d=1, inner=inner, warmup=np.array([10.0]))
+        inner = ArmaFit(ar=np.array([0.0]), ma=np.empty(0), intercept=0.5)
+        fit = ArimaFit(inner=inner, warmup=np.array([10.0]))
         out = arima_score(fit, series([10.5, 11.0, 11.6]))
         # Differenced test (with warm-up) is [0.5, 0.5, 0.6]; forecasts are 0.5.
         assert np.allclose(out.scores, [0.0, 0.1], atol=1e-12)
@@ -418,7 +421,6 @@ class TestSmoothing:
         fit = SmoothingFit(
             alpha=0.5,
             gamma=0.0,
-            season_period=2,
             level=0.0,
             season=(1.0, -1.0),
         )
@@ -431,9 +433,9 @@ class TestSmoothing:
         with pytest.raises(ValueError):
             SmoothingFit(alpha=1.5)
         with pytest.raises(InvalidPeriod):
-            SmoothingFit(alpha=0.5, gamma=0.5, season_period=None, season=(0.0,))
-        with pytest.raises(ValueError):
-            SmoothingFit(alpha=0.5, gamma=0.5, season_period=3, season=(0.0,))
+            SmoothingFit(alpha=0.5, gamma=0.5)
+        with pytest.raises(InvalidPeriod):
+            SmoothingFit(alpha=0.5, gamma=0.5, season=(0.0,))
 
 
 class TestPci:
@@ -485,7 +487,7 @@ class TestPci:
 
 class TestStudentT:
     # Reference values computed once with scipy.stats.t; scipy is not a
-    # runtime dependency, the implementation only uses the incomplete beta.
+    # runtime dependency; the implementation sums the closed-form series.
     PPF_CASES = [
         (0.985, 59, 2.223840178563741),
         (0.985, 19, 2.345647533562372),
@@ -511,6 +513,10 @@ class TestStudentT:
     @pytest.mark.parametrize("t,dof,expected", CDF_CASES)
     def test_cdf(self, t, dof, expected):
         assert abs(_student_t_cdf(t, dof) - expected) < 1e-12
+
+    def test_default_pci_quantile_is_pinned(self):
+        # k = 30 gives dof 59; PCI reports depend on this value bit for bit.
+        assert student_t_ppf(0.985, 59) == 2.223840178543469
 
     def test_symmetry(self):
         assert student_t_ppf(0.3, 7) == -student_t_ppf(0.7, 7)
