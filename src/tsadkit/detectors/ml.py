@@ -169,14 +169,18 @@ def kmeans_score(
 # DBSCAN-derived distance-to-core scoring
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0.0 < epsilon < math.inf:  # also rejects nan
+        raise InvalidHyperparameter(f"epsilon must be positive and finite, got {epsilon}")
+
+
 @dataclass(frozen=True)
 class DbscanModel:
     epsilon: float
     core_points: np.ndarray
 
     def __post_init__(self):
-        if self.epsilon <= 0.0:
-            raise InvalidHyperparameter(f"epsilon must be positive, got {self.epsilon}")
+        _check_epsilon(self.epsilon)
         core = np.asarray(self.core_points, dtype=np.float64)
         if core.ndim != 2 or core.shape[0] < 1:
             raise NoCorePoints("model must retain at least one core point")
@@ -188,6 +192,7 @@ def dbscan_fit(train_windows: WindowFrame, epsilon: float = 0.4, mu: int = 5) ->
     holds at least mu points."""
     if mu < 1:
         raise InvalidHyperparameter(f"mu must be >= 1, got {mu}")
+    _check_epsilon(epsilon)
     windows = train_windows.windows
     d2 = _pairwise_sq(windows, windows)
     within = d2 <= epsilon * epsilon

@@ -290,38 +290,63 @@ class ArimaFit:
 
 
 def _css_residuals(values: np.ndarray, theta: np.ndarray, p: int, q: int) -> np.ndarray:
-    """Innovations e_t for t in [p, n), zero-initialized before that."""
-    c = theta[0]
-    ar = theta[1 : 1 + p]
-    ma = theta[1 + p :]
-    n = values.size
-    eps = np.zeros(n)
-    for t in range(p, n):
+    """Innovations e_t for t in [p, n), zero-initialized before that.
+
+    The recursion runs on Python floats, which index far faster than numpy
+    scalars; each prediction adds c, then the AR terms, then the MA terms.
+    """
+    x = values.tolist()
+    c = float(theta[0])
+    ar = list(enumerate(theta[1 : 1 + p].tolist(), start=1))  # (lag, coefficient)
+    ma = list(enumerate(theta[1 + p :].tolist(), start=1))
+    eps = [0.0] * len(x)
+    for t in range(p, len(x)):
         pred = c
-        for i in range(p):
-            pred += ar[i] * values[t - 1 - i]
-        for j in range(q):
-            if t - 1 - j >= p:
-                pred += ma[j] * eps[t - 1 - j]
-        eps[t] = values[t] - pred
-    return eps
+        for i, a in ar:
+            pred += a * x[t - i]
+        for j, b in ma:
+            if t - j < p:  # innovations before p are zero
+                break
+            pred += b * eps[t - j]
+        eps[t] = x[t] - pred
+    return np.array(eps)
 
 
 def _css_jacobian(values: np.ndarray, theta: np.ndarray, p: int, q: int, eps: np.ndarray) -> np.ndarray:
-    """d eps_t / d theta via the same recursion, rows zero for t < p."""
-    ma = theta[1 + p :]
-    n = values.size
-    k = theta.size
-    jac = np.zeros((n, k))
-    for t in range(p, n):
-        row = jac[t]
-        row[0] = -1.0
-        for i in range(p):
-            row[1 + i] = -values[t - 1 - i]
-        for j in range(q):
-            if t - 1 - j >= p:
-                row[1 + p + j] = -eps[t - 1 - j]
-                row -= ma[j] * jac[t - 1 - j]
+    """d eps_t / d theta via the same recursion, rows zero for t < p.
+
+    Each column is a scalar filter on Python floats: start from the direct
+    term (-1 for c, -x_{t-i} for the AR coefficient at lag i), then for
+    each MA lag j = 1..q subtract b_j times the column's value at t-j.  The
+    column of b_j is *set* to -e_{t-j} at lag j, which discards what lags
+    j' < j already subtracted from it.  That reproduces, on purpose and to
+    the last bit, the derivative this fit has always used: the columns for
+    MA lags j >= 2, which exist when q >= 2, are wrong.  Correcting them
+    changes the fitted models and is a change of its own (ROADMAP item
+    1(b)), not part of a speed-up.
+    """
+    x = values.tolist()
+    e = eps.tolist()
+    ma = list(enumerate(theta[1 + p :].tolist(), start=1))  # (lag, coefficient)
+    n = len(x)
+    jac = np.zeros((n, theta.size))
+    for c in range(theta.size):
+        col = [0.0] * n
+        for t in range(p, n):
+            if c == 0:
+                v = -1.0
+            elif c <= p:
+                v = -x[t - c]
+            else:
+                v = 0.0
+            for j, b in ma:
+                if t - j < p:
+                    break
+                if c == p + j:
+                    v = -e[t - j]
+                v -= b * col[t - j]
+            col[t] = v
+        jac[:, c] = col
     return jac
 
 
@@ -498,13 +523,17 @@ def ses_fit(train: TimeSeries, alpha: Optional[float] = None) -> SmoothingFit:
     if values.size < 2:
         raise SeriesTooShort("smoothing needs at least 2 observations")
     alphas = _GRID if alpha is None else np.asarray([alpha], dtype=np.float64)
+    keep = 1.0 - alphas
     levels = np.full(alphas.size, values[0])
-    sse = np.zeros(alphas.size)
-    for t in range(1, values.size):
-        err = values[t] - levels
-        sse += err * err
+    carried, err, sse = np.empty(alphas.size), np.empty(alphas.size), np.zeros(alphas.size)
+    for x in values[1:].tolist():
+        np.subtract(x, levels, out=err)
+        err *= err
+        sse += err
         # Interpolation form: alpha == 1 reproduces the observation exactly.
-        levels = alphas * values[t] + (1.0 - alphas) * levels
+        np.multiply(keep, levels, out=carried)
+        np.multiply(alphas, x, out=levels)
+        levels += carried
     best = int(np.argmin(sse))
     return SmoothingFit(alpha=float(alphas[best]), level=float(levels[best]), train_sse=float(sse[best]))
 
@@ -543,26 +572,39 @@ def holt_fit(
 def _hw_sweep(
     values: np.ndarray, period: int, alphas: np.ndarray, betas: np.ndarray, gammas: np.ndarray
 ):
-    """Vectorized seasonal recursion over a combo axis; returns sse and states."""
+    """Vectorized seasonal recursion over a combo axis; returns sse and states.
+
+    Each step writes into preallocated buffers of one value per combination.
+    """
     n = values.size
     k = alphas.size
     level0 = float(values[:period].mean())
     trend0 = float((values[period : 2 * period].mean() - level0) / period)
-    levels = np.full(k, level0)
+    keep_a, keep_b, keep_g = 1.0 - alphas, 1.0 - betas, 1.0 - gammas
+    levels, new_levels = np.full(k, level0), np.empty(k)
     trends = np.full(k, trend0)
+    base, work, sse = np.empty(k), np.empty(k), np.zeros(k)  # base = level + trend
     seasons = np.empty((n, k))
     seasons[:period] = (values[:period] - level0)[:, None]
-    sse = np.zeros(k)
-    for t in range(period, n):
-        x = values[t]
-        season_prev = seasons[t - period]
-        forecast = levels + trends + season_prev
-        err = x - forecast
-        sse += err * err
-        new_levels = alphas * x + (1.0 - alphas) * (levels + trends)
-        trends = betas * (new_levels - levels) + (1.0 - betas) * trends
-        seasons[t] = gammas * (x - new_levels) + (1.0 - gammas) * season_prev
-        levels = new_levels
+    for t, x in enumerate(values[period:].tolist(), start=period):
+        season_prev, season = seasons[t - period], seasons[t]
+        np.add(levels, trends, out=base)
+        np.add(base, season_prev, out=work)  # the one-step forecast
+        np.subtract(x, work, out=work)
+        work *= work
+        sse += work
+        np.multiply(alphas, x, out=new_levels)
+        base *= keep_a
+        new_levels += base
+        np.subtract(new_levels, levels, out=work)
+        work *= betas
+        trends *= keep_b
+        trends += work
+        np.subtract(x, new_levels, out=work)
+        work *= gammas
+        np.multiply(keep_g, season_prev, out=season)
+        season += work
+        levels, new_levels = new_levels, levels
     return sse, levels, trends, seasons[n - period : n]
 
 
@@ -622,17 +664,15 @@ def holtwinters_fit(
 def smoothing_score(fit: SmoothingFit, test: TimeSeries, detector_name: str = "es") -> ScoreSeries:
     """Absolute one-step errors with the smoothing state rolled through test."""
     values = test.values
-    n = values.size
-    scores = np.empty(n)
+    scores = []
     level = fit.level
     trend = fit.trend if fit.beta is not None else 0.0
     seasonal = fit.gamma is not None
     ring = list(fit.season) if seasonal else []
-    for t in range(n):
-        x = values[t]
+    for x in values.tolist():
         season_prev = ring[0] if seasonal else 0.0
         forecast = level + trend + season_prev
-        scores[t] = abs(x - forecast)
+        scores.append(abs(x - forecast))
         new_level = fit.alpha * x + (1.0 - fit.alpha) * (level + trend)
         if fit.beta is not None:
             trend = fit.beta * (new_level - level) + (1.0 - fit.beta) * trend
@@ -641,7 +681,9 @@ def smoothing_score(fit: SmoothingFit, test: TimeSeries, detector_name: str = "e
             ring.pop(0)
         level = new_level
     return ScoreSeries(
-        scores=scores, indices=np.arange(n, dtype=np.int64), detector_name=detector_name
+        scores=np.array(scores, dtype=np.float64),
+        indices=np.arange(values.size, dtype=np.int64),
+        detector_name=detector_name,
     )
 
 

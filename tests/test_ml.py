@@ -150,8 +150,9 @@ class TestDbscan:
             dbscan_fit(raw_frame(np.ones((5, 2))), epsilon=1.0, mu=5)
 
     def test_parameter_validation(self):
-        with pytest.raises(ValueError):
-            DbscanModel(epsilon=0.0, core_points=np.ones((1, 2)))
+        for epsilon in (0.0, float("nan"), float("inf")):
+            with pytest.raises(InvalidHyperparameter):
+                DbscanModel(epsilon=epsilon, core_points=np.ones((1, 2)))
 
     def test_mu_is_checked_before_the_distance_matrix(self, monkeypatch):
         def no_matrix(*args):
@@ -160,6 +161,15 @@ class TestDbscan:
         monkeypatch.setattr(ml, "_pairwise_sq", no_matrix)
         with pytest.raises(InvalidHyperparameter):
             dbscan_fit(raw_frame(np.ones((5, 2))), epsilon=1.0, mu=0)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -0.4, float("nan"), float("inf")])
+    def test_epsilon_is_checked_before_the_distance_matrix(self, monkeypatch, epsilon):
+        def no_matrix(*args):
+            raise AssertionError("a distance matrix was built")
+
+        monkeypatch.setattr(ml, "_pairwise_sq", no_matrix)
+        with pytest.raises(InvalidHyperparameter, match="epsilon"):
+            dbscan_fit(raw_frame(np.ones((5, 2))), epsilon=epsilon, mu=1)
 
 
 def naive_lof(reference: np.ndarray, query: np.ndarray, k: int) -> float:

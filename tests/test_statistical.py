@@ -595,3 +595,280 @@ class TestModelQuality:
         base = ar_score(fit, test).scores
         moved = ar_score(shifted_fit, series(test.values + 100.0)).scores
         assert np.allclose(base, moved, atol=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# Frozen oracles: the numpy-scalar recursions the Python-float and
+# preallocated-buffer rewrites replaced.  Every output must match them bit
+# for bit.
+
+
+def reference_css_residuals(values, theta, p, q):
+    c = theta[0]
+    ar = theta[1 : 1 + p]
+    ma = theta[1 + p :]
+    n = values.size
+    eps = np.zeros(n)
+    for t in range(p, n):
+        pred = c
+        for i in range(p):
+            pred += ar[i] * values[t - 1 - i]
+        for j in range(q):
+            if t - 1 - j >= p:
+                pred += ma[j] * eps[t - 1 - j]
+        eps[t] = values[t] - pred
+    return eps
+
+
+def reference_css_jacobian(values, theta, p, q, eps):
+    ma = theta[1 + p :]
+    n = values.size
+    k = theta.size
+    jac = np.zeros((n, k))
+    for t in range(p, n):
+        row = jac[t]
+        row[0] = -1.0
+        for i in range(p):
+            row[1 + i] = -values[t - 1 - i]
+        for j in range(q):
+            if t - 1 - j >= p:
+                row[1 + p + j] = -eps[t - 1 - j]
+                row -= ma[j] * jac[t - 1 - j]
+    return jac
+
+
+def reference_ses_fit(train, alpha=None):
+    values = train.values
+    if values.size < 2:
+        raise SeriesTooShort("smoothing needs at least 2 observations")
+    alphas = statistical._GRID if alpha is None else np.asarray([alpha], dtype=np.float64)
+    levels = np.full(alphas.size, values[0])
+    sse = np.zeros(alphas.size)
+    for t in range(1, values.size):
+        err = values[t] - levels
+        sse += err * err
+        levels = alphas * values[t] + (1.0 - alphas) * levels
+    best = int(np.argmin(sse))
+    return SmoothingFit(alpha=float(alphas[best]), level=float(levels[best]), train_sse=float(sse[best]))
+
+
+def reference_hw_sweep(values, period, alphas, betas, gammas):
+    n = values.size
+    k = alphas.size
+    level0 = float(values[:period].mean())
+    trend0 = float((values[period : 2 * period].mean() - level0) / period)
+    levels = np.full(k, level0)
+    trends = np.full(k, trend0)
+    seasons = np.empty((n, k))
+    seasons[:period] = (values[:period] - level0)[:, None]
+    sse = np.zeros(k)
+    for t in range(period, n):
+        x = values[t]
+        season_prev = seasons[t - period]
+        forecast = levels + trends + season_prev
+        err = x - forecast
+        sse += err * err
+        new_levels = alphas * x + (1.0 - alphas) * (levels + trends)
+        trends = betas * (new_levels - levels) + (1.0 - betas) * trends
+        seasons[t] = gammas * (x - new_levels) + (1.0 - gammas) * season_prev
+        levels = new_levels
+    return sse, levels, trends, seasons[n - period : n]
+
+
+def reference_smoothing_score(fit, test):
+    values = test.values
+    n = values.size
+    scores = np.empty(n)
+    level = fit.level
+    trend = fit.trend if fit.beta is not None else 0.0
+    seasonal = fit.gamma is not None
+    ring = list(fit.season) if seasonal else []
+    for t in range(n):
+        x = values[t]
+        season_prev = ring[0] if seasonal else 0.0
+        forecast = level + trend + season_prev
+        scores[t] = abs(x - forecast)
+        new_level = fit.alpha * x + (1.0 - fit.alpha) * (level + trend)
+        if fit.beta is not None:
+            trend = fit.beta * (new_level - level) + (1.0 - fit.beta) * trend
+        if seasonal:
+            ring.append(fit.gamma * (x - new_level) + (1.0 - fit.gamma) * season_prev)
+            ring.pop(0)
+        level = new_level
+    return scores
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def smoothing_bits(fit: SmoothingFit) -> bytes:
+    fields = (fit.alpha, fit.beta, fit.gamma, fit.level, fit.trend, fit.train_sse)
+    season = () if fit.season is None else fit.season
+    return np.array([np.nan if v is None else v for v in fields + tuple(season)]).tobytes()
+
+
+def arima_bits(fit: ArimaFit) -> bytes:
+    inner = fit.inner
+    return b"|".join(
+        (inner.ar.tobytes(), inner.ma.tobytes(), np.float64(inner.intercept).tobytes(),
+         bytes([inner.converged]), fit.warmup.tobytes())
+    )
+
+
+def outcome(fn, *args, **kwargs):
+    """A call's result, or the type of the exception it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn(*args, **kwargs)
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+def drifting_walk(n, seed, drift=0.5):
+    rng = np.random.default_rng(seed)
+    return np.cumsum(drift + rng.normal(0.0, 1.0, n))
+
+
+def seasonal_series(n, period, seed, scale=1.0):
+    rng = np.random.default_rng(seed)
+    t = np.arange(n)
+    return scale * (5.0 * np.sin(2 * np.pi * t / period) + 0.01 * t + rng.normal(0.0, 0.5, n))
+
+
+ORDERS = [(1, 2), (0, 2), (1, 3), (2, 1), (2, 0), (0, 1)]
+
+
+class TestCssOracle:
+    @pytest.mark.parametrize("p, q", ORDERS)
+    def test_residuals_and_jacobian_match_bit_for_bit(self, p, q):
+        rng = np.random.default_rng(10 * p + q)
+        values = ar1(300, seed=70 + p + q).values
+        for _ in range(3):
+            theta = rng.normal(0.0, 0.4, 1 + p + q)
+            eps = statistical._css_residuals(values, theta, p, q)
+            assert same_bits(eps, reference_css_residuals(values, theta, p, q))
+            jac = statistical._css_jacobian(values, theta, p, q, eps)
+            expected = reference_css_jacobian(values, theta, p, q, eps)
+            assert same_bits(jac, expected)
+            assert jac.flags.c_contiguous
+
+    @pytest.mark.parametrize("p, q", ORDERS)
+    def test_extreme_scale_recursions_match(self, p, q):
+        # Residuals that overflow to inf and nan keep the oracle's bits too.
+        values = ar1(300, seed=95).values * 1e200
+        theta = np.random.default_rng(p + q).normal(0.0, 3.0, 1 + p + q)
+        theta[0] = 1e200
+        with np.errstate(all="ignore"):
+            eps = statistical._css_residuals(values, theta, p, q)
+            expected = reference_css_residuals(values, theta, p, q)
+            assert same_bits(eps, expected)
+            jac = statistical._css_jacobian(values, theta, p, q, eps)
+            assert same_bits(jac, reference_css_jacobian(values, theta, p, q, expected))
+
+    def test_jacobian_keeps_the_known_ma_defect(self):
+        # Column 1+p+j for j >= 1 is off against central differences; the
+        # fix is a deliberate output change of its own (ROADMAP item 1(b)).
+        values = ar1(200, seed=75).values
+        theta = np.array([0.1, 0.5, 0.3, 0.2])
+        eps = statistical._css_residuals(values, theta, 1, 2)
+        jac = statistical._css_jacobian(values, theta, 1, 2, eps)
+        h = 1e-6
+        numeric = []
+        for c in range(theta.size):
+            step = np.zeros(theta.size)
+            step[c] = h
+            up = statistical._css_residuals(values, theta + step, 1, 2)
+            down = statistical._css_residuals(values, theta - step, 1, 2)
+            numeric.append((up - down) / (2 * h))
+        numeric = np.array(numeric).T
+        assert np.allclose(jac[:, :3], numeric[:, :3], atol=1e-6)
+        assert not np.allclose(jac[:, 3], numeric[:, 3], atol=1e-3)
+
+    @pytest.mark.parametrize("d", [0, 1, 2])
+    def test_arima_fit_and_score_match_end_to_end(self, d, monkeypatch):
+        values = ar1(500, seed=80).values if d == 0 else drifting_walk(500, seed=80 + d)
+        train, test = series(values[:350]), series(values[350:])
+        fit = arima_fit(train, p=1, d=d, q=2)
+        scores = arima_score(fit, test)
+        monkeypatch.setattr(statistical, "_css_residuals", reference_css_residuals)
+        monkeypatch.setattr(statistical, "_css_jacobian", reference_css_jacobian)
+        expected = arima_fit(train, p=1, d=d, q=2)
+        assert arima_bits(fit) == arima_bits(expected)
+        expected_scores = arima_score(expected, test)
+        assert same_bits(scores.scores, expected_scores.scores)
+        assert same_bits(scores.indices, expected_scores.indices)
+
+    @pytest.mark.parametrize("p, q", ORDERS)
+    def test_arma_fit_matches_for_every_order(self, p, q, monkeypatch):
+        train = ar1(300, seed=90 + 3 * p + q)
+        fit = outcome(arma_fit, train, p, q)
+        monkeypatch.setattr(statistical, "_css_residuals", reference_css_residuals)
+        monkeypatch.setattr(statistical, "_css_jacobian", reference_css_jacobian)
+        expected = outcome(arma_fit, train, p, q)
+        assert isinstance(fit, ArmaFit) and isinstance(expected, ArmaFit)
+        assert same_bits(fit.ar, expected.ar) and same_bits(fit.ma, expected.ma)
+        assert (fit.intercept, fit.converged) == (expected.intercept, expected.converged)
+
+    def test_extreme_scale_gives_the_oracle_outcome(self, monkeypatch):
+        train = series(ar1(300, seed=95).values * 1e200)
+        fit = outcome(arima_fit, train, 1, 0, 2)
+        monkeypatch.setattr(statistical, "_css_residuals", reference_css_residuals)
+        monkeypatch.setattr(statistical, "_css_jacobian", reference_css_jacobian)
+        expected = outcome(arima_fit, train, 1, 0, 2)
+        if isinstance(expected, type):
+            assert fit is expected
+        else:
+            assert arima_bits(fit) == arima_bits(expected)
+
+
+class TestSmoothingOracle:
+    @pytest.mark.parametrize("alpha", [None, 0.3, 1.0])
+    def test_ses_matches(self, alpha):
+        train, test = ar1(400, seed=101), ar1(100, seed=102)
+        fit = ses_fit(train, alpha)
+        expected = reference_ses_fit(train, alpha)
+        assert smoothing_bits(fit) == smoothing_bits(expected)
+        assert same_bits(smoothing_score(fit, test).scores, reference_smoothing_score(fit, test))
+
+    @pytest.mark.parametrize("alpha, beta", [(None, None), (0.4, 0.2)])
+    def test_holt_scores_match(self, alpha, beta):
+        values = drifting_walk(120, seed=103, drift=0.2)
+        train, test = series(values[:90]), series(values[90:])
+        fit = holt_fit(train, alpha, beta)
+        assert same_bits(smoothing_score(fit, test).scores, reference_smoothing_score(fit, test))
+
+    @pytest.mark.parametrize(
+        "fixed",
+        [{}, {"alpha": 0.3}, {"beta": 0.1, "gamma": 0.6}, {"alpha": 0.3, "beta": 0.1, "gamma": 0.6}],
+    )
+    @pytest.mark.parametrize("n", [96, 300])  # 96 = 2 * period
+    def test_holtwinters_matches(self, fixed, n, monkeypatch):
+        values = seasonal_series(n + 48, 48, seed=104)
+        train, test = series(values[:n]), series(values[n:])
+        fit = holtwinters_fit(train, 48, **fixed)
+        monkeypatch.setattr(statistical, "_hw_sweep", reference_hw_sweep)
+        expected = holtwinters_fit(train, 48, **fixed)
+        assert smoothing_bits(fit) == smoothing_bits(expected)
+        assert same_bits(smoothing_score(fit, test).scores, reference_smoothing_score(fit, test))
+
+    def test_one_combination_sweep_keeps_the_sequential_sse(self):
+        # The final k = 1 sweep, whose sse is the fit's train_sse.
+        values = seasonal_series(2000, 48, seed=105)
+        one = np.asarray([0.5])
+        sse, levels, trends, season = statistical._hw_sweep(values, 48, one * 0.3, one * 0.1, one * 0.6)
+        expected = reference_hw_sweep(values, 48, one * 0.3, one * 0.1, one * 0.6)
+        for got, want in zip((sse, levels, trends, season), expected):
+            assert same_bits(got, want)
+
+    def test_extreme_scale_gives_the_oracle_outcome(self, monkeypatch):
+        train = series(seasonal_series(200, 10, seed=106, scale=1e200))
+        fits = [outcome(ses_fit, train), outcome(holtwinters_fit, train, 10)]
+        monkeypatch.setattr(statistical, "_hw_sweep", reference_hw_sweep)
+        expected = [outcome(reference_ses_fit, train), outcome(holtwinters_fit, train, 10)]
+        for fit, want in zip(fits, expected):
+            if isinstance(want, type):
+                assert fit is want
+            else:
+                assert smoothing_bits(fit) == smoothing_bits(want)
