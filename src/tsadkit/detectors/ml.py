@@ -59,8 +59,9 @@ __all__ = [
 # Largest distance matrix _pairwise_sq builds: 2**27 float64 entries, 1 GiB.
 _MAX_PAIRWISE_ENTRIES = 2**27
 _KDIST_FLOOR = 1e-12
-# LOF scores queries in blocks of about this many query-reference distances,
-# and expands neighbour lists in chunks of at most this many entries.
+# Row blocks over a distance matrix hold about this many entries: the
+# scratch of _pairwise_sq, LOF fit and scoring, and DBSCAN's neighbour counts.
+# LOF expands neighbour lists in chunks of at most _LOF_CHUNK_ENTRIES entries.
 _LOF_BLOCK_ENTRIES = 2**16
 _LOF_CHUNK_ENTRIES = 2**16
 _OCSVM_TOL = 1e-4
@@ -69,13 +70,23 @@ _OCSVM_MAX_ITER = 100000
 _GBT_LAMBDA = 1.0
 
 
+def _row_blocks(rows: int, cols: int):
+    """Slices of consecutive rows of a rows x cols matrix, each block about
+    _LOF_BLOCK_ENTRIES entries and at least one row."""
+    step = max(1, _LOF_BLOCK_ENTRIES // max(cols, 1))
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
 def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Squared Euclidean distances between row sets, clipped at zero.
 
-    Raises DistanceMatrixTooLarge before building more than
-    _MAX_PAIRWISE_ENTRIES entries, and NonFiniteValues when the distances
-    overflow, as they do for windows of values near 1e200; the overflow
-    leaves inf or NaN, which ``max`` propagates.
+    The result is the only matrix built: it starts as ``a @ b.T`` (one BLAS
+    call, a symmetric syrk when ``b is a``), and the squared norms are added
+    into it one row block at a time.  ``(-2g) + (aa + bb)`` is bit for bit
+    ``aa + bb - 2g``.  Raises DistanceMatrixTooLarge before building more
+    than _MAX_PAIRWISE_ENTRIES entries, and NonFiniteValues when the
+    distances overflow, as they do for windows of values near 1e200; the
+    overflow leaves inf or NaN, which ``max`` propagates.
     """
     if a.shape[0] * b.shape[0] > _MAX_PAIRWISE_ENTRIES:
         raise DistanceMatrixTooLarge(
@@ -84,7 +95,11 @@ def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     aa = np.einsum("ij,ij->i", a, a)
     bb = np.einsum("ij,ij->i", b, b)
-    sq = np.maximum(aa[:, None] + bb[None, :] - 2.0 * (a @ b.T), 0.0)
+    sq = a @ b.T
+    sq *= -2.0
+    for rows in _row_blocks(*sq.shape):
+        sq[rows] += aa[rows, None] + bb[None, :]
+    np.maximum(sq, 0.0, out=sq)
     if not np.isfinite(sq.max(initial=0.0)):
         raise NonFiniteValues("pairwise window distances overflow")
     return sq
@@ -195,9 +210,11 @@ def dbscan_fit(train_windows: WindowFrame, epsilon: float = 0.4, mu: int = 5) ->
     _check_epsilon(epsilon)
     windows = train_windows.windows
     d2 = _pairwise_sq(windows, windows)
-    within = d2 <= epsilon * epsilon
-    np.fill_diagonal(within, False)
-    counts = within.sum(axis=1)
+    eps2 = epsilon * epsilon
+    self_within = np.diagonal(d2) <= eps2
+    counts = np.empty(d2.shape[0], dtype=np.intp)
+    for rows in _row_blocks(*d2.shape):
+        counts[rows] = (d2[rows] <= eps2).sum(axis=1) - self_within[rows]
     core_mask = counts >= mu
     if not core_mask.any():
         raise NoCorePoints(
@@ -251,13 +268,21 @@ class LofModel:
         k = self.k_neighbors
         if not (1 <= k < m):
             raise TooFewWindows(f"need k_neighbors < m reference windows, got k={k}, m={m}")
-        d = np.sqrt(_pairwise_sq(windows, windows))
+        d = _pairwise_sq(windows, windows)
+        np.sqrt(d, out=d)
         np.fill_diagonal(d, np.inf)
-        part = np.partition(d, (k - 1, max(k - 2, 0)), axis=1)
-        kdist = np.maximum(part[:, k - 1], _KDIST_FLOOR)
-        kdist_prev = part[:, k - 2].copy() if k >= 2 else np.zeros(m)
-        del part
-        rows, cols = np.nonzero(d <= kdist[:, None])
+        kdist = np.empty(m)
+        kdist_prev = np.zeros(m)
+        rows, cols = [], []
+        for block in _row_blocks(m, m):
+            part = np.partition(d[block], (k - 1, max(k - 2, 0)), axis=1)
+            kdist[block] = np.maximum(part[:, k - 1], _KDIST_FLOOR)
+            if k >= 2:
+                kdist_prev[block] = part[:, k - 2]
+            r, c = np.nonzero(d[block] <= kdist[block, None])
+            rows.append(r + block.start)
+            cols.append(c)
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
         first_row: dict = {}
         for i, row in enumerate(windows + 0.0):  # + 0.0 folds -0.0 into 0.0, as == does
             first_row.setdefault(row.tobytes(), i)
@@ -280,10 +305,9 @@ class LofModel:
     def scores(self, windows: np.ndarray) -> np.ndarray:
         """Exact LOF of each row against reference union {row}, in row blocks."""
         windows = np.asarray(windows, dtype=np.float64)
-        step = max(1, _LOF_BLOCK_ENTRIES // self.kdist.size)
         out = np.empty(windows.shape[0])
-        for i in range(0, windows.shape[0], step):
-            out[i : i + step] = self._score_block(windows[i : i + step])
+        for rows in _row_blocks(windows.shape[0], self.kdist.size):
+            out[rows] = self._score_block(windows[rows])
         return out
 
     def _joined_kdist(self, dq: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -547,7 +571,11 @@ def ocsvm_fit(
     if not (0.0 < nu <= 1.0):
         raise InvalidHyperparameter(f"nu must lie in (0, 1], got {nu}")
     gamma = 1.0 / windows.shape[1] if rbf_gamma is None else rbf_gamma
-    kernel = np.exp(-gamma * _pairwise_sq(windows, windows))
+    # Exactly symmetric (syrk mirrors one triangle, the norms add
+    # commutatively), so the updates read rows instead of strided columns.
+    kernel = _pairwise_sq(windows, windows)
+    kernel *= -gamma
+    np.exp(kernel, out=kernel)
     box = 1.0 / (nu * m)
 
     alpha = np.zeros(m)
@@ -575,7 +603,7 @@ def ocsvm_fit(
             new_i = max(0.0, total - box)
         new_i = min(max(new_i, max(0.0, total - box)), min(box, total))
         new_j = total - new_i
-        gradient += (new_i - alpha[i]) * kernel[:, i] + (new_j - alpha[j]) * kernel[:, j]
+        gradient += (new_i - alpha[i]) * kernel[i] + (new_j - alpha[j]) * kernel[j]
         alpha[i], alpha[j] = new_i, new_j
 
     interior = (alpha > 1e-8) & (alpha < box - 1e-8)
@@ -602,7 +630,9 @@ def ocsvm_score(
     model: OcSvmModel, test_windows: WindowFrame, detector_name: str = "ocsvm"
 ) -> ScoreSeries:
     """rho - sum_i alpha_i K(sv_i, x): positive outside the learned boundary."""
-    kernel = np.exp(-model.rbf_gamma * _pairwise_sq(test_windows.windows, model.support_vectors))
+    kernel = _pairwise_sq(test_windows.windows, model.support_vectors)
+    kernel *= -model.rbf_gamma
+    np.exp(kernel, out=kernel)
     scores = model.rho - kernel @ model.dual_coeffs
     return ScoreSeries(
         scores=scores, indices=test_windows.target_indices, detector_name=detector_name

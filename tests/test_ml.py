@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,7 @@ from tsadkit.errors import (
     DistanceMatrixTooLarge,
     InvalidHyperparameter,
     NoCorePoints,
+    NonFiniteValues,
     TooFewWindows,
 )
 
@@ -750,3 +752,255 @@ class TestAdapters:
         cfg = DetectorConfig(name="iforest", hyperparameters={"trees": 5})
         with pytest.raises(ValueError, match="trees"):
             detector.fit(self.make_series(8), cfg)
+
+
+# ---------------------------------------------------------------------------
+# Distance matrices built once and filled in place: the one-expression
+# versions are frozen here as oracles, and tracemalloc bounds the peaks.
+
+
+def frozen_pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``_pairwise_sq`` as one expression: the norm sum, the product, the
+    difference and the clip each allocate an m x n matrix."""
+    aa = np.einsum("ij,ij->i", a, a)
+    bb = np.einsum("ij,ij->i", b, b)
+    sq = np.maximum(aa[:, None] + bb[None, :] - 2.0 * (a @ b.T), 0.0)
+    if not np.isfinite(sq.max(initial=0.0)):
+        raise NonFiniteValues("pairwise window distances overflow")
+    return sq
+
+
+def frozen_lof_fit(windows: np.ndarray, k: int) -> dict:
+    """``LofModel``'s cached structures from whole-matrix sqrt and partition."""
+    m = windows.shape[0]
+    d = np.sqrt(frozen_pairwise_sq(windows, windows))
+    np.fill_diagonal(d, np.inf)
+    part = np.partition(d, (k - 1, max(k - 2, 0)), axis=1)
+    kdist = np.maximum(part[:, k - 1], ml._KDIST_FLOOR)
+    kdist_prev = part[:, k - 2].copy() if k >= 2 else np.zeros(m)
+    rows, cols = np.nonzero(d <= kdist[:, None])
+    return {
+        "ref_distances": d,
+        "kdist": kdist,
+        "kdist_prev": kdist_prev,
+        "nbr_ptr": np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m)))),
+        "nbr_idx": cols,
+        "nbr_dist": d[rows, cols],
+    }
+
+
+def frozen_ocsvm_fit(windows: np.ndarray, nu: float = 0.7) -> tuple:
+    """``ocsvm_fit`` with a freshly allocated kernel whose columns the
+    updates read; returns (support vectors, coefficients, rho, converged)."""
+    m = windows.shape[0]
+    gamma = 1.0 / windows.shape[1]
+    kernel = np.exp(-gamma * frozen_pairwise_sq(windows, windows))
+    box = 1.0 / (nu * m)
+    alpha = np.zeros(m)
+    full = int(math.floor(nu * m))
+    alpha[:full] = box
+    if full < m:
+        alpha[full] = 1.0 - full * box
+    gradient = kernel @ alpha
+    converged = False
+    for _ in range(ml._OCSVM_MAX_ITER):
+        can_down = alpha > 1e-12
+        can_up = alpha < box - 1e-12
+        i = int(np.where(can_down, gradient, -np.inf).argmax())
+        j = int(np.where(can_up, gradient, np.inf).argmin())
+        gap = gradient[i] - gradient[j]
+        if gap < ml._OCSVM_TOL:
+            converged = True
+            break
+        total = alpha[i] + alpha[j]
+        curvature = kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j]
+        if curvature > 1e-15:
+            new_i = alpha[i] - gap / curvature
+        else:
+            new_i = max(0.0, total - box)
+        new_i = min(max(new_i, max(0.0, total - box)), min(box, total))
+        new_j = total - new_i
+        gradient += (new_i - alpha[i]) * kernel[:, i] + (new_j - alpha[j]) * kernel[:, j]
+        alpha[i], alpha[j] = new_i, new_j
+    interior = (alpha > 1e-8) & (alpha < box - 1e-8)
+    if interior.any():
+        rho = float(gradient[interior].mean())
+    else:
+        at_box = alpha >= box - 1e-8
+        at_zero = alpha <= 1e-8
+        lo = float(gradient[at_box].max()) if at_box.any() else -math.inf
+        hi = float(gradient[at_zero].min()) if at_zero.any() else math.inf
+        rho = 0.5 * (lo + hi) if math.isfinite(lo) and math.isfinite(hi) else float(gradient @ alpha)
+    keep = alpha > 1e-12
+    return windows[keep], alpha[keep], rho, converged
+
+
+def frozen_ocsvm_score(model: OcSvmModel, windows: np.ndarray) -> np.ndarray:
+    kernel = np.exp(-model.rbf_gamma * frozen_pairwise_sq(windows, model.support_vectors))
+    return model.rho - kernel @ model.dual_coeffs
+
+
+def frozen_dbscan_core(windows: np.ndarray, epsilon: float, mu: int) -> np.ndarray:
+    """``dbscan_fit``'s core mask from a whole boolean neighbour matrix."""
+    within = frozen_pairwise_sq(windows, windows) <= epsilon * epsilon
+    np.fill_diagonal(within, False)
+    return within.sum(axis=1) >= mu
+
+
+def distance_synth_w30():
+    train, test = synth_frames(30)
+    return train.windows, test.windows
+
+
+def distance_distinct():
+    rng = np.random.default_rng(51)
+    return rng.normal(0.0, 1.0, (37, 6)), rng.normal(0.0, 1.0, (23, 6))
+
+
+def distance_one_row():
+    rng = np.random.default_rng(52)
+    return rng.normal(0.0, 1.0, (1, 6)), rng.normal(0.0, 1.0, (23, 6))
+
+
+def distance_signed_zeros():
+    # Rows of 0.0, rows of -0.0 and rows mixing both: all one point.
+    rng = np.random.default_rng(53)
+    a = rng.normal(0.0, 1.0, (41, 4))
+    a[:8] = 0.0
+    a[8:16] = -0.0
+    a[16:20] = [0.0, -0.0, 0.0, -0.0]
+    b = np.vstack((np.full((3, 4), -0.0), rng.normal(0.0, 1.0, (20, 4))))
+    return a, b
+
+
+DISTANCE_CASES = {
+    "synth-w30": distance_synth_w30,
+    "distinct": distance_distinct,
+    "one-row": distance_one_row,
+    "signed-zeros": distance_signed_zeros,
+}
+# The default blocks, and 100-entry blocks of one to four rows, which end
+# in a ragged block on every small case.
+BLOCK_ENTRIES = {"default-blocks": None, "100-entry-blocks": 100}
+
+
+@pytest.fixture(params=list(BLOCK_ENTRIES))
+def blocks(request, monkeypatch):
+    if BLOCK_ENTRIES[request.param] is not None:
+        monkeypatch.setattr(ml, "_LOF_BLOCK_ENTRIES", BLOCK_ENTRIES[request.param])
+
+
+def same_bytes(got: np.ndarray, want: np.ndarray) -> bool:
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# The fits need more windows than the one-row case has.
+FIT_CASES = [case for case in DISTANCE_CASES if case != "one-row"]
+
+
+@pytest.mark.usefixtures("blocks")
+class TestInPlaceDistances:
+    """Filling one matrix in place leaves every output bit-identical."""
+
+    @pytest.mark.parametrize("case", DISTANCE_CASES)
+    def test_pairwise_matches_frozen_expression(self, case):
+        a, b = DISTANCE_CASES[case]()
+        for x, y in ((a, a), (b, b), (a, b), (b, a)):
+            assert same_bytes(ml._pairwise_sq(x, y), frozen_pairwise_sq(x, y))
+
+    @pytest.mark.parametrize("case", FIT_CASES)
+    @pytest.mark.parametrize("k", [1, 2, 10])
+    def test_lof_fit_matches_frozen_fit(self, case, k):
+        windows, _ = DISTANCE_CASES[case]()
+        model = LofModel(k_neighbors=k, reference_windows=windows)
+        for name, want in frozen_lof_fit(windows, k).items():
+            assert same_bytes(getattr(model, name), want), name
+
+    @pytest.mark.parametrize("case", FIT_CASES)
+    def test_ocsvm_matches_frozen_fit_and_score(self, case):
+        windows, queries = DISTANCE_CASES[case]()
+        model = ocsvm_fit(raw_frame(windows))
+        support, coeffs, rho, converged = frozen_ocsvm_fit(windows)
+        assert same_bytes(model.support_vectors, support)
+        assert same_bytes(model.dual_coeffs, coeffs)
+        assert (model.rho, model.converged) == (rho, converged)
+        for x in (queries, windows):
+            assert same_bytes(ocsvm_score(model, raw_frame(x)).scores, frozen_ocsvm_score(model, x))
+
+    @pytest.mark.parametrize("case", FIT_CASES)
+    def test_dbscan_cores_match_frozen_counts(self, case):
+        windows, _ = DISTANCE_CASES[case]()
+        d = np.sqrt(frozen_pairwise_sq(windows, windows))
+        for quantile in (0.05, 0.3):
+            epsilon = float(np.quantile(d[d > 0.0], quantile))
+            want = frozen_dbscan_core(windows, epsilon, 3)
+            assert want.any() and not want.all()
+            model = dbscan_fit(raw_frame(windows), epsilon=epsilon, mu=3)
+            assert same_bytes(model.core_points, windows[want])
+
+    @pytest.mark.parametrize("case", DISTANCE_CASES)
+    def test_overflow_still_raises(self, case):
+        a, b = DISTANCE_CASES[case]()
+        a, b = a + 1e200, b + 1e200
+        with np.errstate(all="ignore"):
+            for x, y in ((a, a), (a, b)):
+                with pytest.raises(NonFiniteValues):
+                    frozen_pairwise_sq(x, y)
+                with pytest.raises(NonFiniteValues):
+                    ml._pairwise_sq(x, y)
+            if a.shape[0] >= 2:
+                with pytest.raises(NonFiniteValues):
+                    LofModel(k_neighbors=1, reference_windows=a)
+                with pytest.raises(NonFiniteValues):
+                    ocsvm_fit(raw_frame(a))
+                with pytest.raises(NonFiniteValues):
+                    dbscan_fit(raw_frame(a))
+
+
+def traced_peak(build):
+    """Result of ``build()`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+class TestDistancePeaks:
+    """Each window-distance matrix exists once: the peak is its own bytes
+    plus block-sized scratch, not a second matrix of temporaries."""
+
+    M, N, WIDTH, K = 1500, 1200, 30, 10
+
+    def windows(self, rows: int, seed: int) -> np.ndarray:
+        return np.random.default_rng(seed).normal(0.0, 1.0, (rows, self.WIDTH))
+
+    def test_pairwise_holds_its_output_and_one_block(self):
+        a, b = self.windows(self.M, 61), self.windows(self.N, 62)
+        for x, y in ((a, b), (a, a)):
+            sq, peak = traced_peak(lambda: ml._pairwise_sq(x, y))
+            assert peak <= 1.1 * sq.nbytes + 8 * ml._LOF_BLOCK_ENTRIES, peak / sq.nbytes
+
+    def test_ocsvm_holds_one_kernel(self):
+        train, test = self.windows(self.N, 63), self.windows(self.M, 64)
+        model, peak = traced_peak(lambda: ocsvm_fit(raw_frame(train)))
+        assert peak <= 1.1 * 8 * self.N**2, peak / (8 * self.N**2)
+        test_frame = raw_frame(test)
+        _, peak = traced_peak(lambda: ocsvm_score(model, test_frame))
+        kernel_bytes = 8 * self.M * model.support_vectors.shape[0]
+        assert peak <= 1.1 * kernel_bytes, peak / kernel_bytes
+
+    def test_lof_fit_holds_one_matrix(self):
+        windows = self.windows(self.M, 65)
+        _, peak = traced_peak(lambda: LofModel(k_neighbors=self.K, reference_windows=windows))
+        # Beyond the m x m matrix: neighbour lists of about k entries per
+        # row, and the duplicate map of one window's bytes per row.
+        extra = 32 * self.M * (self.K + self.WIDTH)
+        assert peak <= 1.1 * 8 * self.M**2 + extra, peak / (8 * self.M**2)
+
+    def test_dbscan_fit_holds_one_matrix(self):
+        windows = self.windows(self.M, 66)
+        _, peak = traced_peak(lambda: dbscan_fit(raw_frame(windows), epsilon=6.0, mu=5))
+        assert peak <= 1.1 * 8 * self.M**2, peak / (8 * self.M**2)
