@@ -226,8 +226,11 @@ def dbscan_fit(train_windows: WindowFrame, epsilon: float = 0.4, mu: int = 5) ->
 def dbscan_score(
     model: DbscanModel, test_windows: WindowFrame, detector_name: str = "dbscan"
 ) -> ScoreSeries:
-    """Distance to the nearest training core point; 0 inside its epsilon ball."""
-    d = np.sqrt(_pairwise_sq(test_windows.windows, model.core_points)).min(axis=1)
+    """Distance to the nearest training core point; 0 inside its epsilon ball.
+
+    The square root of each row's minimum equals the minimum of the row's
+    square roots, because sqrt is monotone and correctly rounded."""
+    d = np.sqrt(_pairwise_sq(test_windows.windows, model.core_points).min(axis=1))
     scores = np.where(d <= model.epsilon, 0.0, d)
     return ScoreSeries(
         scores=scores, indices=test_windows.target_indices, detector_name=detector_name
@@ -658,34 +661,87 @@ class GbtModel:
     loss_history: tuple = ()
 
 
-def _gbt_best_split(order, sorted_vals, g, idx):
+class _PresortedColumns:
+    """Per-fit state of the split search (presorted columns, Chen & Guestrin
+    2016), built once and shared by every node of every round.
+
+    Row f of ``order`` is feature f's stable argsort of the training rows.
+    Only features that hold a tie need their sorted values at a node, to
+    forbid a split between equal values; ``tied`` selects them, as a basic
+    slice when every feature holds one so that nothing is copied.
+    ``lambda_plus[k]`` is k + lambda.  ``gains``, ``right`` and ``equal``
+    are flat scratch, so that a node's d x n arrays are contiguous: numpy
+    runs a contiguous operation as one loop, a strided one row by row.
+    """
+
+    def __init__(self, data: np.ndarray):
+        rows, d = data.shape
+        self.data = data
+        self.order = np.argsort(data.T, axis=1, kind="stable")
+        self.sorted_vals = np.take_along_axis(data.T, self.order, axis=1)
+        has_tie = (self.sorted_vals[:, 1:] == self.sorted_vals[:, :-1]).any(axis=1)
+        self.any_tied = bool(has_tie.any())
+        self.tied = slice(None) if has_tie.all() else np.flatnonzero(has_tie)
+        self.tied_vals = self.sorted_vals[self.tied]
+        self.lambda_plus = np.arange(rows + 1, dtype=np.float64) + _GBT_LAMBDA
+        self.gains = np.empty(d * rows)
+        self.right = np.empty(d * rows)
+        self.equal = np.empty(d * rows, dtype=bool)
+        self.features = np.arange(d)
+
+
+def _gbt_best_split(cols: _PresortedColumns, g: np.ndarray, idx: np.ndarray):
     """Best (feature, split) over all features for one node, or None; h_i = 1.
 
-    Row f of ``order`` and ``sorted_vals`` is feature f's stable argsort and
-    sorted values (presorted columns, Chen & Guestrin 2016).  Node index sets
-    are ascending, so the node's rows in ``order[f]`` are the stable sort of
-    its values of f.  The first feature of largest gain wins if that gain is
-    > 0."""
+    Node index sets are ascending, so the node's rows in ``cols.order[f]``
+    are the stable sort of its values of f; the root takes ``order`` as it
+    is.  The first feature of largest gain wins if that gain is > 0."""
+    order, tied_vals = cols.order, cols.tied_vals
     d, n = order.shape[0], idx.size
-    member = np.zeros(order.shape[1], dtype=bool)
-    member[idx] = True
-    keep = member[order]
-    sv = sorted_vals[keep].reshape(d, n)
+    if n < order.shape[1]:
+        member = np.zeros(order.shape[1], dtype=bool)
+        member[idx] = True
+        # Flat positions of the node's rows, n in each row of ``order``: a
+        # gather by them is several times faster than a boolean compress.
+        flat = np.flatnonzero(member.take(order)).reshape(d, n)
+        order = order.take(flat)
+        if cols.any_tied:
+            tied_vals = cols.sorted_vals.take(flat[cols.tied])
     G = g[idx].sum()
     parent = G * G / (n + _GBT_LAMBDA)
-    gl = np.cumsum(g[order[keep].reshape(d, n)], axis=1)[:, :-1]
-    hl = np.arange(1, n, dtype=np.float64)
-    gr = G - gl
-    hr = n - hl
-    gains = 0.5 * (gl * gl / (hl + _GBT_LAMBDA) + gr * gr / (hr + _GBT_LAMBDA) - parent)
-    gains[sv[:, 1:] == sv[:, :-1]] = -np.inf
+    # Column i splits after the (i + 1)-th row: hl = i + 1, hr = n - hl.
+    # The last column, hl = n, is no split; it is computed and then barred.
+    gl = np.cumsum(g[order], axis=1)
+    # gains = 0.5 * (gl^2 / (hl + lambda) + gr^2 / (hr + lambda) - parent),
+    # in that operation order.
+    gains = cols.gains[: d * n].reshape(d, n)
+    right = cols.right[: d * n].reshape(d, n)
+    np.multiply(gl, gl, out=gains)
+    gains /= cols.lambda_plus[1 : n + 1]
+    np.subtract(G, gl, out=right)
+    right *= right
+    right /= cols.lambda_plus[n - 1 :: -1]
+    gains += right
+    gains -= parent
+    gains *= 0.5
+    if cols.any_tied:
+        # Equal neighbours in each tied row; the comparisons that cross
+        # from one row to the next land in the barred last column.
+        values = tied_vals.ravel()
+        equal = cols.equal[: values.size]
+        np.equal(values[1:], values[:-1], out=equal[:-1])
+        tied_gains = gains[cols.tied]
+        np.putmask(tied_gains, equal.reshape(-1, n), -np.inf)
+        if isinstance(cols.tied, np.ndarray):  # the index array copied the rows
+            gains[cols.tied] = tied_gains
+    gains[:, -1] = -np.inf
     pos = gains.argmax(axis=1)
-    best = gains[np.arange(d), pos]
+    best = gains[cols.features, pos]
     feature = int(best.argmax())
     if not best[feature] > 0.0:
         return None
-    at = pos[feature]
-    return feature, float(0.5 * (sv[feature, at] + sv[feature, at + 1]))
+    lo, hi = order[feature, pos[feature] : pos[feature] + 2]
+    return feature, float(0.5 * (cols.data[lo, feature] + cols.data[hi, feature]))
 
 
 def gbt_fit(
@@ -697,7 +753,9 @@ def gbt_fit(
     """Boost depth-capped trees against the one-step forecasting targets.
 
     Squared-error loss gives gradients g_i = prediction - target and unit
-    hessians; each round adds learning_rate times the new tree.
+    hessians; each round adds learning_rate times the new tree.  The leaves
+    partition the training rows, so each leaf writes its weight to its own
+    rows as it is grown, and the tree is never applied to the training rows.
     """
     if not learning_rate > 0.0 or max_depth < 1 or n_estimators < 0:
         raise InvalidHyperparameter(
@@ -705,34 +763,38 @@ def gbt_fit(
         )
     data = train_frame.windows
     targets = train_frame.targets
-    order = np.argsort(data.T, axis=1, kind="stable")
-    sorted_vals = np.take_along_axis(data.T, order, axis=1)
+    cols = _PresortedColumns(data)
     base = float(targets.mean())
     predictions = np.full(targets.size, base)
+    step = np.empty(targets.size)
+    g = predictions - targets
+
+    def best_split(data: np.ndarray, idx: np.ndarray):
+        return _gbt_best_split(cols, g, idx)
+
+    def leaf_weight(idx: np.ndarray, depth: int) -> float:
+        weight = float(-g[idx].sum() / (idx.size + _GBT_LAMBDA))
+        step[idx] = weight
+        return weight
+
     trees = []
     history = []
     omega_total = 0.0
     for _ in range(n_estimators):
-        g = predictions - targets
-
-        def best_split(data: np.ndarray, idx: np.ndarray):
-            return _gbt_best_split(order, sorted_vals, g, idx)
-
-        def leaf_weight(idx: np.ndarray, depth: int) -> float:
-            return float(-g[idx].sum() / (idx.size + _GBT_LAMBDA))
-
         tree = _grow_tree(data, max_depth, best_split, leaf_weight)
         trees.append(tree)
-        predictions += learning_rate * tree.apply(data)
+        step *= learning_rate
+        predictions += step
         # A plain loop over the leaves in growth order keeps loss_history
         # reproducible: numpy's sum pairs terms, and Python 3.12's sum()
         # compensates rounding.
-        steps = (learning_rate * tree.value[tree.is_leaf]).tolist()
+        leaf_steps = (learning_rate * tree.value[tree.is_leaf]).tolist()
         squared_norm = 0.0
-        for step in steps:
-            squared_norm += step * step
+        for leaf_step in leaf_steps:
+            squared_norm += leaf_step * leaf_step
         omega_total += 0.5 * _GBT_LAMBDA * squared_norm
-        history.append(0.5 * float(((predictions - targets) ** 2).sum()) + omega_total)
+        g = predictions - targets
+        history.append(0.5 * float((g**2).sum()) + omega_total)
     return GbtModel(
         trees=tuple(trees),
         learning_rate=learning_rate,

@@ -634,30 +634,33 @@ def holtwinters_fit(
         "gamma": 0.5 if gamma is None else gamma,
     }
     free = [name for name, fixed in (("alpha", alpha), ("beta", beta), ("gamma", gamma)) if fixed is None]
-    for _ in range(3 if free else 0):
-        for name in free:
-            axes = {
-                key: (_GRID if key == name else np.full(_GRID.size, current[key]))
-                for key in ("alpha", "beta", "gamma")
-            }
-            sse, _, _, _ = _hw_sweep(values, period, axes["alpha"], axes["beta"], axes["gamma"])
-            current[name] = float(_GRID[int(np.argmin(sse))])
-    one = np.asarray([1.0])
-    sse, levels, trends, season_tail = _hw_sweep(
-        values,
-        period,
-        one * current["alpha"],
-        one * current["beta"],
-        one * current["gamma"],
-    )
+    if free:
+        for _ in range(3):
+            for name in free:
+                axes = {
+                    key: (_GRID if key == name else np.full(_GRID.size, current[key]))
+                    for key in ("alpha", "beta", "gamma")
+                }
+                sweep = _hw_sweep(values, period, axes["alpha"], axes["beta"], axes["gamma"])
+                best = int(np.argmin(sweep[0]))
+                current[name] = float(_GRID[best])
+        # The last sweep's argmin column ran the final combination, so its
+        # state is the fit's.
+    else:
+        one = np.asarray([1.0])
+        sweep = _hw_sweep(
+            values, period, one * current["alpha"], one * current["beta"], one * current["gamma"]
+        )
+        best = 0
+    sse, levels, trends, season_tail = sweep
     return SmoothingFit(
         alpha=current["alpha"],
         beta=current["beta"],
         gamma=current["gamma"],
-        level=float(levels[0]),
-        trend=float(trends[0]),
-        season=tuple(season_tail[:, 0]),
-        train_sse=float(sse[0]),
+        level=float(levels[best]),
+        trend=float(trends[best]),
+        season=tuple(season_tail[:, best]),
+        train_sse=float(sse[best]),
     )
 
 

@@ -633,7 +633,7 @@ def per_feature_best_split(data: np.ndarray, g: np.ndarray, idx: np.ndarray, lam
 def reference_gbt_fit(train_frame: WindowFrame, **kwargs) -> GbtModel:
     """gbt_fit with every node split by the per-feature search."""
 
-    def split_rule(order, sorted_vals, g, idx):
+    def split_rule(cols, g, idx):
         found = per_feature_best_split(train_frame.windows, g, idx, lam=1.0)
         return None if found is None else found[1:]
 
@@ -701,6 +701,136 @@ class TestPresortedSplit:
         )
         # The cases must exercise splitting, not only single-leaf trees.
         assert max(tree.depth for tree in model.trees) == kwargs.get("max_depth", 3)
+
+
+def frozen_gbt_best_split(order, sorted_vals, g, idx):
+    """``_gbt_best_split`` before its per-fit state: every node, the root
+    included, compresses ``order`` and ``sorted_vals`` and tests every
+    feature for ties."""
+    d, n = order.shape[0], idx.size
+    member = np.zeros(order.shape[1], dtype=bool)
+    member[idx] = True
+    keep = member[order]
+    sv = sorted_vals[keep].reshape(d, n)
+    G = g[idx].sum()
+    parent = G * G / (n + ml._GBT_LAMBDA)
+    gl = np.cumsum(g[order[keep].reshape(d, n)], axis=1)[:, :-1]
+    hl = np.arange(1, n, dtype=np.float64)
+    gr = G - gl
+    hr = n - hl
+    gains = 0.5 * (gl * gl / (hl + ml._GBT_LAMBDA) + gr * gr / (hr + ml._GBT_LAMBDA) - parent)
+    gains[sv[:, 1:] == sv[:, :-1]] = -np.inf
+    pos = gains.argmax(axis=1)
+    best = gains[np.arange(d), pos]
+    feature = int(best.argmax())
+    if not best[feature] > 0.0:
+        return None
+    at = pos[feature]
+    return feature, float(0.5 * (sv[feature, at] + sv[feature, at + 1]))
+
+
+def frozen_gbt_fit(
+    train_frame: WindowFrame,
+    n_estimators: int = 1000,
+    max_depth: int = 3,
+    learning_rate: float = 0.1,
+) -> GbtModel:
+    """``gbt_fit`` before its per-fit state: each round applies the new
+    tree to the training rows and computes predictions - targets twice."""
+    data = train_frame.windows
+    targets = train_frame.targets
+    order = np.argsort(data.T, axis=1, kind="stable")
+    sorted_vals = np.take_along_axis(data.T, order, axis=1)
+    base = float(targets.mean())
+    predictions = np.full(targets.size, base)
+    trees = []
+    history = []
+    omega_total = 0.0
+    for _ in range(n_estimators):
+        g = predictions - targets
+
+        def best_split(data: np.ndarray, idx: np.ndarray):
+            return frozen_gbt_best_split(order, sorted_vals, g, idx)
+
+        def leaf_weight(idx: np.ndarray, depth: int) -> float:
+            return float(-g[idx].sum() / (idx.size + ml._GBT_LAMBDA))
+
+        tree = ml._grow_tree(data, max_depth, best_split, leaf_weight)
+        trees.append(tree)
+        predictions += learning_rate * tree.apply(data)
+        steps = (learning_rate * tree.value[tree.is_leaf]).tolist()
+        squared_norm = 0.0
+        for step in steps:
+            squared_norm += step * step
+        omega_total += 0.5 * ml._GBT_LAMBDA * squared_norm
+        history.append(0.5 * float(((predictions - targets) ** 2).sum()) + omega_total)
+    return GbtModel(
+        trees=tuple(trees),
+        learning_rate=learning_rate,
+        base_score=base,
+        loss_history=tuple(history),
+    )
+
+
+def partly_tied_frames():
+    """Every third column rounded: some features hold ties, some do not."""
+    rng = np.random.default_rng(7)
+    windows = rng.normal(0.0, 1.0, (260, 9))
+    windows[:, ::3] = np.round(windows[:, ::3], 1)
+    targets = windows[:, 0] - 0.5 * windows[:, -1] + rng.normal(0.0, 0.2, 260)
+    return window_frame(windows[:200], targets[:200]), window_frame(windows[200:], targets[200:])
+
+
+def few_row_frames(rows: int):
+    rng = np.random.default_rng(rows)
+    windows, targets = rng.normal(0.0, 1.0, (rows + 3, 4)), rng.normal(0.0, 1.0, rows + 3)
+    train = window_frame(windows[:rows], targets[:rows])
+    return train, window_frame(windows[rows:], targets[rows:])
+
+
+class TestFrozenGbtFit:
+    """The per-fit split state and the leaf-written update grow the same
+    ensembles, bit for bit, as the whole-fit loop before them."""
+
+    @pytest.mark.parametrize(
+        "frames, kwargs",
+        [
+            (lambda: synth_frames(30), {"n_estimators": 60}),
+            (lambda: tied_frames(1, 6), {"n_estimators": 40}),
+            (partly_tied_frames, {"n_estimators": 40}),
+            (lambda: tied_frames(2, 5, constant_column=True), {"n_estimators": 40}),
+            (lambda: tied_frames(3, 1), {"n_estimators": 40}),
+            (lambda: few_row_frames(2), {"n_estimators": 10}),
+            (lambda: few_row_frames(3), {"n_estimators": 10}),
+            (lambda: synth_frames(30), {"n_estimators": 0}),
+            (lambda: tied_frames(4, 6), {"n_estimators": 30, "max_depth": 1}),
+            (lambda: partly_tied_frames(), {"n_estimators": 30, "max_depth": 2}),
+            (lambda: synth_frames(8), {"n_estimators": 20, "max_depth": 4}),
+        ],
+        ids=[
+            "synth-w30", "ties", "partly-tied", "constant-column", "width-1",
+            "2-rows", "3-rows", "no-trees", "depth-1", "depth-2", "depth-4",
+        ],
+    )
+    def test_matches_frozen_fit(self, frames, kwargs):
+        train, test = frames()
+        model = gbt_fit(train, **kwargs)
+        frozen = frozen_gbt_fit(train, **kwargs)
+        assert np.array(model.loss_history).tobytes() == np.array(frozen.loss_history).tobytes()
+        assert model.base_score == frozen.base_score
+        assert len(model.trees) == len(frozen.trees) == kwargs["n_estimators"]
+        for tree, expected in zip(model.trees, frozen.trees):
+            assert tree.depth == expected.depth
+            for name in ("feature", "threshold", "left", "right", "value"):
+                assert same_bytes(getattr(tree, name), getattr(expected, name)), name
+        for x in (train, test):
+            assert same_bytes(gbt_score(model, x).scores, gbt_score(frozen, x).scores)
+
+    def test_cases_cover_no_some_and_all_features_tied(self):
+        assert not ml._PresortedColumns(synth_frames(30)[0].windows).any_tied
+        assert ml._PresortedColumns(tied_frames(1, 6)[0].windows).tied == slice(None)
+        partly = ml._PresortedColumns(partly_tied_frames()[0].windows)
+        np.testing.assert_array_equal(partly.tied, [0, 3, 6])
 
 
 class TestAdapters:
@@ -847,6 +977,12 @@ def frozen_dbscan_core(windows: np.ndarray, epsilon: float, mu: int) -> np.ndarr
     return within.sum(axis=1) >= mu
 
 
+def frozen_dbscan_score(model: DbscanModel, windows: np.ndarray) -> np.ndarray:
+    """``dbscan_score`` taking the square root of the whole matrix."""
+    d = np.sqrt(frozen_pairwise_sq(windows, model.core_points)).min(axis=1)
+    return np.where(d <= model.epsilon, 0.0, d)
+
+
 def distance_synth_w30():
     train, test = synth_frames(30)
     return train.windows, test.windows
@@ -939,6 +1075,15 @@ class TestInPlaceDistances:
             assert same_bytes(model.core_points, windows[want])
 
     @pytest.mark.parametrize("case", DISTANCE_CASES)
+    def test_dbscan_scores_match_frozen_sqrt(self, case):
+        a, b = DISTANCE_CASES[case]()
+        for core, queries in ((a, b), (b, a), (a, a)):
+            for epsilon in (1.0, 3.0):
+                model = DbscanModel(epsilon=epsilon, core_points=core)
+                scores = dbscan_score(model, raw_frame(queries)).scores
+                assert same_bytes(scores, frozen_dbscan_score(model, queries))
+
+    @pytest.mark.parametrize("case", DISTANCE_CASES)
     def test_overflow_still_raises(self, case):
         a, b = DISTANCE_CASES[case]()
         a, b = a + 1e200, b + 1e200
@@ -1004,3 +1149,11 @@ class TestDistancePeaks:
         windows = self.windows(self.M, 66)
         _, peak = traced_peak(lambda: dbscan_fit(raw_frame(windows), epsilon=6.0, mu=5))
         assert peak <= 1.1 * 8 * self.M**2, peak / (8 * self.M**2)
+
+    def test_dbscan_score_holds_one_matrix(self):
+        train, test = self.windows(self.M, 67), self.windows(self.N, 68)
+        model = dbscan_fit(raw_frame(train), epsilon=6.0, mu=5)
+        test_frame = raw_frame(test)
+        _, peak = traced_peak(lambda: dbscan_score(model, test_frame))
+        matrix_bytes = 8 * self.N * model.core_points.shape[0]
+        assert peak <= 1.1 * matrix_bytes, peak / matrix_bytes

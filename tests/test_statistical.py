@@ -675,6 +675,40 @@ def reference_hw_sweep(values, period, alphas, betas, gammas):
     return sse, levels, trends, seasons[n - period : n]
 
 
+def frozen_holtwinters_fit(train, period, alpha=None, beta=None, gamma=None):
+    """``holtwinters_fit`` with its final one-combination sweep, which
+    recomputes a column the last grid sweep already holds."""
+    values = train.values
+    grid, sweep = statistical._GRID, statistical._hw_sweep
+    current = {
+        "alpha": 0.5 if alpha is None else alpha,
+        "beta": 0.5 if beta is None else beta,
+        "gamma": 0.5 if gamma is None else gamma,
+    }
+    free = [name for name, fixed in (("alpha", alpha), ("beta", beta), ("gamma", gamma)) if fixed is None]
+    for _ in range(3 if free else 0):
+        for name in free:
+            axes = {
+                key: (grid if key == name else np.full(grid.size, current[key]))
+                for key in ("alpha", "beta", "gamma")
+            }
+            sse, _, _, _ = sweep(values, period, axes["alpha"], axes["beta"], axes["gamma"])
+            current[name] = float(grid[int(np.argmin(sse))])
+    one = np.asarray([1.0])
+    sse, levels, trends, season_tail = sweep(
+        values, period, one * current["alpha"], one * current["beta"], one * current["gamma"]
+    )
+    return SmoothingFit(
+        alpha=current["alpha"],
+        beta=current["beta"],
+        gamma=current["gamma"],
+        level=float(levels[0]),
+        trend=float(trends[0]),
+        season=tuple(season_tail[:, 0]),
+        train_sse=float(sse[0]),
+    )
+
+
 def reference_smoothing_score(fit, test):
     values = test.values
     n = values.size
@@ -852,6 +886,21 @@ class TestSmoothingOracle:
         expected = holtwinters_fit(train, 48, **fixed)
         assert smoothing_bits(fit) == smoothing_bits(expected)
         assert same_bits(smoothing_score(fit, test).scores, reference_smoothing_score(fit, test))
+
+    @pytest.mark.parametrize(
+        "fixed",
+        [{}, {"beta": 0.1, "gamma": 0.6}, {"alpha": 0.3, "beta": 0.1, "gamma": 0.6}],
+        ids=["all-free", "two-fixed", "all-fixed"],
+    )
+    @pytest.mark.parametrize("n, scale", [(96, 1.0), (1000, 1.0), (300, 1e200)])
+    def test_holtwinters_takes_the_last_sweeps_column(self, fixed, n, scale):
+        # The fit's state comes from the last grid sweep's argmin column
+        # when any parameter is free, not from one more sweep.
+        train = series(seasonal_series(n, 48, seed=107, scale=scale))
+        fit = outcome(holtwinters_fit, train, 48, **fixed)
+        expected = outcome(frozen_holtwinters_fit, train, 48, **fixed)
+        assert isinstance(expected, SmoothingFit)
+        assert smoothing_bits(fit) == smoothing_bits(expected)
 
     def test_one_combination_sweep_keeps_the_sequential_sse(self):
         # The final k = 1 sweep, whose sse is the fit's train_sse.
