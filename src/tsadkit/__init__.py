@@ -40,7 +40,6 @@ from .evaluation import (
     timed_run,
 )
 from .preprocessing import (
-    Split,
     SplitSpec,
     StandardizeParams,
     difference,
@@ -63,7 +62,6 @@ __all__ = [
     "RocCurve",
     "RunConfig",
     "ScoreSeries",
-    "Split",
     "SplitSpec",
     "StandardizeParams",
     "SynthSpec",

@@ -139,8 +139,7 @@ def _pair_seed(base_seed: int, series_id: str, detector: str) -> int:
 
 def _preprocess(config: RunConfig, series: TimeSeries) -> tuple[TimeSeries, TimeSeries]:
     """Split, standardize on train statistics, optionally difference."""
-    parts = split(series, config.split)
-    train, test = parts.train, parts.test
+    train, test = split(series, config.split)
     if config.standardize:
         params = fit_standardizer(train)
         train = standardize(train, params)

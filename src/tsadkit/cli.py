@@ -55,9 +55,7 @@ _RUN_KEYS = {
     "output_dir": str,
     "data_dir": str,
     "train_ratio": float,
-    "validation_of_train": float,
 }
-_SPLIT_KEYS = ("train_ratio", "validation_of_train")
 _SYNTH_KEYS = {
     "length": int,
     "base": str,
@@ -89,8 +87,8 @@ def _read_kv_file(path: Path, converters: dict) -> dict:
 def config_from_sources(args: argparse.Namespace) -> RunConfig:
     """Merge the config file (if any) with CLI flags; flags win."""
     kwargs = {} if args.config is None else _read_kv_file(Path(args.config), _RUN_KEYS)
-    split_kwargs = {key: kwargs.pop(key) for key in _SPLIT_KEYS if key in kwargs}
-    kwargs["split"] = SplitSpec(**split_kwargs)
+    if "train_ratio" in kwargs:
+        kwargs["split"] = SplitSpec(kwargs.pop("train_ratio"))
     kwargs["datasets"] = args.dataset or kwargs.get("datasets") or ["SYNTH"]
     kwargs["detectors"] = args.detector or kwargs.get("detectors") or ["ar", "kmeans", "iforest"]
     if args.no_standardize:

@@ -60,7 +60,8 @@ __all__ = [
 _MAX_PAIRWISE_ENTRIES = 2**27
 _KDIST_FLOOR = 1e-12
 # Row blocks over a distance matrix hold about this many entries: the
-# scratch of _pairwise_sq, LOF fit and scoring, and DBSCAN's neighbour counts.
+# scratch of _pairwise_sq, LOF fit and scoring, DBSCAN's neighbour counts
+# and the one-class SVM's scoring kernel.
 # LOF expands neighbour lists in chunks of at most _LOF_CHUNK_ENTRIES entries.
 _LOF_BLOCK_ENTRIES = 2**16
 _LOF_CHUNK_ENTRIES = 2**16
@@ -632,11 +633,16 @@ def ocsvm_fit(
 def ocsvm_score(
     model: OcSvmModel, test_windows: WindowFrame, detector_name: str = "ocsvm"
 ) -> ScoreSeries:
-    """rho - sum_i alpha_i K(sv_i, x): positive outside the learned boundary."""
-    kernel = _pairwise_sq(test_windows.windows, model.support_vectors)
-    kernel *= -model.rbf_gamma
-    np.exp(kernel, out=kernel)
-    scores = model.rho - kernel @ model.dual_coeffs
+    """rho - sum_i alpha_i K(sv_i, x): positive outside the learned boundary.
+
+    The test-by-support-vector kernel is built one row block at a time."""
+    windows, vectors = test_windows.windows, model.support_vectors
+    scores = np.empty(windows.shape[0])
+    for rows in _row_blocks(windows.shape[0], vectors.shape[0]):
+        kernel = _pairwise_sq(windows[rows], vectors)
+        kernel *= -model.rbf_gamma
+        np.exp(kernel, out=kernel)
+        scores[rows] = model.rho - kernel @ model.dual_coeffs
     return ScoreSeries(
         scores=scores, indices=test_windows.target_indices, detector_name=detector_name
     )

@@ -16,7 +16,6 @@ from .errors import ConstantSeries, InvalidPeriod, NonFiniteValues, PeriodTooLon
 
 __all__ = [
     "SplitSpec",
-    "Split",
     "StandardizeParams",
     "split",
     "fit_standardizer",
@@ -28,56 +27,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SplitSpec:
-    """Chronological train/validation/test ratios.
+    """Chronological train/test ratio.
 
-    The leading ``train_ratio`` share of the series is set aside for fitting;
-    its trailing ``validation_of_train`` share becomes the validation segment.
-    Everything after that head is the test segment, so ``test_ratio`` is
-    ``1 - train_ratio``.  Sizes are
-    ``head = floor(train_ratio * n)``,
-    ``train = floor((1 - validation_of_train) * head)``, ``val = head - train``,
-    ``test = n - head``, so train+val+test == n always holds.
+    The leading ``train_ratio`` share of the series is the train segment and
+    everything after it the test segment: ``head = floor(train_ratio * n)``
+    points train and ``n - head`` test.
     """
 
     train_ratio: float = 0.3
-    validation_of_train: float = 0.1
 
     def __post_init__(self):
         if not (0.0 < self.train_ratio < 1.0):
             raise ValueError("train_ratio must lie in (0, 1)")
-        if not (0.0 <= self.validation_of_train < 1.0):
-            raise ValueError("validation_of_train must lie in [0, 1)")
-
-    @property
-    def test_ratio(self) -> float:
-        return 1.0 - self.train_ratio
-
-    def sizes(self, n: int) -> tuple[int, int, int]:
-        head = math.floor(self.train_ratio * n)
-        train = math.floor((1.0 - self.validation_of_train) * head)
-        val = head - train
-        test = n - head
-        return train, val, test
 
 
-@dataclass(frozen=True)
-class Split:
-    train: TimeSeries
-    val: TimeSeries
-    test: TimeSeries
-
-
-def split(series: TimeSeries, spec: SplitSpec = SplitSpec()) -> Split:
-    """Cut a series into contiguous train / validation / test segments."""
+def split(series: TimeSeries, spec: SplitSpec = SplitSpec()) -> tuple[TimeSeries, TimeSeries]:
+    """Cut a series into contiguous (train, test) segments at its head."""
     n = len(series)
     if n < 10:
         raise SeriesTooShort(f"splitting requires at least 10 observations, got {n}")
-    train_n, val_n, _ = spec.sizes(n)
-    return Split(
-        train=series.segment(0, train_n),
-        val=series.segment(train_n, train_n + val_n),
-        test=series.segment(train_n + val_n, n),
-    )
+    head = math.floor(spec.train_ratio * n)
+    if head < 1:
+        raise SeriesTooShort(
+            f"train_ratio {spec.train_ratio} leaves no training observations from n={n}"
+        )
+    return series.segment(0, head), series.segment(head, n)
 
 
 @dataclass(frozen=True)

@@ -239,10 +239,10 @@ def _own_class_nmm(detector_name: str, spec: SynthSpec, period_hint=None) -> flo
         series_id=f"own-{detector_name}",
         period_hint=period_hint,
     )
-    parts = split(series)
-    params = fit_standardizer(parts.train)
-    train = standardize(parts.train, params)
-    test = standardize(parts.test, params)
+    train, test = split(series)
+    params = fit_standardizer(train)
+    train = standardize(train, params)
+    test = standardize(test, params)
     detector = get_detector(detector_name)
     cfg = DetectorConfig(name=detector_name, window_width=8)
     scores = detector.score(detector.fit(train, cfg), test)
@@ -304,10 +304,10 @@ def test_criterion_06_every_detector_separates_point_anomalies():
                 seed=seed,
             )
         )
-        parts = split(series)
-        params = fit_standardizer(parts.train)
-        train = standardize(parts.train, params)
-        test = standardize(parts.test, params)
+        train, test = split(series)
+        params = fit_standardizer(train)
+        train = standardize(train, params)
+        test = standardize(test, params)
         for name, (width, hyper) in _DETECTOR_MATRIX.items():
             cfg = DetectorConfig(
                 name=name, window_width=width, hyperparameters=hyper, seed=seed * 7 + 1

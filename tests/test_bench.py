@@ -515,7 +515,17 @@ class TestCli:
         assert merged.seed == 7
         assert merged.standardize is False
         assert merged.split.train_ratio == 0.4
-        assert abs(merged.split.test_ratio - 0.6) < 1e-12
+
+    def test_validation_share_is_an_unknown_key(self, tmp_path, capsys):
+        config = tmp_path / "bench.cfg"
+        config.write_text("detectors = ar\nvalidation_of_train = 0.0\n", encoding="utf-8")
+        code = main(["run", "--config", str(config), "--out", str(tmp_path / "o")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown keys validation_of_train;" in err
+        accepted = err.split("accepted keys: ", 1)[1]
+        assert "train_ratio" in accepted and "validation_of_train" not in accepted
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_config_key_is_a_clean_error(self, tmp_path, capsys):
         config = tmp_path / "bench.cfg"

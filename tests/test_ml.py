@@ -644,12 +644,9 @@ def reference_gbt_fit(train_frame: WindowFrame, **kwargs) -> GbtModel:
 
 def synth_frames(width: int) -> tuple[WindowFrame, WindowFrame]:
     """Train and test frames of the first SYNTH series as a run prepares them."""
-    parts = split(smoke_series()[0], SplitSpec())
-    params = fit_standardizer(parts.train)
-    return (
-        frame(standardize(parts.train, params), width),
-        frame(standardize(parts.test, params), width),
-    )
+    train, test = split(smoke_series()[0], SplitSpec())
+    params = fit_standardizer(train)
+    return frame(standardize(train, params), width), frame(standardize(test, params), width)
 
 
 def window_frame(windows: np.ndarray, targets: np.ndarray) -> WindowFrame:
@@ -1036,7 +1033,8 @@ FIT_CASES = [case for case in DISTANCE_CASES if case != "one-row"]
 
 @pytest.mark.usefixtures("blocks")
 class TestInPlaceDistances:
-    """Filling one matrix in place leaves every output bit-identical."""
+    """Filling one matrix in place leaves every output bit-identical; the
+    one-class SVM's blocked scores agree with the whole product to 1e-10."""
 
     @pytest.mark.parametrize("case", DISTANCE_CASES)
     def test_pairwise_matches_frozen_expression(self, case):
@@ -1060,8 +1058,13 @@ class TestInPlaceDistances:
         assert same_bytes(model.support_vectors, support)
         assert same_bytes(model.dual_coeffs, coeffs)
         assert (model.rho, model.converged) == (rho, converged)
+        # Scoring builds the kernel one row block at a time, and a block of a
+        # product need not round as the same rows of the whole product do.
+        # A score near the boundary cancels rho, so its error scales with rho.
         for x in (queries, windows):
-            assert same_bytes(ocsvm_score(model, raw_frame(x)).scores, frozen_ocsvm_score(model, x))
+            got = ocsvm_score(model, raw_frame(x)).scores
+            want = frozen_ocsvm_score(model, x)
+            np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * model.rho)
 
     @pytest.mark.parametrize("case", FIT_CASES)
     def test_dbscan_cores_match_frozen_counts(self, case):
@@ -1136,6 +1139,17 @@ class TestDistancePeaks:
         _, peak = traced_peak(lambda: ocsvm_score(model, test_frame))
         kernel_bytes = 8 * self.M * model.support_vectors.shape[0]
         assert peak <= 1.1 * kernel_bytes, peak / kernel_bytes
+
+    def test_ocsvm_score_holds_blocks_not_the_kernel(self):
+        model = ocsvm_fit(raw_frame(self.windows(self.N, 63)))
+        n_sv = model.support_vectors.shape[0]
+        block_bytes = 8 * ml._LOF_BLOCK_ENTRIES
+        for rows in (self.M, 4 * self.M):
+            test_frame = raw_frame(self.windows(rows, 64))
+            _, peak = traced_peak(lambda: ocsvm_score(model, test_frame))
+            # A kernel block, its norm-sum scratch and the previous block
+            # while the next is built, plus vectors of length n and n_sv.
+            assert peak <= 4 * block_bytes + 16 * (rows + n_sv), peak / block_bytes
 
     def test_lof_fit_holds_one_matrix(self):
         windows = self.windows(self.M, 65)

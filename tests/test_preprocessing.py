@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -27,40 +29,40 @@ from conftest import series
 
 class TestSplit:
     def test_length_100(self):
-        parts = split(series(np.arange(100.0)))
-        assert parts.train.values.size == 27
-        assert parts.val.values.size == 3
-        assert parts.test.values.size == 70
+        train, test = split(series(np.arange(100.0)))
+        assert (train.values.size, test.values.size) == (30, 70)
 
     def test_length_10(self):
-        parts = split(series(np.arange(10.0)))
-        sizes = (parts.train.values.size, parts.val.values.size, parts.test.values.size)
-        assert sizes == (2, 1, 7)
+        train, test = split(series(np.arange(10.0)))
+        assert (train.values.size, test.values.size) == (3, 7)
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
             split(series(np.arange(5.0)))
 
+    def test_empty_train_is_a_clear_error(self):
+        with pytest.raises(SeriesTooShort, match=r"train_ratio 0\.05 .* n=10"):
+            split(series(np.arange(10.0)), SplitSpec(train_ratio=0.05))
+
     @pytest.mark.parametrize("n", [10, 11, 33, 100, 997, 1421])
     def test_partition_identity(self, n):
-        parts = split(series(np.arange(float(n))))
-        a, b, c = parts.train.values, parts.val.values, parts.test.values
-        assert a.size + b.size + c.size == n
-        assert np.array_equal(np.concatenate((a, b, c)), np.arange(float(n)))
+        whole = series(np.arange(float(n)))
+        train, test = split(whole)
+        assert train.values.size + test.values.size == n
+        assert np.array_equal(np.concatenate((train.values, test.values)), whole.values)
+        assert np.array_equal(test.values, whole.segment(math.floor(0.3 * n), n).values)
 
     def test_labels_carried(self):
         labels = np.zeros(100, dtype=np.int64)
-        labels[[5, 50]] = 1
-        parts = split(series(np.arange(100.0), labels=labels))
-        assert parts.train.labels[5] == 1
-        assert parts.test.labels[20] == 1
-        assert parts.train.labels.sum() + parts.val.labels.sum() + parts.test.labels.sum() == 2
+        labels[[5, 29, 30, 50]] = 1
+        train, test = split(series(np.arange(100.0), labels=labels))
+        assert np.flatnonzero(train.labels).tolist() == [5, 29]
+        assert np.flatnonzero(test.labels).tolist() == [0, 20]
 
     def test_spec_validation(self):
-        with pytest.raises(ValueError):
-            SplitSpec(train_ratio=0.0)
-        with pytest.raises(ValueError):
-            SplitSpec(validation_of_train=1.0)
+        for ratio in (0.0, 1.0, -0.1, float("nan")):
+            with pytest.raises(ValueError):
+                SplitSpec(train_ratio=ratio)
 
 
 class TestStandardize:
