@@ -5,8 +5,10 @@ All of them consume sliding subsequences; a window's score lands on its
 final timestamp.  The boosted-tree detector is the exception: it forecasts
 the observation after each window, like the statistical family.
 Neighbor searches are exact brute force, which keeps every detector
-oracle-testable at the corpus sizes involved (at most ~10^4 windows); no
-distance matrix grows past _MAX_PAIRWISE_ENTRIES entries.
+oracle-testable.  LOF, DBSCAN and the one-class SVM cost O(m^2) time in the
+m training windows but build their distances one row block at a time, so
+they hold O(block + m*(k + d)) memory for k neighbours of width-d windows;
+no distance block grows past _MAX_PAIRWISE_ENTRIES entries.
 """
 
 from __future__ import annotations
@@ -60,8 +62,8 @@ __all__ = [
 _MAX_PAIRWISE_ENTRIES = 2**27
 _KDIST_FLOOR = 1e-12
 # Row blocks over a distance matrix hold about this many entries: the
-# scratch of _pairwise_sq, LOF fit and scoring, DBSCAN's neighbour counts
-# and the one-class SVM's scoring kernel.
+# scratch of _pairwise_sq, LOF fit and scoring, DBSCAN's fit and scoring
+# and the one-class SVM's fit and scoring kernels.
 # LOF expands neighbour lists in chunks of at most _LOF_CHUNK_ENTRIES entries.
 _LOF_BLOCK_ENTRIES = 2**16
 _LOF_CHUNK_ENTRIES = 2**16
@@ -71,31 +73,43 @@ _OCSVM_MAX_ITER = 100000
 _GBT_LAMBDA = 1.0
 
 
+def _block_height(cols: int) -> int:
+    """Rows in a block of about _LOF_BLOCK_ENTRIES entries, at least one."""
+    return max(1, _LOF_BLOCK_ENTRIES // max(cols, 1))
+
+
 def _row_blocks(rows: int, cols: int):
     """Slices of consecutive rows of a rows x cols matrix, each block about
     _LOF_BLOCK_ENTRIES entries and at least one row."""
-    step = max(1, _LOF_BLOCK_ENTRIES // max(cols, 1))
+    step = _block_height(cols)
     return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
-def _pairwise_sq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _sq_norms(x: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", x, x)
+
+
+def _pairwise_sq(a: np.ndarray, b: np.ndarray, bb: Optional[np.ndarray] = None) -> np.ndarray:
     """Squared Euclidean distances between row sets, clipped at zero.
 
     The result is the only matrix built: it starts as ``a @ b.T`` (one BLAS
     call, a symmetric syrk when ``b is a``), and the squared norms are added
     into it one row block at a time.  ``(-2g) + (aa + bb)`` is bit for bit
-    ``aa + bb - 2g``.  Raises DistanceMatrixTooLarge before building more
-    than _MAX_PAIRWISE_ENTRIES entries, and NonFiniteValues when the
-    distances overflow, as they do for windows of values near 1e200; the
-    overflow leaves inf or NaN, which ``max`` propagates.
+    ``aa + bb - 2g``.  ``bb``, when given, is ``_sq_norms(b)``, for callers
+    that measure many row sets against one ``b``.  Raises
+    DistanceMatrixTooLarge before building more than _MAX_PAIRWISE_ENTRIES
+    entries, and NonFiniteValues when the distances overflow, as they do
+    for windows of values near 1e200; the overflow leaves inf or NaN, which
+    ``max`` propagates.
     """
     if a.shape[0] * b.shape[0] > _MAX_PAIRWISE_ENTRIES:
         raise DistanceMatrixTooLarge(
             f"{a.shape[0]} x {b.shape[0]} distance matrix exceeds "
             f"{_MAX_PAIRWISE_ENTRIES} entries"
         )
-    aa = np.einsum("ij,ij->i", a, a)
-    bb = np.einsum("ij,ij->i", b, b)
+    aa = _sq_norms(a)
+    if bb is None:
+        bb = _sq_norms(b)
     sq = a @ b.T
     sq *= -2.0
     for rows in _row_blocks(*sq.shape):
@@ -210,18 +224,19 @@ def dbscan_fit(train_windows: WindowFrame, epsilon: float = 0.4, mu: int = 5) ->
         raise InvalidHyperparameter(f"mu must be >= 1, got {mu}")
     _check_epsilon(epsilon)
     windows = train_windows.windows
-    d2 = _pairwise_sq(windows, windows)
+    m = windows.shape[0]
     eps2 = epsilon * epsilon
-    self_within = np.diagonal(d2) <= eps2
-    counts = np.empty(d2.shape[0], dtype=np.intp)
-    for rows in _row_blocks(*d2.shape):
-        counts[rows] = (d2[rows] <= eps2).sum(axis=1) - self_within[rows]
+    counts = np.empty(m, dtype=np.intp)
+    for rows in _row_blocks(m, m):
+        within = _pairwise_sq(windows[rows], windows) <= eps2
+        own = np.arange(within.shape[0])
+        counts[rows] = within.sum(axis=1) - within[own, rows.start + own]
     core_mask = counts >= mu
     if not core_mask.any():
         raise NoCorePoints(
             f"no training window has {mu} neighbors within epsilon={epsilon}"
         )
-    return DbscanModel(epsilon=epsilon, core_points=windows[core_mask].copy())
+    return DbscanModel(epsilon=epsilon, core_points=windows[core_mask])
 
 
 def dbscan_score(
@@ -229,9 +244,14 @@ def dbscan_score(
 ) -> ScoreSeries:
     """Distance to the nearest training core point; 0 inside its epsilon ball.
 
+    Each row block of query-to-core distances is reduced to its row minima.
     The square root of each row's minimum equals the minimum of the row's
     square roots, because sqrt is monotone and correctly rounded."""
-    d = np.sqrt(_pairwise_sq(test_windows.windows, model.core_points).min(axis=1))
+    windows, core = test_windows.windows, model.core_points
+    d = np.empty(windows.shape[0])
+    for rows in _row_blocks(windows.shape[0], core.shape[0]):
+        d[rows] = _pairwise_sq(windows[rows], core).min(axis=1)
+    np.sqrt(d, out=d)
     scores = np.where(d <= model.epsilon, 0.0, d)
     return ScoreSeries(
         scores=scores, indices=test_windows.target_indices, detector_name=detector_name
@@ -246,19 +266,20 @@ def dbscan_score(
 class LofModel:
     """Reference windows with the precomputed structures for exact queries.
 
-    Fit caches the Euclidean distances between reference windows, their
-    k-distances, the runner-up (k-1) distances and each window y's
-    neighbourhood {x : d(y, x) <= kdist[y]} as CSR lists (``nbr_ptr``,
-    ``nbr_idx`` in ascending order, ``nbr_dist``).  A query can only shrink
-    a k-distance, so y's neighbourhood in reference union {query} is a
-    subset of its cached list, and scoring costs O(m) per query plus O(k)
-    per neighbour.  ``first_row`` maps each distinct window's bytes to its
-    first row, for the duplicate rule in ``_score_block``.
+    Fit computes the Euclidean distances between reference windows one row
+    block of ``fit_rows`` rows at a time and keeps, per window, only its
+    k-distance, its runner-up (k-1) distance and its neighbourhood
+    {x : d(y, x) <= kdist[y]} as CSR lists (``nbr_ptr``, ``nbr_idx`` in
+    ascending order, ``nbr_dist``).  A query can only shrink a k-distance,
+    so y's neighbourhood in reference union {query} is a subset of its
+    cached list, and scoring costs O(m) per query plus O(k) per neighbour.
+    ``first_row`` maps each distinct window's bytes to its first row, for
+    the duplicate rule in ``_score_block``.
     """
 
     k_neighbors: int
     reference_windows: np.ndarray
-    ref_distances: np.ndarray = field(init=False, repr=False)
+    fit_rows: int = field(init=False, repr=False)
     kdist: np.ndarray = field(init=False, repr=False)
     kdist_prev: np.ndarray = field(init=False, repr=False)
     nbr_ptr: np.ndarray = field(init=False, repr=False)
@@ -272,35 +293,45 @@ class LofModel:
         k = self.k_neighbors
         if not (1 <= k < m):
             raise TooFewWindows(f"need k_neighbors < m reference windows, got k={k}, m={m}")
-        d = _pairwise_sq(windows, windows)
-        np.sqrt(d, out=d)
-        np.fill_diagonal(d, np.inf)
+        object.__setattr__(self, "reference_windows", windows)
+        object.__setattr__(self, "fit_rows", _block_height(m))
         kdist = np.empty(m)
         kdist_prev = np.zeros(m)
-        rows, cols = [], []
+        rows, cols, dists = [], [], []
         for block in _row_blocks(m, m):
-            part = np.partition(d[block], (k - 1, max(k - 2, 0)), axis=1)
+            d = self._fit_distances(block.start)
+            part = np.partition(d, (k - 1, max(k - 2, 0)), axis=1)
             kdist[block] = np.maximum(part[:, k - 1], _KDIST_FLOOR)
             if k >= 2:
                 kdist_prev[block] = part[:, k - 2]
-            r, c = np.nonzero(d[block] <= kdist[block, None])
+            r, c = np.nonzero(d <= kdist[block, None])
             rows.append(r + block.start)
             cols.append(c)
-        rows, cols = np.concatenate(rows), np.concatenate(cols)
+            dists.append(d[r, c])
+        rows = np.concatenate(rows)
         first_row: dict = {}
         for i, row in enumerate(windows + 0.0):  # + 0.0 folds -0.0 into 0.0, as == does
             first_row.setdefault(row.tobytes(), i)
         for name, value in (
-            ("reference_windows", windows),
-            ("ref_distances", d),
             ("kdist", kdist),
             ("kdist_prev", kdist_prev),
             ("nbr_ptr", np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))),
-            ("nbr_idx", cols),
-            ("nbr_dist", d[rows, cols]),
+            ("nbr_idx", np.concatenate(cols)),
+            ("nbr_dist", np.concatenate(dists)),
             ("first_row", first_row),
         ):
             object.__setattr__(self, name, value)
+
+    def _fit_distances(self, lo: int) -> np.ndarray:
+        """The fit's row block starting at reference row ``lo``: distances of
+        rows lo .. lo + fit_rows to every reference window, own entries inf.
+        The same call on the same operands repeats the fit's bits."""
+        windows = self.reference_windows
+        d = _pairwise_sq(windows[lo : lo + self.fit_rows], windows)
+        np.sqrt(d, out=d)
+        own = np.arange(d.shape[0])
+        d[own, lo + own] = np.inf
+        return d
 
     def query(self, window: np.ndarray) -> float:
         """Exact LOF of the window against reference union {window}."""
@@ -324,15 +355,22 @@ class LofModel:
 
     def _score_block(self, block: np.ndarray) -> np.ndarray:
         k = self.k_neighbors
-        dq = np.sqrt(_pairwise_sq(block, self.reference_windows))
-        for r, row in enumerate(block + 0.0):
-            i = self.first_row.get(row.tobytes())
-            if i is not None:
-                # A duplicated reference row must see bit-identical distances,
-                # or ties exactly at a k-distance boundary resolve differently
-                # here than they do inside the cached matrix.
-                dq[r] = self.ref_distances[i]
-                dq[r, i] = 0.0
+        dq = _pairwise_sq(block, self.reference_windows)
+        np.sqrt(dq, out=dq)
+        hits = [
+            (r, i)
+            for r, row in enumerate(block + 0.0)
+            if (i := self.first_row.get(row.tobytes())) is not None
+        ]
+        dup, ref = np.array(hits, dtype=np.intp).reshape(-1, 2).T
+        # A duplicated reference row must see the fit's distances bit for
+        # bit, or ties exactly at a k-distance boundary resolve differently
+        # here than they did in the fit: recompute each fit block it needs.
+        h = self.fit_rows
+        for lo in sorted({i - i % h for _, i in hits}):
+            inside = (ref >= lo) & (ref < lo + h)
+            dq[dup[inside]] = self._fit_distances(lo)[ref[inside] - lo]
+        dq[dup, ref] = 0.0
         kdist_q = np.maximum(np.partition(dq, k - 1, axis=1)[:, k - 1], _KDIST_FLOOR)
 
         # (query, y) pairs with y in the query's neighbourhood, query-major.
@@ -566,7 +604,10 @@ def ocsvm_fit(
 
     Constraints: each alpha_i in [0, 1/(nu*m)], sum alpha_i = 1.  Stops when
     the largest KKT violation falls below _OCSVM_TOL, or after
-    _OCSVM_MAX_ITER updates.
+    _OCSVM_MAX_ITER updates.  No kernel matrix is kept: the starting
+    gradient is summed one row block at a time, and each update computes
+    the two kernel rows it reads (as LIBSVM's solver does, Chang & Lin,
+    ACM TIST 2011).
     """
     windows = train_windows.windows
     m = windows.shape[0]
@@ -575,19 +616,22 @@ def ocsvm_fit(
     if not (0.0 < nu <= 1.0):
         raise InvalidHyperparameter(f"nu must lie in (0, 1], got {nu}")
     gamma = 1.0 / windows.shape[1] if rbf_gamma is None else rbf_gamma
-    # Exactly symmetric (syrk mirrors one triangle, the norms add
-    # commutatively), so the updates read rows instead of strided columns.
-    kernel = _pairwise_sq(windows, windows)
-    kernel *= -gamma
-    np.exp(kernel, out=kernel)
-    box = 1.0 / (nu * m)
+    norms = _sq_norms(windows)
 
+    def kernel_rows(rows) -> np.ndarray:
+        kernel = _pairwise_sq(windows[rows], windows, norms)
+        kernel *= -gamma
+        return np.exp(kernel, out=kernel)
+
+    box = 1.0 / (nu * m)
     alpha = np.zeros(m)
     full = int(math.floor(nu * m))
     alpha[:full] = box
     if full < m:
         alpha[full] = 1.0 - full * box
-    gradient = kernel @ alpha
+    gradient = np.empty(m)
+    for rows in _row_blocks(m, m):
+        gradient[rows] = kernel_rows(rows) @ alpha
 
     converged = False
     for _ in range(_OCSVM_MAX_ITER):
@@ -600,14 +644,15 @@ def ocsvm_fit(
             converged = True
             break
         total = alpha[i] + alpha[j]
-        curvature = kernel[i, i] + kernel[j, j] - 2.0 * kernel[i, j]
+        k_i, k_j = kernel_rows([i, j])
+        curvature = k_i[i] + k_j[j] - 2.0 * k_i[j]
         if curvature > 1e-15:
             new_i = alpha[i] - gap / curvature
         else:
             new_i = max(0.0, total - box)
         new_i = min(max(new_i, max(0.0, total - box)), min(box, total))
         new_j = total - new_i
-        gradient += (new_i - alpha[i]) * kernel[i] + (new_j - alpha[j]) * kernel[j]
+        gradient += (new_i - alpha[i]) * k_i + (new_j - alpha[j]) * k_j
         alpha[i], alpha[j] = new_i, new_j
 
     interior = (alpha > 1e-8) & (alpha < box - 1e-8)
@@ -622,7 +667,7 @@ def ocsvm_fit(
 
     keep = alpha > 1e-12
     return OcSvmModel(
-        support_vectors=windows[keep].copy(),
+        support_vectors=windows[keep],
         dual_coeffs=alpha[keep],
         rho=rho,
         rbf_gamma=gamma,

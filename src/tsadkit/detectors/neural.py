@@ -142,7 +142,7 @@ def dense_net(dims: Sequence[int], activations: Sequence[str], seed: int = 0) ->
 
 
 def _forward_batch(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, list, list]:
-    """Outputs plus per-layer inputs and pre-activations for backprop."""
+    """Outputs plus per-layer inputs and pre-activations, for training."""
     inputs = [batch]
     pre_activations = []
     out = batch
@@ -154,13 +154,24 @@ def _forward_batch(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, list, 
     return out, inputs[:-1], pre_activations
 
 
+def _forward(net: DenseNet, batch: np.ndarray) -> np.ndarray:
+    """Outputs only, each layer computed in place in its own output: at most
+    two layer outputs are alive at once, beside the batch."""
+    out = batch
+    for layer in net.layers:
+        out = out @ layer.weights
+        out += layer.bias
+        if layer.activation == "relu":
+            np.maximum(out, 0.0, out=out)
+    return out
+
+
 def net_forward(net: DenseNet, x) -> np.ndarray:
     """Evaluate the net on one input vector."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (net.input_dim,):
         raise DimensionMismatch(f"expected input of shape ({net.input_dim},), got {x.shape}")
-    out, _, _ = _forward_batch(net, x[None, :])
-    return out[0]
+    return _forward(net, x[None, :])[0]
 
 
 def _backprop(net: DenseNet, batch: np.ndarray, targets: np.ndarray, grads: list) -> float:
@@ -313,7 +324,7 @@ class MlpDetector:
 
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         windows = frame(test, fitted.config.window_width)
-        out, _, _ = _forward_batch(fitted.state, windows.windows)
+        out = _forward(fitted.state, windows.windows)
         return ScoreSeries(
             scores=np.abs(out[:, 0] - windows.targets),
             indices=windows.target_indices,
@@ -339,7 +350,7 @@ class AutoencoderDetector:
     def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
         auto: AutoencoderNet = fitted.state
         windows = subsequences(test, fitted.config.window_width)
-        out, _, _ = _forward_batch(auto.net, windows.windows)
+        out = _forward(auto.net, windows.windows)
         errors = np.sqrt(((out - windows.windows) ** 2).sum(axis=1))
         return ScoreSeries(
             scores=errors, indices=windows.target_indices, detector_name=fitted.name

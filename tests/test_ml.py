@@ -202,6 +202,27 @@ class TestPairwiseGuard:
         with pytest.raises(DistanceMatrixTooLarge):
             ml._pairwise_sq(np.zeros((13, 2)), np.ones((1, 2)))
 
+    def test_cap_bounds_a_row_block_not_the_train(self, monkeypatch):
+        # 1,000 train windows: the m x m matrix would be 12.5 times the cap,
+        # and each row block of 65 rows is under it.
+        rng = np.random.default_rng(71)
+        train, test = rng.normal(0.0, 1.0, (1000, 8)), rng.normal(0.0, 1.0, (300, 8))
+
+        def fit_and_score():
+            lof = LofModel(k_neighbors=10, reference_windows=train)
+            svm = ocsvm_fit(raw_frame(train))
+            dbscan = dbscan_fit(raw_frame(train), epsilon=2.0, mu=5)
+            return (
+                lof.scores(test),
+                ocsvm_score(svm, raw_frame(test)).scores,
+                dbscan_score(dbscan, raw_frame(test)).scores,
+            )
+
+        uncapped = fit_and_score()
+        monkeypatch.setattr(ml, "_MAX_PAIRWISE_ENTRIES", 80_000)
+        for got, want in zip(fit_and_score(), uncapped):
+            assert got.tobytes() == want.tobytes()
+
 
 class TestLof:
     def test_uniform_cloud_is_close_to_one(self):
@@ -242,14 +263,21 @@ class TestLof:
         assert value > 2.0
 
 
-def per_window_lof(model: LofModel, window: np.ndarray) -> float:
+def fit_distances(model: LofModel) -> np.ndarray:
+    """The reference-by-reference distances the fit saw, own entries inf,
+    stacked from the model's own fit blocks."""
+    m = model.reference_windows.shape[0]
+    return np.vstack([model._fit_distances(lo) for lo in range(0, m, model.fit_rows)])
+
+
+def per_window_lof(model: LofModel, fit_d: np.ndarray, window: np.ndarray) -> float:
     """LOF scoring before row blocks: one distance row and one Python loop
     over the neighbourhood per window.  Frozen here as the oracle for
-    ``LofModel.scores``."""
+    ``LofModel.scores``; ``fit_d`` is ``fit_distances(model)``."""
     q = np.asarray(window, dtype=np.float64).reshape(1, -1)
     duplicates = np.nonzero((model.reference_windows == q[0]).all(axis=1))[0]
     if duplicates.size:
-        dq = model.ref_distances[duplicates[0]].copy()
+        dq = fit_d[duplicates[0]].copy()
         dq[duplicates[0]] = 0.0
     else:
         dq = np.sqrt(ml._pairwise_sq(q, model.reference_windows))[0]
@@ -264,7 +292,7 @@ def per_window_lof(model: LofModel, window: np.ndarray) -> float:
 
     lrds = np.empty(neighborhood.size)
     for pos, y in enumerate(neighborhood):
-        row = model.ref_distances[y]
+        row = fit_d[y]
         bound = kdist_c[y]
         inside = row <= bound
         rd = np.maximum(kdist_c[inside], row[inside])
@@ -341,7 +369,8 @@ class TestBlockLof:
         monkeypatch.setattr(ml, "_LOF_CHUNK_ENTRIES", chunk_entries)
         assert queries.shape[0] % 7 != 0
         got = model.scores(queries)
-        want = np.array([per_window_lof(model, q) for q in queries])
+        fit_d = fit_distances(model)
+        want = np.array([per_window_lof(model, fit_d, q) for q in queries])
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
         np.testing.assert_array_equal(model.scores(queries), got)
 
@@ -355,11 +384,12 @@ class TestBlockLof:
     def test_neighbour_lists_hold_the_fit_neighbourhoods(self):
         reference, _, k = lof_ties(2)
         model = LofModel(k_neighbors=k, reference_windows=reference)
+        fit_d = fit_distances(model)
         for y in range(reference.shape[0]):
             lo, hi = model.nbr_ptr[y], model.nbr_ptr[y + 1]
-            expected = np.nonzero(model.ref_distances[y] <= model.kdist[y])[0]
+            expected = np.nonzero(fit_d[y] <= model.kdist[y])[0]
             np.testing.assert_array_equal(model.nbr_idx[lo:hi], expected)
-            np.testing.assert_array_equal(model.nbr_dist[lo:hi], model.ref_distances[y, expected])
+            np.testing.assert_array_equal(model.nbr_dist[lo:hi], fit_d[y, expected])
 
     def test_cached_structures_are_not_init_arguments(self):
         with pytest.raises(TypeError):
@@ -907,7 +937,6 @@ def frozen_lof_fit(windows: np.ndarray, k: int) -> dict:
     kdist_prev = part[:, k - 2].copy() if k >= 2 else np.zeros(m)
     rows, cols = np.nonzero(d <= kdist[:, None])
     return {
-        "ref_distances": d,
         "kdist": kdist,
         "kdist_prev": kdist_prev,
         "nbr_ptr": np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m)))),
@@ -1033,8 +1062,10 @@ FIT_CASES = [case for case in DISTANCE_CASES if case != "one-row"]
 
 @pytest.mark.usefixtures("blocks")
 class TestInPlaceDistances:
-    """Filling one matrix in place leaves every output bit-identical; the
-    one-class SVM's blocked scores agree with the whole product to 1e-10."""
+    """Filling one matrix in place leaves ``_pairwise_sq`` bit-identical.
+    Fits and scores built from row blocks match the whole-matrix oracles:
+    the same neighbourhoods, support sets and cores, and values within the
+    stated tolerances."""
 
     @pytest.mark.parametrize("case", DISTANCE_CASES)
     def test_pairwise_matches_frozen_expression(self, case):
@@ -1047,17 +1078,26 @@ class TestInPlaceDistances:
     def test_lof_fit_matches_frozen_fit(self, case, k):
         windows, _ = DISTANCE_CASES[case]()
         model = LofModel(k_neighbors=k, reference_windows=windows)
-        for name, want in frozen_lof_fit(windows, k).items():
-            assert same_bytes(getattr(model, name), want), name
+        want = frozen_lof_fit(windows, k)
+        # The fit's row blocks of a BLAS product need not round as the whole
+        # syrk does: the neighbourhoods are identical, distances agree to 1e-12.
+        for name in ("nbr_ptr", "nbr_idx"):
+            assert same_bytes(getattr(model, name), want[name]), name
+        for name in ("kdist", "kdist_prev", "nbr_dist"):
+            np.testing.assert_allclose(getattr(model, name), want[name], rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("case", FIT_CASES)
     def test_ocsvm_matches_frozen_fit_and_score(self, case):
         windows, queries = DISTANCE_CASES[case]()
         model = ocsvm_fit(raw_frame(windows))
         support, coeffs, rho, converged = frozen_ocsvm_fit(windows)
+        # The fit computes kernel rows from row blocks, which need not round
+        # as the whole syrk does: the support set is identical, and the
+        # coefficients and rho agree to 1e-10 and 1e-12.
         assert same_bytes(model.support_vectors, support)
-        assert same_bytes(model.dual_coeffs, coeffs)
-        assert (model.rho, model.converged) == (rho, converged)
+        assert model.converged == converged
+        np.testing.assert_allclose(model.dual_coeffs, coeffs, rtol=1e-10, atol=0.0)
+        np.testing.assert_allclose(model.rho, rho, rtol=1e-12, atol=0.0)
         # Scoring builds the kernel one row block at a time, and a block of a
         # product need not round as the same rows of the whole product do.
         # A score near the boundary cancels rho, so its error scales with rho.
@@ -1084,7 +1124,11 @@ class TestInPlaceDistances:
             for epsilon in (1.0, 3.0):
                 model = DbscanModel(epsilon=epsilon, core_points=core)
                 scores = dbscan_score(model, raw_frame(queries)).scores
-                assert same_bytes(scores, frozen_dbscan_score(model, queries))
+                want = frozen_dbscan_score(model, queries)
+                # Row blocks of the product need not round as the whole
+                # product does; which windows score 0 does not move.
+                np.testing.assert_array_equal(scores == 0.0, want == 0.0)
+                np.testing.assert_allclose(scores, want, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("case", DISTANCE_CASES)
     def test_overflow_still_raises(self, case):
@@ -1171,3 +1215,49 @@ class TestDistancePeaks:
         _, peak = traced_peak(lambda: dbscan_score(model, test_frame))
         matrix_bytes = 8 * self.N * model.core_points.shape[0]
         assert peak <= 1.1 * matrix_bytes, peak / matrix_bytes
+
+
+class TestRowBlockPeaks:
+    """LOF, DBSCAN and the one-class SVM hold a few row blocks of distances
+    plus O(m * (k + d)) bytes, at two train sizes; an m x m matrix would
+    be 18 MB at m = 1,500 and 288 MB at m = 6,000."""
+
+    WIDTH, K = 30, 10
+
+    @pytest.fixture(params=[1500, 6000], ids=["m1500", "m6000"])
+    def m(self, request):
+        return request.param
+
+    def windows(self, rows: int, seed: int) -> np.ndarray:
+        return np.random.default_rng(seed).normal(0.0, 1.0, (rows, self.WIDTH))
+
+    def test_lof_fit_model_and_scores(self, m):
+        train, test = self.windows(m, 81), self.windows(m, 82)
+        block_bytes = 8 * ml._LOF_BLOCK_ENTRIES
+        model, peak = traced_peak(lambda: LofModel(k_neighbors=self.K, reference_windows=train))
+        # Beyond the blocks: neighbour lists of about k entries per row, and
+        # the duplicate map of one window's bytes per row.
+        assert peak <= 4 * block_bytes + 40 * m * (self.K + self.WIDTH), peak / block_bytes
+        arrays = sum(
+            getattr(model, name).nbytes
+            for name in ("reference_windows", "kdist", "kdist_prev", "nbr_ptr", "nbr_idx", "nbr_dist")
+        )
+        assert arrays <= 16 * m * (self.K + self.WIDTH), arrays / m
+        _, peak = traced_peak(lambda: model.scores(test))
+        # A distance block and the neighbour-list chunks it expands to.
+        assert peak <= 8 * block_bytes + 16 * m, peak / block_bytes
+
+    def test_ocsvm_fit(self, m):
+        train = raw_frame(self.windows(m, 83))
+        _, peak = traced_peak(lambda: ocsvm_fit(train))
+        # Two kernel rows and the support vectors, beside the blocks.
+        block_bytes = 8 * ml._LOF_BLOCK_ENTRIES
+        assert peak <= 4 * block_bytes + 8 * m * (self.WIDTH + 16), peak / block_bytes
+
+    def test_dbscan_fit_and_score(self, m):
+        train, test = raw_frame(self.windows(m, 84)), raw_frame(self.windows(m, 85))
+        block_bytes = 8 * ml._LOF_BLOCK_ENTRIES
+        model, peak = traced_peak(lambda: dbscan_fit(train, epsilon=6.0, mu=5))
+        assert peak <= 4 * block_bytes + 8 * m * (self.WIDTH + 4), peak / block_bytes
+        _, peak = traced_peak(lambda: dbscan_score(model, test))
+        assert peak <= 4 * block_bytes + 16 * m, peak / block_bytes

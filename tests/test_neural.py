@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from tsadkit.detectors.neural import (
     DenseNet,
     TrainSpec,
     _build_autoencoder,
+    _forward,
     _forward_batch,
     dense_net,
     net_forward,
@@ -420,3 +423,40 @@ class TestAutoencoder:
         out = detector.score(fitted, series(test_values))
         hit = np.isin(out.indices, np.arange(100, 116))
         assert float(out.scores[hit].max()) > 3.0 * float(np.median(out.scores[~hit]))
+
+
+class TestForwardOnlyScoring:
+    """Scoring runs the layers without keeping backprop's intermediates."""
+
+    @pytest.fixture(params=["mlp", "autoencoder"])
+    def fitted(self, request):
+        detector = get_detector(request.param)
+        cfg = DetectorConfig(name=request.param, window_width=30, hyperparameters={"epochs": 1})
+        return detector, detector.fit(wavy_series(400, 11), cfg)
+
+    @staticmethod
+    def net_of(fitted) -> DenseNet:
+        state = fitted.state
+        return state if isinstance(state, DenseNet) else state.net
+
+    def test_outputs_match_the_training_pass(self, fitted):
+        _, fit = fitted
+        net = self.net_of(fit)
+        batch = wavy_series(500, 12).values[:480].reshape(16, 30)
+        assert same_bits(_forward(net, batch), _forward_batch(net, batch)[0])
+
+    @pytest.mark.parametrize("n", [1500, 6000])
+    def test_score_holds_two_layer_outputs_and_their_input(self, fitted, n):
+        detector, fit = fitted
+        test = wavy_series(n, 13)
+        tracemalloc.start()
+        try:
+            detector.score(fit, test)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        widths = [layer.weights.shape[1] for layer in self.net_of(fit).layers]
+        widest_pair = max(a + b for a, b in zip(widths, widths[1:]))
+        # Windows, the widest two adjacent layer outputs, and a few
+        # length-n vectors (indices, scores and their scratch).
+        assert peak <= 8 * n * (30 + widest_pair + 4), peak / (8 * n)
