@@ -16,6 +16,7 @@ from .core import (
     WindowFrame,
     frame,
     subsequences,
+    with_lookback,
 )
 from .data import (
     DATASET_IDS,
@@ -91,5 +92,6 @@ __all__ = [
     "subsequences",
     "synthetic_base",
     "timed_run",
+    "with_lookback",
     "write_series_csv",
 ]

@@ -2,9 +2,10 @@
 
 The runner applies the same protocol to every (series, detector) pair:
 chronological split, standardization fitted on the train segment, optional
-differencing, then a timed fit+score+evaluate.  Failures and label-free
-test segments become status rows instead of aborting the batch.  Rows are
-produced sequentially in one thread so the recorded timings are honest.
+differencing, then a timed fit+score+evaluate.  Failures and test segments
+whose labels hold one class become status rows instead of aborting the
+batch.  Rows are produced sequentially in one thread so the recorded
+timings are honest.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from .data import (
     load_yahoo_csv,
 )
 from .detectors import DETECTOR_NAMES, get_detector
-from .errors import InvalidSpec, TsadError
+from .errors import InvalidSpec, PeriodTooLong, TsadError
 from .evaluation import RocCurve, TimedRun, timed_run
 from .preprocessing import (
     SplitSpec,
@@ -138,24 +139,28 @@ def _pair_seed(base_seed: int, series_id: str, detector: str) -> int:
 
 
 def _preprocess(config: RunConfig, series: TimeSeries) -> tuple[TimeSeries, TimeSeries]:
-    """Split, standardize on train statistics, optionally difference."""
+    """Split, standardize on train statistics, optionally difference.
+
+    Standardization and differencing act on the whole series, so the train
+    tail stays contiguous with the test; the cut then moves left by the
+    points differencing dropped, and the test segment keeps every point.
+    """
     train, test = split(series, config.split)
     if config.standardize:
-        params = fit_standardizer(train)
-        train = standardize(train, params)
-        test = standardize(test, params)
+        series = standardize(series, fit_standardizer(train))
     if config.deseasonalize:
         period = config.period or series.period_hint
         if period is None:
             raise InvalidSpec(
                 f"series {series.series_id!r} has no period hint; pass an explicit period"
             )
-        train = seasonal_difference(train, period)
-        test = seasonal_difference(test, period)
+        series = seasonal_difference(series, period)
     if config.detrend:
-        train = difference(train, 1)
-        test = difference(test, 1)
-    return train, test
+        series = difference(series, 1)
+    cut = len(series) - len(test)
+    if cut < 1:
+        raise PeriodTooLong(f"differencing leaves no train observations from head={len(train)}")
+    return series.segment(0, cut), series.segment(cut, len(series))
 
 
 def run_benchmark(config: RunConfig) -> tuple[list[ResultRow], dict, dict]:
@@ -182,13 +187,13 @@ def _run_series(
     series: TimeSeries,
     curves: dict[tuple[str, str], RocCurve],
 ) -> list[ResultRow]:
-    # A series that cannot be prepared or has no anomalous test label gives
-    # every detector the same status row without running it.
+    # A series that cannot be prepared, or whose test labels hold one class,
+    # gives every detector the same status row without running it.
     skip: Optional[TimedRun] = None
     try:
         train, test = _preprocess(config, series)
-        if test.labels is None or int(test.labels.sum()) == 0:
-            skip = TimedRun(0.0, 0.0, failure="test segment has no anomalous label", excluded=True)
+        if test.labels is None or int(test.labels.sum()) in (0, len(test)):
+            skip = TimedRun(0.0, 0.0, failure="test segment holds one label class", excluded=True)
     except TsadError as exc:
         skip = TimedRun(0.0, 0.0, failure=f"{type(exc).__name__}: {exc}")
 

@@ -147,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument(
         "--no-standardize", action="store_true", help="skip train-fitted standardization"
     )
-    run_p.add_argument("--detrend", action="store_true", help="first-difference each segment")
+    run_p.add_argument("--detrend", action="store_true", help="first-difference the series")
     run_p.add_argument(
         "--deseasonalize", type=int, metavar="PERIOD", help="seasonally difference at PERIOD"
     )

@@ -1,7 +1,9 @@
 """Core domain types and the detector contract.
 
 A detector is any object with ``fit(train, cfg) -> FittedDetector`` and
-``score(fitted, test) -> ScoreSeries``.  Scores follow one orientation
+``score(fitted, train, test) -> ScoreSeries``, one score per test point.
+A detector that needs a lookback reads it from the train values just
+before the test (:func:`with_lookback`).  Scores follow one orientation
 everywhere: higher means more anomalous.  Detectors whose natural output
 inverts (e.g. one-class SVM decision values) negate internally.
 
@@ -10,7 +12,7 @@ Two window layouts exist:
 * :func:`frame` pairs each window with the observation that follows it
   (forecasting layout: ``windows[i] = values[t-w : t]``, target ``values[t]``).
 * :func:`subsequences` makes plain sliding subsequences whose last element
-  *is* the indexed observation (shape layout used by the clustering/density
+  *is* the scored observation (shape layout used by the clustering/density
   detectors, which assign a window's score to its final timestamp).
 """
 
@@ -41,6 +43,7 @@ __all__ = [
     "resolve",
     "frame",
     "subsequences",
+    "with_lookback",
 ]
 
 
@@ -97,33 +100,26 @@ class TimeSeries:
 
 @dataclass(frozen=True)
 class WindowFrame:
-    """Sliding subsequences, one per start position, with aligned indices.
+    """Sliding subsequences, one per start position, each with its target.
 
-    ``target_indices`` locate each window in the source series; ``targets``
-    hold the observation at that index.  In the forecasting layout the window
-    ends just before its target, in the subsequence layout the target is the
-    window's own last element.
+    In the forecasting layout the window ends just before its target, in the
+    subsequence layout the target is the window's own last element.
     """
 
     windows: np.ndarray
     targets: np.ndarray
-    target_indices: np.ndarray
 
     def __post_init__(self):
         windows = np.asarray(self.windows, dtype=np.float64)
         targets = _as_float_array(self.targets, "targets")
-        indices = np.asarray(self.target_indices, dtype=np.int64)
         if windows.ndim != 2 or windows.shape[1] < 1:
             raise DimensionMismatch(
                 f"windows must have shape (m, w) with w >= 1, got {windows.shape}"
             )
-        if not (windows.shape[0] == targets.size == indices.size):
-            raise DimensionMismatch("windows, targets and target_indices must align")
-        if indices.size > 1 and not np.all(np.diff(indices) > 0):
-            raise ValueError("target_indices must be strictly increasing")
+        if windows.shape[0] != targets.size:
+            raise DimensionMismatch("windows and targets must align")
         object.__setattr__(self, "windows", windows)
         object.__setattr__(self, "targets", targets)
-        object.__setattr__(self, "target_indices", indices)
 
     @property
     def width(self) -> int:
@@ -135,28 +131,15 @@ class WindowFrame:
 
 @dataclass(frozen=True)
 class ScoreSeries:
-    """Per-timestamp anomaly scores; higher means more anomalous.
-
-    ``indices`` point into the evaluated series and are strictly increasing.
-    Detectors that need a full window before they can score simply omit the
-    leading indices.
-    """
+    """One anomaly score per test point, in order; higher means more anomalous."""
 
     scores: np.ndarray
-    indices: np.ndarray
-    detector_name: str
 
     def __post_init__(self):
         scores = _as_float_array(self.scores, "scores")
-        indices = np.asarray(self.indices, dtype=np.int64)
-        if scores.size != indices.size:
-            raise DimensionMismatch("scores and indices must have equal length")
         if not np.all(np.isfinite(scores)):
-            raise NonFiniteScores(f"{self.detector_name}: scores contain non-finite values")
-        if indices.size > 1 and not np.all(np.diff(indices) > 0):
-            raise ValueError("indices must be strictly increasing")
+            raise NonFiniteScores("scores contain non-finite values")
         object.__setattr__(self, "scores", scores)
-        object.__setattr__(self, "indices", indices)
 
     def __len__(self) -> int:
         return int(self.scores.size)
@@ -279,16 +262,14 @@ def frame(series: TimeSeries, width: int) -> WindowFrame:
     return WindowFrame(
         windows=np.lib.stride_tricks.sliding_window_view(values[:-1], width).copy(),
         targets=values[width:],
-        target_indices=np.arange(width, n, dtype=np.int64),
     )
 
 
 def subsequences(series: TimeSeries, width: int) -> WindowFrame:
-    """Plain sliding subsequences; each window's index is its last element.
+    """Plain sliding subsequences; each window's target is its last element.
 
-    Window i covers ``values[i : i + width]`` and is indexed by
-    ``i + width - 1``, so a score computed from the window can be assigned
-    to the window's final timestamp.
+    Window i covers ``values[i : i + width]``, so a score computed from the
+    window can be assigned to the window's final timestamp.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
@@ -299,5 +280,17 @@ def subsequences(series: TimeSeries, width: int) -> WindowFrame:
     return WindowFrame(
         windows=np.lib.stride_tricks.sliding_window_view(values, width).copy(),
         targets=values[width - 1 :],
-        target_indices=np.arange(width - 1, n, dtype=np.int64),
     )
+
+
+def with_lookback(train: TimeSeries, test: TimeSeries, k: int) -> TimeSeries:
+    """The last ``k`` train values followed by the test values.
+
+    Test point i sits at position k + i, so a detector that reads the k
+    values before each point it scores can score every test point.  Labels
+    are dropped: scoring never reads them.
+    """
+    if len(train) < k:
+        raise SeriesTooShort(f"a lookback of {k} needs {k} train observations, got {len(train)}")
+    values = np.concatenate((train.values[len(train) - k :], test.values))
+    return replace(test, values=values, labels=None)

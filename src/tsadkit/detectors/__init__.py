@@ -1,8 +1,8 @@
 """Registry of the fourteen detectors behind one fit/score contract.
 
 Every entry exposes ``fit(train, cfg) -> FittedDetector`` and
-``score(fitted, test) -> ScoreSeries`` with scores oriented so that higher
-means more anomalous.
+``score(fitted, train, test) -> ScoreSeries``, one score per test point,
+with scores oriented so that higher means more anomalous.
 """
 
 from __future__ import annotations

@@ -2,7 +2,8 @@
 forest, one-class SVM and gradient-boosted trees.
 
 All of them consume sliding subsequences; a window's score lands on its
-final timestamp.  The boosted-tree detector is the exception: it forecasts
+final timestamp, and the windows of the first test points reach back into
+the train tail.  The boosted-tree detector is the exception: it forecasts
 the observation after each window, like the statistical family.
 Neighbor searches are exact brute force, which keeps every detector
 oracle-testable.  LOF, DBSCAN and the one-class SVM cost O(m^2) time in the
@@ -29,6 +30,7 @@ from ..core import (
     frame,
     resolve,
     subsequences,
+    with_lookback,
 )
 from ..errors import (
     DistanceMatrixTooLarge,
@@ -183,16 +185,10 @@ def kmeans_fit(train_windows: WindowFrame, k: int = 4, seed: int = 0) -> KMeansM
     return KMeansModel(centroids=centroids.copy(), inertia=inertia)
 
 
-def kmeans_score(
-    model: KMeansModel, test_windows: WindowFrame, detector_name: str = "kmeans"
-) -> ScoreSeries:
+def kmeans_score(model: KMeansModel, test_windows: WindowFrame) -> ScoreSeries:
     """Euclidean distance to the nearest centroid, assigned to the window end."""
     d2 = _pairwise_sq(test_windows.windows, model.centroids)
-    return ScoreSeries(
-        scores=np.sqrt(d2.min(axis=1)),
-        indices=test_windows.target_indices,
-        detector_name=detector_name,
-    )
+    return ScoreSeries(np.sqrt(d2.min(axis=1)))
 
 
 # ---------------------------------------------------------------------------
@@ -239,9 +235,7 @@ def dbscan_fit(train_windows: WindowFrame, epsilon: float = 0.4, mu: int = 5) ->
     return DbscanModel(epsilon=epsilon, core_points=windows[core_mask])
 
 
-def dbscan_score(
-    model: DbscanModel, test_windows: WindowFrame, detector_name: str = "dbscan"
-) -> ScoreSeries:
+def dbscan_score(model: DbscanModel, test_windows: WindowFrame) -> ScoreSeries:
     """Distance to the nearest training core point; 0 inside its epsilon ball.
 
     Each row block of query-to-core distances is reduced to its row minima.
@@ -252,10 +246,7 @@ def dbscan_score(
     for rows in _row_blocks(windows.shape[0], core.shape[0]):
         d[rows] = _pairwise_sq(windows[rows], core).min(axis=1)
     np.sqrt(d, out=d)
-    scores = np.where(d <= model.epsilon, 0.0, d)
-    return ScoreSeries(
-        scores=scores, indices=test_windows.target_indices, detector_name=detector_name
-    )
+    return ScoreSeries(np.where(d <= model.epsilon, 0.0, d))
 
 
 # ---------------------------------------------------------------------------
@@ -557,18 +548,15 @@ def iforest_fit(train_windows: WindowFrame, n_trees: int = 10, seed: int = 0) ->
     return IsoForest(trees=tuple(trees), subsample=subsample)
 
 
-def iforest_score(
-    model: IsoForest, test_windows: WindowFrame, detector_name: str = "iforest"
-) -> ScoreSeries:
+def iforest_score(model: IsoForest, test_windows: WindowFrame) -> ScoreSeries:
     """S(x) = 2^(-E(path length)/c(subsample)); deeper isolation scores lower."""
     data = test_windows.windows
     paths = np.zeros(data.shape[0])
     for tree in model.trees:
         paths += tree.apply(data)
     expected = paths / model.n_trees
-    scores = np.power(2.0, -expected / _avg_path(model.subsample, _harmonic(model.subsample)))
     return ScoreSeries(
-        scores=scores, indices=test_windows.target_indices, detector_name=detector_name
+        np.power(2.0, -expected / _avg_path(model.subsample, _harmonic(model.subsample)))
     )
 
 
@@ -675,9 +663,7 @@ def ocsvm_fit(
     )
 
 
-def ocsvm_score(
-    model: OcSvmModel, test_windows: WindowFrame, detector_name: str = "ocsvm"
-) -> ScoreSeries:
+def ocsvm_score(model: OcSvmModel, test_windows: WindowFrame) -> ScoreSeries:
     """rho - sum_i alpha_i K(sv_i, x): positive outside the learned boundary.
 
     The test-by-support-vector kernel is built one row block at a time."""
@@ -688,9 +674,7 @@ def ocsvm_score(
         kernel *= -model.rbf_gamma
         np.exp(kernel, out=kernel)
         scores[rows] = model.rho - kernel @ model.dual_coeffs
-    return ScoreSeries(
-        scores=scores, indices=test_windows.target_indices, detector_name=detector_name
-    )
+    return ScoreSeries(scores)
 
 
 # ---------------------------------------------------------------------------
@@ -854,23 +838,22 @@ def gbt_fit(
     )
 
 
-def gbt_score(
-    model: GbtModel, test_frame: WindowFrame, detector_name: str = "gbt"
-) -> ScoreSeries:
+def gbt_score(model: GbtModel, test_frame: WindowFrame) -> ScoreSeries:
     """Absolute one-step forecast error of the boosted ensemble."""
     data = test_frame.windows
     predictions = np.full(data.shape[0], model.base_score)
     for tree in model.trees:
         predictions += model.learning_rate * tree.apply(data)
-    return ScoreSeries(
-        scores=np.abs(predictions - test_frame.targets),
-        indices=test_frame.target_indices,
-        detector_name=detector_name,
-    )
+    return ScoreSeries(np.abs(predictions - test_frame.targets))
 
 
 # ---------------------------------------------------------------------------
 # Detector adapters
+
+
+def _test_subsequences(train: TimeSeries, test: TimeSeries, width: int) -> WindowFrame:
+    """One window per test point, ending at it; the first reach into train."""
+    return subsequences(with_lookback(train, test, width - 1), width)
 
 
 class KMeansDetector:
@@ -885,10 +868,9 @@ class KMeansDetector:
         windows = subsequences(train, cfg.window_width)
         return FittedDetector(cfg, kmeans_fit(windows, k, cfg.seed))
 
-    def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
-        return kmeans_score(
-            fitted.state, subsequences(test, fitted.config.window_width), detector_name=fitted.name
-        )
+    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
+        windows = _test_subsequences(train, test, fitted.config.window_width)
+        return kmeans_score(fitted.state, windows)
 
 
 class DbscanDetector:
@@ -903,10 +885,9 @@ class DbscanDetector:
         windows = subsequences(train, cfg.window_width)
         return FittedDetector(cfg, dbscan_fit(windows, p["epsilon"], p["mu"]))
 
-    def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
-        return dbscan_score(
-            fitted.state, subsequences(test, fitted.config.window_width), fitted.name
-        )
+    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
+        windows = _test_subsequences(train, test, fitted.config.window_width)
+        return dbscan_score(fitted.state, windows)
 
 
 class LofDetector:
@@ -922,13 +903,9 @@ class LofDetector:
         model = LofModel(k_neighbors=k_neighbors, reference_windows=windows.windows)
         return FittedDetector(cfg, model)
 
-    def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
-        windows = subsequences(test, fitted.config.window_width)
-        return ScoreSeries(
-            scores=fitted.state.scores(windows.windows),
-            indices=windows.target_indices,
-            detector_name=fitted.name,
-        )
+    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
+        windows = _test_subsequences(train, test, fitted.config.window_width)
+        return ScoreSeries(fitted.state.scores(windows.windows))
 
 
 class IforestDetector:
@@ -943,10 +920,9 @@ class IforestDetector:
         windows = subsequences(train, cfg.window_width)
         return FittedDetector(cfg, iforest_fit(windows, n_trees, cfg.seed))
 
-    def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
-        return iforest_score(
-            fitted.state, subsequences(test, fitted.config.window_width), detector_name=fitted.name
-        )
+    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
+        windows = _test_subsequences(train, test, fitted.config.window_width)
+        return iforest_score(fitted.state, windows)
 
 
 class OcsvmDetector:
@@ -964,9 +940,9 @@ class OcsvmDetector:
         windows = subsequences(train, self._width(cfg))
         return FittedDetector(cfg, ocsvm_fit(windows, p["nu"], p["rbf_gamma"]))
 
-    def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
-        windows = subsequences(test, self._width(fitted.config))
-        return ocsvm_score(fitted.state, windows, detector_name=fitted.name)
+    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
+        windows = _test_subsequences(train, test, self._width(fitted.config))
+        return ocsvm_score(fitted.state, windows)
 
 
 class GbtDetector:
@@ -980,7 +956,6 @@ class GbtDetector:
         model = gbt_fit(frame(train, cfg.window_width), **resolve(cfg, self.params))
         return FittedDetector(cfg, model)
 
-    def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
-        return gbt_score(
-            fitted.state, frame(test, fitted.config.window_width), detector_name=fitted.name
-        )
+    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
+        w = fitted.config.window_width
+        return gbt_score(fitted.state, frame(with_lookback(train, test, w), w))

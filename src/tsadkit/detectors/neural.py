@@ -23,6 +23,7 @@ from ..core import (
     frame,
     resolve,
     subsequences,
+    with_lookback,
 )
 from ..errors import DimensionMismatch, InvalidHyperparameter, NumericalDivergence
 
@@ -322,14 +323,11 @@ class MlpDetector:
         net_train(net, (windows.windows, windows.targets), TrainSpec(**p))
         return FittedDetector(cfg, net)
 
-    def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
-        windows = frame(test, fitted.config.window_width)
+    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
+        w = fitted.config.window_width
+        windows = frame(with_lookback(train, test, w), w)
         out = _forward(fitted.state, windows.windows)
-        return ScoreSeries(
-            scores=np.abs(out[:, 0] - windows.targets),
-            indices=windows.target_indices,
-            detector_name=fitted.name,
-        )
+        return ScoreSeries(np.abs(out[:, 0] - windows.targets))
 
 
 class AutoencoderDetector:
@@ -347,11 +345,9 @@ class AutoencoderDetector:
         net_train(auto.net, (windows.windows, windows.windows), TrainSpec(**p))
         return FittedDetector(cfg, auto)
 
-    def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
+    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
         auto: AutoencoderNet = fitted.state
-        windows = subsequences(test, fitted.config.window_width)
+        w = fitted.config.window_width
+        windows = subsequences(with_lookback(train, test, w - 1), w)
         out = _forward(auto.net, windows.windows)
-        errors = np.sqrt(((out - windows.windows) ** 2).sum(axis=1))
-        return ScoreSeries(
-            scores=errors, indices=windows.target_indices, detector_name=fitted.name
-        )
+        return ScoreSeries(np.sqrt(((out - windows.windows) ** 2).sum(axis=1)))

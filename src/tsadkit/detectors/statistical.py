@@ -2,6 +2,8 @@
 
 Every detector here forecasts one step ahead over the test segment using
 true past values and scores each point by its absolute forecast error.
+AR, ARIMA and PCI forecast the first test points from the train values
+just before the test; MA and the smoothing family carry their state over.
 Fitting is self-contained: least squares for AR, two-stage regression for
 MA, conditional-sum-of-squares Gauss-Newton for ARMA, grid search for the
 smoothing family, and an inverse-distance predictor with a Student-t band
@@ -16,7 +18,15 @@ from typing import Optional
 
 import numpy as np
 
-from ..core import Derived, DetectorConfig, FittedDetector, ScoreSeries, TimeSeries, resolve
+from ..core import (
+    Derived,
+    DetectorConfig,
+    FittedDetector,
+    ScoreSeries,
+    TimeSeries,
+    resolve,
+    with_lookback,
+)
 from ..errors import (
     InvalidHyperparameter,
     InvalidOrder,
@@ -126,20 +136,12 @@ def ar_fit(train: TimeSeries, p: Optional[int] = None) -> ArFit:
     )
 
 
-def ar_score(fit: ArFit, test: TimeSeries, detector_name: str = "ar") -> ScoreSeries:
-    """One-step-ahead absolute forecast errors, rolling over true past values."""
-    values = test.values
-    p = fit.p
-    if values.size <= p:
-        return ScoreSeries(
-            scores=np.empty(0), indices=np.empty(0, dtype=np.int64), detector_name=detector_name
-        )
-    predictions = _lag_matrix(values, p) @ fit.coefficients + fit.intercept
-    return ScoreSeries(
-        scores=np.abs(values[p:] - predictions),
-        indices=np.arange(p, values.size, dtype=np.int64),
-        detector_name=detector_name,
-    )
+def ar_score(fit: ArFit, series: TimeSeries) -> ScoreSeries:
+    """One-step-ahead absolute forecast errors of every point after the
+    first p, rolling over true past values."""
+    values = series.values
+    predictions = _lag_matrix(values, fit.p) @ fit.coefficients + fit.intercept
+    return ScoreSeries(np.abs(values[fit.p :] - predictions))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +221,7 @@ def ma_fit(train: TimeSeries, q: int) -> MaFit:
     return MaFit(coefficients=invertible_ma(coeffs), mu=mu)
 
 
-def ma_score(fit: MaFit, test: TimeSeries, detector_name: str = "ma") -> ScoreSeries:
+def ma_score(fit: MaFit, test: TimeSeries) -> ScoreSeries:
     """Run the innovation recursion forward: e_t = x_t - mu - b.e_lags."""
     values = test.values
     n = values.size
@@ -231,9 +233,7 @@ def ma_score(fit: MaFit, test: TimeSeries, detector_name: str = "ma") -> ScoreSe
         pred = fit.mu + b @ eps[t : t + q][::-1]
         eps[t + q] = values[t] - pred
         scores[t] = abs(eps[t + q])
-    return ScoreSeries(
-        scores=scores, indices=np.arange(n, dtype=np.int64), detector_name=detector_name
-    )
+    return ScoreSeries(scores)
 
 
 # ---------------------------------------------------------------------------
@@ -270,23 +270,14 @@ class ArmaFit:
 
 @dataclass(frozen=True)
 class ArimaFit:
-    """ARMA after d rounds of differencing; ``warmup`` holds the last d train
-    values, which difference the start of the test."""
+    """ARMA after d rounds of differencing."""
 
     inner: ArmaFit
-    warmup: np.ndarray = None  # type: ignore[assignment]
+    d: int = 0
 
     def __post_init__(self):
-        warmup = (
-            np.empty(0) if self.warmup is None else np.asarray(self.warmup, dtype=np.float64)
-        )
-        if warmup.size not in (0, 1, 2):
-            raise InvalidOrder(f"d must be 0, 1 or 2, got {warmup.size} warm-up values")
-        object.__setattr__(self, "warmup", warmup)
-
-    @property
-    def d(self) -> int:
-        return int(self.warmup.size)
+        if self.d not in (0, 1, 2):
+            raise InvalidOrder(f"d must be 0, 1 or 2, got {self.d}")
 
 
 def _css_residuals(values: np.ndarray, theta: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -445,9 +436,7 @@ def arima_fit(
             f"ARIMA({p},{d},{q}) needs at least {3 * (p + q) + d + 2} points, got {len(train)}"
         )
     differenced = difference(train, d)
-    inner = arma_fit(differenced, p, q)
-    warmup = train.values[len(train) - d :] if d else np.empty(0)
-    return ArimaFit(inner=inner, warmup=warmup)
+    return ArimaFit(inner=arma_fit(differenced, p, q), d=d)
 
 
 def _trend_order(values: np.ndarray) -> int:
@@ -458,30 +447,14 @@ def _trend_order(values: np.ndarray) -> int:
     return 1 if abs(theta[0]) * n > 2.0 * sigma else 0
 
 
-def arima_score(fit: ArimaFit, test: TimeSeries, detector_name: str = "arima") -> ScoreSeries:
-    """Difference the test (train tail as warm-up), then one-step residuals."""
+def arima_score(fit: ArimaFit, series: TimeSeries) -> ScoreSeries:
+    """Difference d times, then the one-step residuals of every point after
+    the first d + p; innovations before those points are zero."""
     inner = fit.inner
-    values = test.values
-    if fit.d:
-        extended = np.concatenate((fit.warmup, values))
-        for _ in range(fit.d):
-            extended = np.diff(extended)
-    else:
-        extended = values
-    # extended[i] now corresponds to test index i.
-    n = extended.size
-    p, q = inner.p, inner.q
-    if n <= p:
-        return ScoreSeries(
-            scores=np.empty(0), indices=np.empty(0, dtype=np.int64), detector_name=detector_name
-        )
+    differenced = np.diff(series.values, n=fit.d)
     theta = np.concatenate(([inner.intercept], inner.ar, inner.ma))
-    eps = _css_residuals(extended, theta, p, q)
-    return ScoreSeries(
-        scores=np.abs(eps[p:]),
-        indices=np.arange(p, n, dtype=np.int64),
-        detector_name=detector_name,
-    )
+    eps = _css_residuals(differenced, theta, inner.p, inner.q)
+    return ScoreSeries(np.abs(eps[inner.p :]))
 
 
 # ---------------------------------------------------------------------------
@@ -664,7 +637,7 @@ def holtwinters_fit(
     )
 
 
-def smoothing_score(fit: SmoothingFit, test: TimeSeries, detector_name: str = "es") -> ScoreSeries:
+def smoothing_score(fit: SmoothingFit, test: TimeSeries) -> ScoreSeries:
     """Absolute one-step errors with the smoothing state rolled through test."""
     values = test.values
     scores = []
@@ -683,11 +656,7 @@ def smoothing_score(fit: SmoothingFit, test: TimeSeries, detector_name: str = "e
             ring.append(fit.gamma * (x - new_level) + (1.0 - fit.gamma) * season_prev)
             ring.pop(0)
         level = new_level
-    return ScoreSeries(
-        scores=np.array(scores, dtype=np.float64),
-        indices=np.arange(values.size, dtype=np.int64),
-        detector_name=detector_name,
-    )
+    return ScoreSeries(np.array(scores, dtype=np.float64))
 
 
 # ---------------------------------------------------------------------------
@@ -713,45 +682,31 @@ class PciFit:
             raise ValueError("residual_s must be non-negative")
 
 
-def _pci_predict(values: np.ndarray, k: int, two_sided: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Weighted forecasts and the indices they apply to; weights 1/distance."""
+def _pci_predict(values: np.ndarray, k: int) -> np.ndarray:
+    """Weighted forecasts of ``values[2k:]``, each from the 2k values before
+    it; weight 1/j for lag j."""
     n = values.size
-    if two_sided:
-        if n < 2 * k + 1:
-            raise SeriesTooShort(f"two-sided PCI needs more than 2k={2 * k} points, got {n}")
-        idx = np.arange(k, n - k, dtype=np.int64)
-        offsets = np.concatenate((np.arange(-k, 0), np.arange(1, k + 1)))
-        weights = 1.0 / np.abs(offsets)
-        cols = np.stack([values[idx + off] for off in offsets], axis=1)
-        return cols @ weights / weights.sum(), idx
     if n <= 2 * k:
         raise SeriesTooShort(f"PCI needs more than 2k={2 * k} points, got {n}")
-    idx = np.arange(2 * k, n, dtype=np.int64)
-    # Window row for index t is (x_{t-2k}, ..., x_{t-1}); weight 1/j for lag j.
+    # Window row for x_t is (x_{t-2k}, ..., x_{t-1}).
     windows = np.lib.stride_tricks.sliding_window_view(values, 2 * k)[:-1]
     weights = 1.0 / np.arange(2 * k, 0, -1)
-    return windows @ weights / weights.sum(), idx
+    return windows @ weights / weights.sum()
 
 
 def pci_fit(train: TimeSeries, k: int = 30, alpha: float = 98.5) -> PciFit:
     """Estimate the predictor's residual spread on the training series."""
-    predictions, idx = _pci_predict(train.values, k)
-    residuals = train.values[idx] - predictions
+    residuals = train.values[2 * k :] - _pci_predict(train.values, k)
     return PciFit(k=k, alpha=alpha, residual_s=float(residuals.std()))
 
 
-def pci_score(
-    fit: PciFit, test: TimeSeries, two_sided: bool = False, detector_name: str = "pci"
-) -> ScoreSeries:
-    """|residual| / interval half-width; score > 1 means outside the band."""
-    predictions, idx = _pci_predict(test.values, fit.k, two_sided=two_sided)
+def pci_score(fit: PciFit, series: TimeSeries) -> ScoreSeries:
+    """|residual| / interval half-width of every point after the first 2k;
+    score > 1 means outside the band."""
+    predictions = _pci_predict(series.values, fit.k)
     t_quantile = student_t_ppf(fit.alpha / 100.0, 2 * fit.k - 1)
     half_width = t_quantile * max(fit.residual_s, 1e-12) * math.sqrt(1.0 + 1.0 / (2 * fit.k))
-    return ScoreSeries(
-        scores=np.abs(test.values[idx] - predictions) / half_width,
-        indices=idx,
-        detector_name=detector_name,
-    )
+    return ScoreSeries(np.abs(series.values[2 * fit.k :] - predictions) / half_width)
 
 
 # ---------------------------------------------------------------------------
@@ -815,8 +770,8 @@ class ArDetector:
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
         return FittedDetector(cfg, ar_fit(train, resolve(cfg, self.params)["p"]))
 
-    def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
-        return ar_score(fitted.state, test, detector_name=fitted.name)
+    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
+        return ar_score(fitted.state, with_lookback(train, test, fitted.state.p))
 
 
 class MaDetector:
@@ -830,8 +785,8 @@ class MaDetector:
         q = resolve(cfg, self.params)["q"]
         return FittedDetector(cfg, ma_fit(train, cfg.window_width if q is None else q))
 
-    def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
-        return ma_score(fitted.state, test, detector_name=fitted.name)
+    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
+        return ma_score(fitted.state, test)
 
 
 class ArimaDetector:
@@ -845,8 +800,9 @@ class ArimaDetector:
         p = resolve(cfg, self.params)
         return FittedDetector(cfg, arima_fit(train, p["p"], p["d"], p["q"]))
 
-    def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
-        return arima_score(fitted.state, test, detector_name=fitted.name)
+    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
+        fit = fitted.state
+        return arima_score(fit, with_lookback(train, test, fit.d + fit.inner.p))
 
 
 class SesDetector:
@@ -859,8 +815,8 @@ class SesDetector:
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
         return FittedDetector(cfg, ses_fit(train, resolve(cfg, self.params)["alpha"]))
 
-    def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
-        return smoothing_score(fitted.state, test, detector_name=fitted.name)
+    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
+        return smoothing_score(fitted.state, test)
 
 
 class EsDetector:
@@ -884,8 +840,8 @@ class EsDetector:
             fit = holtwinters_fit(train, period, p["alpha"], p["beta"], p["gamma"])
         return FittedDetector(cfg, fit)
 
-    def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
-        return smoothing_score(fitted.state, test, detector_name=fitted.name)
+    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
+        return smoothing_score(fitted.state, test)
 
 
 class PciDetector:
@@ -893,16 +849,11 @@ class PciDetector:
 
     name = "pci"
     family = "statistical"
-    params = {"k": 30, "pci_alpha": 98.5, "two_sided": False}
+    params = {"k": 30, "pci_alpha": 98.5}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
         p = resolve(cfg, self.params)
         return FittedDetector(cfg, pci_fit(train, p["k"], p["pci_alpha"]))
 
-    def score(self, fitted: FittedDetector, test: TimeSeries) -> ScoreSeries:
-        return pci_score(
-            fitted.state,
-            test,
-            two_sided=resolve(fitted.config, self.params)["two_sided"],
-            detector_name=fitted.name,
-        )
+    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
+        return pci_score(fitted.state, with_lookback(train, test, 2 * fitted.state.k))

@@ -1,7 +1,7 @@
 """Ranking metrics (ROC/AUC, best F-score, NMM) and timed detector runs.
 
-Labels are always restricted to the indices a detector actually scored;
-detectors may omit a warm-up prefix and the metrics must not punish that.
+Every detector scores every test point, so the metrics take the test
+labels as they are, one per score.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from .core import DetectorConfig, ScoreSeries, TimeSeries
-from .errors import DegenerateLabels, NaiveZero, NonFiniteValues, TsadError
+from .errors import DegenerateLabels, DimensionMismatch, NaiveZero, NonFiniteValues, TsadError
 
 __all__ = [
     "RocCurve",
@@ -114,17 +114,10 @@ def _check_labels(labels: np.ndarray) -> tuple[int, int]:
     negatives = int(labels.size - positives)
     if positives == 0 or negatives == 0:
         raise DegenerateLabels(
-            f"need both classes among scored indices, got {positives} positives "
+            f"need both classes among the labels, got {positives} positives "
             f"and {negatives} negatives"
         )
     return positives, negatives
-
-
-def _aligned_labels(scores: ScoreSeries, labels) -> np.ndarray:
-    labels = np.asarray(labels, dtype=np.int64)
-    if labels.shape != scores.scores.shape:
-        raise ValueError("labels must align with scores")
-    return labels
 
 
 def _sweep(values: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -133,6 +126,8 @@ def _sweep(values: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarr
     One stable descending sort and one cumulative sum give each cut's value,
     true positives and predicted positives (Fawcett 2006, Alg. 1-2).
     """
+    if labels.shape != values.shape:
+        raise DimensionMismatch(f"{labels.size} labels for {values.size} scores")
     order = np.argsort(-values, kind="stable")
     sorted_scores = values[order]
     # One step per unique score value: indices of the last occurrence.
@@ -149,7 +144,7 @@ def roc_auc(scores: ScoreSeries, labels) -> tuple[RocCurve, float]:
     over every cut; the curve keeps only the vertices, the cuts where the
     step in and the step out are not parallel (Fawcett 2006).
     """
-    labels = _aligned_labels(scores, labels)
+    labels = np.asarray(labels, dtype=np.int64)
     positives, negatives = _check_labels(labels)
     cuts, tp, n_pred = _sweep(scores.scores, labels)
     fp = np.concatenate(([0], n_pred - tp))
@@ -168,7 +163,7 @@ def roc_auc(scores: ScoreSeries, labels) -> tuple[RocCurve, float]:
 
 def best_f1(scores: ScoreSeries, labels) -> float:
     """Maximum F-score over the cuts ``score >= u``, one per unique score."""
-    labels = _aligned_labels(scores, labels)
+    labels = np.asarray(labels, dtype=np.int64)
     positives = int(labels.sum())
     if positives == 0:
         raise DegenerateLabels("need at least one positive label for the F-score")
@@ -181,17 +176,11 @@ def best_f1(scores: ScoreSeries, labels) -> float:
     return float(f1.max())
 
 
-def naive_mse(series: TimeSeries, indices=None) -> float:
-    """MSE of the last-value forecast x̂_t = x_{t-1} over the given indices."""
-    values = series.values
-    if indices is None:
-        indices = np.arange(1, values.size)
-    indices = np.asarray(indices, dtype=np.int64)
-    indices = indices[indices >= 1]
-    if indices.size == 0:
+def naive_mse(series: TimeSeries) -> float:
+    """MSE of the last-value forecast x̂_t = x_{t-1} over t = 1 .. n-1."""
+    if len(series) < 2:
         raise NaiveZero("no index has a predecessor to forecast from")
-    errors = values[indices] - values[indices - 1]
-    return float(np.mean(errors**2))
+    return float(np.mean(np.diff(series.values) ** 2))
 
 
 def nmm(model_mse: float, naive: float) -> float:
@@ -207,34 +196,28 @@ def timed_run(detector, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries
     """Fit and score under monotonic wall-clock timers, then evaluate.
 
     Detector and metric errors become a failed run instead of aborting the
-    caller's batch; its timings cover the stages reached.  A run whose scored
-    indices hold only one label class (say, every anomaly lies in the
-    detector's warm-up prefix) is excluded, not failed.  The run makes no
-    internal concurrency; callers wanting meaningful timings must not run
-    anything else in parallel.
+    caller's batch; its timings cover the stages reached.  A detector must
+    give one score per test point.  The run makes no internal concurrency;
+    callers wanting meaningful timings must not run anything else in
+    parallel.
     """
     fit_end = score_end = None
-    excluded = False
     start = time.perf_counter()
     try:
         fitted = detector.fit(train, cfg)
         fit_end = time.perf_counter()
-        scores = detector.score(fitted, test)
+        scores = detector.score(fitted, train, test)
         score_end = time.perf_counter()
+        if len(scores) != len(test):
+            raise DimensionMismatch(f"{len(scores)} scores for {len(test)} test points")
         if test.labels is None:
             raise DegenerateLabels("test segment has no labels")
-        if len(scores) == 0:
-            raise DegenerateLabels("detector produced no scores")
-        labels = test.labels[scores.indices]
-        # One label class among the scored indices: roc_auc raises
-        # DegenerateLabels, and the labels, not the detector, are the cause.
-        excluded = int(labels.sum()) in (0, labels.size)
-        curve, auc = roc_auc(scores, labels)
-        f1 = best_f1(scores, labels)
+        curve, auc = roc_auc(scores, test.labels)
+        f1 = best_f1(scores, test.labels)
         # Finite scores above ~1e154 square to inf: nmm is then inf, an ok row.
         with np.errstate(over="ignore"):
             model_mse = float(np.mean(scores.scores**2))
-        ratio = nmm(model_mse, naive_mse(test, scores.indices))
+        ratio = nmm(model_mse, naive_mse(test))
     except TsadError as exc:
         stop = time.perf_counter()
         fit_end = stop if fit_end is None else fit_end
@@ -243,7 +226,6 @@ def timed_run(detector, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries
             train_seconds=fit_end - start,
             inference_seconds=score_end - fit_end,
             failure=f"{type(exc).__name__}: {exc}",
-            excluded=excluded,
         )
     return TimedRun(
         train_seconds=fit_end - start,

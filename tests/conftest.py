@@ -19,9 +19,4 @@ def series(values, labels=None, series_id="t", period_hint=None) -> TimeSeries:
 def raw_frame(windows: np.ndarray) -> WindowFrame:
     """Wrap a bare window matrix; targets are placeholders."""
     windows = np.asarray(windows, dtype=np.float64)
-    m, w = windows.shape
-    return WindowFrame(
-        windows=windows,
-        targets=np.zeros(m),
-        target_indices=np.arange(w - 1, w - 1 + m),
-    )
+    return WindowFrame(windows=windows, targets=np.zeros(windows.shape[0]))

@@ -60,7 +60,7 @@ def test_criterion_01_auc_equals_rank_statistic():
             scores = np.full(n, float(rng.standard_normal()))  # all tied
         else:
             scores = np.round(rng.standard_normal(n), 1)  # clustered ties
-        series = ScoreSeries(scores=scores, indices=np.arange(n), detector_name="gate")
+        series = ScoreSeries(scores)
         _, auc = roc_auc(series, labels)
         worst = max(worst, abs(auc - _rank_auc(scores, labels)))
     elapsed = time.perf_counter() - t0
@@ -103,11 +103,7 @@ def test_criterion_02_lof_matches_quadratic_reference():
         dense = rng.normal(0.0, 1.0, size=(25, width))
         sparse = rng.normal(6.0, 3.0, size=(15, width))
         reference = np.vstack((dense, sparse))
-        ref_frame = WindowFrame(
-            windows=reference,
-            targets=reference[:, -1],
-            target_indices=np.arange(width - 1, width - 1 + 40),
-        )
+        ref_frame = WindowFrame(windows=reference, targets=reference[:, -1])
         queries = (
             rng.normal(0.0, 1.0, size=width),  # inlier
             rng.normal(0.0, 30.0, size=width) + 50.0,  # far outlier
@@ -245,8 +241,8 @@ def _own_class_nmm(detector_name: str, spec: SynthSpec, period_hint=None) -> flo
     test = standardize(test, params)
     detector = get_detector(detector_name)
     cfg = DetectorConfig(name=detector_name, window_width=8)
-    scores = detector.score(detector.fit(train, cfg), test)
-    return nmm(float(np.mean(scores.scores**2)), naive_mse(test, scores.indices))
+    scores = detector.score(detector.fit(train, cfg), train, test)
+    return nmm(float(np.mean(scores.scores**2)), naive_mse(test))
 
 
 def test_criterion_05_models_beat_persistence_on_their_own_class():

@@ -21,7 +21,7 @@ from tsadkit import (
     smoke_series,
     write_series_csv,
 )
-from tsadkit.bench import _pair_seed
+from tsadkit.bench import _pair_seed, _preprocess
 from tsadkit.cli import main, parse_kv_file
 from tsadkit.core import FittedDetector, ScoreSeries
 from tsadkit.detectors import REGISTRY, ml
@@ -87,36 +87,51 @@ class TestRunBenchmark:
         assert cell["n_ok"] == 1
         assert cell["n_excluded"] == 1
 
-    def test_detrend_can_exclude_a_series(self, tmp_path):
-        # The only anomaly is the first test point (head = 0.3 * 200 = 60);
-        # first differencing drops that point, and its label with it.  SES
-        # scores every test point, so undifferenced the pair is ok.
-        manifest = write_manifest(tmp_path, [labelled_series(n=200, anomaly_at=60)])
-        config = quick_config(datasets=(str(manifest),), detectors=("ses",))
-        rows, _, _ = run_benchmark(config)
-        assert [row.status for row in rows] == ["ok"]
-        rows, summary, curves = run_benchmark(replace(config, detrend=True))
+    def test_all_anomalous_test_segment_is_excluded(self, tmp_path):
+        # Every test label is 1 (head = 0.3 * 120 = 36): one class, so no
+        # detector runs, as when no test label is 1.
+        only_anomalies = labelled_series(anomaly_at=None, seed=4)
+        labels = np.zeros(120, dtype=np.int64)
+        labels[36:] = 1
+        manifest = write_manifest(tmp_path, [replace(only_anomalies, labels=labels)])
+        rows, summary, curves = run_benchmark(quick_config(datasets=(str(manifest),)))
         assert [(row.status, row.failure_reason) for row in rows] == [
-            ("excluded", "test segment has no anomalous label")
-        ]
-        assert summary["datasets"]["UD1"]["ses"]["n_excluded"] == 1
+            ("excluded", "test segment holds one label class")
+        ] * 2
+        assert (rows[0].train_seconds, rows[0].inference_seconds) == (0.0, 0.0)
+        assert summary["datasets"]["UD1"]["ar"]["n_excluded"] == 1
         assert curves == {}
 
-    def test_anomalies_only_in_the_warm_up_prefix_are_excluded(self, tmp_path, monkeypatch):
+    def test_detrend_keeps_the_first_test_point(self, tmp_path):
         # The only anomaly is the first test point (head = 0.3 * 200 = 60).
-        # SES scores it; ar, kmeans and iforest start scoring later, so the
-        # labels, not the detectors, leave their scored indices one class.
+        # The whole series is differenced before the cut, so the train tail
+        # differences the first test point and its label stays.
+        s = labelled_series(n=200, anomaly_at=60)
+        config = quick_config(datasets=(str(write_manifest(tmp_path, [s])),), detectors=("ses",))
+        for detrend in (False, True):
+            train, test = _preprocess(replace(config, detrend=detrend), s)
+            assert (len(train), len(test)) == (60 - detrend, 140)
+            assert np.array_equal(test.labels, s.labels[60:])
+            rows, _, curves = run_benchmark(replace(config, detrend=detrend))
+            assert [row.status for row in rows] == ["ok"]
+            assert set(curves) == {("series_0", "ses")}
+
+    def test_an_anomaly_at_the_first_test_point_is_scored_by_every_detector(
+        self, tmp_path, monkeypatch
+    ):
+        # The only anomaly is the first test point (head = 0.3 * 200 = 60).
+        # ar, kmeans and iforest read their lookback from the train tail, so
+        # they score it like ses does.  A detector that scores fewer points
+        # than the test holds is at fault itself.
         class EmptyDetector:
             name = "empty"
             family = "ml"
-            keys = frozenset()
-            defaults = {}
 
             def fit(self, train, cfg):
                 return FittedDetector(cfg, None)
 
-            def score(self, fitted, test):
-                return ScoreSeries(scores=[], indices=[], detector_name=fitted.name)
+            def score(self, fitted, train, test):
+                return ScoreSeries([])
 
         monkeypatch.setitem(REGISTRY, "empty", EmptyDetector())
         manifest = write_manifest(tmp_path, [labelled_series(n=200, anomaly_at=60)])
@@ -124,17 +139,16 @@ class TestRunBenchmark:
         rows, summary, curves = run_benchmark(
             quick_config(datasets=(str(manifest),), detectors=detectors)
         )
-        assert [row.status for row in rows] == ["ok", "excluded", "excluded", "excluded", "failed"]
-        for row in rows[1:4]:
-            assert row.failure_reason.startswith(
-                "DegenerateLabels: need both classes among scored indices, got 0 positives"
-            )
-            assert (row.auc, row.best_f1, row.nmm) == (None, None, None)
-        # A detector that scores nothing is at fault itself.
-        assert rows[4].failure_reason == "DegenerateLabels: detector produced no scores"
-        assert set(curves) == {("series_0", "ses")}
+        assert [row.status for row in rows] == ["ok", "ok", "ok", "ok", "failed"]
+        # One positive among 140 test points: the AUC is the share of the
+        # 139 negatives scored below it.  The spike also lies in the windows
+        # that end at the next 29 test points, so a window detector ranks
+        # the first of them among 30: an AUC near 1 - 29/139 = 0.79.
+        assert [row.auc > 0.75 for row in rows[:4]] == [True] * 4
+        assert rows[4].failure_reason == "DimensionMismatch: 0 scores for 140 test points"
+        assert set(curves) == {("series_0", name) for name in detectors[:4]}
         cells = summary["datasets"]["UD1"]
-        assert [cells[name]["n_excluded"] for name in detectors] == [0, 1, 1, 1, 0]
+        assert [cells[name]["n_excluded"] for name in detectors] == [0] * 5
         assert [cells[name]["n_failed"] for name in detectors] == [0, 0, 0, 0, 1]
 
     def test_preprocess_failure_marks_all_detectors(self, tmp_path):
@@ -155,12 +169,8 @@ class TestRunBenchmark:
             def fit(self, train, cfg):
                 return FittedDetector(cfg, None)
 
-            def score(self, fitted, test):
-                return ScoreSeries(
-                    scores=np.full(len(test), np.nan),
-                    indices=np.arange(len(test)),
-                    detector_name=fitted.name,
-                )
+            def score(self, fitted, train, test):
+                return ScoreSeries(np.full(len(test), np.nan))
 
         monkeypatch.setitem(REGISTRY, "nan", NanDetector())
         rows, summary, curves = run_benchmark(quick_config(detectors=("ar", "nan")))
@@ -170,7 +180,7 @@ class TestRunBenchmark:
                 assert row.status == "ok"
             else:
                 assert row.status == "failed"
-                assert row.failure_reason.startswith("NonFiniteScores: nan:")
+                assert row.failure_reason == "NonFiniteScores: scores contain non-finite values"
         assert summary["n_ok"] == 5
         assert len(curves) == 5
 
@@ -305,7 +315,7 @@ class TestReports:
             def fit(self, train, cfg):
                 raise TsadError('bad fit, "quoted" part')
 
-            def score(self, fitted, test):  # pragma: no cover - fit always raises
+            def score(self, fitted, train, test):  # pragma: no cover - fit always raises
                 raise AssertionError
 
         monkeypatch.setitem(REGISTRY, "broken", BrokenDetector())

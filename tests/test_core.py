@@ -8,14 +8,18 @@ import pytest
 from tsadkit import (
     DETECTOR_NAMES,
     DetectorConfig,
+    RunConfig,
     ScoreSeries,
     TimeSeries,
     WindowFrame,
     frame,
     get_detector,
+    smoke_series,
     subsequences,
     timed_run,
+    with_lookback,
 )
+from tsadkit.bench import _preprocess
 from tsadkit.core import Derived, resolve
 from tsadkit.errors import (
     InvalidHyperparameter,
@@ -63,7 +67,6 @@ class TestFrame:
         wf = frame(series([1, 2, 3, 4]), width=2)
         assert wf.windows.tolist() == [[1.0, 2.0], [2.0, 3.0]]
         assert wf.targets.tolist() == [3.0, 4.0]
-        assert wf.target_indices.tolist() == [2, 3]
 
     @pytest.mark.parametrize("n,expect", [(1420, 1390), (1421, 1391)])
     def test_window_count_at_benchmark_scale(self, n, expect):
@@ -87,20 +90,20 @@ class TestFrame:
     def test_window_precedes_target(self):
         values = np.arange(40, dtype=float)
         wf = frame(series(values), width=7)
-        for i in range(wf.windows.shape[0]):
-            t = wf.target_indices[i]
-            assert np.array_equal(wf.windows[i], values[t - 7 : t])
-            assert wf.targets[i] == values[t]
+        assert len(wf) == values.size - 7
+        for i in range(len(wf)):
+            assert np.array_equal(wf.windows[i], values[i : i + 7])
+            assert wf.targets[i] == values[i + 7]
 
 
 class TestSubsequences:
     def test_window_ends_at_target(self):
         values = np.arange(20, dtype=float)
         wf = subsequences(series(values), width=4)
-        assert wf.target_indices[0] == 3
-        for i in range(wf.windows.shape[0]):
-            t = wf.target_indices[i]
-            assert np.array_equal(wf.windows[i], values[t - 3 : t + 1])
+        assert np.array_equal(wf.targets, values[3:])
+        for i in range(len(wf)):
+            assert np.array_equal(wf.windows[i], values[i : i + 4])
+            assert wf.windows[i, -1] == wf.targets[i]
 
     def test_count(self):
         wf = subsequences(series(np.arange(10, dtype=float)), width=4)
@@ -114,34 +117,32 @@ class TestSubsequences:
 class TestWindowFrameValidation:
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            WindowFrame(
-                windows=np.zeros((3, 2)),
-                targets=np.zeros(2),
-                target_indices=np.arange(2, 5),
-            )
+            WindowFrame(windows=np.zeros((3, 2)), targets=np.zeros(2))
 
-    def test_indices_must_increase(self):
-        with pytest.raises(ValueError):
-            WindowFrame(
-                windows=np.zeros((2, 2)),
-                targets=np.zeros(2),
-                target_indices=np.array([3, 3]),
-            )
+
+class TestWithLookback:
+    def test_train_tail_precedes_the_test(self):
+        train, test = series([1.0, 2.0, 3.0]), series([4.0, 5.0], labels=[0, 1])
+        joined = with_lookback(train, test, 2)
+        assert joined.values.tolist() == [2.0, 3.0, 4.0, 5.0]
+        assert joined.labels is None
+        assert with_lookback(train, test, 0).values.tolist() == [4.0, 5.0]
+        assert with_lookback(train, test, 3).values.tolist() == [1.0, 2.0, 3.0, 4.0, 5.0]
+
+    def test_train_shorter_than_the_lookback(self):
+        with pytest.raises(SeriesTooShort, match="a lookback of 4 needs 4 train observations"):
+            with_lookback(series([1.0, 2.0, 3.0]), series([4.0]), 4)
 
 
 class TestScoreSeries:
-    def test_indices_strictly_increasing(self):
-        with pytest.raises(ValueError):
-            ScoreSeries(scores=np.zeros(2), indices=np.array([5, 5]), detector_name="x")
-
     def test_scores_finite(self):
         with pytest.raises(ValueError):
-            ScoreSeries(scores=np.array([np.nan]), indices=np.array([0]), detector_name="x")
+            ScoreSeries(np.array([np.nan]))
 
     def test_non_finite_scores_are_a_toolkit_error(self):
         for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(NonFiniteScores, match="x: scores contain non-finite"):
-                ScoreSeries(scores=np.array([0.0, bad]), indices=np.array([0, 1]), detector_name="x")
+            with pytest.raises(NonFiniteScores, match="scores contain non-finite"):
+                ScoreSeries(np.array([0.0, bad]))
         assert issubclass(NonFiniteScores, TsadError)
 
 
@@ -200,8 +201,8 @@ class TestDetectorConfig:
             ("ma", {"q": "3"}, {"q": 3}),
             ("es", {"period": "10"}, {"period": 10}),
             ("ocsvm", {"rbf_gamma": "0.5"}, {"rbf_gamma": 0.5}),
-            ("pci", {"k": 5, "two_sided": "false"}, {"k": 5, "two_sided": False}),
-            ("pci", {"k": 5, "two_sided": "yes"}, {"k": 5, "two_sided": True}),
+            ("pci", {"k": "5"}, {"k": 5}),
+            ("pci", {"k": 5, "pci_alpha": "97"}, {"k": 5, "pci_alpha": 97.0}),
         ],
     )
     def test_given_strings_run_like_typed_values(self, name, given, typed):
@@ -210,7 +211,7 @@ class TestDetectorConfig:
         scores = []
         for hyperparameters in (given, typed):
             cfg = DetectorConfig(name=name, window_width=8, hyperparameters=hyperparameters)
-            scores.append(detector.score(detector.fit(train, cfg), test).scores)
+            scores.append(detector.score(detector.fit(train, cfg), train, test).scores)
         np.testing.assert_array_equal(scores[0], scores[1])
 
     @pytest.mark.parametrize("name", DETECTOR_NAMES)
@@ -223,7 +224,7 @@ class TestDetectorConfig:
         scores = []
         for hyperparameters in ({}, explicit):
             cfg = DetectorConfig(name=name, window_width=width, hyperparameters=hyperparameters)
-            scores.append(detector.score(detector.fit(train, cfg), test).scores)
+            scores.append(detector.score(detector.fit(train, cfg), train, test).scores)
         np.testing.assert_array_equal(scores[0], scores[1])
 
     @pytest.mark.parametrize(
@@ -241,7 +242,7 @@ class TestDetectorConfig:
             ("ma", {"q": [3]}),
             ("ocsvm", {"rbf_gamma": "abc"}),
             ("es", {"period": "x"}),
-            ("pci", {"two_sided": "maybe"}),
+            ("pci", {"pci_alpha": "maybe"}),
             ("ocsvm", {"project_2d": 2}),
             ("kmeans", {"k": 2.7}),
             ("ar", {"p": 2.9}),
@@ -281,3 +282,21 @@ class TestDetectorConfig:
         with pytest.raises(UnknownHyperparameter, match=rf"{name}: unknown hyperparameter keys \['bogus'\]"):
             get_detector(name).fit(train, cfg)
         assert issubclass(UnknownHyperparameter, TsadError)
+
+
+@pytest.fixture(scope="module")
+def synth_segments():
+    """The first SYNTH series split and standardized as a default run does."""
+    return _preprocess(RunConfig(datasets=("SYNTH",), detectors=("ar",)), smoke_series()[0])
+
+
+class TestEveryDetectorScoresEveryTestPoint:
+    @pytest.mark.parametrize("name", DETECTOR_NAMES)
+    def test_one_finite_score_per_test_point(self, name, synth_segments):
+        train, test = synth_segments
+        detector = get_detector(name)
+        cfg = DetectorConfig(name=name)
+        scores = detector.score(detector.fit(train, cfg), train, test)
+        assert isinstance(scores, ScoreSeries)
+        assert len(scores) == len(test) == 1050
+        assert np.all(np.isfinite(scores.scores))

@@ -17,14 +17,20 @@ from tsadkit import (
     roc_auc,
     timed_run,
 )
-from tsadkit.errors import DegenerateLabels, NaiveZero, NonFiniteValues, SeriesTooShort
+from tsadkit.errors import (
+    DegenerateLabels,
+    DimensionMismatch,
+    NaiveZero,
+    NonFiniteValues,
+    SeriesTooShort,
+)
 
 from conftest import series
 
 
 def scored(values) -> ScoreSeries:
     values = np.asarray(values, dtype=np.float64)
-    return ScoreSeries(scores=values, indices=np.arange(values.size), detector_name="x")
+    return ScoreSeries(values)
 
 
 def mann_whitney_auc(scores, labels) -> float:
@@ -216,6 +222,11 @@ class TestBestF1:
         with pytest.raises(DegenerateLabels):
             best_f1(scored([1.0, 2.0]), [0, 0])
 
+    def test_both_metrics_need_one_label_per_score(self):
+        for metric in (roc_auc, best_f1):
+            with pytest.raises(DimensionMismatch, match="3 labels for 4 scores"):
+                metric(scored([1.0, 2.0, 3.0, 4.0]), [0, 1, 0])
+
     def test_matches_brute_force_over_every_cut(self):
         rng = np.random.default_rng(5)
         for _ in range(60):
@@ -276,9 +287,9 @@ class TestNmm:
         # persistence forecast errors: 1, 2, 0 over indices 1..3
         assert naive_mse(s) == pytest.approx((1 + 4 + 0) / 3)
 
-    def test_naive_mse_restricted_indices(self):
-        s = series([1.0, 2.0, 4.0, 4.0])
-        assert naive_mse(s, indices=[2, 3]) == pytest.approx((4 + 0) / 2)
+    def test_naive_mse_needs_two_points(self):
+        with pytest.raises(NaiveZero):
+            naive_mse(series([1.0]))
 
     def test_constant_series_breaks_the_ratio(self):
         flat = naive_mse(series([3.0, 3.0, 3.0]))
@@ -297,10 +308,8 @@ class _SpyDetector:
 
         return FittedDetector(cfg, state=None)
 
-    def score(self, fitted, test):
-        return ScoreSeries(
-            scores=np.abs(test.values), indices=np.arange(test.values.size), detector_name="spy"
-        )
+    def score(self, fitted, train, test):
+        return ScoreSeries(np.abs(test.values))
 
 
 class _HugeDetector(_SpyDetector):
@@ -308,12 +317,17 @@ class _HugeDetector(_SpyDetector):
 
     name = "huge"
 
-    def score(self, fitted, test):
-        return ScoreSeries(
-            scores=np.abs(test.values) * 1e200,
-            indices=np.arange(test.values.size),
-            detector_name="huge",
-        )
+    def score(self, fitted, train, test):
+        return ScoreSeries(np.abs(test.values) * 1e200)
+
+
+class _ShortDetector(_SpyDetector):
+    """Skips the first test point, as a detector without a lookback would."""
+
+    name = "short"
+
+    def score(self, fitted, train, test):
+        return ScoreSeries(np.abs(test.values[1:]))
 
 
 class _FailingDetector:
@@ -322,7 +336,7 @@ class _FailingDetector:
     def fit(self, train, cfg):
         raise SeriesTooShort("synthetic failure for the report path")
 
-    def score(self, fitted, test):  # pragma: no cover - fit always raises
+    def score(self, fitted, train, test):  # pragma: no cover - fit always raises
         raise AssertionError
 
 
@@ -366,6 +380,13 @@ class TestTimedRun:
         out = timed_run(_FailingDetector(), DetectorConfig(name="broken"), train, test)
         assert not out.ok
         assert "SeriesTooShort" in out.failure
+        assert out.curve is None
+
+    def test_a_score_count_other_than_the_test_length_fails_the_run(self):
+        train, test = self._data()
+        out = timed_run(_ShortDetector(), DetectorConfig(name="short"), train, test)
+        assert out.status == "failed"
+        assert out.failure == "DimensionMismatch: 99 scores for 100 test points"
         assert out.curve is None
 
     def test_unlabeled_test_fails_gracefully(self):

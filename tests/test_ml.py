@@ -22,6 +22,7 @@ from tsadkit import (
     standardize,
     subsequences,
     timed_run,
+    with_lookback,
 )
 from tsadkit.detectors import ml
 from tsadkit.detectors.ml import (
@@ -561,11 +562,7 @@ class TestOcsvm:
 class TestGbt:
     def test_constant_target_is_learned_exactly(self):
         windows = np.arange(30.0).reshape(10, 3)
-        fr = WindowFrame(
-            windows=windows,
-            targets=np.full(10, 4.0),
-            target_indices=np.arange(3, 13),
-        )
+        fr = WindowFrame(windows=windows, targets=np.full(10, 4.0))
         model = gbt_fit(fr, n_estimators=10)
         assert model.base_score == 4.0
         out = gbt_score(model, fr)
@@ -583,11 +580,7 @@ class TestGbt:
     def test_step_function_split(self):
         windows = np.concatenate((np.full(20, -1.0), np.full(20, 1.0))).reshape(-1, 1)
         targets = np.concatenate((np.full(20, -3.0), np.full(20, 3.0)))
-        fr = WindowFrame(
-            windows=windows,
-            targets=targets,
-            target_indices=np.arange(1, 41),
-        )
+        fr = WindowFrame(windows=windows, targets=targets)
         model = gbt_fit(fr, n_estimators=200, max_depth=1)
         predictions = np.abs(gbt_score(model, fr).scores)
         assert np.max(predictions) < 1e-3
@@ -600,10 +593,11 @@ class TestGbt:
             x[t] = -0.8 * x[t - 1] + noise[t]
         train, test = series(x[:500]), series(x[500:])
         model = gbt_fit(frame(train, 5), n_estimators=100)
-        out = gbt_score(model, frame(test, 5))
+        out = gbt_score(model, frame(with_lookback(train, test, 5), 5))
+        assert len(out) == len(test)
         # Anti-persistent dynamics: the last-value forecast is much worse
         # than anything that uses the sign flip.
-        ratio = nmm(float(np.mean(out.scores**2)), naive_mse(test, out.indices))
+        ratio = nmm(float(np.mean(out.scores**2)), naive_mse(test))
         assert ratio < 0.5
 
     @pytest.mark.parametrize(
@@ -680,8 +674,7 @@ def synth_frames(width: int) -> tuple[WindowFrame, WindowFrame]:
 
 
 def window_frame(windows: np.ndarray, targets: np.ndarray) -> WindowFrame:
-    m, w = windows.shape
-    return WindowFrame(windows=windows, targets=targets, target_indices=np.arange(w, w + m))
+    return WindowFrame(windows=windows, targets=targets)
 
 
 def tied_frames(seed: int, width: int, constant_column: bool = False):
@@ -866,25 +859,44 @@ class TestAdapters:
         return series(np.sin(np.arange(n) / 5.0) + rng.normal(0.0, 0.05, n))
 
     def test_window_families_align_to_window_ends(self):
+        # Score i is the score of the window of the train-then-test series
+        # that ends at test point i; the first w - 1 reach into the train.
         train = self.make_series(1)
         test = self.make_series(2, n=120)
         w = 10
-        for name in ("kmeans", "dbscan", "lof", "iforest", "ocsvm"):
+        whole = np.concatenate((train.values, test.values))
+        ends = len(train) + np.arange(len(test))
+        windows = np.stack([whole[end - w + 1 : end + 1] for end in ends])
+        score_windows = {
+            "kmeans": lambda model: kmeans_score(model, raw_frame(windows)).scores,
+            "dbscan": lambda model: dbscan_score(model, raw_frame(windows)).scores,
+            "lof": lambda model: model.scores(windows),
+            "iforest": lambda model: iforest_score(model, raw_frame(windows)).scores,
+            "ocsvm": lambda model: ocsvm_score(model, raw_frame(windows)).scores,
+        }
+        for name, by_window in score_windows.items():
             detector = get_detector(name)
             cfg = DetectorConfig(
                 name=name,
                 window_width=w,
                 hyperparameters={"epsilon": 1.5} if name == "dbscan" else {},
             )
-            out = detector.score(detector.fit(train, cfg), test)
-            expected = subsequences(test, w).target_indices
-            assert np.array_equal(out.indices, expected), name
+            fitted = detector.fit(train, cfg)
+            out = detector.score(fitted, train, test)
+            assert np.array_equal(out.scores, by_window(fitted.state)), name
 
     def test_gbt_aligns_to_forecast_targets(self):
+        # Score i is the forecast error of test point i from the w points
+        # before it, the first of them from the train tail.
+        train, test = self.make_series(3), self.make_series(4, n=120)
         detector = get_detector("gbt")
         cfg = DetectorConfig(name="gbt", window_width=10, hyperparameters={"n_estimators": 20})
-        out = detector.score(detector.fit(self.make_series(3), cfg), self.make_series(4, n=120))
-        assert np.array_equal(out.indices, frame(self.make_series(4, n=120), 10).target_indices)
+        fitted = detector.fit(train, cfg)
+        out = detector.score(fitted, train, test)
+        whole = np.concatenate((train.values, test.values))
+        windows = np.stack([whole[t - 10 : t] for t in len(train) + np.arange(len(test))])
+        expected = gbt_score(fitted.state, WindowFrame(windows=windows, targets=test.values))
+        assert np.array_equal(out.scores, expected.scores)
 
     def test_offset_invariance(self):
         train = self.make_series(5)
@@ -894,8 +906,10 @@ class TestAdapters:
         for name, extra in (("kmeans", {}), ("dbscan", {"epsilon": 1.5}), ("lof", {})):
             detector = get_detector(name)
             cfg = DetectorConfig(name=name, window_width=10, hyperparameters=extra)
-            base = detector.score(detector.fit(train, cfg), test).scores
-            moved = detector.score(detector.fit(shifted_train, cfg), shifted_test).scores
+            base = detector.score(detector.fit(train, cfg), train, test).scores
+            moved = detector.score(
+                detector.fit(shifted_train, cfg), shifted_train, shifted_test
+            ).scores
             assert np.allclose(base, moved, atol=1e-7), name
 
     def test_ocsvm_projection_width(self):

@@ -351,18 +351,19 @@ class TestMlpDetector:
         cfg = DetectorConfig(name="mlp", window_width=8, hyperparameters={"epochs": 50})
         train = series(np.full(200, 0.5))
         fitted = detector.fit(train, cfg)
-        out = detector.score(fitted, series(np.full(80, 0.5)))
+        out = detector.score(fitted, train, series(np.full(80, 0.5)))
         assert float(np.max(out.scores)) < 0.05
 
     def test_spike_ranks_top(self):
         detector = get_detector("mlp")
         cfg = DetectorConfig(name="mlp", window_width=8, seed=3)
-        fitted = detector.fit(wavy_series(400, 2), cfg)
+        train = wavy_series(400, 2)
+        fitted = detector.fit(train, cfg)
         test_values = wavy_series(200, 4).values.copy()
         test_values[120] += 5.0
-        out = detector.score(fitted, series(test_values))
-        top = out.indices[np.argsort(out.scores)[-3:]]
-        assert 120 in top
+        out = detector.score(fitted, train, series(test_values))
+        assert len(out) == 200
+        assert 120 in np.argsort(out.scores)[-3:]
 
     def test_custom_hidden_dims(self):
         detector = get_detector("mlp")
@@ -406,7 +407,7 @@ class TestAutoencoder:
         )
         train = wavy_series(400, 6, noise=0.02)
         fitted = detector.fit(train, cfg)
-        out = detector.score(fitted, wavy_series(200, 7, noise=0.02))
+        out = detector.score(fitted, train, wavy_series(200, 7, noise=0.02))
         assert float(np.mean(out.scores)) < 0.5
 
     def test_corrupted_window_scores_higher(self):
@@ -417,11 +418,14 @@ class TestAutoencoder:
             hyperparameters={"hidden_dims": (12, 4), "epochs": 80},
             seed=2,
         )
-        fitted = detector.fit(wavy_series(400, 8, noise=0.02), cfg)
+        train = wavy_series(400, 8, noise=0.02)
+        fitted = detector.fit(train, cfg)
         test_values = wavy_series(200, 9, noise=0.02).values.copy()
         test_values[100] += 4.0
-        out = detector.score(fitted, series(test_values))
-        hit = np.isin(out.indices, np.arange(100, 116))
+        out = detector.score(fitted, train, series(test_values))
+        # The 16 windows that hold the corrupted point end at 100 .. 115.
+        hit = np.zeros(len(out), dtype=bool)
+        hit[100:116] = True
         assert float(out.scores[hit].max()) > 3.0 * float(np.median(out.scores[~hit]))
 
 
@@ -448,15 +452,16 @@ class TestForwardOnlyScoring:
     @pytest.mark.parametrize("n", [1500, 6000])
     def test_score_holds_two_layer_outputs_and_their_input(self, fitted, n):
         detector, fit = fitted
-        test = wavy_series(n, 13)
+        train, test = wavy_series(400, 11), wavy_series(n, 13)
         tracemalloc.start()
         try:
-            detector.score(fit, test)
+            detector.score(fit, train, test)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         widths = [layer.weights.shape[1] for layer in self.net_of(fit).layers]
         widest_pair = max(a + b for a, b in zip(widths, widths[1:]))
         # Windows, the widest two adjacent layer outputs, and a few
-        # length-n vectors (indices, scores and their scratch).
+        # length-n vectors (the test after its lookback, scores and their
+        # scratch).
         assert peak <= 8 * n * (30 + widest_pair + 4), peak / (8 * n)

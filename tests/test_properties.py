@@ -14,8 +14,9 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from tsadkit import SplitSpec, split
-from tsadkit.errors import SeriesTooShort
+from tsadkit import RunConfig, SplitSpec, split
+from tsadkit.bench import _preprocess
+from tsadkit.errors import ConstantSeries, PeriodTooLong, SeriesTooShort
 
 from conftest import series
 
@@ -46,3 +47,62 @@ def test_every_accepted_split_partitions_or_refuses(train_ratio, n, seed):
     rebuilt = np.concatenate((train.values, test.values))
     assert rebuilt.tobytes() == whole.values.tobytes()
     assert np.concatenate((train.labels, test.labels)).tobytes() == whole.labels.tobytes()
+
+
+@FIXED
+@given(
+    train_ratio=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True),
+    n=st.integers(min_value=10, max_value=3000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    standardize=st.booleans(),
+    detrend=st.booleans(),
+    period=st.one_of(st.none(), st.integers(min_value=1, max_value=120)),
+)
+@example(train_ratio=0.3, n=200, seed=0, standardize=True, detrend=True, period=50)
+@example(train_ratio=0.3, n=100, seed=0, standardize=False, detrend=False, period=30)
+@example(train_ratio=0.3, n=100, seed=0, standardize=False, detrend=True, period=29)
+def test_preprocessing_keeps_every_test_point_and_label(
+    train_ratio, n, seed, standardize, detrend, period
+):
+    """The test segment holds the last n - head points of the transformed
+    series and ``labels[head:]``; the train segment holds what precedes
+    them.  Differencing drops points from the head of the train only."""
+    rng = np.random.default_rng(seed)
+    whole = series(rng.normal(0.0, 1.0, n), labels=rng.integers(0, 2, n))
+    config = RunConfig(
+        datasets=("SYNTH",),
+        detectors=("ar",),
+        standardize=standardize,
+        detrend=detrend,
+        deseasonalize=period is not None,
+        period=period,
+        split=SplitSpec(train_ratio=train_ratio),
+    )
+    head = math.floor(train_ratio * n)
+    values = whole.values
+    expected_error = None
+    if head < 1:
+        expected_error = SeriesTooShort
+    elif standardize and head == 1:
+        expected_error = ConstantSeries
+    else:
+        if standardize:
+            values = (values - values[:head].mean()) / values[:head].std()
+        if period is not None:
+            if n <= period:
+                expected_error = PeriodTooLong
+            values = values[period:] - values[:-period]
+        if detrend and expected_error is None:
+            if values.size <= 1:
+                expected_error = SeriesTooShort
+            values = np.diff(values)
+        if expected_error is None and values.size - (n - head) < 1:
+            expected_error = PeriodTooLong
+    if expected_error is not None:
+        with pytest.raises(expected_error):
+            _preprocess(config, whole)
+        return
+    train, test = _preprocess(config, whole)
+    assert np.array_equal(test.labels, whole.labels[head:])
+    assert test.values.tobytes() == values[head - n :].tobytes()
+    assert train.values.tobytes() == values[: head - n].tobytes()

@@ -7,7 +7,15 @@ import math
 import numpy as np
 import pytest
 
-from tsadkit import DetectorConfig, RunConfig, get_detector, naive_mse, nmm, run_benchmark
+from tsadkit import (
+    DetectorConfig,
+    RunConfig,
+    get_detector,
+    naive_mse,
+    nmm,
+    run_benchmark,
+    with_lookback,
+)
 from tsadkit.detectors import statistical
 from tsadkit.detectors.statistical import (
     ArFit,
@@ -41,6 +49,7 @@ from tsadkit.errors import (
     PeriodTooLong,
     SeriesTooShort,
     SingularDesign,
+    UnknownHyperparameter,
 )
 
 from conftest import series
@@ -71,8 +80,8 @@ class TestAr:
     def test_hand_example(self):
         fit = ArFit(coefficients=np.array([1.0]), intercept=0.0, residual_sigma=0.0)
         out = ar_score(fit, series([2.0, 2.0, 2.0, 9.0]))
+        # One score for each point after the first p.
         assert np.array_equal(out.scores, [0.0, 0.0, 7.0])
-        assert np.array_equal(out.indices, [1, 2, 3])
 
     def test_noiseless_recovery(self):
         x = np.zeros(200)
@@ -124,18 +133,23 @@ class TestAr:
         assert 1 <= fit.p <= lag_cap(100)
 
     def test_short_test_gives_empty_scores(self):
-        fit = ar_fit(ar1(200), p=3)
-        out = ar_score(fit, series([1.0, 2.0, 3.0]))
-        assert out.scores.size == 0
-        assert out.indices.size == 0
+        # p values leave no point to score; the adapter prepends the last p
+        # train values, so even a three-point test gets three scores.
+        train = ar1(200)
+        fit = ar_fit(train, p=3)
+        assert ar_score(fit, series([1.0, 2.0, 3.0])).scores.size == 0
+        cfg = DetectorConfig(name="ar", hyperparameters={"p": 3})
+        detector = get_detector("ar")
+        assert len(detector.score(detector.fit(train, cfg), train, series([1.0, 2.0, 3.0]))) == 3
 
     def test_spike_has_top_score(self):
         train = ar1(400, seed=7)
         test_values = ar1(300, seed=8).values.copy()
         test_values[137] += 10.0
         fit = ar_fit(train, p=2)
-        out = ar_score(fit, series(test_values))
-        assert out.indices[np.argmax(out.scores)] == 137
+        out = ar_score(fit, with_lookback(train, series(test_values), 2))
+        assert len(out) == 300
+        assert np.argmax(out.scores) == 137
 
     def test_fit_validation(self):
         with pytest.raises(InvalidOrder):
@@ -152,7 +166,6 @@ class TestMa:
         out = ma_score(fit, series([1.0, 0.0]))
         # e_0 = 1 - 0 = 1; e_1 = 0 - 0.5 * 1 = -0.5.
         assert np.allclose(out.scores, [1.0, 0.5], atol=1e-15)
-        assert np.array_equal(out.indices, [0, 1])
 
     def test_zero_coefficients_reduce_to_mean_distance(self):
         fit = MaFit(coefficients=np.array([0.0]), mu=2.5)
@@ -189,7 +202,7 @@ class TestMa:
         test_values = x[700:].copy()
         test_values[50] += 10.0
         out = ma_score(fit, series(test_values))
-        assert out.indices[np.argmax(out.scores)] == 50
+        assert np.argmax(out.scores) == 50
 
     def test_fit_validation(self):
         with pytest.raises(InvalidOrder):
@@ -319,7 +332,6 @@ class TestArima:
         walk = np.cumsum(steps)
         fit = arima_fit(series(walk), p=1, d=1, q=1)
         assert fit.d == 1
-        assert np.array_equal(fit.warmup, walk[-1:])
 
     def test_auto_d_picks_one_for_drift(self):
         rng = np.random.default_rng(17)
@@ -332,33 +344,31 @@ class TestArima:
     def test_invalid_d(self):
         with pytest.raises(InvalidOrder):
             arima_fit(ar1(400), p=1, d=3, q=1)
-        with pytest.raises(InvalidOrder):
-            ArimaFit(
-                inner=ArmaFit(ar=np.array([0.5]), ma=np.empty(0), intercept=0.0),
-                warmup=np.zeros(3),
-            )
-
-    def test_warmup_length_must_match_d(self):
         inner = ArmaFit(ar=np.array([0.5]), ma=np.empty(0), intercept=0.0)
         assert ArimaFit(inner=inner).d == 0
-        assert ArimaFit(inner=inner, warmup=np.array([1.0, 2.0])).d == 2
+        assert ArimaFit(inner=inner, d=2).d == 2
+        for d in (-1, 3):
+            with pytest.raises(InvalidOrder):
+                ArimaFit(inner=inner, d=d)
 
     def test_score_hand_example(self):
         inner = ArmaFit(ar=np.array([0.0]), ma=np.empty(0), intercept=0.5)
-        fit = ArimaFit(inner=inner, warmup=np.array([10.0]))
-        out = arima_score(fit, series([10.5, 11.0, 11.6]))
-        # Differenced test (with warm-up) is [0.5, 0.5, 0.6]; forecasts are 0.5.
-        assert np.allclose(out.scores, [0.0, 0.1], atol=1e-12)
-        assert np.array_equal(out.indices, [1, 2])
+        fit = ArimaFit(inner=inner, d=1)
+        out = arima_score(fit, series([9.5, 10.0, 10.5, 11.0, 11.6]))
+        # Differenced: [0.5, 0.5, 0.5, 0.6]; forecasts are 0.5.  The first
+        # d + p = 2 values are the lookback, so the last three are scored.
+        assert np.allclose(out.scores, [0.0, 0.0, 0.1], atol=1e-12)
 
     def test_level_shift_scores_high(self):
         rng = np.random.default_rng(23)
         walk = np.cumsum(0.2 + rng.normal(0.0, 0.5, 900))
-        fit = arima_fit(series(walk[:600]), p=1, d=1, q=1)
+        train = series(walk[:600])
+        fit = arima_fit(train, p=1, d=1, q=1)
         test_values = walk[600:].copy()
         test_values[100:] += 8.0
-        out = arima_score(fit, series(test_values))
-        assert out.indices[np.argmax(out.scores)] == 100
+        out = arima_score(fit, with_lookback(train, series(test_values), 2))
+        assert len(out) == 300
+        assert np.argmax(out.scores) == 100
 
 
 class TestSmoothing:
@@ -461,28 +471,23 @@ class TestPci:
         # Weighted forecast (0.5 x_{t-2} + x_{t-1}) / 1.5 leaves residual 4/3
         # everywhere on a unit-slope line; dof = 2k - 1 = 1.
         half_width = 6.313751514800932 * math.sqrt(1.5)
+        # One score for each point after the first 2k.
+        assert len(out) == 3
         assert np.allclose(out.scores, (4.0 / 3.0) / half_width, atol=1e-9)
-        assert np.array_equal(out.indices, [2, 3, 4])
-
-    def test_two_sided_uses_both_neighbours(self):
-        fit = PciFit(k=1, alpha=95.0, residual_s=1.0)
-        out = pci_score(fit, series([0.0, 10.0, 0.0]), two_sided=True)
-        assert np.array_equal(out.indices, [1])
-        half_width = 6.313751514800932 * math.sqrt(1.5)
-        assert abs(out.scores[0] - 10.0 / half_width) < 1e-9
 
     def test_spike_has_top_score(self):
         train = ar1(300, seed=41)
         test_values = ar1(260, seed=42).values.copy()
         test_values[140] += 12.0
-        out = pci_score(pci_fit(train, k=10), series(test_values))
-        assert out.indices[np.argmax(out.scores)] == 140
+        out = pci_score(pci_fit(train, k=10), with_lookback(train, series(test_values), 20))
+        assert len(out) == 260
+        assert np.argmax(out.scores) == 140
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
             pci_fit(series(np.arange(10.0)), k=5)
         with pytest.raises(SeriesTooShort):
-            pci_score(PciFit(k=5, residual_s=1.0), series(np.arange(10.0)), two_sided=True)
+            pci_score(PciFit(k=5, residual_s=1.0), series(np.arange(10.0)))
 
 
 class TestStudentT:
@@ -538,10 +543,9 @@ class TestAdapters:
     def test_ar_adapter_round_trip(self):
         detector = get_detector("ar")
         cfg = DetectorConfig(name="ar", hyperparameters={"p": 2})
-        fitted = detector.fit(ar1(300, seed=51), cfg)
-        out = detector.score(fitted, ar1(100, seed=52))
-        assert out.detector_name == "ar"
-        assert out.scores.size == 98
+        train = ar1(300, seed=51)
+        out = detector.score(detector.fit(train, cfg), train, ar1(100, seed=52))
+        assert out.scores.size == 100
 
     def test_unknown_key_rejected(self):
         detector = get_detector("ar")
@@ -570,12 +574,15 @@ class TestAdapters:
         assert fitted.state.beta is not None
 
     def test_pci_two_sided_key(self):
+        # A two-sided forecast reads k points after the one it scores, so it
+        # could not score the last k test points: the key is refused.
         detector = get_detector("pci")
+        train = ar1(300, seed=55)
         cfg = DetectorConfig(name="pci", hyperparameters={"k": 5, "two_sided": True})
-        fitted = detector.fit(ar1(300, seed=55), cfg)
-        out = detector.score(fitted, ar1(100, seed=56))
-        assert out.indices[0] == 5
-        assert out.indices[-1] == 94
+        with pytest.raises(UnknownHyperparameter, match="two_sided"):
+            detector.fit(train, cfg)
+        fitted = detector.fit(train, DetectorConfig(name="pci", hyperparameters={"k": 5}))
+        assert len(detector.score(fitted, train, ar1(100, seed=56))) == 100
 
 
 class TestModelQuality:
@@ -583,8 +590,8 @@ class TestModelQuality:
         train = ar1(600, seed=61)
         test = ar1(400, seed=62)
         fit = ar_fit(train, p=2)
-        out = ar_score(fit, test)
-        ratio = nmm(float(np.mean(out.scores**2)), naive_mse(test, out.indices))
+        out = ar_score(fit, with_lookback(train, test, 2))
+        ratio = nmm(float(np.mean(out.scores**2)), naive_mse(test))
         assert ratio < 1.0
 
     def test_scores_shift_invariant(self):
@@ -747,7 +754,7 @@ def arima_bits(fit: ArimaFit) -> bytes:
     inner = fit.inner
     return b"|".join(
         (inner.ar.tobytes(), inner.ma.tobytes(), np.float64(inner.intercept).tobytes(),
-         bytes([inner.converged]), fit.warmup.tobytes())
+         bytes([inner.converged]), bytes([fit.d]))
     )
 
 
@@ -825,14 +832,13 @@ class TestCssOracle:
         values = ar1(500, seed=80).values if d == 0 else drifting_walk(500, seed=80 + d)
         train, test = series(values[:350]), series(values[350:])
         fit = arima_fit(train, p=1, d=d, q=2)
-        scores = arima_score(fit, test)
+        scores = arima_score(fit, with_lookback(train, test, d + 1))
         monkeypatch.setattr(statistical, "_css_residuals", reference_css_residuals)
         monkeypatch.setattr(statistical, "_css_jacobian", reference_css_jacobian)
         expected = arima_fit(train, p=1, d=d, q=2)
         assert arima_bits(fit) == arima_bits(expected)
-        expected_scores = arima_score(expected, test)
+        expected_scores = arima_score(expected, with_lookback(train, test, d + 1))
         assert same_bits(scores.scores, expected_scores.scores)
-        assert same_bits(scores.indices, expected_scores.indices)
 
     @pytest.mark.parametrize("p, q", ORDERS)
     def test_arma_fit_matches_for_every_order(self, p, q, monkeypatch):
