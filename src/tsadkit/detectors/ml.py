@@ -64,8 +64,9 @@ __all__ = [
 _MAX_PAIRWISE_ENTRIES = 2**27
 _KDIST_FLOOR = 1e-12
 # Row blocks over a distance matrix hold about this many entries: the
-# scratch of _pairwise_sq, LOF fit and scoring, DBSCAN's fit and scoring
-# and the one-class SVM's fit and scoring kernels.
+# scratch of _pairwise_sq, LOF fit and scoring, DBSCAN's fit and scoring,
+# the one-class SVM's fit and scoring kernels, and the dense nets' scoring
+# layer outputs.
 # LOF expands neighbour lists in chunks of at most _LOF_CHUNK_ENTRIES entries.
 _LOF_BLOCK_ENTRIES = 2**16
 _LOF_CHUNK_ENTRIES = 2**16
@@ -299,6 +300,8 @@ class LofModel:
             rows.append(r + block.start)
             cols.append(c)
             dists.append(d[r, c])
+            # Free this block before _pairwise_sq builds the next one.
+            del d, part
         rows = np.concatenate(rows)
         first_row: dict = {}
         for i, row in enumerate(windows + 0.0):  # + 0.0 folds -0.0 into 0.0, as == does
@@ -674,6 +677,8 @@ def ocsvm_score(model: OcSvmModel, test_windows: WindowFrame) -> ScoreSeries:
         kernel *= -model.rbf_gamma
         np.exp(kernel, out=kernel)
         scores[rows] = model.rho - kernel @ model.dual_coeffs
+        # Free this block before _pairwise_sq builds the next one.
+        del kernel
     return ScoreSeries(scores)
 
 

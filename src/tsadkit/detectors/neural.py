@@ -26,6 +26,7 @@ from ..core import (
     with_lookback,
 )
 from ..errors import DimensionMismatch, InvalidHyperparameter, NumericalDivergence
+from .ml import _row_blocks
 
 __all__ = [
     "DenseLayer",
@@ -167,6 +168,19 @@ def _forward(net: DenseNet, batch: np.ndarray) -> np.ndarray:
     return out
 
 
+def _score_rows(net: DenseNet, windows: np.ndarray, row_score) -> np.ndarray:
+    """``row_score(outputs, inputs)`` of each row block of ``windows``, one
+    score per row.  A block holds about _LOF_BLOCK_ENTRIES entries of the
+    net's widest layer, so scoring holds two block-sized layer outputs
+    whatever the number of windows."""
+    widest = max(max(layer.weights.shape) for layer in net.layers)
+    scores = np.empty(windows.shape[0])
+    for rows in _row_blocks(windows.shape[0], widest):
+        block = windows[rows]
+        scores[rows] = row_score(_forward(net, block), block)
+    return scores
+
+
 def net_forward(net: DenseNet, x) -> np.ndarray:
     """Evaluate the net on one input vector."""
     x = np.asarray(x, dtype=np.float64)
@@ -222,6 +236,10 @@ def net_train(net: DenseNet, data, spec: TrainSpec = TrainSpec()) -> list[float]
         )
 
     rng = np.random.default_rng(net.seed)
+    # Each epoch's shuffle is gathered into these; mode="clip" lets take
+    # write into ``out`` directly, where "raise" buffers a copy of its size.
+    shuffled_inputs = np.empty_like(inputs)
+    shuffled_targets = np.empty_like(targets)
     theta = net.params
     grad = np.empty_like(theta)
     grad_views = _param_views(grad, net.layers)
@@ -233,7 +251,8 @@ def net_train(net: DenseNet, data, spec: TrainSpec = TrainSpec()) -> list[float]
     history = []
     for epoch in range(spec.epochs):
         order = rng.permutation(n)
-        shuffled_inputs, shuffled_targets = inputs[order], targets[order]
+        np.take(inputs, order, axis=0, out=shuffled_inputs, mode="clip")
+        np.take(targets, order, axis=0, out=shuffled_targets, mode="clip")
         epoch_loss = 0.0
         # Overflow inside a batch is not a crash: the non-finite epoch loss
         # below turns it into a NumericalDivergence report.
@@ -326,8 +345,8 @@ class MlpDetector:
     def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
         w = fitted.config.window_width
         windows = frame(with_lookback(train, test, w), w)
-        out = _forward(fitted.state, windows.windows)
-        return ScoreSeries(np.abs(out[:, 0] - windows.targets))
+        forecasts = _score_rows(fitted.state, windows.windows, lambda out, _: out[:, 0])
+        return ScoreSeries(np.abs(forecasts - windows.targets))
 
 
 class AutoencoderDetector:
@@ -349,5 +368,5 @@ class AutoencoderDetector:
         auto: AutoencoderNet = fitted.state
         w = fitted.config.window_width
         windows = subsequences(with_lookback(train, test, w - 1), w)
-        out = _forward(auto.net, windows.windows)
-        return ScoreSeries(np.sqrt(((out - windows.windows) ** 2).sum(axis=1)))
+        errors = _score_rows(auto.net, windows.windows, lambda out, rows: ((out - rows) ** 2).sum(axis=1))
+        return ScoreSeries(np.sqrt(errors))

@@ -548,6 +548,11 @@ def _hw_sweep(
     """Vectorized seasonal recursion over a combo axis; returns sse and states.
 
     Each step writes into preallocated buffers of one value per combination.
+    Only one period of seasons is kept: row ``t % period`` of the ring holds
+    the season of step t - period until step t reads it and overwrites it.
+    The returned tail is the ring rolled into time order, oldest first.  The
+    values are read one scalar at a time, not as a list, so the sweep holds
+    O(period * combinations) whatever the series length.
     """
     n = values.size
     k = alphas.size
@@ -557,12 +562,12 @@ def _hw_sweep(
     levels, new_levels = np.full(k, level0), np.empty(k)
     trends = np.full(k, trend0)
     base, work, sse = np.empty(k), np.empty(k), np.zeros(k)  # base = level + trend
-    seasons = np.empty((n, k))
-    seasons[:period] = (values[:period] - level0)[:, None]
-    for t, x in enumerate(values[period:].tolist(), start=period):
-        season_prev, season = seasons[t - period], seasons[t]
+    seasons = np.empty((period, k))
+    seasons[:] = (values[:period] - level0)[:, None]
+    for t, x in enumerate(values[period:], start=period):
+        season = seasons[t % period]
         np.add(levels, trends, out=base)
-        np.add(base, season_prev, out=work)  # the one-step forecast
+        np.add(base, season, out=work)  # the one-step forecast
         np.subtract(x, work, out=work)
         work *= work
         sse += work
@@ -575,10 +580,10 @@ def _hw_sweep(
         trends += work
         np.subtract(x, new_levels, out=work)
         work *= gammas
-        np.multiply(keep_g, season_prev, out=season)
+        np.multiply(keep_g, season, out=season)
         season += work
         levels, new_levels = new_levels, levels
-    return sse, levels, trends, seasons[n - period : n]
+    return sse, levels, trends, np.roll(seasons, -(n % period), axis=0)
 
 
 def holtwinters_fit(

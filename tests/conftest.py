@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
-from tsadkit import TimeSeries, WindowFrame
+from tsadkit import RunConfig, SynthSpec, TimeSeries, WindowFrame, generate_synthetic
+from tsadkit.bench import _preprocess
 
 
 def series(values, labels=None, series_id="t", period_hint=None) -> TimeSeries:
@@ -20,3 +23,22 @@ def raw_frame(windows: np.ndarray) -> WindowFrame:
     """Wrap a bare window matrix; targets are placeholders."""
     windows = np.asarray(windows, dtype=np.float64)
     return WindowFrame(windows=windows, targets=np.zeros(windows.shape[0]))
+
+
+def long_synth(length: int = 40_000) -> tuple[TimeSeries, TimeSeries]:
+    """(train, test) of a SYNTH-like series (sine_seasonal, period 25,
+    seed 4) cut as a default run cuts it: at 40,000 points, 12,000 train
+    and 28,000 test points."""
+    spec = SynthSpec(length=length, base="sine_seasonal", anomaly_rate=0.02, seed=4, season_period=25)
+    return _preprocess(RunConfig(datasets=("SYNTH",), detectors=("es",)), generate_synthetic(spec))
+
+
+def traced_peak(build):
+    """Result of ``build()`` and the peak bytes traced while it ran."""
+    tracemalloc.start()
+    try:
+        out = build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -55,7 +54,7 @@ from tsadkit.errors import (
     TooFewWindows,
 )
 
-from conftest import raw_frame, series
+from conftest import raw_frame, series, traced_peak
 
 
 def blob_windows(m, width, center, spread=0.1, seed=0):
@@ -1163,17 +1162,6 @@ class TestInPlaceDistances:
                     dbscan_fit(raw_frame(a))
 
 
-def traced_peak(build):
-    """Result of ``build()`` and the peak bytes traced while it ran."""
-    tracemalloc.start()
-    try:
-        out = build()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return out, peak
-
-
 class TestDistancePeaks:
     """Each window-distance matrix exists once: the peak is its own bytes
     plus block-sized scratch, not a second matrix of temporaries."""
@@ -1205,9 +1193,9 @@ class TestDistancePeaks:
         for rows in (self.M, 4 * self.M):
             test_frame = raw_frame(self.windows(rows, 64))
             _, peak = traced_peak(lambda: ocsvm_score(model, test_frame))
-            # A kernel block, its norm-sum scratch and the previous block
-            # while the next is built, plus vectors of length n and n_sv.
-            assert peak <= 4 * block_bytes + 16 * (rows + n_sv), peak / block_bytes
+            # A kernel block and its norm-sum scratch, plus vectors of length
+            # n and n_sv.
+            assert peak <= 3 * block_bytes + 16 * (rows + n_sv), peak / block_bytes
 
     def test_lof_fit_holds_one_matrix(self):
         windows = self.windows(self.M, 65)
@@ -1275,3 +1263,32 @@ class TestRowBlockPeaks:
         assert peak <= 4 * block_bytes + 8 * m * (self.WIDTH + 4), peak / block_bytes
         _, peak = traced_peak(lambda: dbscan_score(model, test))
         assert peak <= 4 * block_bytes + 16 * m, peak / block_bytes
+
+
+class TestOneBlockAtATime:
+    """LOF's fit loop and the one-class SVM's scoring free each distance
+    block before ``_pairwise_sq`` builds the next, so they peak at the new
+    block and its norm-sum scratch, not at three or four blocks.  Blocks of
+    2**20 entries (8 MiB) dwarf the O(m) structures beside them."""
+
+    ENTRIES = 2**20
+
+    @pytest.fixture(autouse=True)
+    def large_blocks(self, monkeypatch):
+        monkeypatch.setattr(ml, "_LOF_BLOCK_ENTRIES", self.ENTRIES)
+
+    def windows(self, rows: int, seed: int) -> np.ndarray:
+        return np.random.default_rng(seed).normal(0.0, 1.0, (rows, 30))
+
+    def test_lof_fit(self):
+        windows = self.windows(1500, 91)  # blocks of 699, 699 and 102 rows
+        _, peak = traced_peak(lambda: LofModel(k_neighbors=10, reference_windows=windows))
+        assert peak <= 2.5 * 8 * self.ENTRIES, peak / (8 * self.ENTRIES)
+
+    def test_ocsvm_score(self):
+        model = ocsvm_fit(raw_frame(self.windows(1200, 92)))
+        test = raw_frame(self.windows(6000, 93))
+        rows = ml._block_height(model.support_vectors.shape[0])
+        assert test.windows.shape[0] > 2 * rows
+        _, peak = traced_peak(lambda: ocsvm_score(model, test))
+        assert peak <= 2.5 * 8 * self.ENTRIES, peak / (8 * self.ENTRIES)

@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import tracemalloc
-
 import numpy as np
 import pytest
 
 from tsadkit import DetectorConfig, get_detector
+from tsadkit.detectors import ml
 from tsadkit.detectors.neural import (
     _BETA1,
     _BETA2,
@@ -26,7 +25,7 @@ from tsadkit.detectors.neural import (
 )
 from tsadkit.errors import DimensionMismatch, NumericalDivergence
 
-from conftest import series
+from conftest import long_synth, series, traced_peak
 
 
 def two_layer_net() -> DenseNet:
@@ -453,15 +452,37 @@ class TestForwardOnlyScoring:
     def test_score_holds_two_layer_outputs_and_their_input(self, fitted, n):
         detector, fit = fitted
         train, test = wavy_series(400, 11), wavy_series(n, 13)
-        tracemalloc.start()
-        try:
-            detector.score(fit, train, test)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: detector.score(fit, train, test))
         widths = [layer.weights.shape[1] for layer in self.net_of(fit).layers]
         widest_pair = max(a + b for a, b in zip(widths, widths[1:]))
-        # Windows, the widest two adjacent layer outputs, and a few
-        # length-n vectors (the test after its lookback, scores and their
-        # scratch).
-        assert peak <= 8 * n * (30 + widest_pair + 4), peak / (8 * n)
+        # Windows and a few length-n vectors (the test after its lookback,
+        # scores and their scratch), plus the widest two adjacent layer
+        # outputs: over all n rows at most, and over one row block (each of
+        # at most _LOF_BLOCK_ENTRIES entries) once n exceeds a block.
+        one_pass = 8 * n * (30 + widest_pair + 4)
+        blocked = 8 * n * (30 + 4) + 2 * 8 * ml._LOF_BLOCK_ENTRIES
+        assert peak <= min(one_pass, blocked), (peak, one_pass, blocked)
+
+    @pytest.mark.parametrize("name", ["mlp", "autoencoder"])
+    def test_score_peak_at_forty_thousand_points(self, name):
+        # 28,000 test windows; one pass over all of them would hold
+        # 38.7 MiB (mlp) and 19.9 MiB (autoencoder).
+        train, test = long_synth()
+        detector = get_detector(name)
+        fit = detector.fit(train, DetectorConfig(name=name, hyperparameters={"epochs": 1}))
+        _, peak = traced_peak(lambda: detector.score(fit, train, test))
+        window_bytes = 8 * len(test) * fit.config.window_width
+        assert peak <= window_bytes + 2 * 2**20, (peak - window_bytes) / 2**20
+
+
+class TestShuffleBuffers:
+    def test_net_train_holds_one_shuffled_copy(self):
+        rng = np.random.default_rng(21)
+        inputs, targets = rng.normal(0.0, 1.0, (4000, 30)), rng.normal(0.0, 1.0, 4000)
+        net = dense_net([30, 8, 1], ["relu", "linear"], seed=5)
+        spec = TrainSpec(epochs=3, batch_size=256)
+        _, peak = traced_peak(lambda: net_train(net, (inputs, targets), spec))
+        # One shuffled copy of the data plus batch-sized scratch; a fresh
+        # copy each epoch, built while the last one is bound, would hold two.
+        data_bytes = inputs.nbytes + targets.nbytes
+        assert peak <= 1.5 * data_bytes, peak / data_bytes

@@ -6,6 +6,7 @@ time and outcome do not vary from run to run.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -14,8 +15,19 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st
 
-from tsadkit import RunConfig, SplitSpec, split
+from tsadkit import (
+    DetectorConfig,
+    RunConfig,
+    SplitSpec,
+    frame,
+    get_detector,
+    split,
+    subsequences,
+    with_lookback,
+)
 from tsadkit.bench import _preprocess
+from tsadkit.detectors import ml
+from tsadkit.detectors.neural import _forward
 from tsadkit.errors import ConstantSeries, PeriodTooLong, SeriesTooShort
 
 from conftest import series
@@ -106,3 +118,54 @@ def test_preprocessing_keeps_every_test_point_and_label(
     assert np.array_equal(test.labels, whole.labels[head:])
     assert test.values.tobytes() == values[head - n :].tobytes()
     assert train.values.tobytes() == values[: head - n].tobytes()
+
+
+@functools.cache
+def fitted_net(name: str):
+    """(detector, one-epoch fit, train) of the mlp or the autoencoder."""
+    rng = np.random.default_rng(17)
+    train = series(np.sin(np.arange(600) / 6.0) + rng.normal(0.0, 0.3, 600))
+    detector = get_detector(name)
+    return detector, detector.fit(train, DetectorConfig(name=name, hyperparameters={"epochs": 1})), train
+
+
+def unblocked_scores(name: str, fitted, train, test) -> tuple[np.ndarray, np.ndarray]:
+    """Scores from one forward pass over every test window, as before row
+    blocks, with the size of the net output each is computed from.  Frozen
+    here as the oracle for blocked scoring."""
+    w = fitted.config.window_width
+    if name == "mlp":
+        windows = frame(with_lookback(train, test, w), w)
+        out = _forward(fitted.state, windows.windows)
+        return np.abs(out[:, 0] - windows.targets), np.abs(out[:, 0])
+    windows = subsequences(with_lookback(train, test, w - 1), w)
+    out = _forward(fitted.state.net, windows.windows)
+    return np.sqrt(((out - windows.windows) ** 2).sum(axis=1)), np.sqrt((out**2).sum(axis=1))
+
+
+@FIXED
+@given(
+    name=st.sampled_from(["mlp", "autoencoder"]),
+    blocks=st.integers(min_value=1, max_value=3),
+    offset=st.integers(min_value=-2, max_value=2),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(name="mlp", blocks=1, offset=-2, seed=0)
+@example(name="autoencoder", blocks=2, offset=1, seed=0)
+def test_blocked_net_scores_match_one_pass(name, blocks, offset, seed):
+    """Scoring in row blocks agrees with one pass over every window to
+    1e-12 of the net output the score is taken from, for test lengths on
+    either side of a multiple of the block height.  A block's matrix
+    product may round a row differently from the whole product; an mlp
+    score subtracts the target from the forecast, so its error scales with
+    the forecast, not with the score."""
+    detector, fitted, train = fitted_net(name)
+    net = fitted.state if name == "mlp" else fitted.state.net
+    height = ml._block_height(max(max(layer.weights.shape) for layer in net.layers))
+    n = blocks * height + offset
+    rng = np.random.default_rng(seed)
+    test = series(np.sin(np.arange(n) / 6.0) + rng.normal(0.0, 0.3, n))
+    got = detector.score(fitted, train, test).scores
+    want, size = unblocked_scores(name, fitted, train, test)
+    assert got.shape == want.shape == (n,)
+    assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(want, size))

@@ -52,7 +52,7 @@ from tsadkit.errors import (
     UnknownHyperparameter,
 )
 
-from conftest import series
+from conftest import long_synth, series, traced_peak
 
 
 def ar1(n, coeff=0.5, sigma=1.0, seed=0, intercept=0.0):
@@ -927,3 +927,21 @@ class TestSmoothingOracle:
                 assert fit is want
             else:
                 assert smoothing_bits(fit) == smoothing_bits(want)
+
+
+class TestSmoothingPeak:
+    """The Holt-Winters sweep keeps one period of seasons per combination,
+    so an es fit's traced peak does not grow with the train length."""
+
+    def test_es_fit_peak_does_not_grow_with_train_length(self):
+        detector = get_detector("es")
+        cfg = DetectorConfig(name="es")
+        peaks = []
+        for length in (5_000, 40_000):  # 1,500 and 12,000 train points
+            train, _ = long_synth(length)
+            _, peak = traced_peak(lambda: detector.fit(train, cfg))
+            peaks.append(peak)
+        # A season matrix of one row per train point would hold 12,000 x 99
+        # floats, 9 MiB.
+        assert max(peaks) <= 2**20, peaks
+        assert peaks[1] <= peaks[0] + 4096, peaks
