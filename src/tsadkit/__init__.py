@@ -13,7 +13,6 @@ from .core import (
     FittedDetector,
     ScoreSeries,
     TimeSeries,
-    WindowFrame,
     frame,
     subsequences,
     with_lookback,
@@ -69,7 +68,6 @@ __all__ = [
     "TimeSeries",
     "TimedRun",
     "TsadError",
-    "WindowFrame",
     "best_f1",
     "catalog_lines",
     "difference",

@@ -7,13 +7,15 @@ before the test (:func:`with_lookback`).  Scores follow one orientation
 everywhere: higher means more anomalous.  Detectors whose natural output
 inverts (e.g. one-class SVM decision values) negate internally.
 
-Two window layouts exist:
+Two window layouts exist, both plain arrays with one window per row:
 
-* :func:`frame` pairs each window with the observation that follows it
-  (forecasting layout: ``windows[i] = values[t-w : t]``, target ``values[t]``).
-* :func:`subsequences` makes plain sliding subsequences whose last element
-  *is* the scored observation (shape layout used by the clustering/density
-  detectors, which assign a window's score to its final timestamp).
+* :func:`frame` returns ``(windows, targets)``, each window paired with the
+  observation that follows it (forecasting layout: ``windows[i] =
+  values[t-w : t]``, target ``values[t]``).
+* :func:`subsequences` returns the window matrix alone; each window's last
+  element *is* the scored observation (shape layout used by the
+  clustering/density detectors, which assign a window's score to its final
+  timestamp).
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from .errors import (
 
 __all__ = [
     "TimeSeries",
-    "WindowFrame",
     "ScoreSeries",
     "DetectorConfig",
     "FittedDetector",
@@ -96,37 +97,6 @@ class TimeSeries:
     @property
     def anomaly_count(self) -> int:
         return 0 if self.labels is None else int(self.labels.sum())
-
-
-@dataclass(frozen=True)
-class WindowFrame:
-    """Sliding subsequences, one per start position, each with its target.
-
-    In the forecasting layout the window ends just before its target, in the
-    subsequence layout the target is the window's own last element.
-    """
-
-    windows: np.ndarray
-    targets: np.ndarray
-
-    def __post_init__(self):
-        windows = np.asarray(self.windows, dtype=np.float64)
-        targets = _as_float_array(self.targets, "targets")
-        if windows.ndim != 2 or windows.shape[1] < 1:
-            raise DimensionMismatch(
-                f"windows must have shape (m, w) with w >= 1, got {windows.shape}"
-            )
-        if windows.shape[0] != targets.size:
-            raise DimensionMismatch("windows and targets must align")
-        object.__setattr__(self, "windows", windows)
-        object.__setattr__(self, "targets", targets)
-
-    @property
-    def width(self) -> int:
-        return int(self.windows.shape[1])
-
-    def __len__(self) -> int:
-        return int(self.targets.size)
 
 
 @dataclass(frozen=True)
@@ -247,11 +217,12 @@ def resolve(cfg: DetectorConfig, params: Mapping[str, object]) -> dict:
     return resolved
 
 
-def frame(series: TimeSeries, width: int) -> WindowFrame:
+def frame(series: TimeSeries, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Sliding windows paired with the observation immediately after each.
 
-    Window i covers ``values[i : i + width]`` and its target is
-    ``values[i + width]``, so the frame holds ``n - width`` rows.
+    Returns ``(windows, targets)``: window i is row i of the ``(n - width,
+    width)`` matrix, ``values[i : i + width]``, and its target is
+    ``values[i + width]``.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
@@ -259,17 +230,15 @@ def frame(series: TimeSeries, width: int) -> WindowFrame:
     n = values.size
     if n <= width:
         raise SeriesTooShort(f"need more than width={width} observations, got {n}")
-    return WindowFrame(
-        windows=np.lib.stride_tricks.sliding_window_view(values[:-1], width).copy(),
-        targets=values[width:],
-    )
+    windows = np.lib.stride_tricks.sliding_window_view(values[:-1], width).copy()
+    return windows, values[width:]
 
 
-def subsequences(series: TimeSeries, width: int) -> WindowFrame:
-    """Plain sliding subsequences; each window's target is its last element.
+def subsequences(series: TimeSeries, width: int) -> np.ndarray:
+    """Plain sliding subsequences as an ``(n - width + 1, width)`` matrix.
 
-    Window i covers ``values[i : i + width]``, so a score computed from the
-    window can be assigned to the window's final timestamp.
+    Row i is ``values[i : i + width]``, so a score computed from the window
+    can be assigned to the window's final timestamp.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
@@ -277,10 +246,7 @@ def subsequences(series: TimeSeries, width: int) -> WindowFrame:
     n = values.size
     if n < width:
         raise SeriesTooShort(f"need at least width={width} observations, got {n}")
-    return WindowFrame(
-        windows=np.lib.stride_tricks.sliding_window_view(values, width).copy(),
-        targets=values[width - 1 :],
-    )
+    return np.lib.stride_tricks.sliding_window_view(values, width).copy()
 
 
 def with_lookback(train: TimeSeries, test: TimeSeries, k: int) -> TimeSeries:

@@ -26,7 +26,6 @@ from ..core import (
     FittedDetector,
     ScoreSeries,
     TimeSeries,
-    WindowFrame,
     frame,
     resolve,
     subsequences,
@@ -67,8 +66,8 @@ _KDIST_FLOOR = 1e-12
 # scratch of _pairwise_sq, LOF fit and scoring, DBSCAN's fit and scoring,
 # the one-class SVM's fit and scoring kernels, and the dense nets' scoring
 # layer outputs.
+_BLOCK_ENTRIES = 2**16
 # LOF expands neighbour lists in chunks of at most _LOF_CHUNK_ENTRIES entries.
-_LOF_BLOCK_ENTRIES = 2**16
 _LOF_CHUNK_ENTRIES = 2**16
 _OCSVM_TOL = 1e-4
 _OCSVM_MAX_ITER = 100000
@@ -77,13 +76,13 @@ _GBT_LAMBDA = 1.0
 
 
 def _block_height(cols: int) -> int:
-    """Rows in a block of about _LOF_BLOCK_ENTRIES entries, at least one."""
-    return max(1, _LOF_BLOCK_ENTRIES // max(cols, 1))
+    """Rows in a block of about _BLOCK_ENTRIES entries, at least one."""
+    return max(1, _BLOCK_ENTRIES // max(cols, 1))
 
 
 def _row_blocks(rows: int, cols: int):
     """Slices of consecutive rows of a rows x cols matrix, each block about
-    _LOF_BLOCK_ENTRIES entries and at least one row."""
+    _BLOCK_ENTRIES entries and at least one row."""
     step = _block_height(cols)
     return (slice(lo, lo + step) for lo in range(0, rows, step))
 
@@ -145,12 +144,11 @@ class KMeansModel:
         return int(self.centroids.shape[0])
 
 
-def kmeans_fit(train_windows: WindowFrame, k: int = 4, seed: int = 0) -> KMeansModel:
+def kmeans_fit(windows: np.ndarray, k: int = 4, seed: int = 0) -> KMeansModel:
     """Lloyd iterations from distance-weighted seeding until the assignment
     stops changing (at most 300 rounds); empty clusters keep their centroid."""
     if k < 1:
         raise InvalidHyperparameter(f"k-means needs k >= 1 centroids, got k={k}")
-    windows = train_windows.windows
     m = windows.shape[0]
     if m < k:
         raise TooFewWindows(f"k-means needs at least k={k} windows, got {m}")
@@ -186,9 +184,9 @@ def kmeans_fit(train_windows: WindowFrame, k: int = 4, seed: int = 0) -> KMeansM
     return KMeansModel(centroids=centroids.copy(), inertia=inertia)
 
 
-def kmeans_score(model: KMeansModel, test_windows: WindowFrame) -> ScoreSeries:
+def kmeans_score(model: KMeansModel, windows: np.ndarray) -> ScoreSeries:
     """Euclidean distance to the nearest centroid, assigned to the window end."""
-    d2 = _pairwise_sq(test_windows.windows, model.centroids)
+    d2 = _pairwise_sq(windows, model.centroids)
     return ScoreSeries(np.sqrt(d2.min(axis=1)))
 
 
@@ -214,13 +212,12 @@ class DbscanModel:
         object.__setattr__(self, "core_points", core)
 
 
-def dbscan_fit(train_windows: WindowFrame, epsilon: float = 0.4, mu: int = 5) -> DbscanModel:
+def dbscan_fit(windows: np.ndarray, epsilon: float = 0.4, mu: int = 5) -> DbscanModel:
     """Find the training windows whose epsilon-neighborhood (self excluded)
     holds at least mu points."""
     if mu < 1:
         raise InvalidHyperparameter(f"mu must be >= 1, got {mu}")
     _check_epsilon(epsilon)
-    windows = train_windows.windows
     m = windows.shape[0]
     eps2 = epsilon * epsilon
     counts = np.empty(m, dtype=np.intp)
@@ -236,13 +233,13 @@ def dbscan_fit(train_windows: WindowFrame, epsilon: float = 0.4, mu: int = 5) ->
     return DbscanModel(epsilon=epsilon, core_points=windows[core_mask])
 
 
-def dbscan_score(model: DbscanModel, test_windows: WindowFrame) -> ScoreSeries:
+def dbscan_score(model: DbscanModel, windows: np.ndarray) -> ScoreSeries:
     """Distance to the nearest training core point; 0 inside its epsilon ball.
 
     Each row block of query-to-core distances is reduced to its row minima.
     The square root of each row's minimum equals the minimum of the row's
     square roots, because sqrt is monotone and correctly rounded."""
-    windows, core = test_windows.windows, model.core_points
+    core = model.core_points
     d = np.empty(windows.shape[0])
     for rows in _row_blocks(windows.shape[0], core.shape[0]):
         d[rows] = _pairwise_sq(windows[rows], core).min(axis=1)
@@ -407,9 +404,9 @@ class LofModel:
         return np.bincount(pq, weights=lrds, minlength=block.shape[0]) / size / lrd_query
 
 
-def lof_score(reference: WindowFrame, query_window, k: int = 10) -> float:
-    """LOF of one query window against the reference windows."""
-    model = LofModel(k_neighbors=k, reference_windows=reference.windows)
+def lof_score(reference: np.ndarray, query_window, k: int = 10) -> float:
+    """LOF of one query window against the reference windows, one per row."""
+    model = LofModel(k_neighbors=k, reference_windows=reference)
     return model.query(np.asarray(query_window, dtype=np.float64))
 
 
@@ -522,9 +519,8 @@ def _avg_path(n: int, harmonics: np.ndarray) -> float:
     return 2.0 * harmonics[n - 1] - 2.0 * (n - 1) / n
 
 
-def iforest_fit(train_windows: WindowFrame, n_trees: int = 10, seed: int = 0) -> IsoForest:
+def iforest_fit(windows: np.ndarray, n_trees: int = 10, seed: int = 0) -> IsoForest:
     """Build n_trees isolation trees on subsamples of at most 256 windows."""
-    windows = train_windows.windows
     m = windows.shape[0]
     if m < 2:
         raise TooFewWindows(f"isolation forest needs at least 2 windows, got {m}")
@@ -551,12 +547,11 @@ def iforest_fit(train_windows: WindowFrame, n_trees: int = 10, seed: int = 0) ->
     return IsoForest(trees=tuple(trees), subsample=subsample)
 
 
-def iforest_score(model: IsoForest, test_windows: WindowFrame) -> ScoreSeries:
+def iforest_score(model: IsoForest, windows: np.ndarray) -> ScoreSeries:
     """S(x) = 2^(-E(path length)/c(subsample)); deeper isolation scores lower."""
-    data = test_windows.windows
-    paths = np.zeros(data.shape[0])
+    paths = np.zeros(windows.shape[0])
     for tree in model.trees:
-        paths += tree.apply(data)
+        paths += tree.apply(windows)
     expected = paths / model.n_trees
     return ScoreSeries(
         np.power(2.0, -expected / _avg_path(model.subsample, _harmonic(model.subsample)))
@@ -589,7 +584,7 @@ class OcSvmModel:
 
 
 def ocsvm_fit(
-    train_windows: WindowFrame, nu: float = 0.7, rbf_gamma: Optional[float] = None
+    windows: np.ndarray, nu: float = 0.7, rbf_gamma: Optional[float] = None
 ) -> OcSvmModel:
     """Solve the nu-one-class dual by most-violating-pair coordinate updates.
 
@@ -600,7 +595,6 @@ def ocsvm_fit(
     the two kernel rows it reads (as LIBSVM's solver does, Chang & Lin,
     ACM TIST 2011).
     """
-    windows = train_windows.windows
     m = windows.shape[0]
     if m < 2:
         raise TooFewWindows(f"one-class SVM needs at least 2 windows, got {m}")
@@ -666,11 +660,11 @@ def ocsvm_fit(
     )
 
 
-def ocsvm_score(model: OcSvmModel, test_windows: WindowFrame) -> ScoreSeries:
+def ocsvm_score(model: OcSvmModel, windows: np.ndarray) -> ScoreSeries:
     """rho - sum_i alpha_i K(sv_i, x): positive outside the learned boundary.
 
     The test-by-support-vector kernel is built one row block at a time."""
-    windows, vectors = test_windows.windows, model.support_vectors
+    vectors = model.support_vectors
     scores = np.empty(windows.shape[0])
     for rows in _row_blocks(windows.shape[0], vectors.shape[0]):
         kernel = _pairwise_sq(windows[rows], vectors)
@@ -785,7 +779,7 @@ def _gbt_best_split(cols: _PresortedColumns, g: np.ndarray, idx: np.ndarray):
 
 
 def gbt_fit(
-    train_frame: WindowFrame,
+    train_frame: tuple[np.ndarray, np.ndarray],
     n_estimators: int = 1000,
     max_depth: int = 3,
     learning_rate: float = 0.1,
@@ -796,13 +790,13 @@ def gbt_fit(
     hessians; each round adds learning_rate times the new tree.  The leaves
     partition the training rows, so each leaf writes its weight to its own
     rows as it is grown, and the tree is never applied to the training rows.
+    ``train_frame`` is the ``(windows, targets)`` pair of :func:`frame`.
     """
     if not learning_rate > 0.0 or max_depth < 1 or n_estimators < 0:
         raise InvalidHyperparameter(
             "learning_rate must be positive, max_depth >= 1 and n_estimators >= 0"
         )
-    data = train_frame.windows
-    targets = train_frame.targets
+    data, targets = train_frame
     cols = _PresortedColumns(data)
     base = float(targets.mean())
     predictions = np.full(targets.size, base)
@@ -843,20 +837,20 @@ def gbt_fit(
     )
 
 
-def gbt_score(model: GbtModel, test_frame: WindowFrame) -> ScoreSeries:
+def gbt_score(model: GbtModel, test_frame: tuple[np.ndarray, np.ndarray]) -> ScoreSeries:
     """Absolute one-step forecast error of the boosted ensemble."""
-    data = test_frame.windows
+    data, targets = test_frame
     predictions = np.full(data.shape[0], model.base_score)
     for tree in model.trees:
         predictions += model.learning_rate * tree.apply(data)
-    return ScoreSeries(np.abs(predictions - test_frame.targets))
+    return ScoreSeries(np.abs(predictions - targets))
 
 
 # ---------------------------------------------------------------------------
 # Detector adapters
 
 
-def _test_subsequences(train: TimeSeries, test: TimeSeries, width: int) -> WindowFrame:
+def _test_subsequences(train: TimeSeries, test: TimeSeries, width: int) -> np.ndarray:
     """One window per test point, ending at it; the first reach into train."""
     return subsequences(with_lookback(train, test, width - 1), width)
 
@@ -905,12 +899,12 @@ class LofDetector:
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
         k_neighbors = resolve(cfg, self.params)["k_neighbors"]
         windows = subsequences(train, cfg.window_width)
-        model = LofModel(k_neighbors=k_neighbors, reference_windows=windows.windows)
+        model = LofModel(k_neighbors=k_neighbors, reference_windows=windows)
         return FittedDetector(cfg, model)
 
     def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
         windows = _test_subsequences(train, test, fitted.config.window_width)
-        return ScoreSeries(fitted.state.scores(windows.windows))
+        return ScoreSeries(fitted.state.scores(windows))
 
 
 class IforestDetector:

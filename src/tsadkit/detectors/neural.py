@@ -26,13 +26,12 @@ from ..core import (
     with_lookback,
 )
 from ..errors import DimensionMismatch, InvalidHyperparameter, NumericalDivergence
-from .ml import _row_blocks
+from .ml import _row_blocks, _test_subsequences
 
 __all__ = [
     "DenseLayer",
     "DenseNet",
     "TrainSpec",
-    "AutoencoderNet",
     "dense_net",
     "net_forward",
     "net_gradients",
@@ -170,7 +169,7 @@ def _forward(net: DenseNet, batch: np.ndarray) -> np.ndarray:
 
 def _score_rows(net: DenseNet, windows: np.ndarray, row_score) -> np.ndarray:
     """``row_score(outputs, inputs)`` of each row block of ``windows``, one
-    score per row.  A block holds about _LOF_BLOCK_ENTRIES entries of the
+    score per row.  A block holds about ml._BLOCK_ENTRIES entries of the
     net's widest layer, so scoring holds two block-sized layer outputs
     whatever the number of windows."""
     widest = max(max(layer.weights.shape) for layer in net.layers)
@@ -289,33 +288,20 @@ def net_train(net: DenseNet, data, spec: TrainSpec = TrainSpec()) -> list[float]
     return history
 
 
-@dataclass(frozen=True)
-class AutoencoderNet:
+def _build_autoencoder(width: int, hidden_dims: Sequence[int], seed: int) -> DenseNet:
     """Window reconstructor: relu encoder/decoder stack, linear output.
 
     The bottleneck must be narrower than the window, otherwise identity
     copying makes reconstruction error meaningless.
     """
-
-    net: DenseNet
-    width: int
-    hidden_dims: tuple
-
-    def __post_init__(self):
-        bottleneck = self.hidden_dims[-1]
-        if bottleneck >= self.width:
-            raise DimensionMismatch(
-                f"bottleneck {bottleneck} must be narrower than the window width {self.width}"
-            )
-
-
-def _build_autoencoder(width: int, hidden_dims: Sequence[int], seed: int) -> AutoencoderNet:
     hidden = tuple(int(h) for h in hidden_dims)
+    if hidden[-1] >= width:
+        raise DimensionMismatch(
+            f"bottleneck {hidden[-1]} must be narrower than the window width {width}"
+        )
     dims = [width, *hidden, *reversed(hidden[:-1]), width]
     activations = ["relu"] * (len(dims) - 2) + ["linear"]
-    return AutoencoderNet(
-        net=dense_net(dims, activations, seed=seed), width=width, hidden_dims=hidden
-    )
+    return dense_net(dims, activations, seed=seed)
 
 
 # Both detectors take TrainSpec's schedule keys; the defaults live in TrainSpec.
@@ -338,15 +324,14 @@ class MlpDetector:
         hidden = p.pop("hidden_dims")
         dims = [cfg.window_width, *hidden, 1]
         net = dense_net(dims, ["relu"] * len(hidden) + ["linear"], seed=cfg.seed)
-        windows = frame(train, cfg.window_width)
-        net_train(net, (windows.windows, windows.targets), TrainSpec(**p))
+        net_train(net, frame(train, cfg.window_width), TrainSpec(**p))
         return FittedDetector(cfg, net)
 
     def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
         w = fitted.config.window_width
-        windows = frame(with_lookback(train, test, w), w)
-        forecasts = _score_rows(fitted.state, windows.windows, lambda out, _: out[:, 0])
-        return ScoreSeries(np.abs(forecasts - windows.targets))
+        windows, targets = frame(with_lookback(train, test, w), w)
+        forecasts = _score_rows(fitted.state, windows, lambda out, _: out[:, 0])
+        return ScoreSeries(np.abs(forecasts - targets))
 
 
 class AutoencoderDetector:
@@ -358,15 +343,12 @@ class AutoencoderDetector:
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
         p = resolve(cfg, self.params)
-        width = cfg.window_width
-        auto = _build_autoencoder(width, p.pop("hidden_dims"), cfg.seed)
-        windows = subsequences(train, width)
-        net_train(auto.net, (windows.windows, windows.windows), TrainSpec(**p))
-        return FittedDetector(cfg, auto)
+        net = _build_autoencoder(cfg.window_width, p.pop("hidden_dims"), cfg.seed)
+        windows = subsequences(train, cfg.window_width)
+        net_train(net, (windows, windows), TrainSpec(**p))
+        return FittedDetector(cfg, net)
 
     def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
-        auto: AutoencoderNet = fitted.state
-        w = fitted.config.window_width
-        windows = subsequences(with_lookback(train, test, w - 1), w)
-        errors = _score_rows(auto.net, windows.windows, lambda out, rows: ((out - rows) ** 2).sum(axis=1))
+        windows = _test_subsequences(train, test, fitted.config.window_width)
+        errors = _score_rows(fitted.state, windows, lambda out, rows: ((out - rows) ** 2).sum(axis=1))
         return ScoreSeries(np.sqrt(errors))

@@ -522,16 +522,24 @@ def holt_fit(
     b_axis = _GRID if beta is None else np.asarray([beta], dtype=np.float64)
     alphas = np.repeat(a_axis, b_axis.size)
     betas = np.tile(b_axis, a_axis.size)
-    levels = np.full(alphas.size, values[0])
-    trends = np.full(alphas.size, values[1] - values[0])
-    sse = np.zeros(alphas.size)
-    for t in range(1, values.size):
-        forecast = levels + trends
-        err = values[t] - forecast
-        sse += err * err
-        new_levels = alphas * values[t] + (1.0 - alphas) * forecast
-        trends = betas * (new_levels - levels) + (1.0 - betas) * trends
-        levels = new_levels
+    k = alphas.size
+    keep_a, keep_b = 1.0 - alphas, 1.0 - betas
+    levels, new_levels = np.full(k, values[0]), np.empty(k)
+    trends = np.full(k, values[1] - values[0])
+    forecast, work, sse = np.empty(k), np.empty(k), np.zeros(k)
+    for x in values[1:]:
+        np.add(levels, trends, out=forecast)
+        np.subtract(x, forecast, out=work)
+        work *= work
+        sse += work
+        np.multiply(alphas, x, out=new_levels)
+        forecast *= keep_a
+        new_levels += forecast
+        np.subtract(new_levels, levels, out=work)
+        work *= betas
+        trends *= keep_b
+        trends += work
+        levels, new_levels = new_levels, levels
     best = int(np.argmin(sse))
     return SmoothingFit(
         alpha=float(alphas[best]),

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 
-from tsadkit import RunConfig, SynthSpec, TimeSeries, WindowFrame, generate_synthetic
+from tsadkit import RunConfig, SynthSpec, TimeSeries, generate_synthetic
 from tsadkit.bench import _preprocess
 
 
@@ -19,10 +19,9 @@ def series(values, labels=None, series_id="t", period_hint=None) -> TimeSeries:
     )
 
 
-def raw_frame(windows: np.ndarray) -> WindowFrame:
-    """Wrap a bare window matrix; targets are placeholders."""
-    windows = np.asarray(windows, dtype=np.float64)
-    return WindowFrame(windows=windows, targets=np.zeros(windows.shape[0]))
+def raw_frame(windows) -> np.ndarray:
+    """A window matrix, one window per row, as the window builders return it."""
+    return np.asarray(windows, dtype=np.float64)
 
 
 def long_synth(length: int = 40_000) -> tuple[TimeSeries, TimeSeries]:

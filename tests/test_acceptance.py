@@ -21,7 +21,7 @@ import pytest
 
 from tsadkit import DetectorConfig, get_detector, timed_run
 from tsadkit.bench import RunConfig, emit_reports, run_benchmark
-from tsadkit.core import ScoreSeries, TimeSeries, WindowFrame
+from tsadkit.core import ScoreSeries, TimeSeries
 from tsadkit.data import SynthSpec, generate_synthetic, synthetic_base
 from tsadkit.detectors.ml import lof_score
 from tsadkit.detectors.neural import dense_net, net_forward, net_gradients
@@ -103,14 +103,13 @@ def test_criterion_02_lof_matches_quadratic_reference():
         dense = rng.normal(0.0, 1.0, size=(25, width))
         sparse = rng.normal(6.0, 3.0, size=(15, width))
         reference = np.vstack((dense, sparse))
-        ref_frame = WindowFrame(windows=reference, targets=reference[:, -1])
         queries = (
             rng.normal(0.0, 1.0, size=width),  # inlier
             rng.normal(0.0, 30.0, size=width) + 50.0,  # far outlier
             reference[int(rng.integers(40))].copy(),  # exact duplicate
         )
         for query in queries:
-            got = lof_score(ref_frame, query, k=k)
+            got = lof_score(reference, query, k=k)
             want = _union_lof(reference, np.asarray(query), k)
             worst = max(worst, abs(got - want))
     elapsed = time.perf_counter() - t0

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import tsadkit
 from tsadkit import (
     DETECTOR_NAMES,
     DetectorConfig,
     RunConfig,
     ScoreSeries,
     TimeSeries,
-    WindowFrame,
     frame,
     get_detector,
     smoke_series,
@@ -30,6 +33,19 @@ from tsadkit.errors import (
 )
 
 from conftest import series
+
+
+def test_every_exported_name_resolves():
+    # A name left in an export list after its definition is deleted breaks
+    # ``from tsadkit import *`` and misleads readers of the list.
+    modules = [tsadkit] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(tsadkit.__path__, "tsadkit.")
+    ]
+    exported = [(module, name) for module in modules for name in getattr(module, "__all__", ())]
+    assert len({module for module, _ in exported}) >= 10
+    missing = [f"{module.__name__}.{name}" for module, name in exported if not hasattr(module, name)]
+    assert not missing
 
 
 class TestTimeSeries:
@@ -64,17 +80,17 @@ class TestTimeSeries:
 
 class TestFrame:
     def test_enumeration_example(self):
-        wf = frame(series([1, 2, 3, 4]), width=2)
-        assert wf.windows.tolist() == [[1.0, 2.0], [2.0, 3.0]]
-        assert wf.targets.tolist() == [3.0, 4.0]
+        windows, targets = frame(series([1, 2, 3, 4]), width=2)
+        assert windows.tolist() == [[1.0, 2.0], [2.0, 3.0]]
+        assert targets.tolist() == [3.0, 4.0]
 
     @pytest.mark.parametrize("n,expect", [(1420, 1390), (1421, 1391)])
     def test_window_count_at_benchmark_scale(self, n, expect):
-        wf = frame(series(np.arange(n, dtype=float)), width=30)
-        assert wf.windows.shape[0] == expect
+        windows, targets = frame(series(np.arange(n, dtype=float)), width=30)
+        assert windows.shape == (expect, 30) and targets.shape == (expect,)
         # counting-loop oracle: every index with a full preceding window
         count = sum(1 for t in range(n) if t - 30 >= 0)
-        assert wf.windows.shape[0] == count
+        assert windows.shape[0] == count
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
@@ -83,41 +99,34 @@ class TestFrame:
     def test_round_trip_suffix(self):
         rng = np.random.default_rng(0)
         values = rng.standard_normal(57)
-        wf = frame(series(values), width=5)
-        rebuilt = np.concatenate((wf.windows[0], wf.targets))
+        windows, targets = frame(series(values), width=5)
+        rebuilt = np.concatenate((windows[0], targets))
         assert np.array_equal(rebuilt, values)
 
     def test_window_precedes_target(self):
         values = np.arange(40, dtype=float)
-        wf = frame(series(values), width=7)
-        assert len(wf) == values.size - 7
-        for i in range(len(wf)):
-            assert np.array_equal(wf.windows[i], values[i : i + 7])
-            assert wf.targets[i] == values[i + 7]
+        windows, targets = frame(series(values), width=7)
+        assert windows.shape[0] == targets.size == values.size - 7
+        for i in range(targets.size):
+            assert np.array_equal(windows[i], values[i : i + 7])
+            assert targets[i] == values[i + 7]
 
 
 class TestSubsequences:
     def test_window_ends_at_target(self):
         values = np.arange(20, dtype=float)
-        wf = subsequences(series(values), width=4)
-        assert np.array_equal(wf.targets, values[3:])
-        for i in range(len(wf)):
-            assert np.array_equal(wf.windows[i], values[i : i + 4])
-            assert wf.windows[i, -1] == wf.targets[i]
+        windows = subsequences(series(values), width=4)
+        assert np.array_equal(windows[:, -1], values[3:])
+        for i in range(windows.shape[0]):
+            assert np.array_equal(windows[i], values[i : i + 4])
 
     def test_count(self):
-        wf = subsequences(series(np.arange(10, dtype=float)), width=4)
-        assert wf.windows.shape[0] == 7
+        windows = subsequences(series(np.arange(10, dtype=float)), width=4)
+        assert windows.shape == (7, 4)
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
             subsequences(series([1.0, 2.0]), width=3)
-
-
-class TestWindowFrameValidation:
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            WindowFrame(windows=np.zeros((3, 2)), targets=np.zeros(2))
 
 
 class TestWithLookback:

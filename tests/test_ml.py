@@ -10,7 +10,6 @@ import pytest
 from tsadkit import (
     DetectorConfig,
     SplitSpec,
-    WindowFrame,
     fit_standardizer,
     frame,
     get_detector,
@@ -84,7 +83,7 @@ class TestKMeans:
         expected = np.array(
             [
                 min(np.linalg.norm(w - c) for c in model.centroids)
-                for w in test.windows
+                for w in test
             ]
         )
         assert np.allclose(out.scores, expected, atol=1e-9)
@@ -306,8 +305,8 @@ def per_window_lof(model: LofModel, fit_d: np.ndarray, window: np.ndarray) -> fl
 
 
 def lof_synth_w30():
-    train, test = synth_frames(30)
-    return train.windows, test.windows, 10
+    (train, _), (test, _) = synth_frames(30)
+    return train, test, 10
 
 
 def lof_ties(k: int):
@@ -365,7 +364,7 @@ class TestBlockLof:
         model = LofModel(k_neighbors=k, reference_windows=reference)
         # Blocks of 7 rows, so every case ends in a ragged block; 97 entries
         # per chunk splits the flat run's neighbour lists across chunks.
-        monkeypatch.setattr(ml, "_LOF_BLOCK_ENTRIES", 7 * reference.shape[0])
+        monkeypatch.setattr(ml, "_BLOCK_ENTRIES", 7 * reference.shape[0])
         monkeypatch.setattr(ml, "_LOF_CHUNK_ENTRIES", chunk_entries)
         assert queries.shape[0] % 7 != 0
         got = model.scores(queries)
@@ -561,7 +560,7 @@ class TestOcsvm:
 class TestGbt:
     def test_constant_target_is_learned_exactly(self):
         windows = np.arange(30.0).reshape(10, 3)
-        fr = WindowFrame(windows=windows, targets=np.full(10, 4.0))
+        fr = (windows, np.full(10, 4.0))
         model = gbt_fit(fr, n_estimators=10)
         assert model.base_score == 4.0
         out = gbt_score(model, fr)
@@ -579,7 +578,7 @@ class TestGbt:
     def test_step_function_split(self):
         windows = np.concatenate((np.full(20, -1.0), np.full(20, 1.0))).reshape(-1, 1)
         targets = np.concatenate((np.full(20, -3.0), np.full(20, 3.0)))
-        fr = WindowFrame(windows=windows, targets=targets)
+        fr = (windows, targets)
         model = gbt_fit(fr, n_estimators=200, max_depth=1)
         predictions = np.abs(gbt_score(model, fr).scores)
         assert np.max(predictions) < 1e-3
@@ -653,11 +652,12 @@ def per_feature_best_split(data: np.ndarray, g: np.ndarray, idx: np.ndarray, lam
     return best_gain, best_feature, best_split
 
 
-def reference_gbt_fit(train_frame: WindowFrame, **kwargs) -> GbtModel:
+def reference_gbt_fit(train_frame: tuple[np.ndarray, np.ndarray], **kwargs) -> GbtModel:
     """gbt_fit with every node split by the per-feature search."""
+    windows, _ = train_frame
 
     def split_rule(cols, g, idx):
-        found = per_feature_best_split(train_frame.windows, g, idx, lam=1.0)
+        found = per_feature_best_split(windows, g, idx, lam=1.0)
         return None if found is None else found[1:]
 
     with pytest.MonkeyPatch.context() as patch:
@@ -665,15 +665,12 @@ def reference_gbt_fit(train_frame: WindowFrame, **kwargs) -> GbtModel:
         return gbt_fit(train_frame, **kwargs)
 
 
-def synth_frames(width: int) -> tuple[WindowFrame, WindowFrame]:
-    """Train and test frames of the first SYNTH series as a run prepares them."""
+def synth_frames(width: int) -> tuple[tuple, tuple]:
+    """Train and test (windows, targets) frames of the first SYNTH series as
+    a run prepares them."""
     train, test = split(smoke_series()[0], SplitSpec())
     params = fit_standardizer(train)
     return frame(standardize(train, params), width), frame(standardize(test, params), width)
-
-
-def window_frame(windows: np.ndarray, targets: np.ndarray) -> WindowFrame:
-    return WindowFrame(windows=windows, targets=targets)
 
 
 def tied_frames(seed: int, width: int, constant_column: bool = False):
@@ -682,7 +679,7 @@ def tied_frames(seed: int, width: int, constant_column: bool = False):
     if constant_column:
         windows[:, 1] = 0.3
     targets = np.round(windows[:, 0] - 0.5 * windows[:, -1] + rng.normal(0.0, 0.2, 260), 1)
-    return window_frame(windows[:200], targets[:200]), window_frame(windows[200:], targets[200:])
+    return (windows[:200], targets[:200]), (windows[200:], targets[200:])
 
 
 class TestPresortedSplit:
@@ -749,15 +746,14 @@ def frozen_gbt_best_split(order, sorted_vals, g, idx):
 
 
 def frozen_gbt_fit(
-    train_frame: WindowFrame,
+    train_frame: tuple[np.ndarray, np.ndarray],
     n_estimators: int = 1000,
     max_depth: int = 3,
     learning_rate: float = 0.1,
 ) -> GbtModel:
     """``gbt_fit`` before its per-fit state: each round applies the new
     tree to the training rows and computes predictions - targets twice."""
-    data = train_frame.windows
-    targets = train_frame.targets
+    data, targets = train_frame
     order = np.argsort(data.T, axis=1, kind="stable")
     sorted_vals = np.take_along_axis(data.T, order, axis=1)
     base = float(targets.mean())
@@ -797,14 +793,14 @@ def partly_tied_frames():
     windows = rng.normal(0.0, 1.0, (260, 9))
     windows[:, ::3] = np.round(windows[:, ::3], 1)
     targets = windows[:, 0] - 0.5 * windows[:, -1] + rng.normal(0.0, 0.2, 260)
-    return window_frame(windows[:200], targets[:200]), window_frame(windows[200:], targets[200:])
+    return (windows[:200], targets[:200]), (windows[200:], targets[200:])
 
 
 def few_row_frames(rows: int):
     rng = np.random.default_rng(rows)
     windows, targets = rng.normal(0.0, 1.0, (rows + 3, 4)), rng.normal(0.0, 1.0, rows + 3)
-    train = window_frame(windows[:rows], targets[:rows])
-    return train, window_frame(windows[rows:], targets[rows:])
+    train = (windows[:rows], targets[:rows])
+    return train, (windows[rows:], targets[rows:])
 
 
 class TestFrozenGbtFit:
@@ -846,9 +842,9 @@ class TestFrozenGbtFit:
             assert same_bytes(gbt_score(model, x).scores, gbt_score(frozen, x).scores)
 
     def test_cases_cover_no_some_and_all_features_tied(self):
-        assert not ml._PresortedColumns(synth_frames(30)[0].windows).any_tied
-        assert ml._PresortedColumns(tied_frames(1, 6)[0].windows).tied == slice(None)
-        partly = ml._PresortedColumns(partly_tied_frames()[0].windows)
+        assert not ml._PresortedColumns(synth_frames(30)[0][0]).any_tied
+        assert ml._PresortedColumns(tied_frames(1, 6)[0][0]).tied == slice(None)
+        partly = ml._PresortedColumns(partly_tied_frames()[0][0])
         np.testing.assert_array_equal(partly.tied, [0, 3, 6])
 
 
@@ -894,7 +890,7 @@ class TestAdapters:
         out = detector.score(fitted, train, test)
         whole = np.concatenate((train.values, test.values))
         windows = np.stack([whole[t - 10 : t] for t in len(train) + np.arange(len(test))])
-        expected = gbt_score(fitted.state, WindowFrame(windows=windows, targets=test.values))
+        expected = gbt_score(fitted.state, (windows, test.values))
         assert np.array_equal(out.scores, expected.scores)
 
     def test_offset_invariance(self):
@@ -1023,8 +1019,8 @@ def frozen_dbscan_score(model: DbscanModel, windows: np.ndarray) -> np.ndarray:
 
 
 def distance_synth_w30():
-    train, test = synth_frames(30)
-    return train.windows, test.windows
+    (train, _), (test, _) = synth_frames(30)
+    return train, test
 
 
 def distance_distinct():
@@ -1062,7 +1058,7 @@ BLOCK_ENTRIES = {"default-blocks": None, "100-entry-blocks": 100}
 @pytest.fixture(params=list(BLOCK_ENTRIES))
 def blocks(request, monkeypatch):
     if BLOCK_ENTRIES[request.param] is not None:
-        monkeypatch.setattr(ml, "_LOF_BLOCK_ENTRIES", BLOCK_ENTRIES[request.param])
+        monkeypatch.setattr(ml, "_BLOCK_ENTRIES", BLOCK_ENTRIES[request.param])
 
 
 def same_bytes(got: np.ndarray, want: np.ndarray) -> bool:
@@ -1175,7 +1171,7 @@ class TestDistancePeaks:
         a, b = self.windows(self.M, 61), self.windows(self.N, 62)
         for x, y in ((a, b), (a, a)):
             sq, peak = traced_peak(lambda: ml._pairwise_sq(x, y))
-            assert peak <= 1.1 * sq.nbytes + 8 * ml._LOF_BLOCK_ENTRIES, peak / sq.nbytes
+            assert peak <= 1.1 * sq.nbytes + 8 * ml._BLOCK_ENTRIES, peak / sq.nbytes
 
     def test_ocsvm_holds_one_kernel(self):
         train, test = self.windows(self.N, 63), self.windows(self.M, 64)
@@ -1189,7 +1185,7 @@ class TestDistancePeaks:
     def test_ocsvm_score_holds_blocks_not_the_kernel(self):
         model = ocsvm_fit(raw_frame(self.windows(self.N, 63)))
         n_sv = model.support_vectors.shape[0]
-        block_bytes = 8 * ml._LOF_BLOCK_ENTRIES
+        block_bytes = 8 * ml._BLOCK_ENTRIES
         for rows in (self.M, 4 * self.M):
             test_frame = raw_frame(self.windows(rows, 64))
             _, peak = traced_peak(lambda: ocsvm_score(model, test_frame))
@@ -1235,7 +1231,7 @@ class TestRowBlockPeaks:
 
     def test_lof_fit_model_and_scores(self, m):
         train, test = self.windows(m, 81), self.windows(m, 82)
-        block_bytes = 8 * ml._LOF_BLOCK_ENTRIES
+        block_bytes = 8 * ml._BLOCK_ENTRIES
         model, peak = traced_peak(lambda: LofModel(k_neighbors=self.K, reference_windows=train))
         # Beyond the blocks: neighbour lists of about k entries per row, and
         # the duplicate map of one window's bytes per row.
@@ -1253,12 +1249,12 @@ class TestRowBlockPeaks:
         train = raw_frame(self.windows(m, 83))
         _, peak = traced_peak(lambda: ocsvm_fit(train))
         # Two kernel rows and the support vectors, beside the blocks.
-        block_bytes = 8 * ml._LOF_BLOCK_ENTRIES
+        block_bytes = 8 * ml._BLOCK_ENTRIES
         assert peak <= 4 * block_bytes + 8 * m * (self.WIDTH + 16), peak / block_bytes
 
     def test_dbscan_fit_and_score(self, m):
         train, test = raw_frame(self.windows(m, 84)), raw_frame(self.windows(m, 85))
-        block_bytes = 8 * ml._LOF_BLOCK_ENTRIES
+        block_bytes = 8 * ml._BLOCK_ENTRIES
         model, peak = traced_peak(lambda: dbscan_fit(train, epsilon=6.0, mu=5))
         assert peak <= 4 * block_bytes + 8 * m * (self.WIDTH + 4), peak / block_bytes
         _, peak = traced_peak(lambda: dbscan_score(model, test))
@@ -1275,7 +1271,7 @@ class TestOneBlockAtATime:
 
     @pytest.fixture(autouse=True)
     def large_blocks(self, monkeypatch):
-        monkeypatch.setattr(ml, "_LOF_BLOCK_ENTRIES", self.ENTRIES)
+        monkeypatch.setattr(ml, "_BLOCK_ENTRIES", self.ENTRIES)
 
     def windows(self, rows: int, seed: int) -> np.ndarray:
         return np.random.default_rng(seed).normal(0.0, 1.0, (rows, 30))
@@ -1289,6 +1285,6 @@ class TestOneBlockAtATime:
         model = ocsvm_fit(raw_frame(self.windows(1200, 92)))
         test = raw_frame(self.windows(6000, 93))
         rows = ml._block_height(model.support_vectors.shape[0])
-        assert test.windows.shape[0] > 2 * rows
+        assert test.shape[0] > 2 * rows
         _, peak = traced_peak(lambda: ocsvm_score(model, test))
         assert peak <= 2.5 * 8 * self.ENTRIES, peak / (8 * self.ENTRIES)

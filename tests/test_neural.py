@@ -11,7 +11,6 @@ from tsadkit.detectors.neural import (
     _BETA1,
     _BETA2,
     _EPS,
-    AutoencoderNet,
     DenseLayer,
     DenseNet,
     TrainSpec,
@@ -238,7 +237,7 @@ ORACLE_CASES = {
         1,
     ),
     "autoencoder": (
-        lambda: _build_autoencoder(30, (32, 16), seed=6).net,
+        lambda: _build_autoencoder(30, (32, 16), seed=6),
         160,
         lambda x, rng: x,
         TrainSpec(epochs=4, learning_rate=3e-3),
@@ -378,23 +377,17 @@ class TestMlpDetector:
 
 class TestAutoencoder:
     def test_architecture_mirrors_the_encoder(self):
-        auto = _build_autoencoder(30, (32, 16), seed=0)
-        dims = [auto.net.layers[0].weights.shape[0]] + [
-            layer.weights.shape[1] for layer in auto.net.layers
-        ]
+        net = _build_autoencoder(30, (32, 16), seed=0)
+        dims = [net.layers[0].weights.shape[0]] + [layer.weights.shape[1] for layer in net.layers]
         assert dims == [30, 32, 16, 32, 30]
-        activations = [layer.activation for layer in auto.net.layers]
+        activations = [layer.activation for layer in net.layers]
         assert activations == ["relu", "relu", "relu", "linear"]
 
     def test_bottleneck_must_compress(self):
-        with pytest.raises(DimensionMismatch):
-            _build_autoencoder(10, (32, 16), seed=0)
-        with pytest.raises(DimensionMismatch):
-            AutoencoderNet(
-                net=dense_net([4, 8, 4], ["relu", "linear"], seed=0),
-                width=4,
-                hidden_dims=(8,),
-            )
+        # Narrower, equal and wider than the window: none compresses it.
+        for width, hidden in ((10, (32, 16)), (16, (32, 16)), (4, (8,))):
+            with pytest.raises(DimensionMismatch):
+                _build_autoencoder(width, hidden, seed=0)
 
     def test_reconstructs_familiar_shapes(self):
         detector = get_detector("autoencoder")
@@ -437,14 +430,9 @@ class TestForwardOnlyScoring:
         cfg = DetectorConfig(name=request.param, window_width=30, hyperparameters={"epochs": 1})
         return detector, detector.fit(wavy_series(400, 11), cfg)
 
-    @staticmethod
-    def net_of(fitted) -> DenseNet:
-        state = fitted.state
-        return state if isinstance(state, DenseNet) else state.net
-
     def test_outputs_match_the_training_pass(self, fitted):
         _, fit = fitted
-        net = self.net_of(fit)
+        net = fit.state
         batch = wavy_series(500, 12).values[:480].reshape(16, 30)
         assert same_bits(_forward(net, batch), _forward_batch(net, batch)[0])
 
@@ -453,14 +441,14 @@ class TestForwardOnlyScoring:
         detector, fit = fitted
         train, test = wavy_series(400, 11), wavy_series(n, 13)
         _, peak = traced_peak(lambda: detector.score(fit, train, test))
-        widths = [layer.weights.shape[1] for layer in self.net_of(fit).layers]
+        widths = [layer.weights.shape[1] for layer in fit.state.layers]
         widest_pair = max(a + b for a, b in zip(widths, widths[1:]))
         # Windows and a few length-n vectors (the test after its lookback,
         # scores and their scratch), plus the widest two adjacent layer
         # outputs: over all n rows at most, and over one row block (each of
-        # at most _LOF_BLOCK_ENTRIES entries) once n exceeds a block.
+        # at most _BLOCK_ENTRIES entries) once n exceeds a block.
         one_pass = 8 * n * (30 + widest_pair + 4)
-        blocked = 8 * n * (30 + 4) + 2 * 8 * ml._LOF_BLOCK_ENTRIES
+        blocked = 8 * n * (30 + 4) + 2 * 8 * ml._BLOCK_ENTRIES
         assert peak <= min(one_pass, blocked), (peak, one_pass, blocked)
 
     @pytest.mark.parametrize("name", ["mlp", "autoencoder"])

@@ -135,12 +135,12 @@ def unblocked_scores(name: str, fitted, train, test) -> tuple[np.ndarray, np.nda
     here as the oracle for blocked scoring."""
     w = fitted.config.window_width
     if name == "mlp":
-        windows = frame(with_lookback(train, test, w), w)
-        out = _forward(fitted.state, windows.windows)
-        return np.abs(out[:, 0] - windows.targets), np.abs(out[:, 0])
+        windows, targets = frame(with_lookback(train, test, w), w)
+        out = _forward(fitted.state, windows)
+        return np.abs(out[:, 0] - targets), np.abs(out[:, 0])
     windows = subsequences(with_lookback(train, test, w - 1), w)
-    out = _forward(fitted.state.net, windows.windows)
-    return np.sqrt(((out - windows.windows) ** 2).sum(axis=1)), np.sqrt((out**2).sum(axis=1))
+    out = _forward(fitted.state, windows)
+    return np.sqrt(((out - windows) ** 2).sum(axis=1)), np.sqrt((out**2).sum(axis=1))
 
 
 @FIXED
@@ -160,8 +160,7 @@ def test_blocked_net_scores_match_one_pass(name, blocks, offset, seed):
     score subtracts the target from the forecast, so its error scales with
     the forecast, not with the score."""
     detector, fitted, train = fitted_net(name)
-    net = fitted.state if name == "mlp" else fitted.state.net
-    height = ml._block_height(max(max(layer.weights.shape) for layer in net.layers))
+    height = ml._block_height(max(max(layer.weights.shape) for layer in fitted.state.layers))
     n = blocks * height + offset
     rng = np.random.default_rng(seed)
     test = series(np.sin(np.arange(n) / 6.0) + rng.normal(0.0, 0.3, n))

@@ -659,6 +659,34 @@ def reference_ses_fit(train, alpha=None):
     return SmoothingFit(alpha=float(alphas[best]), level=float(levels[best]), train_sse=float(sse[best]))
 
 
+def reference_holt_fit(train, alpha=None, beta=None):
+    values = train.values
+    if values.size < 3:
+        raise SeriesTooShort("trend smoothing needs at least 3 observations")
+    a_axis = statistical._GRID if alpha is None else np.asarray([alpha], dtype=np.float64)
+    b_axis = statistical._GRID if beta is None else np.asarray([beta], dtype=np.float64)
+    alphas = np.repeat(a_axis, b_axis.size)
+    betas = np.tile(b_axis, a_axis.size)
+    levels = np.full(alphas.size, values[0])
+    trends = np.full(alphas.size, values[1] - values[0])
+    sse = np.zeros(alphas.size)
+    for t in range(1, values.size):
+        forecast = levels + trends
+        err = values[t] - forecast
+        sse += err * err
+        new_levels = alphas * values[t] + (1.0 - alphas) * forecast
+        trends = betas * (new_levels - levels) + (1.0 - betas) * trends
+        levels = new_levels
+    best = int(np.argmin(sse))
+    return SmoothingFit(
+        alpha=float(alphas[best]),
+        beta=float(betas[best]),
+        level=float(levels[best]),
+        trend=float(trends[best]),
+        train_sse=float(sse[best]),
+    )
+
+
 def reference_hw_sweep(values, period, alphas, betas, gammas):
     n = values.size
     k = alphas.size
@@ -871,6 +899,15 @@ class TestSmoothingOracle:
         expected = reference_ses_fit(train, alpha)
         assert smoothing_bits(fit) == smoothing_bits(expected)
         assert same_bits(smoothing_score(fit, test).scores, reference_smoothing_score(fit, test))
+
+    @pytest.mark.parametrize("alpha, beta", [(None, None), (0.4, 0.2), (None, 0.2)])
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_holt_fit_matches(self, alpha, beta, scale):
+        train = series(drifting_walk(300, seed=108, drift=0.2) * scale)
+        fit = outcome(holt_fit, train, alpha, beta)
+        expected = outcome(reference_holt_fit, train, alpha, beta)
+        assert isinstance(expected, SmoothingFit)
+        assert smoothing_bits(fit) == smoothing_bits(expected)
 
     @pytest.mark.parametrize("alpha, beta", [(None, None), (0.4, 0.2)])
     def test_holt_scores_match(self, alpha, beta):
