@@ -10,7 +10,6 @@ from __future__ import annotations
 from .bench import ResultRow, RunConfig, emit_reports, run_benchmark, smoke_series
 from .core import (
     DetectorConfig,
-    FittedDetector,
     ScoreSeries,
     TimeSeries,
     frame,
@@ -57,7 +56,6 @@ __all__ = [
     "REGISTRY",
     "DatasetManifest",
     "DetectorConfig",
-    "FittedDetector",
     "ResultRow",
     "RocCurve",
     "RunConfig",

@@ -1,11 +1,15 @@
 """Core domain types and the detector contract.
 
-A detector is any object with ``fit(train, cfg) -> FittedDetector`` and
-``score(fitted, train, test) -> ScoreSeries``, one score per test point.
-A detector that needs a lookback reads it from the train values just
-before the test (:func:`with_lookback`).  Scores follow one orientation
-everywhere: higher means more anomalous.  Detectors whose natural output
-inverts (e.g. one-class SVM decision values) negate internally.
+A detector is any object with ``fit(train, cfg) -> model`` and
+``score(model, cfg, train, test) -> scores``: the model is whatever the
+detector's fit returns, and the scores are a 1-D float array with one
+score per test point.  ``evaluation.timed_run`` wraps them in the one
+:class:`ScoreSeries` of a run, which rejects non-finite or
+multi-dimensional scores.  A detector that needs a lookback reads it from
+the train values just before the test (:func:`with_lookback`).  Scores
+follow one orientation everywhere: higher means more anomalous.
+Detectors whose natural output inverts (e.g. one-class SVM decision
+values) negate internally.
 
 Two window layouts exist, both plain arrays with one window per row:
 
@@ -21,7 +25,7 @@ Two window layouts exist, both plain arrays with one window per row:
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -38,7 +42,6 @@ __all__ = [
     "TimeSeries",
     "ScoreSeries",
     "DetectorConfig",
-    "FittedDetector",
     "Derived",
     "parse_bool",
     "resolve",
@@ -135,18 +138,6 @@ class DetectorConfig:
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
         object.__setattr__(self, "hyperparameters", dict(self.hyperparameters))
-
-
-@dataclass(frozen=True)
-class FittedDetector:
-    """Opaque trained state of one detector plus the config it was fitted with."""
-
-    config: DetectorConfig
-    state: object
-
-    @property
-    def name(self) -> str:
-        return self.config.name
 
 
 class Derived(str):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import operator
 from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
@@ -64,9 +65,6 @@ class DatasetManifest:
         object.__setattr__(
             self, "series", tuple((sid, Path(p)) for sid, p in self.series)
         )
-
-    def __len__(self) -> int:
-        return len(self.series)
 
 
 @dataclass(frozen=True)
@@ -125,43 +123,62 @@ def load_yahoo_csv(path) -> TimeSeries:
     channel.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(path, 1, "file is empty") from None
-        header = [h.strip() for h in header]
-        if _VALUE_COLUMN not in header:
-            raise MissingColumn(_VALUE_COLUMN)
-        label_col = next((c for c in _LABEL_COLUMNS if c in header), None)
-        if label_col is None:
-            raise MissingColumn(_LABEL_COLUMNS[0])
-        value_idx = header.index(_VALUE_COLUMN)
-        label_idx = header.index(label_col)
-        cp_idx = header.index(_CHANGEPOINT_COLUMN) if _CHANGEPOINT_COLUMN in header else None
-
-        values: list[float] = []
-        labels: list[int] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    path, line_no, f"expected {len(header)} fields, got {len(row)}"
-                )
-            values.append(_parse_float(path, line_no, row[value_idx]))
-            flag = _parse_flag(path, line_no, row[label_idx])
-            if cp_idx is not None:
-                flag |= _parse_flag(path, line_no, row[cp_idx])
-            labels.append(flag)
-    if not values:
-        raise ParseError(path, 2, "file contains a header but no data rows")
+    values: list[float] = []
+    labels: list[int] = []
+    for line_no, fields in _csv_rows(path, _yahoo_columns):
+        values.append(_parse_float(path, line_no, fields[0]))
+        flag = _parse_flag(path, line_no, fields[1])
+        if len(fields) > 2:
+            flag |= _parse_flag(path, line_no, fields[2])
+        labels.append(flag)
     return TimeSeries(
         values=np.asarray(values, dtype=np.float64),
         labels=np.asarray(labels, dtype=np.int64),
         series_id=path.stem,
     )
+
+
+def _yahoo_columns(header: list[str]) -> list[str]:
+    """The value column, the first label column present (``is_anomaly`` when
+    none is) and the changepoint column when present."""
+    label = next((c for c in _LABEL_COLUMNS if c in header), _LABEL_COLUMNS[0])
+    changepoint = [_CHANGEPOINT_COLUMN] if _CHANGEPOINT_COLUMN in header else []
+    return [_VALUE_COLUMN, label, *changepoint]
+
+
+def _csv_rows(path: Path, columns):
+    """Line number and a tuple of the named fields of each non-blank data row
+    of a CSV file.
+
+    ``columns(header)`` names the two or more fields to read, given the
+    header with its names stripped; a name the header lacks raises
+    MissingColumn before any row is read.  Raises ParseError for an empty
+    file, for a row whose field count differs from the header's, and for a
+    header without data rows.  Rows are read as the caller asks for them,
+    so a row's parse error still comes before a later row's field count.
+    """
+    with path.open(newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = [h.strip() for h in next(reader)]
+        except StopIteration:
+            raise ParseError(path, 1, "file is empty") from None
+        indexes = []
+        for name in columns(header):
+            if name not in header:
+                raise MissingColumn(name)
+            indexes.append(header.index(name))
+        fields = operator.itemgetter(*indexes)
+        empty = True
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ParseError(path, line_no, f"expected {len(header)} fields, got {len(row)}")
+            empty = False
+            yield line_no, fields(row)
+    if empty:
+        raise ParseError(path, 2, "file contains a header but no data rows")
 
 
 def _parse_float(path: Path, line_no: int, token: str) -> float:
@@ -189,33 +206,11 @@ def load_nab_csv(data_path, label_windows_path) -> TimeSeries:
     timestamp falls inside any window (bounds inclusive).
     """
     data_path = Path(data_path)
-    with data_path.open(newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(data_path, 1, "file is empty") from None
-        header = [h.strip() for h in header]
-        if "timestamp" not in header:
-            raise MissingColumn("timestamp")
-        if _VALUE_COLUMN not in header:
-            raise MissingColumn(_VALUE_COLUMN)
-        ts_idx = header.index("timestamp")
-        value_idx = header.index(_VALUE_COLUMN)
-
-        stamps: list[datetime] = []
-        values: list[float] = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(header):
-                raise ParseError(
-                    data_path, line_no, f"expected {len(header)} fields, got {len(row)}"
-                )
-            stamps.append(_parse_stamp(data_path, line_no, row[ts_idx]))
-            values.append(_parse_float(data_path, line_no, row[value_idx]))
-    if not values:
-        raise ParseError(data_path, 2, "file contains a header but no data rows")
+    stamps: list[datetime] = []
+    values: list[float] = []
+    for line_no, (stamp, value) in _csv_rows(data_path, lambda _: ["timestamp", _VALUE_COLUMN]):
+        stamps.append(_parse_stamp(data_path, line_no, stamp))
+        values.append(_parse_float(data_path, line_no, value))
 
     windows = _label_windows_for(data_path, Path(label_windows_path))
     labels = np.zeros(len(values), dtype=np.int64)

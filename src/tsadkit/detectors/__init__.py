@@ -1,8 +1,9 @@
 """Registry of the fourteen detectors behind one fit/score contract.
 
-Every entry exposes ``fit(train, cfg) -> FittedDetector`` and
-``score(fitted, train, test) -> ScoreSeries``, one score per test point,
-with scores oriented so that higher means more anomalous.
+Every entry exposes ``fit(train, cfg) -> model`` and
+``score(model, cfg, train, test) -> scores``: the model is whatever the
+entry's fit returns, and the scores are a 1-D float array with one score
+per test point, oriented so that higher means more anomalous.
 """
 
 from __future__ import annotations

@@ -23,8 +23,6 @@ import numpy as np
 from ..core import (
     Derived,
     DetectorConfig,
-    FittedDetector,
-    ScoreSeries,
     TimeSeries,
     frame,
     resolve,
@@ -32,6 +30,7 @@ from ..core import (
     with_lookback,
 )
 from ..errors import (
+    DimensionMismatch,
     DistanceMatrixTooLarge,
     InvalidHyperparameter,
     NoCorePoints,
@@ -85,6 +84,12 @@ def _row_blocks(rows: int, cols: int):
     _BLOCK_ENTRIES entries and at least one row."""
     step = _block_height(cols)
     return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
+def _check_windows(windows: np.ndarray) -> None:
+    """Raise DimensionMismatch unless ``windows`` is a matrix, one window per row."""
+    if np.ndim(windows) != 2:
+        raise DimensionMismatch(f"windows must be two-dimensional, got shape {np.shape(windows)}")
 
 
 def _sq_norms(x: np.ndarray) -> np.ndarray:
@@ -147,6 +152,7 @@ class KMeansModel:
 def kmeans_fit(windows: np.ndarray, k: int = 4, seed: int = 0) -> KMeansModel:
     """Lloyd iterations from distance-weighted seeding until the assignment
     stops changing (at most 300 rounds); empty clusters keep their centroid."""
+    _check_windows(windows)
     if k < 1:
         raise InvalidHyperparameter(f"k-means needs k >= 1 centroids, got k={k}")
     m = windows.shape[0]
@@ -184,10 +190,11 @@ def kmeans_fit(windows: np.ndarray, k: int = 4, seed: int = 0) -> KMeansModel:
     return KMeansModel(centroids=centroids.copy(), inertia=inertia)
 
 
-def kmeans_score(model: KMeansModel, windows: np.ndarray) -> ScoreSeries:
+def kmeans_score(model: KMeansModel, windows: np.ndarray) -> np.ndarray:
     """Euclidean distance to the nearest centroid, assigned to the window end."""
+    _check_windows(windows)
     d2 = _pairwise_sq(windows, model.centroids)
-    return ScoreSeries(np.sqrt(d2.min(axis=1)))
+    return np.sqrt(d2.min(axis=1))
 
 
 # ---------------------------------------------------------------------------
@@ -215,6 +222,7 @@ class DbscanModel:
 def dbscan_fit(windows: np.ndarray, epsilon: float = 0.4, mu: int = 5) -> DbscanModel:
     """Find the training windows whose epsilon-neighborhood (self excluded)
     holds at least mu points."""
+    _check_windows(windows)
     if mu < 1:
         raise InvalidHyperparameter(f"mu must be >= 1, got {mu}")
     _check_epsilon(epsilon)
@@ -233,18 +241,19 @@ def dbscan_fit(windows: np.ndarray, epsilon: float = 0.4, mu: int = 5) -> Dbscan
     return DbscanModel(epsilon=epsilon, core_points=windows[core_mask])
 
 
-def dbscan_score(model: DbscanModel, windows: np.ndarray) -> ScoreSeries:
+def dbscan_score(model: DbscanModel, windows: np.ndarray) -> np.ndarray:
     """Distance to the nearest training core point; 0 inside its epsilon ball.
 
     Each row block of query-to-core distances is reduced to its row minima.
     The square root of each row's minimum equals the minimum of the row's
     square roots, because sqrt is monotone and correctly rounded."""
+    _check_windows(windows)
     core = model.core_points
     d = np.empty(windows.shape[0])
     for rows in _row_blocks(windows.shape[0], core.shape[0]):
         d[rows] = _pairwise_sq(windows[rows], core).min(axis=1)
     np.sqrt(d, out=d)
-    return ScoreSeries(np.where(d <= model.epsilon, 0.0, d))
+    return np.where(d <= model.epsilon, 0.0, d)
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +530,7 @@ def _avg_path(n: int, harmonics: np.ndarray) -> float:
 
 def iforest_fit(windows: np.ndarray, n_trees: int = 10, seed: int = 0) -> IsoForest:
     """Build n_trees isolation trees on subsamples of at most 256 windows."""
+    _check_windows(windows)
     m = windows.shape[0]
     if m < 2:
         raise TooFewWindows(f"isolation forest needs at least 2 windows, got {m}")
@@ -547,15 +557,14 @@ def iforest_fit(windows: np.ndarray, n_trees: int = 10, seed: int = 0) -> IsoFor
     return IsoForest(trees=tuple(trees), subsample=subsample)
 
 
-def iforest_score(model: IsoForest, windows: np.ndarray) -> ScoreSeries:
+def iforest_score(model: IsoForest, windows: np.ndarray) -> np.ndarray:
     """S(x) = 2^(-E(path length)/c(subsample)); deeper isolation scores lower."""
+    _check_windows(windows)
     paths = np.zeros(windows.shape[0])
     for tree in model.trees:
         paths += tree.apply(windows)
     expected = paths / model.n_trees
-    return ScoreSeries(
-        np.power(2.0, -expected / _avg_path(model.subsample, _harmonic(model.subsample)))
-    )
+    return np.power(2.0, -expected / _avg_path(model.subsample, _harmonic(model.subsample)))
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +604,7 @@ def ocsvm_fit(
     the two kernel rows it reads (as LIBSVM's solver does, Chang & Lin,
     ACM TIST 2011).
     """
+    _check_windows(windows)
     m = windows.shape[0]
     if m < 2:
         raise TooFewWindows(f"one-class SVM needs at least 2 windows, got {m}")
@@ -660,10 +670,11 @@ def ocsvm_fit(
     )
 
 
-def ocsvm_score(model: OcSvmModel, windows: np.ndarray) -> ScoreSeries:
+def ocsvm_score(model: OcSvmModel, windows: np.ndarray) -> np.ndarray:
     """rho - sum_i alpha_i K(sv_i, x): positive outside the learned boundary.
 
     The test-by-support-vector kernel is built one row block at a time."""
+    _check_windows(windows)
     vectors = model.support_vectors
     scores = np.empty(windows.shape[0])
     for rows in _row_blocks(windows.shape[0], vectors.shape[0]):
@@ -673,7 +684,7 @@ def ocsvm_score(model: OcSvmModel, windows: np.ndarray) -> ScoreSeries:
         scores[rows] = model.rho - kernel @ model.dual_coeffs
         # Free this block before _pairwise_sq builds the next one.
         del kernel
-    return ScoreSeries(scores)
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -837,13 +848,13 @@ def gbt_fit(
     )
 
 
-def gbt_score(model: GbtModel, test_frame: tuple[np.ndarray, np.ndarray]) -> ScoreSeries:
+def gbt_score(model: GbtModel, test_frame: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """Absolute one-step forecast error of the boosted ensemble."""
     data, targets = test_frame
     predictions = np.full(data.shape[0], model.base_score)
     for tree in model.trees:
         predictions += model.learning_rate * tree.apply(data)
-    return ScoreSeries(np.abs(predictions - targets))
+    return np.abs(predictions - targets)
 
 
 # ---------------------------------------------------------------------------
@@ -862,14 +873,12 @@ class KMeansDetector:
     family = "ml"
     params = {"k": 4}
 
-    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
+    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> KMeansModel:
         k = resolve(cfg, self.params)["k"]
-        windows = subsequences(train, cfg.window_width)
-        return FittedDetector(cfg, kmeans_fit(windows, k, cfg.seed))
+        return kmeans_fit(subsequences(train, cfg.window_width), k, cfg.seed)
 
-    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
-        windows = _test_subsequences(train, test, fitted.config.window_width)
-        return kmeans_score(fitted.state, windows)
+    def score(self, model, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries) -> np.ndarray:
+        return kmeans_score(model, _test_subsequences(train, test, cfg.window_width))
 
 
 class DbscanDetector:
@@ -879,14 +888,12 @@ class DbscanDetector:
     family = "ml"
     params = {"epsilon": 0.4, "mu": 5}
 
-    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
+    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> DbscanModel:
         p = resolve(cfg, self.params)
-        windows = subsequences(train, cfg.window_width)
-        return FittedDetector(cfg, dbscan_fit(windows, p["epsilon"], p["mu"]))
+        return dbscan_fit(subsequences(train, cfg.window_width), p["epsilon"], p["mu"])
 
-    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
-        windows = _test_subsequences(train, test, fitted.config.window_width)
-        return dbscan_score(fitted.state, windows)
+    def score(self, model, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries) -> np.ndarray:
+        return dbscan_score(model, _test_subsequences(train, test, cfg.window_width))
 
 
 class LofDetector:
@@ -896,15 +903,12 @@ class LofDetector:
     family = "ml"
     params = {"k_neighbors": 10}
 
-    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
+    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> LofModel:
         k_neighbors = resolve(cfg, self.params)["k_neighbors"]
-        windows = subsequences(train, cfg.window_width)
-        model = LofModel(k_neighbors=k_neighbors, reference_windows=windows)
-        return FittedDetector(cfg, model)
+        return LofModel(k_neighbors, subsequences(train, cfg.window_width))
 
-    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
-        windows = _test_subsequences(train, test, fitted.config.window_width)
-        return ScoreSeries(fitted.state.scores(windows))
+    def score(self, model, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries) -> np.ndarray:
+        return model.scores(_test_subsequences(train, test, cfg.window_width))
 
 
 class IforestDetector:
@@ -914,14 +918,12 @@ class IforestDetector:
     family = "ml"
     params = {"n_trees": 10}
 
-    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
+    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> IsoForest:
         n_trees = resolve(cfg, self.params)["n_trees"]
-        windows = subsequences(train, cfg.window_width)
-        return FittedDetector(cfg, iforest_fit(windows, n_trees, cfg.seed))
+        return iforest_fit(subsequences(train, cfg.window_width), n_trees, cfg.seed)
 
-    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
-        windows = _test_subsequences(train, test, fitted.config.window_width)
-        return iforest_score(fitted.state, windows)
+    def score(self, model, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries) -> np.ndarray:
+        return iforest_score(model, _test_subsequences(train, test, cfg.window_width))
 
 
 class OcsvmDetector:
@@ -934,14 +936,12 @@ class OcsvmDetector:
     def _width(self, cfg: DetectorConfig) -> int:
         return 2 if resolve(cfg, self.params)["project_2d"] else cfg.window_width
 
-    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
+    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> OcSvmModel:
         p = resolve(cfg, self.params)
-        windows = subsequences(train, self._width(cfg))
-        return FittedDetector(cfg, ocsvm_fit(windows, p["nu"], p["rbf_gamma"]))
+        return ocsvm_fit(subsequences(train, self._width(cfg)), p["nu"], p["rbf_gamma"])
 
-    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
-        windows = _test_subsequences(train, test, self._width(fitted.config))
-        return ocsvm_score(fitted.state, windows)
+    def score(self, model, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries) -> np.ndarray:
+        return ocsvm_score(model, _test_subsequences(train, test, self._width(cfg)))
 
 
 class GbtDetector:
@@ -951,10 +951,9 @@ class GbtDetector:
     family = "ml"
     params = {"n_estimators": 1000, "max_depth": 3, "learning_rate": 0.1}
 
-    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        model = gbt_fit(frame(train, cfg.window_width), **resolve(cfg, self.params))
-        return FittedDetector(cfg, model)
+    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> GbtModel:
+        return gbt_fit(frame(train, cfg.window_width), **resolve(cfg, self.params))
 
-    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
-        w = fitted.config.window_width
-        return gbt_score(fitted.state, frame(with_lookback(train, test, w), w))
+    def score(self, model, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries) -> np.ndarray:
+        w = cfg.window_width
+        return gbt_score(model, frame(with_lookback(train, test, w), w))

@@ -17,8 +17,6 @@ import numpy as np
 
 from ..core import (
     DetectorConfig,
-    FittedDetector,
-    ScoreSeries,
     TimeSeries,
     frame,
     resolve,
@@ -319,19 +317,19 @@ class MlpDetector:
     family = "neural"
     params = {"hidden_dims": (100, 50), **_TRAIN_PARAMS}
 
-    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
+    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> DenseNet:
         p = resolve(cfg, self.params)
         hidden = p.pop("hidden_dims")
         dims = [cfg.window_width, *hidden, 1]
         net = dense_net(dims, ["relu"] * len(hidden) + ["linear"], seed=cfg.seed)
         net_train(net, frame(train, cfg.window_width), TrainSpec(**p))
-        return FittedDetector(cfg, net)
+        return net
 
-    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
-        w = fitted.config.window_width
+    def score(self, model, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries) -> np.ndarray:
+        w = cfg.window_width
         windows, targets = frame(with_lookback(train, test, w), w)
-        forecasts = _score_rows(fitted.state, windows, lambda out, _: out[:, 0])
-        return ScoreSeries(np.abs(forecasts - targets))
+        forecasts = _score_rows(model, windows, lambda out, _: out[:, 0])
+        return np.abs(forecasts - targets)
 
 
 class AutoencoderDetector:
@@ -341,14 +339,14 @@ class AutoencoderDetector:
     family = "neural"
     params = {"hidden_dims": (32, 16), **_TRAIN_PARAMS}
 
-    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
+    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> DenseNet:
         p = resolve(cfg, self.params)
         net = _build_autoencoder(cfg.window_width, p.pop("hidden_dims"), cfg.seed)
         windows = subsequences(train, cfg.window_width)
         net_train(net, (windows, windows), TrainSpec(**p))
-        return FittedDetector(cfg, net)
+        return net
 
-    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
-        windows = _test_subsequences(train, test, fitted.config.window_width)
-        errors = _score_rows(fitted.state, windows, lambda out, rows: ((out - rows) ** 2).sum(axis=1))
-        return ScoreSeries(np.sqrt(errors))
+    def score(self, model, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries) -> np.ndarray:
+        windows = _test_subsequences(train, test, cfg.window_width)
+        errors = _score_rows(model, windows, lambda out, rows: ((out - rows) ** 2).sum(axis=1))
+        return np.sqrt(errors)

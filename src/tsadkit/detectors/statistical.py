@@ -21,8 +21,6 @@ import numpy as np
 from ..core import (
     Derived,
     DetectorConfig,
-    FittedDetector,
-    ScoreSeries,
     TimeSeries,
     resolve,
     with_lookback,
@@ -136,12 +134,12 @@ def ar_fit(train: TimeSeries, p: Optional[int] = None) -> ArFit:
     )
 
 
-def ar_score(fit: ArFit, series: TimeSeries) -> ScoreSeries:
+def ar_score(fit: ArFit, series: TimeSeries) -> np.ndarray:
     """One-step-ahead absolute forecast errors of every point after the
     first p, rolling over true past values."""
     values = series.values
     predictions = _lag_matrix(values, fit.p) @ fit.coefficients + fit.intercept
-    return ScoreSeries(np.abs(values[fit.p :] - predictions))
+    return np.abs(values[fit.p :] - predictions)
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +219,7 @@ def ma_fit(train: TimeSeries, q: int) -> MaFit:
     return MaFit(coefficients=invertible_ma(coeffs), mu=mu)
 
 
-def ma_score(fit: MaFit, test: TimeSeries) -> ScoreSeries:
+def ma_score(fit: MaFit, test: TimeSeries) -> np.ndarray:
     """Run the innovation recursion forward: e_t = x_t - mu - b.e_lags."""
     values = test.values
     n = values.size
@@ -233,7 +231,7 @@ def ma_score(fit: MaFit, test: TimeSeries) -> ScoreSeries:
         pred = fit.mu + b @ eps[t : t + q][::-1]
         eps[t + q] = values[t] - pred
         scores[t] = abs(eps[t + q])
-    return ScoreSeries(scores)
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +312,7 @@ def _css_jacobian(values: np.ndarray, theta: np.ndarray, p: int, q: int, eps: np
     the last bit, the derivative this fit has always used: the columns for
     MA lags j >= 2, which exist when q >= 2, are wrong.  Correcting them
     changes the fitted models and is a change of its own (ROADMAP item
-    1(b)), not part of a speed-up.
+    1), not part of a speed-up.
     """
     x = values.tolist()
     e = eps.tolist()
@@ -447,14 +445,14 @@ def _trend_order(values: np.ndarray) -> int:
     return 1 if abs(theta[0]) * n > 2.0 * sigma else 0
 
 
-def arima_score(fit: ArimaFit, series: TimeSeries) -> ScoreSeries:
+def arima_score(fit: ArimaFit, series: TimeSeries) -> np.ndarray:
     """Difference d times, then the one-step residuals of every point after
     the first d + p; innovations before those points are zero."""
     inner = fit.inner
     differenced = np.diff(series.values, n=fit.d)
     theta = np.concatenate(([inner.intercept], inner.ar, inner.ma))
     eps = _css_residuals(differenced, theta, inner.p, inner.q)
-    return ScoreSeries(np.abs(eps[inner.p :]))
+    return np.abs(eps[inner.p :])
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +648,7 @@ def holtwinters_fit(
     )
 
 
-def smoothing_score(fit: SmoothingFit, test: TimeSeries) -> ScoreSeries:
+def smoothing_score(fit: SmoothingFit, test: TimeSeries) -> np.ndarray:
     """Absolute one-step errors with the smoothing state rolled through test."""
     values = test.values
     scores = []
@@ -669,7 +667,7 @@ def smoothing_score(fit: SmoothingFit, test: TimeSeries) -> ScoreSeries:
             ring.append(fit.gamma * (x - new_level) + (1.0 - fit.gamma) * season_prev)
             ring.pop(0)
         level = new_level
-    return ScoreSeries(np.array(scores, dtype=np.float64))
+    return np.array(scores, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------
@@ -713,13 +711,13 @@ def pci_fit(train: TimeSeries, k: int = 30, alpha: float = 98.5) -> PciFit:
     return PciFit(k=k, alpha=alpha, residual_s=float(residuals.std()))
 
 
-def pci_score(fit: PciFit, series: TimeSeries) -> ScoreSeries:
+def pci_score(fit: PciFit, series: TimeSeries) -> np.ndarray:
     """|residual| / interval half-width of every point after the first 2k;
     score > 1 means outside the band."""
     predictions = _pci_predict(series.values, fit.k)
     t_quantile = student_t_ppf(fit.alpha / 100.0, 2 * fit.k - 1)
     half_width = t_quantile * max(fit.residual_s, 1e-12) * math.sqrt(1.0 + 1.0 / (2 * fit.k))
-    return ScoreSeries(np.abs(series.values[2 * fit.k :] - predictions) / half_width)
+    return np.abs(series.values[2 * fit.k :] - predictions) / half_width
 
 
 # ---------------------------------------------------------------------------
@@ -780,11 +778,11 @@ class ArDetector:
     family = "statistical"
     params = {"p": Derived("lag cap floor(12*(n_train/100)^(1/4))", int)}
 
-    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        return FittedDetector(cfg, ar_fit(train, resolve(cfg, self.params)["p"]))
+    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> ArFit:
+        return ar_fit(train, resolve(cfg, self.params)["p"])
 
-    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
-        return ar_score(fitted.state, with_lookback(train, test, fitted.state.p))
+    def score(self, model, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries) -> np.ndarray:
+        return ar_score(model, with_lookback(train, test, model.p))
 
 
 class MaDetector:
@@ -794,12 +792,12 @@ class MaDetector:
     family = "statistical"
     params = {"q": Derived("window width w", int)}
 
-    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
+    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> MaFit:
         q = resolve(cfg, self.params)["q"]
-        return FittedDetector(cfg, ma_fit(train, cfg.window_width if q is None else q))
+        return ma_fit(train, cfg.window_width if q is None else q)
 
-    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
-        return ma_score(fitted.state, test)
+    def score(self, model, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries) -> np.ndarray:
+        return ma_score(model, test)
 
 
 class ArimaDetector:
@@ -809,13 +807,12 @@ class ArimaDetector:
     family = "statistical"
     params = {"p": 1, "d": Derived("1 if trend detected else 0", int), "q": 2}
 
-    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
+    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> ArimaFit:
         p = resolve(cfg, self.params)
-        return FittedDetector(cfg, arima_fit(train, p["p"], p["d"], p["q"]))
+        return arima_fit(train, p["p"], p["d"], p["q"])
 
-    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
-        fit = fitted.state
-        return arima_score(fit, with_lookback(train, test, fit.d + fit.inner.p))
+    def score(self, model, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries) -> np.ndarray:
+        return arima_score(model, with_lookback(train, test, model.d + model.inner.p))
 
 
 class SesDetector:
@@ -825,11 +822,11 @@ class SesDetector:
     family = "statistical"
     params = {"alpha": Derived("grid search over {0.01..0.99}", float)}
 
-    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
-        return FittedDetector(cfg, ses_fit(train, resolve(cfg, self.params)["alpha"]))
+    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> SmoothingFit:
+        return ses_fit(train, resolve(cfg, self.params)["alpha"])
 
-    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
-        return smoothing_score(fitted.state, test)
+    def score(self, model, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries) -> np.ndarray:
+        return smoothing_score(model, test)
 
 
 class EsDetector:
@@ -844,17 +841,15 @@ class EsDetector:
         "period": Derived("series period hint; trend-only smoothing when absent", int),
     }
 
-    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
+    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> SmoothingFit:
         p = resolve(cfg, self.params)
         period = train.period_hint if p["period"] is None else p["period"]
         if period is None:
-            fit = holt_fit(train, p["alpha"], p["beta"])
-        else:
-            fit = holtwinters_fit(train, period, p["alpha"], p["beta"], p["gamma"])
-        return FittedDetector(cfg, fit)
+            return holt_fit(train, p["alpha"], p["beta"])
+        return holtwinters_fit(train, period, p["alpha"], p["beta"], p["gamma"])
 
-    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
-        return smoothing_score(fitted.state, test)
+    def score(self, model, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries) -> np.ndarray:
+        return smoothing_score(model, test)
 
 
 class PciDetector:
@@ -864,9 +859,9 @@ class PciDetector:
     family = "statistical"
     params = {"k": 30, "pci_alpha": 98.5}
 
-    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> FittedDetector:
+    def fit(self, train: TimeSeries, cfg: DetectorConfig) -> PciFit:
         p = resolve(cfg, self.params)
-        return FittedDetector(cfg, pci_fit(train, p["k"], p["pci_alpha"]))
+        return pci_fit(train, p["k"], p["pci_alpha"])
 
-    def score(self, fitted: FittedDetector, train: TimeSeries, test: TimeSeries) -> ScoreSeries:
-        return pci_score(fitted.state, with_lookback(train, test, 2 * fitted.state.k))
+    def score(self, model, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries) -> np.ndarray:
+        return pci_score(model, with_lookback(train, test, 2 * model.k))

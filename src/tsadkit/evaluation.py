@@ -1,7 +1,9 @@
 """Ranking metrics (ROC/AUC, best F-score, NMM) and timed detector runs.
 
-Every detector scores every test point, so the metrics take the test
-labels as they are, one per score.
+A detector's ``score(model, cfg, train, test)`` returns a plain float
+array; :func:`timed_run` wraps it in the run's one :class:`ScoreSeries`,
+which the metrics take.  Every detector scores every test point, so the
+metrics take the test labels as they are, one per score.
 """
 
 from __future__ import annotations
@@ -197,17 +199,18 @@ def timed_run(detector, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries
 
     Detector and metric errors become a failed run instead of aborting the
     caller's batch; its timings cover the stages reached.  A detector must
-    give one score per test point.  The run makes no internal concurrency;
-    callers wanting meaningful timings must not run anything else in
-    parallel.
+    give one finite score per test point, as a 1-D array.  The run makes no
+    internal concurrency; callers wanting meaningful timings must not run
+    anything else in parallel.
     """
     fit_end = score_end = None
     start = time.perf_counter()
     try:
-        fitted = detector.fit(train, cfg)
+        model = detector.fit(train, cfg)
         fit_end = time.perf_counter()
-        scores = detector.score(fitted, train, test)
+        raw = detector.score(model, cfg, train, test)
         score_end = time.perf_counter()
+        scores = ScoreSeries(raw)
         if len(scores) != len(test):
             raise DimensionMismatch(f"{len(scores)} scores for {len(test)} test points")
         if test.labels is None:

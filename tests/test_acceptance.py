@@ -240,8 +240,8 @@ def _own_class_nmm(detector_name: str, spec: SynthSpec, period_hint=None) -> flo
     test = standardize(test, params)
     detector = get_detector(detector_name)
     cfg = DetectorConfig(name=detector_name, window_width=8)
-    scores = detector.score(detector.fit(train, cfg), train, test)
-    return nmm(float(np.mean(scores.scores**2)), naive_mse(test))
+    scores = detector.score(detector.fit(train, cfg), cfg, train, test)
+    return nmm(float(np.mean(scores**2)), naive_mse(test))
 
 
 def test_criterion_05_models_beat_persistence_on_their_own_class():

@@ -23,7 +23,6 @@ from tsadkit import (
 )
 from tsadkit.bench import _pair_seed, _preprocess
 from tsadkit.cli import main, parse_kv_file
-from tsadkit.core import FittedDetector, ScoreSeries
 from tsadkit.detectors import REGISTRY, ml
 from tsadkit.errors import InvalidSpec, TsadError, UnknownDetector
 
@@ -128,10 +127,10 @@ class TestRunBenchmark:
             family = "ml"
 
             def fit(self, train, cfg):
-                return FittedDetector(cfg, None)
+                return None
 
-            def score(self, fitted, train, test):
-                return ScoreSeries([])
+            def score(self, model, cfg, train, test):
+                return np.empty(0)
 
         monkeypatch.setitem(REGISTRY, "empty", EmptyDetector())
         manifest = write_manifest(tmp_path, [labelled_series(n=200, anomaly_at=60)])
@@ -167,10 +166,10 @@ class TestRunBenchmark:
             defaults = {}
 
             def fit(self, train, cfg):
-                return FittedDetector(cfg, None)
+                return None
 
-            def score(self, fitted, train, test):
-                return ScoreSeries(np.full(len(test), np.nan))
+            def score(self, model, cfg, train, test):
+                return np.full(len(test), np.nan)
 
         monkeypatch.setitem(REGISTRY, "nan", NanDetector())
         rows, summary, curves = run_benchmark(quick_config(detectors=("ar", "nan")))
@@ -315,7 +314,7 @@ class TestReports:
             def fit(self, train, cfg):
                 raise TsadError('bad fit, "quoted" part')
 
-            def score(self, fitted, train, test):  # pragma: no cover - fit always raises
+            def score(self, model, cfg, train, test):  # pragma: no cover - fit always raises
                 raise AssertionError
 
         monkeypatch.setitem(REGISTRY, "broken", BrokenDetector())

@@ -113,6 +113,61 @@ class TestNabCsv:
         assert out.labels.tolist() == [0]
 
 
+# Header and a row template with the value left open, per loader.
+CSV_LAYOUTS = {
+    "yahoo": ("timestamp,value,is_anomaly", "1,{},0"),
+    "nab": ("timestamp,value", "2014-07-01 00:00:00,{}"),
+}
+
+
+def load_csv_text(loader: str, tmp_path, text: str):
+    path = tmp_path / "s.csv"
+    path.write_text(text)
+    if loader == "yahoo":
+        return load_yahoo_csv(path)
+    windows = tmp_path / "windows.json"
+    windows.write_text(json.dumps({"s.csv": []}))
+    return load_nab_csv(path, windows)
+
+
+@pytest.mark.parametrize("loader", CSV_LAYOUTS)
+class TestMalformedCsv:
+    """Both loaders read the header and rows the same way."""
+
+    @pytest.mark.parametrize(
+        "layout, row, message",
+        [
+            (lambda h, r: "", 1, "file is empty"),
+            (lambda h, r: h + "\n", 2, "file contains a header but no data rows"),
+            (lambda h, r: h + "\n\n\n", 2, "file contains a header but no data rows"),
+            (lambda h, r: f"{h}\n{r.format(5.0)}\n\n1\n", 4, "expected {n} fields, got 1"),
+            (lambda h, r: f"{h}\n{r.format(5.0)},7\n", 2, "expected {n} fields, got {m}"),
+            (lambda h, r: f"{h}\n{r.format('oops')}\n", 2, "cannot parse 'oops' as a number"),
+            (lambda h, r: f"{h}\n{r.format('inf')}\n", 2, "non-finite value 'inf'"),
+        ],
+        ids=["empty", "header-only", "blank-rows-only", "short-row", "long-row", "bad-value", "inf"],
+    )
+    def test_parse_errors_name_the_row(self, loader, tmp_path, layout, row, message):
+        header, template = CSV_LAYOUTS[loader]
+        n = header.count(",") + 1
+        with pytest.raises(ParseError) as err:
+            load_csv_text(loader, tmp_path, layout(header, template))
+        assert err.value.row == row
+        assert str(err.value) == f"{tmp_path / 's.csv'}:{row}: {message.format(n=n, m=n + 1)}"
+
+    def test_a_missing_column_comes_before_any_row_error(self, loader, tmp_path):
+        header, _ = CSV_LAYOUTS[loader]
+        with pytest.raises(MissingColumn) as err:
+            load_csv_text(loader, tmp_path, header.replace("value", "level") + "\n1\n")
+        assert err.value.column == "value"
+
+    def test_padded_header_and_blank_rows(self, loader, tmp_path):
+        header, template = CSV_LAYOUTS[loader]
+        padded = ",".join(f" {name} " for name in header.split(","))
+        text = f"{padded}\n\n{template.format(5.0)}\n\n{template.format(6.0)}\n"
+        assert load_csv_text(loader, tmp_path, text).values.tolist() == [5.0, 6.0]
+
+
 class TestRoundTrip:
     def test_bit_equal_after_rewrite(self, tmp_path):
         rng = np.random.default_rng(11)

@@ -304,12 +304,10 @@ class _SpyDetector:
     name = "spy"
 
     def fit(self, train, cfg):
-        from tsadkit import FittedDetector
+        return None
 
-        return FittedDetector(cfg, state=None)
-
-    def score(self, fitted, train, test):
-        return ScoreSeries(np.abs(test.values))
+    def score(self, model, cfg, train, test):
+        return np.abs(test.values)
 
 
 class _HugeDetector(_SpyDetector):
@@ -317,8 +315,8 @@ class _HugeDetector(_SpyDetector):
 
     name = "huge"
 
-    def score(self, fitted, train, test):
-        return ScoreSeries(np.abs(test.values) * 1e200)
+    def score(self, model, cfg, train, test):
+        return np.abs(test.values) * 1e200
 
 
 class _ShortDetector(_SpyDetector):
@@ -326,8 +324,20 @@ class _ShortDetector(_SpyDetector):
 
     name = "short"
 
-    def score(self, fitted, train, test):
-        return ScoreSeries(np.abs(test.values[1:]))
+    def score(self, model, cfg, train, test):
+        return np.abs(test.values[1:])
+
+
+class _GivenDetector(_SpyDetector):
+    """Returns the scores it was built with, whatever the test."""
+
+    name = "given"
+
+    def __init__(self, scores):
+        self.scores = scores
+
+    def score(self, model, cfg, train, test):
+        return self.scores
 
 
 class _FailingDetector:
@@ -336,7 +346,7 @@ class _FailingDetector:
     def fit(self, train, cfg):
         raise SeriesTooShort("synthetic failure for the report path")
 
-    def score(self, fitted, train, test):  # pragma: no cover - fit always raises
+    def score(self, model, cfg, train, test):  # pragma: no cover - fit always raises
         raise AssertionError
 
 
@@ -387,6 +397,25 @@ class TestTimedRun:
         out = timed_run(_ShortDetector(), DetectorConfig(name="short"), train, test)
         assert out.status == "failed"
         assert out.failure == "DimensionMismatch: 99 scores for 100 test points"
+        assert out.curve is None
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_scores_fail_the_run(self, bad):
+        train, test = self._data()
+        scores = np.abs(test.values)
+        scores[3] = bad
+        out = timed_run(_GivenDetector(scores), DetectorConfig(name="given"), train, test)
+        assert out.status == "failed"
+        assert out.failure == "NonFiniteScores: scores contain non-finite values"
+        assert out.curve is None
+
+    def test_a_score_column_fails_the_run(self):
+        train, test = self._data()
+        column = np.abs(test.values)[:, None]
+        out = timed_run(_GivenDetector(column), DetectorConfig(name="given"), train, test)
+        assert out.status == "failed"
+        reason = "DimensionMismatch: scores must be one-dimensional, got shape (100, 1)"
+        assert out.failure == reason
         assert out.curve is None
 
     def test_unlabeled_test_fails_gracefully(self):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -46,6 +47,7 @@ from tsadkit.detectors.ml import (
     ocsvm_score,
 )
 from tsadkit.errors import (
+    DimensionMismatch,
     DistanceMatrixTooLarge,
     InvalidHyperparameter,
     NoCorePoints,
@@ -72,7 +74,7 @@ class TestKMeans:
     def test_hand_scores(self):
         model = KMeansModel(centroids=np.array([[0.0, 0.0], [10.0, 10.0]]), inertia=0.0)
         out = kmeans_score(model, raw_frame([[0.0, 0.0], [10.0, 11.0], [5.0, 5.0]]))
-        assert np.allclose(out.scores, [0.0, 1.0, math.sqrt(50.0)], atol=1e-12)
+        assert np.allclose(out, [0.0, 1.0, math.sqrt(50.0)], atol=1e-12)
 
     def test_scores_match_brute_force(self):
         rng = np.random.default_rng(2)
@@ -86,7 +88,7 @@ class TestKMeans:
                 for w in test
             ]
         )
-        assert np.allclose(out.scores, expected, atol=1e-9)
+        assert np.allclose(out, expected, atol=1e-9)
 
     def test_separated_blobs_recovered(self):
         lo = blob_windows(30, 2, 0.0, seed=3)
@@ -117,7 +119,7 @@ class TestDbscan:
         model = dbscan_fit(windows, epsilon=0.5, mu=5)
         assert model.core_points.shape[0] == 10
         out = dbscan_score(model, raw_frame(np.ones((2, 3))))
-        assert np.array_equal(out.scores, np.zeros(2))
+        assert np.array_equal(out, np.zeros(2))
 
     def test_core_flags_match_brute_force(self):
         rng = np.random.default_rng(7)
@@ -137,8 +139,8 @@ class TestDbscan:
     def test_score_is_zero_or_distance(self):
         model = DbscanModel(epsilon=1.0, core_points=np.array([[0.0, 0.0]]))
         scored = dbscan_score(model, raw_frame([[0.0, 0.5], [0.0, 3.0]]))
-        assert scored.scores[0] == 0.0
-        assert abs(scored.scores[1] - 3.0) < 1e-12
+        assert scored[0] == 0.0
+        assert abs(scored[1] - 3.0) < 1e-12
 
     def test_no_core_points(self):
         rng = np.random.default_rng(8)
@@ -213,8 +215,8 @@ class TestPairwiseGuard:
             dbscan = dbscan_fit(raw_frame(train), epsilon=2.0, mu=5)
             return (
                 lof.scores(test),
-                ocsvm_score(svm, raw_frame(test)).scores,
-                dbscan_score(dbscan, raw_frame(test)).scores,
+                ocsvm_score(svm, raw_frame(test)),
+                dbscan_score(dbscan, raw_frame(test)),
             )
 
         uncapped = fit_and_score()
@@ -454,14 +456,14 @@ class TestIforest:
         windows = np.vstack((rng.normal(0.0, 0.5, (127, 3)), np.full((1, 3), 20.0)))
         model = iforest_fit(raw_frame(windows), n_trees=50, seed=3)
         out = iforest_score(model, raw_frame(windows))
-        assert int(np.argmax(out.scores)) == 127
+        assert int(np.argmax(out)) == 127
 
     def test_score_range(self):
         rng = np.random.default_rng(15)
         windows = raw_frame(rng.normal(0.0, 1.0, (100, 4)))
         out = iforest_score(iforest_fit(windows, seed=1), windows)
-        assert np.all(out.scores > 0.0)
-        assert np.all(out.scores <= 1.0)
+        assert np.all(out > 0.0)
+        assert np.all(out <= 1.0)
 
     def test_tree_order_does_not_matter(self):
         rng = np.random.default_rng(16)
@@ -469,8 +471,8 @@ class TestIforest:
         model = iforest_fit(windows, n_trees=12, seed=2)
         shuffled = IsoForest(trees=tuple(reversed(model.trees)), subsample=model.subsample)
         assert np.allclose(
-            iforest_score(model, windows).scores,
-            iforest_score(shuffled, windows).scores,
+            iforest_score(model, windows),
+            iforest_score(shuffled, windows),
             atol=1e-12,
         )
 
@@ -495,7 +497,7 @@ class TestIforest:
         windows = raw_frame(rng.normal(0.0, 1.0, (60, 3)))
         a = iforest_score(iforest_fit(windows, n_trees=10, seed=7), windows)
         b = iforest_score(iforest_fit(windows, n_trees=10, seed=7), windows)
-        assert np.array_equal(a.scores, b.scores)
+        assert np.array_equal(a, b)
 
     def test_too_few_windows(self):
         with pytest.raises(TooFewWindows):
@@ -508,8 +510,8 @@ class TestOcsvm:
         windows = raw_frame(rng.normal(0.0, 1.0, (80, 2)))
         model = ocsvm_fit(windows, nu=0.5)
         out = ocsvm_score(model, raw_frame([[0.0, 0.0], [15.0, 15.0]]))
-        assert out.scores[0] < 0.0
-        assert out.scores[1] > 0.0
+        assert out[0] < 0.0
+        assert out[1] > 0.0
 
     def test_nu_bounds_training_outliers(self):
         rng = np.random.default_rng(20)
@@ -517,7 +519,7 @@ class TestOcsvm:
         nu = 0.5
         model = ocsvm_fit(windows, nu=nu)
         out = ocsvm_score(model, windows)
-        fraction_out = float(np.mean(out.scores > 1e-9))
+        fraction_out = float(np.mean(out > 1e-9))
         assert fraction_out <= nu + 0.1
 
     def test_tiny_gamma_flattens_the_boundary(self):
@@ -525,7 +527,7 @@ class TestOcsvm:
         windows = raw_frame(rng.normal(0.0, 1.0, (40, 2)))
         model = ocsvm_fit(windows, nu=0.5, rbf_gamma=1e-12)
         out = ocsvm_score(model, raw_frame(rng.normal(0.0, 5.0, (30, 2))))
-        assert np.ptp(out.scores) < 1e-6
+        assert np.ptp(out) < 1e-6
 
     def test_dual_feasibility(self):
         rng = np.random.default_rng(22)
@@ -564,7 +566,7 @@ class TestGbt:
         model = gbt_fit(fr, n_estimators=10)
         assert model.base_score == 4.0
         out = gbt_score(model, fr)
-        assert np.array_equal(out.scores, np.zeros(10))
+        assert np.array_equal(out, np.zeros(10))
 
     def test_loss_history_non_increasing(self):
         rng = np.random.default_rng(23)
@@ -580,7 +582,7 @@ class TestGbt:
         targets = np.concatenate((np.full(20, -3.0), np.full(20, 3.0)))
         fr = (windows, targets)
         model = gbt_fit(fr, n_estimators=200, max_depth=1)
-        predictions = np.abs(gbt_score(model, fr).scores)
+        predictions = np.abs(gbt_score(model, fr))
         assert np.max(predictions) < 1e-3
 
     def test_beats_naive_on_autoregressive_data(self):
@@ -595,7 +597,7 @@ class TestGbt:
         assert len(out) == len(test)
         # Anti-persistent dynamics: the last-value forecast is much worse
         # than anything that uses the sign flip.
-        ratio = nmm(float(np.mean(out.scores**2)), naive_mse(test))
+        ratio = nmm(float(np.mean(out**2)), naive_mse(test))
         assert ratio < 0.5
 
     @pytest.mark.parametrize(
@@ -713,7 +715,7 @@ class TestPresortedSplit:
             for name in ("feature", "threshold", "left", "right", "value"):
                 np.testing.assert_array_equal(getattr(tree, name), getattr(expected, name))
         np.testing.assert_array_equal(
-            gbt_score(model, test).scores, gbt_score(reference, test).scores
+            gbt_score(model, test), gbt_score(reference, test)
         )
         # The cases must exercise splitting, not only single-leaf trees.
         assert max(tree.depth for tree in model.trees) == kwargs.get("max_depth", 3)
@@ -839,13 +841,40 @@ class TestFrozenGbtFit:
             for name in ("feature", "threshold", "left", "right", "value"):
                 assert same_bytes(getattr(tree, name), getattr(expected, name)), name
         for x in (train, test):
-            assert same_bytes(gbt_score(model, x).scores, gbt_score(frozen, x).scores)
+            assert same_bytes(gbt_score(model, x), gbt_score(frozen, x))
 
     def test_cases_cover_no_some_and_all_features_tied(self):
         assert not ml._PresortedColumns(synth_frames(30)[0][0]).any_tied
         assert ml._PresortedColumns(tied_frames(1, 6)[0][0]).tied == slice(None)
         partly = ml._PresortedColumns(partly_tied_frames()[0][0])
         np.testing.assert_array_equal(partly.tied, [0, 3, 6])
+
+
+def _fitted(fit):
+    """``fit`` applied to 40 well-formed windows of width 4."""
+    return fit(blob_windows(40, 4, 0.0))
+
+
+WINDOW_MATRIX_CALLS = {
+    "kmeans_fit": lambda windows: kmeans_fit(windows, k=2),
+    "dbscan_fit": lambda windows: dbscan_fit(windows, epsilon=1.0, mu=2),
+    "iforest_fit": lambda windows: iforest_fit(windows, n_trees=2),
+    "ocsvm_fit": ocsvm_fit,
+    "kmeans_score": lambda windows: kmeans_score(_fitted(kmeans_fit), windows),
+    "dbscan_score": lambda windows: dbscan_score(_fitted(dbscan_fit), windows),
+    "iforest_score": lambda windows: iforest_score(_fitted(iforest_fit), windows),
+    "ocsvm_score": lambda windows: ocsvm_score(_fitted(ocsvm_fit), windows),
+}
+
+
+class TestMalformedWindowMatrix:
+    @pytest.mark.parametrize("name", WINDOW_MATRIX_CALLS)
+    @pytest.mark.parametrize("shape", [(40,), (10, 4, 1)], ids=["1-D", "3-D"])
+    def test_a_matrix_that_is_not_two_dimensional_is_a_typed_error(self, name, shape):
+        windows = blob_windows(40, 1, 0.0).reshape(shape)
+        message = re.escape(f"windows must be two-dimensional, got shape {shape}")
+        with pytest.raises(DimensionMismatch, match=message):
+            WINDOW_MATRIX_CALLS[name](windows)
 
 
 class TestAdapters:
@@ -863,11 +892,11 @@ class TestAdapters:
         ends = len(train) + np.arange(len(test))
         windows = np.stack([whole[end - w + 1 : end + 1] for end in ends])
         score_windows = {
-            "kmeans": lambda model: kmeans_score(model, raw_frame(windows)).scores,
-            "dbscan": lambda model: dbscan_score(model, raw_frame(windows)).scores,
+            "kmeans": lambda model: kmeans_score(model, raw_frame(windows)),
+            "dbscan": lambda model: dbscan_score(model, raw_frame(windows)),
             "lof": lambda model: model.scores(windows),
-            "iforest": lambda model: iforest_score(model, raw_frame(windows)).scores,
-            "ocsvm": lambda model: ocsvm_score(model, raw_frame(windows)).scores,
+            "iforest": lambda model: iforest_score(model, raw_frame(windows)),
+            "ocsvm": lambda model: ocsvm_score(model, raw_frame(windows)),
         }
         for name, by_window in score_windows.items():
             detector = get_detector(name)
@@ -876,9 +905,9 @@ class TestAdapters:
                 window_width=w,
                 hyperparameters={"epsilon": 1.5} if name == "dbscan" else {},
             )
-            fitted = detector.fit(train, cfg)
-            out = detector.score(fitted, train, test)
-            assert np.array_equal(out.scores, by_window(fitted.state)), name
+            model = detector.fit(train, cfg)
+            out = detector.score(model, cfg, train, test)
+            assert np.array_equal(out, by_window(model)), name
 
     def test_gbt_aligns_to_forecast_targets(self):
         # Score i is the forecast error of test point i from the w points
@@ -886,12 +915,12 @@ class TestAdapters:
         train, test = self.make_series(3), self.make_series(4, n=120)
         detector = get_detector("gbt")
         cfg = DetectorConfig(name="gbt", window_width=10, hyperparameters={"n_estimators": 20})
-        fitted = detector.fit(train, cfg)
-        out = detector.score(fitted, train, test)
+        model = detector.fit(train, cfg)
+        out = detector.score(model, cfg, train, test)
         whole = np.concatenate((train.values, test.values))
         windows = np.stack([whole[t - 10 : t] for t in len(train) + np.arange(len(test))])
-        expected = gbt_score(fitted.state, (windows, test.values))
-        assert np.array_equal(out.scores, expected.scores)
+        expected = gbt_score(model, (windows, test.values))
+        assert np.array_equal(out, expected)
 
     def test_offset_invariance(self):
         train = self.make_series(5)
@@ -901,17 +930,16 @@ class TestAdapters:
         for name, extra in (("kmeans", {}), ("dbscan", {"epsilon": 1.5}), ("lof", {})):
             detector = get_detector(name)
             cfg = DetectorConfig(name=name, window_width=10, hyperparameters=extra)
-            base = detector.score(detector.fit(train, cfg), train, test).scores
+            base = detector.score(detector.fit(train, cfg), cfg, train, test)
             moved = detector.score(
-                detector.fit(shifted_train, cfg), shifted_train, shifted_test
-            ).scores
+                detector.fit(shifted_train, cfg), cfg, shifted_train, shifted_test
+            )
             assert np.allclose(base, moved, atol=1e-7), name
 
     def test_ocsvm_projection_width(self):
         detector = get_detector("ocsvm")
         cfg = DetectorConfig(name="ocsvm", window_width=12, hyperparameters={"project_2d": True})
-        fitted = detector.fit(self.make_series(7), cfg)
-        assert fitted.state.support_vectors.shape[1] == 2
+        assert detector.fit(self.make_series(7), cfg).support_vectors.shape[1] == 2
 
     def test_unknown_key_rejected(self):
         detector = get_detector("iforest")
@@ -1111,7 +1139,7 @@ class TestInPlaceDistances:
         # product need not round as the same rows of the whole product do.
         # A score near the boundary cancels rho, so its error scales with rho.
         for x in (queries, windows):
-            got = ocsvm_score(model, raw_frame(x)).scores
+            got = ocsvm_score(model, raw_frame(x))
             want = frozen_ocsvm_score(model, x)
             np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-10 * model.rho)
 
@@ -1132,7 +1160,7 @@ class TestInPlaceDistances:
         for core, queries in ((a, b), (b, a), (a, a)):
             for epsilon in (1.0, 3.0):
                 model = DbscanModel(epsilon=epsilon, core_points=core)
-                scores = dbscan_score(model, raw_frame(queries)).scores
+                scores = dbscan_score(model, raw_frame(queries))
                 want = frozen_dbscan_score(model, queries)
                 # Row blocks of the product need not round as the whole
                 # product does; which windows score 0 does not move.

@@ -340,28 +340,28 @@ class TestMlpDetector:
     def test_default_layer_shapes(self):
         detector = get_detector("mlp")
         cfg = DetectorConfig(name="mlp", window_width=8, hyperparameters={"epochs": 1})
-        fitted = detector.fit(wavy_series(200, 1), cfg)
-        shapes = [layer.weights.shape for layer in fitted.state.layers]
+        net = detector.fit(wavy_series(200, 1), cfg)
+        shapes = [layer.weights.shape for layer in net.layers]
         assert shapes == [(8, 100), (100, 50), (50, 1)]
 
     def test_constant_series_scores_near_zero(self):
         detector = get_detector("mlp")
         cfg = DetectorConfig(name="mlp", window_width=8, hyperparameters={"epochs": 50})
         train = series(np.full(200, 0.5))
-        fitted = detector.fit(train, cfg)
-        out = detector.score(fitted, train, series(np.full(80, 0.5)))
-        assert float(np.max(out.scores)) < 0.05
+        net = detector.fit(train, cfg)
+        out = detector.score(net, cfg, train, series(np.full(80, 0.5)))
+        assert float(np.max(out)) < 0.05
 
     def test_spike_ranks_top(self):
         detector = get_detector("mlp")
         cfg = DetectorConfig(name="mlp", window_width=8, seed=3)
         train = wavy_series(400, 2)
-        fitted = detector.fit(train, cfg)
+        net = detector.fit(train, cfg)
         test_values = wavy_series(200, 4).values.copy()
         test_values[120] += 5.0
-        out = detector.score(fitted, train, series(test_values))
+        out = detector.score(net, cfg, train, series(test_values))
         assert len(out) == 200
-        assert 120 in np.argsort(out.scores)[-3:]
+        assert 120 in np.argsort(out)[-3:]
 
     def test_custom_hidden_dims(self):
         detector = get_detector("mlp")
@@ -370,8 +370,8 @@ class TestMlpDetector:
             window_width=6,
             hyperparameters={"hidden_dims": (12,), "epochs": 1},
         )
-        fitted = detector.fit(wavy_series(150, 5), cfg)
-        shapes = [layer.weights.shape for layer in fitted.state.layers]
+        net = detector.fit(wavy_series(150, 5), cfg)
+        shapes = [layer.weights.shape for layer in net.layers]
         assert shapes == [(6, 12), (12, 1)]
 
 
@@ -398,9 +398,9 @@ class TestAutoencoder:
             seed=1,
         )
         train = wavy_series(400, 6, noise=0.02)
-        fitted = detector.fit(train, cfg)
-        out = detector.score(fitted, train, wavy_series(200, 7, noise=0.02))
-        assert float(np.mean(out.scores)) < 0.5
+        net = detector.fit(train, cfg)
+        out = detector.score(net, cfg, train, wavy_series(200, 7, noise=0.02))
+        assert float(np.mean(out)) < 0.5
 
     def test_corrupted_window_scores_higher(self):
         detector = get_detector("autoencoder")
@@ -411,14 +411,14 @@ class TestAutoencoder:
             seed=2,
         )
         train = wavy_series(400, 8, noise=0.02)
-        fitted = detector.fit(train, cfg)
+        net = detector.fit(train, cfg)
         test_values = wavy_series(200, 9, noise=0.02).values.copy()
         test_values[100] += 4.0
-        out = detector.score(fitted, train, series(test_values))
+        out = detector.score(net, cfg, train, series(test_values))
         # The 16 windows that hold the corrupted point end at 100 .. 115.
         hit = np.zeros(len(out), dtype=bool)
         hit[100:116] = True
-        assert float(out.scores[hit].max()) > 3.0 * float(np.median(out.scores[~hit]))
+        assert float(out[hit].max()) > 3.0 * float(np.median(out[~hit]))
 
 
 class TestForwardOnlyScoring:
@@ -428,20 +428,19 @@ class TestForwardOnlyScoring:
     def fitted(self, request):
         detector = get_detector(request.param)
         cfg = DetectorConfig(name=request.param, window_width=30, hyperparameters={"epochs": 1})
-        return detector, detector.fit(wavy_series(400, 11), cfg)
+        return detector, cfg, detector.fit(wavy_series(400, 11), cfg)
 
     def test_outputs_match_the_training_pass(self, fitted):
-        _, fit = fitted
-        net = fit.state
+        _, _, net = fitted
         batch = wavy_series(500, 12).values[:480].reshape(16, 30)
         assert same_bits(_forward(net, batch), _forward_batch(net, batch)[0])
 
     @pytest.mark.parametrize("n", [1500, 6000])
     def test_score_holds_two_layer_outputs_and_their_input(self, fitted, n):
-        detector, fit = fitted
+        detector, cfg, net = fitted
         train, test = wavy_series(400, 11), wavy_series(n, 13)
-        _, peak = traced_peak(lambda: detector.score(fit, train, test))
-        widths = [layer.weights.shape[1] for layer in fit.state.layers]
+        _, peak = traced_peak(lambda: detector.score(net, cfg, train, test))
+        widths = [layer.weights.shape[1] for layer in net.layers]
         widest_pair = max(a + b for a, b in zip(widths, widths[1:]))
         # Windows and a few length-n vectors (the test after its lookback,
         # scores and their scratch), plus the widest two adjacent layer
@@ -457,9 +456,10 @@ class TestForwardOnlyScoring:
         # 38.7 MiB (mlp) and 19.9 MiB (autoencoder).
         train, test = long_synth()
         detector = get_detector(name)
-        fit = detector.fit(train, DetectorConfig(name=name, hyperparameters={"epochs": 1}))
-        _, peak = traced_peak(lambda: detector.score(fit, train, test))
-        window_bytes = 8 * len(test) * fit.config.window_width
+        cfg = DetectorConfig(name=name, hyperparameters={"epochs": 1})
+        net = detector.fit(train, cfg)
+        _, peak = traced_peak(lambda: detector.score(net, cfg, train, test))
+        window_bytes = 8 * len(test) * cfg.window_width
         assert peak <= window_bytes + 2 * 2**20, (peak - window_bytes) / 2**20
 
 

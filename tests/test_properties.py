@@ -122,24 +122,25 @@ def test_preprocessing_keeps_every_test_point_and_label(
 
 @functools.cache
 def fitted_net(name: str):
-    """(detector, one-epoch fit, train) of the mlp or the autoencoder."""
+    """(detector, config, one-epoch net, train) of the mlp or the autoencoder."""
     rng = np.random.default_rng(17)
     train = series(np.sin(np.arange(600) / 6.0) + rng.normal(0.0, 0.3, 600))
     detector = get_detector(name)
-    return detector, detector.fit(train, DetectorConfig(name=name, hyperparameters={"epochs": 1})), train
+    cfg = DetectorConfig(name=name, hyperparameters={"epochs": 1})
+    return detector, cfg, detector.fit(train, cfg), train
 
 
-def unblocked_scores(name: str, fitted, train, test) -> tuple[np.ndarray, np.ndarray]:
+def unblocked_scores(name: str, net, cfg, train, test) -> tuple[np.ndarray, np.ndarray]:
     """Scores from one forward pass over every test window, as before row
     blocks, with the size of the net output each is computed from.  Frozen
     here as the oracle for blocked scoring."""
-    w = fitted.config.window_width
+    w = cfg.window_width
     if name == "mlp":
         windows, targets = frame(with_lookback(train, test, w), w)
-        out = _forward(fitted.state, windows)
+        out = _forward(net, windows)
         return np.abs(out[:, 0] - targets), np.abs(out[:, 0])
     windows = subsequences(with_lookback(train, test, w - 1), w)
-    out = _forward(fitted.state, windows)
+    out = _forward(net, windows)
     return np.sqrt(((out - windows) ** 2).sum(axis=1)), np.sqrt((out**2).sum(axis=1))
 
 
@@ -159,12 +160,12 @@ def test_blocked_net_scores_match_one_pass(name, blocks, offset, seed):
     product may round a row differently from the whole product; an mlp
     score subtracts the target from the forecast, so its error scales with
     the forecast, not with the score."""
-    detector, fitted, train = fitted_net(name)
-    height = ml._block_height(max(max(layer.weights.shape) for layer in fitted.state.layers))
+    detector, cfg, net, train = fitted_net(name)
+    height = ml._block_height(max(max(layer.weights.shape) for layer in net.layers))
     n = blocks * height + offset
     rng = np.random.default_rng(seed)
     test = series(np.sin(np.arange(n) / 6.0) + rng.normal(0.0, 0.3, n))
-    got = detector.score(fitted, train, test).scores
-    want, size = unblocked_scores(name, fitted, train, test)
+    got = detector.score(net, cfg, train, test)
+    want, size = unblocked_scores(name, net, cfg, train, test)
     assert got.shape == want.shape == (n,)
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(want, size))

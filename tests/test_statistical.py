@@ -81,7 +81,7 @@ class TestAr:
         fit = ArFit(coefficients=np.array([1.0]), intercept=0.0, residual_sigma=0.0)
         out = ar_score(fit, series([2.0, 2.0, 2.0, 9.0]))
         # One score for each point after the first p.
-        assert np.array_equal(out.scores, [0.0, 0.0, 7.0])
+        assert np.array_equal(out, [0.0, 0.0, 7.0])
 
     def test_noiseless_recovery(self):
         x = np.zeros(200)
@@ -137,10 +137,10 @@ class TestAr:
         # train values, so even a three-point test gets three scores.
         train = ar1(200)
         fit = ar_fit(train, p=3)
-        assert ar_score(fit, series([1.0, 2.0, 3.0])).scores.size == 0
+        assert ar_score(fit, series([1.0, 2.0, 3.0])).size == 0
         cfg = DetectorConfig(name="ar", hyperparameters={"p": 3})
         detector = get_detector("ar")
-        assert len(detector.score(detector.fit(train, cfg), train, series([1.0, 2.0, 3.0]))) == 3
+        assert len(detector.score(detector.fit(train, cfg), cfg, train, series([1.0, 2.0, 3.0]))) == 3
 
     def test_spike_has_top_score(self):
         train = ar1(400, seed=7)
@@ -149,7 +149,7 @@ class TestAr:
         fit = ar_fit(train, p=2)
         out = ar_score(fit, with_lookback(train, series(test_values), 2))
         assert len(out) == 300
-        assert np.argmax(out.scores) == 137
+        assert np.argmax(out) == 137
 
     def test_fit_validation(self):
         with pytest.raises(InvalidOrder):
@@ -165,12 +165,12 @@ class TestMa:
         fit = MaFit(coefficients=np.array([0.5]), mu=0.0)
         out = ma_score(fit, series([1.0, 0.0]))
         # e_0 = 1 - 0 = 1; e_1 = 0 - 0.5 * 1 = -0.5.
-        assert np.allclose(out.scores, [1.0, 0.5], atol=1e-15)
+        assert np.allclose(out, [1.0, 0.5], atol=1e-15)
 
     def test_zero_coefficients_reduce_to_mean_distance(self):
         fit = MaFit(coefficients=np.array([0.0]), mu=2.5)
         out = ma_score(fit, series([7.0, 7.0, 7.0, 7.0]))
-        assert np.array_equal(out.scores, np.full(4, 4.5))
+        assert np.array_equal(out, np.full(4, 4.5))
 
     def test_white_noise_coefficient_is_small(self):
         rng = np.random.default_rng(11)
@@ -202,7 +202,7 @@ class TestMa:
         test_values = x[700:].copy()
         test_values[50] += 10.0
         out = ma_score(fit, series(test_values))
-        assert np.argmax(out.scores) == 50
+        assert np.argmax(out) == 50
 
     def test_fit_validation(self):
         with pytest.raises(InvalidOrder):
@@ -268,11 +268,11 @@ class TestInvertibleMa:
         for _ in range(30):
             b = invertible_ma(random_non_invertible_ma(rng))
             fit = MaFit(coefficients=b, mu=mu)
-            psi = ma_score(fit, series(impulse)).scores
+            psi = ma_score(fit, series(impulse))
             assert psi[-500:].max() < 1e-9
             values = mu + rng.standard_normal(n) * rng.uniform(0.1, 100.0)
             values[rng.integers(n, size=5)] += 50.0
-            scores = ma_score(fit, series(values)).scores
+            scores = ma_score(fit, series(values))
             assert np.all(np.isfinite(scores))
             assert scores.max() <= psi.sum() * np.abs(values - mu).max() * (1.0 + 1e-9)
 
@@ -357,7 +357,7 @@ class TestArima:
         out = arima_score(fit, series([9.5, 10.0, 10.5, 11.0, 11.6]))
         # Differenced: [0.5, 0.5, 0.5, 0.6]; forecasts are 0.5.  The first
         # d + p = 2 values are the lookback, so the last three are scored.
-        assert np.allclose(out.scores, [0.0, 0.0, 0.1], atol=1e-12)
+        assert np.allclose(out, [0.0, 0.0, 0.1], atol=1e-12)
 
     def test_level_shift_scores_high(self):
         rng = np.random.default_rng(23)
@@ -368,14 +368,14 @@ class TestArima:
         test_values[100:] += 8.0
         out = arima_score(fit, with_lookback(train, series(test_values), 2))
         assert len(out) == 300
-        assert np.argmax(out.scores) == 100
+        assert np.argmax(out) == 100
 
 
 class TestSmoothing:
     def test_ses_constant_scores_zero(self):
         fit = ses_fit(series([5.0, 5.0, 5.0, 5.0]))
         out = smoothing_score(fit, series([5.0, 5.0, 5.0]))
-        assert np.array_equal(out.scores, np.zeros(3))
+        assert np.array_equal(out, np.zeros(3))
 
     def test_ses_alpha_one_is_naive_forecast(self):
         train = ar1(50, seed=31)
@@ -384,7 +384,7 @@ class TestSmoothing:
         assert fit.level == train.values[-1]
         out = smoothing_score(fit, test)
         expected = np.abs(np.diff(np.concatenate((train.values[-1:], test.values))))
-        assert np.array_equal(out.scores, expected)
+        assert np.array_equal(out, expected)
 
     def test_ses_alpha_grid_bounds(self):
         fit = ses_fit(ar1(200, seed=33))
@@ -395,7 +395,7 @@ class TestSmoothing:
         fit = holt_fit(series(2.0 + 0.5 * t))
         assert abs(fit.trend - 0.5) < 1e-9
         out = smoothing_score(fit, series(2.0 + 0.5 * (60 + np.arange(20))))
-        assert np.max(out.scores) < 1e-9
+        assert np.max(out) < 1e-9
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
@@ -416,7 +416,7 @@ class TestSmoothing:
         pattern = np.tile([0.0, 0.0, 4.0, 4.0], 30)
         fit = holtwinters_fit(series(pattern[:80]), period=4)
         out = smoothing_score(fit, series(pattern[80:]))
-        assert np.mean(out.scores) < 0.5
+        assert np.mean(out) < 0.5
 
     def test_holtwinters_period_validation(self):
         with pytest.raises(InvalidPeriod):
@@ -436,8 +436,8 @@ class TestSmoothing:
         )
         out = smoothing_score(fit, series([1.0, -1.0, 1.0, -1.0]))
         # gamma = 0 freezes the season; the level chases the de-seasoned residue.
-        assert out.scores[0] == 0.0
-        assert np.max(out.scores) < 1.0
+        assert out[0] == 0.0
+        assert np.max(out) < 1.0
 
     def test_fit_validation(self):
         with pytest.raises(ValueError):
@@ -452,7 +452,7 @@ class TestPci:
     def test_constant_scores_zero(self):
         train = series(np.full(100, 3.0))
         out = pci_score(pci_fit(train, k=5), series(np.full(80, 3.0)))
-        assert np.max(out.scores) == 0.0
+        assert np.max(out) == 0.0
 
     def test_defaults(self):
         fit = PciFit()
@@ -473,7 +473,7 @@ class TestPci:
         half_width = 6.313751514800932 * math.sqrt(1.5)
         # One score for each point after the first 2k.
         assert len(out) == 3
-        assert np.allclose(out.scores, (4.0 / 3.0) / half_width, atol=1e-9)
+        assert np.allclose(out, (4.0 / 3.0) / half_width, atol=1e-9)
 
     def test_spike_has_top_score(self):
         train = ar1(300, seed=41)
@@ -481,7 +481,7 @@ class TestPci:
         test_values[140] += 12.0
         out = pci_score(pci_fit(train, k=10), with_lookback(train, series(test_values), 20))
         assert len(out) == 260
-        assert np.argmax(out.scores) == 140
+        assert np.argmax(out) == 140
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
@@ -544,8 +544,8 @@ class TestAdapters:
         detector = get_detector("ar")
         cfg = DetectorConfig(name="ar", hyperparameters={"p": 2})
         train = ar1(300, seed=51)
-        out = detector.score(detector.fit(train, cfg), train, ar1(100, seed=52))
-        assert out.scores.size == 100
+        out = detector.score(detector.fit(train, cfg), cfg, train, ar1(100, seed=52))
+        assert out.size == 100
 
     def test_unknown_key_rejected(self):
         detector = get_detector("ar")
@@ -556,22 +556,19 @@ class TestAdapters:
     def test_ma_order_defaults_to_window_width(self):
         detector = get_detector("ma")
         cfg = DetectorConfig(name="ma", window_width=3)
-        fitted = detector.fit(ar1(400, seed=53), cfg)
-        assert fitted.state.q == 3
+        assert detector.fit(ar1(400, seed=53), cfg).q == 3
 
     def test_es_uses_period_hint(self):
         detector = get_detector("es")
         pattern = np.tile([0.0, 0.0, 4.0, 4.0], 30)
-        fitted = detector.fit(
-            series(pattern, period_hint=4), DetectorConfig(name="es")
-        )
-        assert fitted.state.season_period == 4
+        fit = detector.fit(series(pattern, period_hint=4), DetectorConfig(name="es"))
+        assert fit.season_period == 4
 
     def test_es_without_period_is_trend_only(self):
         detector = get_detector("es")
-        fitted = detector.fit(ar1(120, seed=54), DetectorConfig(name="es"))
-        assert fitted.state.gamma is None
-        assert fitted.state.beta is not None
+        fit = detector.fit(ar1(120, seed=54), DetectorConfig(name="es"))
+        assert fit.gamma is None
+        assert fit.beta is not None
 
     def test_pci_two_sided_key(self):
         # A two-sided forecast reads k points after the one it scores, so it
@@ -581,8 +578,8 @@ class TestAdapters:
         cfg = DetectorConfig(name="pci", hyperparameters={"k": 5, "two_sided": True})
         with pytest.raises(UnknownHyperparameter, match="two_sided"):
             detector.fit(train, cfg)
-        fitted = detector.fit(train, DetectorConfig(name="pci", hyperparameters={"k": 5}))
-        assert len(detector.score(fitted, train, ar1(100, seed=56))) == 100
+        cfg = DetectorConfig(name="pci", hyperparameters={"k": 5})
+        assert len(detector.score(detector.fit(train, cfg), cfg, train, ar1(100, seed=56))) == 100
 
 
 class TestModelQuality:
@@ -591,7 +588,7 @@ class TestModelQuality:
         test = ar1(400, seed=62)
         fit = ar_fit(train, p=2)
         out = ar_score(fit, with_lookback(train, test, 2))
-        ratio = nmm(float(np.mean(out.scores**2)), naive_mse(test))
+        ratio = nmm(float(np.mean(out**2)), naive_mse(test))
         assert ratio < 1.0
 
     def test_scores_shift_invariant(self):
@@ -599,8 +596,8 @@ class TestModelQuality:
         test = ar1(200, seed=64)
         fit = ar_fit(train, p=2)
         shifted_fit = ar_fit(series(train.values + 100.0), p=2)
-        base = ar_score(fit, test).scores
-        moved = ar_score(shifted_fit, series(test.values + 100.0)).scores
+        base = ar_score(fit, test)
+        moved = ar_score(shifted_fit, series(test.values + 100.0))
         assert np.allclose(base, moved, atol=1e-6)
 
 
@@ -838,7 +835,7 @@ class TestCssOracle:
 
     def test_jacobian_keeps_the_known_ma_defect(self):
         # Column 1+p+j for j >= 1 is off against central differences; the
-        # fix is a deliberate output change of its own (ROADMAP item 1(b)).
+        # fix is a deliberate output change of its own (ROADMAP item 1).
         values = ar1(200, seed=75).values
         theta = np.array([0.1, 0.5, 0.3, 0.2])
         eps = statistical._css_residuals(values, theta, 1, 2)
@@ -866,7 +863,7 @@ class TestCssOracle:
         expected = arima_fit(train, p=1, d=d, q=2)
         assert arima_bits(fit) == arima_bits(expected)
         expected_scores = arima_score(expected, with_lookback(train, test, d + 1))
-        assert same_bits(scores.scores, expected_scores.scores)
+        assert same_bits(scores, expected_scores)
 
     @pytest.mark.parametrize("p, q", ORDERS)
     def test_arma_fit_matches_for_every_order(self, p, q, monkeypatch):
@@ -898,7 +895,7 @@ class TestSmoothingOracle:
         fit = ses_fit(train, alpha)
         expected = reference_ses_fit(train, alpha)
         assert smoothing_bits(fit) == smoothing_bits(expected)
-        assert same_bits(smoothing_score(fit, test).scores, reference_smoothing_score(fit, test))
+        assert same_bits(smoothing_score(fit, test), reference_smoothing_score(fit, test))
 
     @pytest.mark.parametrize("alpha, beta", [(None, None), (0.4, 0.2), (None, 0.2)])
     @pytest.mark.parametrize("scale", [1.0, 1e200])
@@ -914,7 +911,7 @@ class TestSmoothingOracle:
         values = drifting_walk(120, seed=103, drift=0.2)
         train, test = series(values[:90]), series(values[90:])
         fit = holt_fit(train, alpha, beta)
-        assert same_bits(smoothing_score(fit, test).scores, reference_smoothing_score(fit, test))
+        assert same_bits(smoothing_score(fit, test), reference_smoothing_score(fit, test))
 
     @pytest.mark.parametrize(
         "fixed",
@@ -928,7 +925,7 @@ class TestSmoothingOracle:
         monkeypatch.setattr(statistical, "_hw_sweep", reference_hw_sweep)
         expected = holtwinters_fit(train, 48, **fixed)
         assert smoothing_bits(fit) == smoothing_bits(expected)
-        assert same_bits(smoothing_score(fit, test).scores, reference_smoothing_score(fit, test))
+        assert same_bits(smoothing_score(fit, test), reference_smoothing_score(fit, test))
 
     @pytest.mark.parametrize(
         "fixed",
