@@ -11,7 +11,9 @@ follow one orientation everywhere: higher means more anomalous.
 Detectors whose natural output inverts (e.g. one-class SVM decision
 values) negate internally.
 
-Two window layouts exist, both plain arrays with one window per row:
+Two window layouts exist, both read-only strided views of the series
+values with one window per row (no copy; a consumer that hands windows to
+BLAS copies one row block at a time):
 
 * :func:`frame` returns ``(windows, targets)``, each window paired with the
   observation that follows it (forecasting layout: ``windows[i] =
@@ -213,7 +215,8 @@ def frame(series: TimeSeries, width: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(windows, targets)``: window i is row i of the ``(n - width,
     width)`` matrix, ``values[i : i + width]``, and its target is
-    ``values[i + width]``.
+    ``values[i + width]``.  The matrix is a read-only strided view of the
+    values, not a copy, so it costs no memory of its own.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
@@ -221,7 +224,7 @@ def frame(series: TimeSeries, width: int) -> tuple[np.ndarray, np.ndarray]:
     n = values.size
     if n <= width:
         raise SeriesTooShort(f"need more than width={width} observations, got {n}")
-    windows = np.lib.stride_tricks.sliding_window_view(values[:-1], width).copy()
+    windows = np.lib.stride_tricks.sliding_window_view(values[:-1], width)
     return windows, values[width:]
 
 
@@ -229,7 +232,8 @@ def subsequences(series: TimeSeries, width: int) -> np.ndarray:
     """Plain sliding subsequences as an ``(n - width + 1, width)`` matrix.
 
     Row i is ``values[i : i + width]``, so a score computed from the window
-    can be assigned to the window's final timestamp.
+    can be assigned to the window's final timestamp.  The matrix is a
+    read-only strided view of the values, not a copy.
     """
     if width < 1:
         raise ValueError("width must be >= 1")
@@ -237,7 +241,7 @@ def subsequences(series: TimeSeries, width: int) -> np.ndarray:
     n = values.size
     if n < width:
         raise SeriesTooShort(f"need at least width={width} observations, got {n}")
-    return np.lib.stride_tricks.sliding_window_view(values, width).copy()
+    return np.lib.stride_tricks.sliding_window_view(values, width)
 
 
 def with_lookback(train: TimeSeries, test: TimeSeries, k: int) -> TimeSeries:

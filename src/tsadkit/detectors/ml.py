@@ -1,10 +1,11 @@
 """Window-based classical detectors: k-means, DBSCAN, LOF, isolation
 forest, one-class SVM and gradient-boosted trees.
 
-All of them consume sliding subsequences; a window's score lands on its
-final timestamp, and the windows of the first test points reach back into
-the train tail.  The boosted-tree detector is the exception: it forecasts
-the observation after each window, like the statistical family.
+All of them consume sliding subsequences, read-only strided views of the
+series that scoring copies one row block at a time; a window's score lands
+on its final timestamp, and the windows of the first test points reach back
+into the train tail.  The boosted-tree detector is the exception: it
+forecasts the observation after each window, like the statistical family.
 Neighbor searches are exact brute force, which keeps every detector
 oracle-testable.  LOF, DBSCAN and the one-class SVM cost O(m^2) time in the
 m training windows but build their distances one row block at a time, so
@@ -61,11 +62,15 @@ __all__ = [
 # Largest distance matrix _pairwise_sq builds: 2**27 float64 entries, 1 GiB.
 _MAX_PAIRWISE_ENTRIES = 2**27
 _KDIST_FLOOR = 1e-12
-# Row blocks over a distance matrix hold about this many entries: the
-# scratch of _pairwise_sq, LOF fit and scoring, DBSCAN's fit and scoring,
-# the one-class SVM's fit and scoring kernels, and the dense nets' scoring
-# layer outputs.
+# Row blocks over a distance matrix hold about this many entries: LOF fit
+# and scoring, DBSCAN's fit and scoring, the one-class SVM's fit and
+# scoring kernels, and the dense nets' scoring layer outputs.
 _BLOCK_ENTRIES = 2**16
+# _pairwise_sq adds the squared norms through a scratch of about this many
+# entries (64 KiB).  Under glibc malloc's default 128 KiB mmap threshold,
+# the heap hands the same memory back on every call; a block-sized scratch
+# can be mapped afresh and faulted in page by page on every block.
+_SCRATCH_ENTRIES = 2**13
 # LOF expands neighbour lists in chunks of at most _LOF_CHUNK_ENTRIES entries.
 _LOF_CHUNK_ENTRIES = 2**16
 _OCSVM_TOL = 1e-4
@@ -74,16 +79,43 @@ _OCSVM_MAX_ITER = 100000
 _GBT_LAMBDA = 1.0
 
 
-def _block_height(cols: int) -> int:
-    """Rows in a block of about _BLOCK_ENTRIES entries, at least one."""
-    return max(1, _BLOCK_ENTRIES // max(cols, 1))
+def _block_height(cols: int, entries: Optional[int] = None) -> int:
+    """Rows in a block of about ``entries`` (default _BLOCK_ENTRIES)
+    entries, at least one."""
+    return max(1, (entries or _BLOCK_ENTRIES) // max(cols, 1))
 
 
-def _row_blocks(rows: int, cols: int):
+def _row_blocks(rows: int, cols: int, entries: Optional[int] = None):
     """Slices of consecutive rows of a rows x cols matrix, each block about
-    _BLOCK_ENTRIES entries and at least one row."""
-    step = _block_height(cols)
+    ``entries`` (default _BLOCK_ENTRIES) entries and at least one row."""
+    step = _block_height(cols, entries)
     return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
+def _window_blocks(windows: np.ndarray, cols: int):
+    """``(rows, block)`` over consecutive rows of ``windows``, ``block`` a
+    C-contiguous copy of ``windows[rows]``: a strided window view is copied
+    one block at a time, and BLAS gets the same contiguous rows a whole copy
+    gave it.  A block holds about _BLOCK_ENTRIES entries of the rows x cols
+    result it feeds, or of itself when the windows are wider."""
+    for rows in _row_blocks(windows.shape[0], max(cols, windows.shape[1])):
+        yield rows, np.ascontiguousarray(windows[rows])
+
+
+def _work_buffers(rows: int, height: int, cols: int) -> np.ndarray:
+    """Two buffers of min(rows, height) rows of ``cols`` entries, for a loop
+    over row blocks of at most ``height`` rows.  A loop that reuses them,
+    instead of building new block-sized arrays on every block, keeps glibc
+    malloc from returning those pages and faulting them in again."""
+    return np.empty((2, min(rows, height), cols))
+
+
+def _partitioned(rows: np.ndarray, kth, out: np.ndarray) -> np.ndarray:
+    """``np.partition(rows, kth, axis=1)``, built in the first rows of ``out``."""
+    part = out[: rows.shape[0]]
+    np.copyto(part, rows)
+    part.partition(kth, axis=1)
+    return part
 
 
 def _check_windows(windows: np.ndarray) -> None:
@@ -96,14 +128,22 @@ def _sq_norms(x: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", x, x)
 
 
-def _pairwise_sq(a: np.ndarray, b: np.ndarray, bb: Optional[np.ndarray] = None) -> np.ndarray:
+def _pairwise_sq(
+    a: np.ndarray,
+    b: np.ndarray,
+    bb: Optional[np.ndarray] = None,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
     """Squared Euclidean distances between row sets, clipped at zero.
 
     The result is the only matrix built: it starts as ``a @ b.T`` (one BLAS
     call, a symmetric syrk when ``b is a``), and the squared norms are added
-    into it one row block at a time.  ``(-2g) + (aa + bb)`` is bit for bit
-    ``aa + bb - 2g``.  ``bb``, when given, is ``_sq_norms(b)``, for callers
-    that measure many row sets against one ``b``.  Raises
+    into it through a scratch of about _SCRATCH_ENTRIES entries.
+    ``(-2g) + (aa + bb)`` is bit for bit ``aa + bb - 2g``.  ``bb``, when
+    given, is ``_sq_norms(b)``, for callers that measure many row sets
+    against one ``b``.  ``out``, when given, is a C-contiguous float64
+    array of at least len(a) rows of len(b) entries; the distances fill its
+    first len(a) rows, so a block loop can reuse one buffer.  Raises
     DistanceMatrixTooLarge before building more than _MAX_PAIRWISE_ENTRIES
     entries, and NonFiniteValues when the distances overflow, as they do
     for windows of values near 1e200; the overflow leaves inf or NaN, which
@@ -117,9 +157,9 @@ def _pairwise_sq(a: np.ndarray, b: np.ndarray, bb: Optional[np.ndarray] = None) 
     aa = _sq_norms(a)
     if bb is None:
         bb = _sq_norms(b)
-    sq = a @ b.T
+    sq = np.matmul(a, b.T, out=None if out is None else out[: a.shape[0]])
     sq *= -2.0
-    for rows in _row_blocks(*sq.shape):
+    for rows in _row_blocks(*sq.shape, _SCRATCH_ENTRIES):
         sq[rows] += aa[rows, None] + bb[None, :]
     np.maximum(sq, 0.0, out=sq)
     if not np.isfinite(sq.max(initial=0.0)):
@@ -158,6 +198,7 @@ def kmeans_fit(windows: np.ndarray, k: int = 4, seed: int = 0) -> KMeansModel:
     m = windows.shape[0]
     if m < k:
         raise TooFewWindows(f"k-means needs at least k={k} windows, got {m}")
+    windows = np.ascontiguousarray(windows)
     rng = np.random.default_rng(seed)
 
     centroids = np.empty((k, windows.shape[1]))
@@ -193,8 +234,10 @@ def kmeans_fit(windows: np.ndarray, k: int = 4, seed: int = 0) -> KMeansModel:
 def kmeans_score(model: KMeansModel, windows: np.ndarray) -> np.ndarray:
     """Euclidean distance to the nearest centroid, assigned to the window end."""
     _check_windows(windows)
-    d2 = _pairwise_sq(windows, model.centroids)
-    return np.sqrt(d2.min(axis=1))
+    d = np.empty(windows.shape[0])
+    for rows, block in _window_blocks(windows, model.k):
+        d[rows] = _pairwise_sq(block, model.centroids).min(axis=1)
+    return np.sqrt(d, out=d)
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +269,7 @@ def dbscan_fit(windows: np.ndarray, epsilon: float = 0.4, mu: int = 5) -> Dbscan
     if mu < 1:
         raise InvalidHyperparameter(f"mu must be >= 1, got {mu}")
     _check_epsilon(epsilon)
+    windows = np.ascontiguousarray(windows)
     m = windows.shape[0]
     eps2 = epsilon * epsilon
     counts = np.empty(m, dtype=np.intp)
@@ -250,8 +294,8 @@ def dbscan_score(model: DbscanModel, windows: np.ndarray) -> np.ndarray:
     _check_windows(windows)
     core = model.core_points
     d = np.empty(windows.shape[0])
-    for rows in _row_blocks(windows.shape[0], core.shape[0]):
-        d[rows] = _pairwise_sq(windows[rows], core).min(axis=1)
+    for rows, block in _window_blocks(windows, core.shape[0]):
+        d[rows] = _pairwise_sq(block, core).min(axis=1)
     np.sqrt(d, out=d)
     return np.where(d <= model.epsilon, 0.0, d)
 
@@ -271,8 +315,9 @@ class LofModel:
     ascending order, ``nbr_dist``).  A query can only shrink a k-distance,
     so y's neighbourhood in reference union {query} is a subset of its
     cached list, and scoring costs O(m) per query plus O(k) per neighbour.
-    ``first_row`` maps each distinct window's bytes to its first row, for
-    the duplicate rule in ``_score_block``.
+    ``row_order`` lists the reference rows sorted lexicographically by
+    value (stable, so equal rows keep their order), for the duplicate rule
+    in ``_score_block``.
     """
 
     k_neighbors: int
@@ -283,10 +328,10 @@ class LofModel:
     nbr_ptr: np.ndarray = field(init=False, repr=False)
     nbr_idx: np.ndarray = field(init=False, repr=False)
     nbr_dist: np.ndarray = field(init=False, repr=False)
-    first_row: dict = field(init=False, repr=False)
+    row_order: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        windows = np.asarray(self.reference_windows, dtype=np.float64)
+        windows = np.ascontiguousarray(self.reference_windows, dtype=np.float64)
         m = windows.shape[0]
         k = self.k_neighbors
         if not (1 <= k < m):
@@ -296,38 +341,37 @@ class LofModel:
         kdist = np.empty(m)
         kdist_prev = np.zeros(m)
         rows, cols, dists = [], [], []
+        work = _work_buffers(m, self.fit_rows, m)
         for block in _row_blocks(m, m):
-            d = self._fit_distances(block.start)
-            part = np.partition(d, (k - 1, max(k - 2, 0)), axis=1)
+            d = self._fit_distances(block.start, work[0])
+            part = _partitioned(d, (k - 1, max(k - 2, 0)), work[1])
             kdist[block] = np.maximum(part[:, k - 1], _KDIST_FLOOR)
             if k >= 2:
                 kdist_prev[block] = part[:, k - 2]
-            r, c = np.nonzero(d <= kdist[block, None])
+            flat = np.flatnonzero(d <= kdist[block, None])
+            r, c = np.divmod(flat, m)
             rows.append(r + block.start)
             cols.append(c)
-            dists.append(d[r, c])
-            # Free this block before _pairwise_sq builds the next one.
-            del d, part
+            dists.append(d.ravel().take(flat))
         rows = np.concatenate(rows)
-        first_row: dict = {}
-        for i, row in enumerate(windows + 0.0):  # + 0.0 folds -0.0 into 0.0, as == does
-            first_row.setdefault(row.tobytes(), i)
         for name, value in (
             ("kdist", kdist),
             ("kdist_prev", kdist_prev),
             ("nbr_ptr", np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))),
             ("nbr_idx", np.concatenate(cols)),
             ("nbr_dist", np.concatenate(dists)),
-            ("first_row", first_row),
+            # Column 0 is the last key, so lexsort sorts by it first.
+            ("row_order", np.lexsort(windows.T[::-1])),
         ):
             object.__setattr__(self, name, value)
 
-    def _fit_distances(self, lo: int) -> np.ndarray:
+    def _fit_distances(self, lo: int, out: Optional[np.ndarray] = None) -> np.ndarray:
         """The fit's row block starting at reference row ``lo``: distances of
-        rows lo .. lo + fit_rows to every reference window, own entries inf.
-        The same call on the same operands repeats the fit's bits."""
+        rows lo .. lo + fit_rows to every reference window, own entries inf,
+        written into ``out`` as by ``_pairwise_sq``.  The same call on the
+        same operands repeats the fit's bits."""
         windows = self.reference_windows
-        d = _pairwise_sq(windows[lo : lo + self.fit_rows], windows)
+        d = _pairwise_sq(windows[lo : lo + self.fit_rows], windows, out=out)
         np.sqrt(d, out=d)
         own = np.arange(d.shape[0])
         d[own, lo + own] = np.inf
@@ -340,10 +384,44 @@ class LofModel:
     def scores(self, windows: np.ndarray) -> np.ndarray:
         """Exact LOF of each row against reference union {row}, in row blocks."""
         windows = np.asarray(windows, dtype=np.float64)
+        m = self.kdist.size
         out = np.empty(windows.shape[0])
-        for rows in _row_blocks(windows.shape[0], self.kdist.size):
-            out[rows] = self._score_block(windows[rows])
+        work = _work_buffers(windows.shape[0], _block_height(max(m, windows.shape[1])), m)
+        for rows, block in _window_blocks(windows, m):
+            out[rows] = self._score_block(block, work)
         return out
+
+    def _duplicates(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(r, i)``: block row r equals reference row i and no earlier
+        reference row, rows compared with ``==`` (so -0.0 equals 0.0).
+
+        A lower-bound search over ``row_order``: ``searchsorted`` on column
+        0 finds each block row's run of reference rows with the same first
+        value, and a binary search on whole rows halves every run at each
+        step, so the longest run r costs log2(r) steps of O(block) work."""
+        windows, order = self.reference_windows, self.row_order
+        at = np.arange(block.shape[0])
+        last = order.size - 1
+
+        def before(pos: np.ndarray) -> np.ndarray:
+            """Whether reference row order[pos] sorts before each block row."""
+            probe = windows[order[np.minimum(pos, last)]]
+            differ = probe != block
+            col = differ.argmax(axis=1)
+            return differ[at, col] & (probe[at, col] < block[at, col])
+
+        first_column = windows[order, 0]
+        base = np.searchsorted(first_column, block[:, 0])
+        size = np.searchsorted(first_column, block[:, 0], "right") - base
+        while size.max(initial=0) > 1:
+            half = size // 2
+            base += half * before(base + half)
+            size -= half
+        # The lower bound is base or base + 1; a row outside its run, or
+        # past the end, differs from the block row in column 0.
+        first = order[np.minimum(base + before(base), last)]
+        hit = (windows[first] == block).all(axis=1)
+        return np.flatnonzero(hit), first[hit]
 
     def _joined_kdist(self, dq: np.ndarray, x: np.ndarray) -> np.ndarray:
         """k-distances of reference windows x once a query at distances dq
@@ -353,29 +431,28 @@ class LofModel:
         joined = np.where(dq >= kdist, kdist, np.maximum(self.kdist_prev[x], dq))
         return np.maximum(joined, _KDIST_FLOOR)
 
-    def _score_block(self, block: np.ndarray) -> np.ndarray:
-        k = self.k_neighbors
-        dq = _pairwise_sq(block, self.reference_windows)
+    def _score_block(self, block: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """LOF of each block row; ``work`` is two buffers of at least
+        len(block) rows of m entries, from ``_work_buffers``."""
+        k, m = self.k_neighbors, self.kdist.size
+        dq = _pairwise_sq(block, self.reference_windows, out=work[0])
         np.sqrt(dq, out=dq)
-        hits = [
-            (r, i)
-            for r, row in enumerate(block + 0.0)
-            if (i := self.first_row.get(row.tobytes())) is not None
-        ]
-        dup, ref = np.array(hits, dtype=np.intp).reshape(-1, 2).T
+        dup, ref = self._duplicates(block)
         # A duplicated reference row must see the fit's distances bit for
         # bit, or ties exactly at a k-distance boundary resolve differently
         # here than they did in the fit: recompute each fit block it needs.
         h = self.fit_rows
-        for lo in sorted({i - i % h for _, i in hits}):
+        for lo in sorted(set((ref - ref % h).tolist())):
             inside = (ref >= lo) & (ref < lo + h)
             dq[dup[inside]] = self._fit_distances(lo)[ref[inside] - lo]
         dq[dup, ref] = 0.0
-        kdist_q = np.maximum(np.partition(dq, k - 1, axis=1)[:, k - 1], _KDIST_FLOOR)
+        kdist_q = np.maximum(_partitioned(dq, k - 1, work[1])[:, k - 1], _KDIST_FLOOR)
 
         # (query, y) pairs with y in the query's neighbourhood, query-major.
-        pq, py = np.nonzero(dq <= kdist_q[:, None])
-        dq_pair = dq[pq, py]
+        flat = np.flatnonzero(dq <= kdist_q[:, None])
+        pq, py = np.divmod(flat, m)
+        dq = dq.ravel()
+        dq_pair = dq.take(flat)
         bound = self._joined_kdist(dq_pair, py)
         # y's reachability sum and count over its neighbours x, gathered from
         # its cached list in chunks of at most _LOF_CHUNK_ENTRIES entries
@@ -396,7 +473,7 @@ class LofModel:
             inside = dist <= bound[lo:hi][pair]
             pair, dist = pair[inside], dist[inside]
             x = self.nbr_idx[entry[inside]]
-            rd = np.maximum(self._joined_kdist(dq[pq[lo:hi][pair], x], x), dist)
+            rd = np.maximum(self._joined_kdist(dq.take(pq[lo:hi][pair] * m + x), x), dist)
             total[lo:hi] = np.bincount(pair, weights=rd, minlength=hi - lo)
             count[lo:hi] = np.bincount(pair, minlength=hi - lo)
             lo = hi
@@ -610,13 +687,9 @@ def ocsvm_fit(
         raise TooFewWindows(f"one-class SVM needs at least 2 windows, got {m}")
     if not (0.0 < nu <= 1.0):
         raise InvalidHyperparameter(f"nu must lie in (0, 1], got {nu}")
+    windows = np.ascontiguousarray(windows)
     gamma = 1.0 / windows.shape[1] if rbf_gamma is None else rbf_gamma
     norms = _sq_norms(windows)
-
-    def kernel_rows(rows) -> np.ndarray:
-        kernel = _pairwise_sq(windows[rows], windows, norms)
-        kernel *= -gamma
-        return np.exp(kernel, out=kernel)
 
     box = 1.0 / (nu * m)
     alpha = np.zeros(m)
@@ -626,7 +699,11 @@ def ocsvm_fit(
         alpha[full] = 1.0 - full * box
     gradient = np.empty(m)
     for rows in _row_blocks(m, m):
-        gradient[rows] = kernel_rows(rows) @ alpha
+        kernel = _pairwise_sq(windows[rows], windows, norms)
+        kernel *= -gamma
+        gradient[rows] = np.exp(kernel, out=kernel) @ alpha
+        # Free this block before _pairwise_sq builds the next one.
+        del kernel
 
     converged = False
     for _ in range(_OCSVM_MAX_ITER):
@@ -639,7 +716,15 @@ def ocsvm_fit(
             converged = True
             break
         total = alpha[i] + alpha[j]
-        k_i, k_j = kernel_rows([i, j])
+        # _pairwise_sq's operations in its order, without its fixed work:
+        # the gradient's blocks above already checked every entry finite.
+        pair = [i, j]
+        kernel = windows[pair] @ windows.T
+        kernel *= -2.0
+        kernel += norms[pair, None] + norms
+        np.maximum(kernel, 0.0, out=kernel)
+        kernel *= -gamma
+        k_i, k_j = np.exp(kernel, out=kernel)
         curvature = k_i[i] + k_j[j] - 2.0 * k_i[j]
         if curvature > 1e-15:
             new_i = alpha[i] - gap / curvature
@@ -677,8 +762,8 @@ def ocsvm_score(model: OcSvmModel, windows: np.ndarray) -> np.ndarray:
     _check_windows(windows)
     vectors = model.support_vectors
     scores = np.empty(windows.shape[0])
-    for rows in _row_blocks(windows.shape[0], vectors.shape[0]):
-        kernel = _pairwise_sq(windows[rows], vectors)
+    for rows, block in _window_blocks(windows, vectors.shape[0]):
+        kernel = _pairwise_sq(block, vectors)
         kernel *= -model.rbf_gamma
         np.exp(kernel, out=kernel)
         scores[rows] = model.rho - kernel @ model.dual_coeffs

@@ -24,7 +24,7 @@ from ..core import (
     with_lookback,
 )
 from ..errors import DimensionMismatch, InvalidHyperparameter, NumericalDivergence
-from .ml import _row_blocks, _test_subsequences
+from .ml import _test_subsequences, _window_blocks
 
 __all__ = [
     "DenseLayer",
@@ -168,12 +168,11 @@ def _forward(net: DenseNet, batch: np.ndarray) -> np.ndarray:
 def _score_rows(net: DenseNet, windows: np.ndarray, row_score) -> np.ndarray:
     """``row_score(outputs, inputs)`` of each row block of ``windows``, one
     score per row.  A block holds about ml._BLOCK_ENTRIES entries of the
-    net's widest layer, so scoring holds two block-sized layer outputs
-    whatever the number of windows."""
+    net's widest layer, so scoring holds a copy of the block's windows and
+    two block-sized layer outputs whatever the number of windows."""
     widest = max(max(layer.weights.shape) for layer in net.layers)
     scores = np.empty(windows.shape[0])
-    for rows in _row_blocks(windows.shape[0], widest):
-        block = windows[rows]
+    for rows, block in _window_blocks(windows, widest):
         scores[rows] = row_score(_forward(net, block), block)
     return scores
 
@@ -215,8 +214,10 @@ def net_train(net: DenseNet, data, spec: TrainSpec = TrainSpec()) -> list[float]
 
     ``data`` is an (inputs, targets) array pair; one-dimensional targets
     are one output each.  Shuffling is seeded from the net, so training is
-    reproducible bit for bit.  Each batch is one Adam step on the whole
-    parameter vector (Kingma & Ba, ICLR 2015, Alg. 1).
+    reproducible bit for bit.  Each batch is gathered from ``data`` by the
+    epoch's shuffle, so a strided window view is never copied whole.  Each
+    batch is one Adam step on the whole parameter vector (Kingma & Ba, ICLR
+    2015, Alg. 1).
     """
     inputs, targets = data
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -233,10 +234,6 @@ def net_train(net: DenseNet, data, spec: TrainSpec = TrainSpec()) -> list[float]
         )
 
     rng = np.random.default_rng(net.seed)
-    # Each epoch's shuffle is gathered into these; mode="clip" lets take
-    # write into ``out`` directly, where "raise" buffers a copy of its size.
-    shuffled_inputs = np.empty_like(inputs)
-    shuffled_targets = np.empty_like(targets)
     theta = net.params
     grad = np.empty_like(theta)
     grad_views = _param_views(grad, net.layers)
@@ -248,15 +245,14 @@ def net_train(net: DenseNet, data, spec: TrainSpec = TrainSpec()) -> list[float]
     history = []
     for epoch in range(spec.epochs):
         order = rng.permutation(n)
-        np.take(inputs, order, axis=0, out=shuffled_inputs, mode="clip")
-        np.take(targets, order, axis=0, out=shuffled_targets, mode="clip")
         epoch_loss = 0.0
         # Overflow inside a batch is not a crash: the non-finite epoch loss
         # below turns it into a NumericalDivergence report.
         with np.errstate(over="ignore", invalid="ignore"):
             for start in range(0, n, spec.batch_size):
-                batch = shuffled_inputs[start : start + spec.batch_size]
-                batch_targets = shuffled_targets[start : start + spec.batch_size]
+                rows = order[start : start + spec.batch_size]
+                batch = inputs[rows]
+                batch_targets = targets[rows]
                 epoch_loss += _backprop(net, batch, batch_targets, grad_views) * batch.shape[0]
                 step += 1
                 correction1 = 1.0 - _BETA1**step

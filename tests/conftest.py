@@ -41,3 +41,18 @@ def traced_peak(build):
     finally:
         tracemalloc.stop()
     return out, peak
+
+
+def bytes_dict_duplicates(reference: np.ndarray, block: np.ndarray) -> tuple:
+    """LOF's duplicate rule as a dict keyed on each window's bytes, -0.0
+    folded into 0.0 by ``+ 0.0``: (block row, first equal reference row)
+    pairs.  Frozen here as the oracle for the sorted row index."""
+    first_row: dict = {}
+    for i, row in enumerate(reference + 0.0):
+        first_row.setdefault(row.tobytes(), i)
+    hits = [
+        (r, i)
+        for r, row in enumerate(block + 0.0)
+        if (i := first_row.get(row.tobytes())) is not None
+    ]
+    return np.array(hits, dtype=np.intp).reshape(-1, 2).T

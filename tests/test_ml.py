@@ -55,7 +55,7 @@ from tsadkit.errors import (
     TooFewWindows,
 )
 
-from conftest import raw_frame, series, traced_peak
+from conftest import bytes_dict_duplicates, long_synth, raw_frame, series, traced_peak
 
 
 def blob_windows(m, width, center, spread=0.1, seed=0):
@@ -1225,8 +1225,8 @@ class TestDistancePeaks:
         windows = self.windows(self.M, 65)
         _, peak = traced_peak(lambda: LofModel(k_neighbors=self.K, reference_windows=windows))
         # Beyond the m x m matrix: neighbour lists of about k entries per
-        # row, and the duplicate map of one window's bytes per row.
-        extra = 32 * self.M * (self.K + self.WIDTH)
+        # row, and the sorted duplicate index of one int64 per row.
+        extra = 32 * self.M * self.K + 8 * self.M
         assert peak <= 1.1 * 8 * self.M**2 + extra, peak / (8 * self.M**2)
 
     def test_dbscan_fit_holds_one_matrix(self):
@@ -1262,11 +1262,19 @@ class TestRowBlockPeaks:
         block_bytes = 8 * ml._BLOCK_ENTRIES
         model, peak = traced_peak(lambda: LofModel(k_neighbors=self.K, reference_windows=train))
         # Beyond the blocks: neighbour lists of about k entries per row, and
-        # the duplicate map of one window's bytes per row.
-        assert peak <= 4 * block_bytes + 40 * m * (self.K + self.WIDTH), peak / block_bytes
+        # the sorted duplicate index of one int64 per row.
+        assert peak <= 4 * block_bytes + 40 * m * self.K + 8 * m, peak / block_bytes
         arrays = sum(
             getattr(model, name).nbytes
-            for name in ("reference_windows", "kdist", "kdist_prev", "nbr_ptr", "nbr_idx", "nbr_dist")
+            for name in (
+                "reference_windows",
+                "kdist",
+                "kdist_prev",
+                "nbr_ptr",
+                "nbr_idx",
+                "nbr_dist",
+                "row_order",
+            )
         )
         assert arrays <= 16 * m * (self.K + self.WIDTH), arrays / m
         _, peak = traced_peak(lambda: model.scores(test))
@@ -1289,11 +1297,31 @@ class TestRowBlockPeaks:
         assert peak <= 4 * block_bytes + 16 * m, peak / block_bytes
 
 
+class TestScorePeakAtFortyThousandPoints:
+    """Scoring the 28,000 test windows of a 40,000-point series holds row
+    blocks and a few length-n vectors, not a copy of the 28,000 x 30 window
+    matrix (6.41 MiB): the windows are a view of the test values, copied
+    one row block at a time."""
+
+    @pytest.mark.parametrize("name", ["lof", "ocsvm", "kmeans", "iforest"])
+    def test_score_peak(self, name):
+        train, test = long_synth()
+        detector = get_detector(name)
+        cfg = DetectorConfig(name=name)
+        # Fitting on the last 3,000 train points keeps the test quick; a
+        # scoring block holds about _BLOCK_ENTRIES entries whatever the
+        # number of train windows.
+        model = detector.fit(train.segment(len(train) - 3000, len(train)), cfg)
+        _, peak = traced_peak(lambda: detector.score(model, cfg, train, test))
+        assert peak <= 2 * 2**20, peak / 2**20
+
+
 class TestOneBlockAtATime:
-    """LOF's fit loop and the one-class SVM's scoring free each distance
-    block before ``_pairwise_sq`` builds the next, so they peak at the new
-    block and its norm-sum scratch, not at three or four blocks.  Blocks of
-    2**20 entries (8 MiB) dwarf the O(m) structures beside them."""
+    """LOF's fit loop builds each distance block and its partitioned copy in
+    two buffers it reuses, and the one-class SVM's scoring frees each
+    kernel block before ``_pairwise_sq`` builds the next, so they peak near
+    two blocks, not at three or four.  Blocks of 2**20 entries (8 MiB)
+    dwarf the O(m) structures beside them."""
 
     ENTRIES = 2**20
 
@@ -1316,3 +1344,203 @@ class TestOneBlockAtATime:
         assert test.shape[0] > 2 * rows
         _, peak = traced_peak(lambda: ocsvm_score(model, test))
         assert peak <= 2.5 * 8 * self.ENTRIES, peak / (8 * self.ENTRIES)
+
+
+# ---------------------------------------------------------------------------
+# Index-level rewrites frozen bit for bit: LOF's fit lists and block scores
+# as 2-D mask indices and a bytes-keyed duplicate map found them, and the
+# one-class SVM fit as it was when each update's two kernel rows went
+# through _pairwise_sq.
+
+
+def frozen_lof_lists(windows: np.ndarray, k: int) -> dict:
+    """``LofModel``'s fit lists from the fit's own row blocks, found with
+    ``np.nonzero`` on each 2-D block mask and gathered by 2-D indices."""
+    m = windows.shape[0]
+    height = ml._block_height(m)
+    kdist = np.empty(m)
+    kdist_prev = np.zeros(m)
+    rows, cols, dists = [], [], []
+    for lo in range(0, m, height):
+        d = ml._pairwise_sq(windows[lo : lo + height], windows)
+        np.sqrt(d, out=d)
+        own = np.arange(d.shape[0])
+        d[own, lo + own] = np.inf
+        part = np.partition(d, (k - 1, max(k - 2, 0)), axis=1)
+        kdist[lo : lo + height] = np.maximum(part[:, k - 1], ml._KDIST_FLOOR)
+        if k >= 2:
+            kdist_prev[lo : lo + height] = part[:, k - 2]
+        r, c = np.nonzero(d <= kdist[lo : lo + height, None])
+        rows.append(r + lo)
+        cols.append(c)
+        dists.append(d[r, c])
+    rows = np.concatenate(rows)
+    return {
+        "kdist": kdist,
+        "kdist_prev": kdist_prev,
+        "nbr_ptr": np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m)))),
+        "nbr_idx": np.concatenate(cols),
+        "nbr_dist": np.concatenate(dists),
+    }
+
+
+def frozen_score_block(model: LofModel, block: np.ndarray) -> np.ndarray:
+    """``LofModel._score_block`` with 2-D mask indices and the duplicate
+    rule keyed on each window's bytes, -0.0 folded into 0.0 by ``+ 0.0``."""
+    k = model.k_neighbors
+    dq = ml._pairwise_sq(block, model.reference_windows)
+    np.sqrt(dq, out=dq)
+    dup, ref = bytes_dict_duplicates(model.reference_windows, block)
+    h = model.fit_rows
+    for lo in sorted({i - i % h for i in ref.tolist()}):
+        inside = (ref >= lo) & (ref < lo + h)
+        dq[dup[inside]] = model._fit_distances(lo)[ref[inside] - lo]
+    dq[dup, ref] = 0.0
+    kdist_q = np.maximum(np.partition(dq, k - 1, axis=1)[:, k - 1], ml._KDIST_FLOOR)
+    pq, py = np.nonzero(dq <= kdist_q[:, None])
+    dq_pair = dq[pq, py]
+    bound = model._joined_kdist(dq_pair, py)
+    total = np.empty(pq.size)
+    count = np.empty(pq.size)
+    lengths = model.nbr_ptr[py + 1] - model.nbr_ptr[py]
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    lo = 0
+    while lo < pq.size:
+        hi = max(int(np.searchsorted(ends, starts[lo] + ml._LOF_CHUNK_ENTRIES, "right")), lo + 1)
+        span = lengths[lo:hi]
+        pair = np.repeat(np.arange(hi - lo), span)
+        shift = model.nbr_ptr[py[lo:hi]] - (starts[lo:hi] - starts[lo])
+        entry = np.arange(ends[hi - 1] - starts[lo]) + np.repeat(shift, span)
+        dist = model.nbr_dist[entry]
+        inside = dist <= bound[lo:hi][pair]
+        pair, dist = pair[inside], dist[inside]
+        x = model.nbr_idx[entry[inside]]
+        rd = np.maximum(model._joined_kdist(dq[pq[lo:hi][pair], x], x), dist)
+        total[lo:hi] = np.bincount(pair, weights=rd, minlength=hi - lo)
+        count[lo:hi] = np.bincount(pair, minlength=hi - lo)
+        lo = hi
+    own = dq_pair <= bound
+    total[own] += np.maximum(kdist_q[pq[own]], dq_pair[own])
+    count[own] += 1.0
+    lrds = count / total
+    size = np.bincount(pq, minlength=block.shape[0])
+    rd_query = np.bincount(pq, weights=np.maximum(bound, dq_pair), minlength=block.shape[0])
+    lrd_query = size / rd_query
+    return np.bincount(pq, weights=lrds, minlength=block.shape[0]) / size / lrd_query
+
+
+def frozen_two_row_ocsvm_fit(windows: np.ndarray, nu: float = 0.7) -> tuple:
+    """``ocsvm_fit`` with each update's two kernel rows built by
+    ``_pairwise_sq``; returns (support vectors, coefficients, rho, converged)."""
+    m = windows.shape[0]
+    gamma = 1.0 / windows.shape[1]
+    norms = ml._sq_norms(windows)
+
+    def kernel_rows(rows) -> np.ndarray:
+        kernel = ml._pairwise_sq(windows[rows], windows, norms)
+        kernel *= -gamma
+        return np.exp(kernel, out=kernel)
+
+    box = 1.0 / (nu * m)
+    alpha = np.zeros(m)
+    full = int(math.floor(nu * m))
+    alpha[:full] = box
+    if full < m:
+        alpha[full] = 1.0 - full * box
+    gradient = np.empty(m)
+    for rows in ml._row_blocks(m, m):
+        gradient[rows] = kernel_rows(rows) @ alpha
+    converged = False
+    for _ in range(ml._OCSVM_MAX_ITER):
+        can_down = alpha > 1e-12
+        can_up = alpha < box - 1e-12
+        i = int(np.where(can_down, gradient, -np.inf).argmax())
+        j = int(np.where(can_up, gradient, np.inf).argmin())
+        gap = gradient[i] - gradient[j]
+        if gap < ml._OCSVM_TOL:
+            converged = True
+            break
+        total = alpha[i] + alpha[j]
+        k_i, k_j = kernel_rows([i, j])
+        curvature = k_i[i] + k_j[j] - 2.0 * k_i[j]
+        if curvature > 1e-15:
+            new_i = alpha[i] - gap / curvature
+        else:
+            new_i = max(0.0, total - box)
+        new_i = min(max(new_i, max(0.0, total - box)), min(box, total))
+        new_j = total - new_i
+        gradient += (new_i - alpha[i]) * k_i + (new_j - alpha[j]) * k_j
+        alpha[i], alpha[j] = new_i, new_j
+    interior = (alpha > 1e-8) & (alpha < box - 1e-8)
+    if interior.any():
+        rho = float(gradient[interior].mean())
+    else:
+        at_box = alpha >= box - 1e-8
+        at_zero = alpha <= 1e-8
+        lo = float(gradient[at_box].max()) if at_box.any() else -math.inf
+        hi = float(gradient[at_zero].min()) if at_zero.any() else math.inf
+        rho = 0.5 * (lo + hi) if math.isfinite(lo) and math.isfinite(hi) else float(gradient @ alpha)
+    keep = alpha > 1e-12
+    return windows[keep], alpha[keep], rho, converged
+
+
+def lof_signed_zeros():
+    a, b = distance_signed_zeros()
+    return a, np.vstack((b, -a[::3])), 2
+
+
+def lof_references_as_queries():
+    reference, _, k = lof_duplicates()
+    return reference, reference[::4], k
+
+
+INDEX_CASES = {
+    **LOF_CASES,
+    "signed-zeros": lof_signed_zeros,
+    "references-as-queries": lof_references_as_queries,
+}
+
+
+def ocsvm_m421():
+    """The 421 width-30 train windows of the first SYNTH series."""
+    train, _ = split(smoke_series()[0], SplitSpec())
+    return np.ascontiguousarray(subsequences(standardize(train, fit_standardizer(train)), 30))
+
+
+def ocsvm_m2971():
+    """The 2,971 width-30 train windows of a 10,000-point SYNTH-like series."""
+    train, _ = long_synth(10_000)
+    return np.ascontiguousarray(subsequences(train, 30))
+
+
+class TestFrozenIndexOracles:
+    """The flat-index LOF search, the sorted duplicate index and the lean
+    SVM kernel rows leave every fitted array and every score bit-identical."""
+
+    @pytest.mark.parametrize("case", INDEX_CASES)
+    def test_lof_fit_lists(self, case):
+        reference, _, k = INDEX_CASES[case]()
+        model = LofModel(k_neighbors=k, reference_windows=reference)
+        for name, want in frozen_lof_lists(model.reference_windows, k).items():
+            assert same_bytes(getattr(model, name), want), name
+
+    @pytest.mark.parametrize("case", INDEX_CASES)
+    @pytest.mark.parametrize("height", [1, 7, None], ids=["1-row", "7-row", "one-block"])
+    def test_lof_score_blocks(self, case, height):
+        reference, queries, k = INDEX_CASES[case]()
+        model = LofModel(k_neighbors=k, reference_windows=reference)
+        step = height or queries.shape[0]
+        work = ml._work_buffers(queries.shape[0], step, model.kdist.size)
+        for lo in range(0, queries.shape[0], step):
+            block = queries[lo : lo + step]
+            assert same_bytes(model._score_block(block, work), frozen_score_block(model, block))
+
+    @pytest.mark.parametrize("windows", [ocsvm_m421, ocsvm_m2971], ids=["m421", "m2971"])
+    def test_ocsvm_fit(self, windows):
+        windows = windows()
+        model = ocsvm_fit(windows)
+        support, coeffs, rho, converged = frozen_two_row_ocsvm_fit(windows)
+        assert same_bytes(model.support_vectors, support)
+        assert same_bytes(model.dual_coeffs, coeffs)
+        assert model.rho == rho and model.converged == converged

@@ -453,24 +453,25 @@ class TestForwardOnlyScoring:
     @pytest.mark.parametrize("name", ["mlp", "autoencoder"])
     def test_score_peak_at_forty_thousand_points(self, name):
         # 28,000 test windows; one pass over all of them would hold
-        # 38.7 MiB (mlp) and 19.9 MiB (autoencoder).
+        # 38.7 MiB (mlp) and 19.9 MiB (autoencoder), and a copy of their
+        # 28,000 x 30 window matrix 6.41 MiB.  The windows are a view of
+        # the test values, copied one row block at a time.
         train, test = long_synth()
         detector = get_detector(name)
         cfg = DetectorConfig(name=name, hyperparameters={"epochs": 1})
         net = detector.fit(train, cfg)
         _, peak = traced_peak(lambda: detector.score(net, cfg, train, test))
-        window_bytes = 8 * len(test) * cfg.window_width
-        assert peak <= window_bytes + 2 * 2**20, (peak - window_bytes) / 2**20
+        assert peak <= 2 * 2**20, peak / 2**20
 
 
 class TestShuffleBuffers:
-    def test_net_train_holds_one_shuffled_copy(self):
+    def test_net_train_holds_no_copy_of_the_data(self):
         rng = np.random.default_rng(21)
         inputs, targets = rng.normal(0.0, 1.0, (4000, 30)), rng.normal(0.0, 1.0, 4000)
         net = dense_net([30, 8, 1], ["relu", "linear"], seed=5)
         spec = TrainSpec(epochs=3, batch_size=256)
         _, peak = traced_peak(lambda: net_train(net, (inputs, targets), spec))
-        # One shuffled copy of the data plus batch-sized scratch; a fresh
-        # copy each epoch, built while the last one is bound, would hold two.
+        # The epoch's order and batch-sized scratch: each batch is gathered
+        # from the data by the order, so no shuffled copy of it exists.
         data_bytes = inputs.nbytes + targets.nbytes
-        assert peak <= 1.5 * data_bytes, peak / data_bytes
+        assert peak <= 0.25 * data_bytes, peak / data_bytes

@@ -27,10 +27,11 @@ from tsadkit import (
 )
 from tsadkit.bench import _preprocess
 from tsadkit.detectors import ml
+from tsadkit.detectors.ml import LofModel
 from tsadkit.detectors.neural import _forward
 from tsadkit.errors import ConstantSeries, PeriodTooLong, SeriesTooShort
 
-from conftest import series
+from conftest import bytes_dict_duplicates, series
 
 FIXED = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
@@ -169,3 +170,62 @@ def test_blocked_net_scores_match_one_pass(name, blocks, offset, seed):
     want, size = unblocked_scores(name, net, cfg, train, test)
     assert got.shape == want.shape == (n,)
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(want, size))
+
+
+# Signed zeros, adjacent floats and the smallest subnormals: few enough
+# values that generated windows repeat, and close enough that only exact
+# equality tells them apart.
+NEAR_VALUES = (
+    0.0,
+    -0.0,
+    1.0,
+    math.nextafter(1.0, 2.0),
+    math.nextafter(1.0, 0.0),
+    -1.0,
+    5e-324,
+    -5e-324,
+)
+
+
+@FIXED
+@given(width=st.integers(min_value=1, max_value=4), data=st.data())
+def test_sorted_row_index_finds_the_first_equal_reference_row(width, data):
+    """Queries copied from reference rows (some with the signs of their
+    zeros flipped) or drawn fresh find the same first reference row as the
+    bytes-keyed rule, or none."""
+    row = st.lists(st.sampled_from(NEAR_VALUES), min_size=width, max_size=width)
+    reference = np.array(data.draw(st.lists(row, min_size=2, max_size=40)))
+    copied = st.tuples(st.integers(0, len(reference) - 1), st.booleans())
+    queries = []
+    for pick in data.draw(st.lists(st.one_of(copied, row), min_size=1, max_size=20)):
+        if isinstance(pick, tuple):
+            i, flip_zeros = pick
+            pick = reference[i]
+            if flip_zeros:
+                pick = np.where(pick == 0.0, -pick, pick)
+        queries.append(pick)
+    block = np.array(queries, dtype=np.float64)
+    model = LofModel(k_neighbors=1, reference_windows=reference)
+    got = model._duplicates(block)
+    want = bytes_dict_duplicates(reference, block)
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
+@FIXED
+@given(
+    n=st.integers(min_value=2, max_value=200),
+    width=st.integers(min_value=1, max_value=50),
+    forecast=st.booleans(),
+)
+def test_window_views_are_read_only(n, width, forecast):
+    """``subsequences`` and ``frame`` return views of the series values;
+    writing into one raises instead of changing the series."""
+    values = np.random.default_rng(n).normal(0.0, 1.0, n)
+    whole = series(values)
+    width = min(width, n - 1)
+    windows = frame(whole, width)[0] if forecast else subsequences(whole, width)
+    assert np.shares_memory(windows, whole.values)
+    with pytest.raises(ValueError, match="read-only"):
+        windows[0, 0] = 1.0
+    assert whole.values.tobytes() == values.tobytes()
