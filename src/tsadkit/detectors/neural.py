@@ -3,7 +3,10 @@
 The engine is a plain list of affine layers with relu or linear
 activations, trained by mini-batch gradient descent with adaptive moment
 estimates on a squared-error loss.  All weights and biases of a net live in
-one flat vector, so Adam updates them in one step per batch.  The
+one flat vector, so Adam updates them in one step per batch.  Training
+runs forward and backward through per-layer buffers built once per fit,
+one set per batch height, so a step allocates nothing beyond its gathered
+batch.  Scoring runs the layers forward only, in row blocks.  The
 forecaster predicts the value after each window; the autoencoder
 reconstructs whole windows and scores by reconstruction error.
 """
@@ -140,19 +143,6 @@ def dense_net(dims: Sequence[int], activations: Sequence[str], seed: int = 0) ->
     return DenseNet(layers=layers, seed=seed)
 
 
-def _forward_batch(net: DenseNet, batch: np.ndarray) -> tuple[np.ndarray, list, list]:
-    """Outputs plus per-layer inputs and pre-activations, for training."""
-    inputs = [batch]
-    pre_activations = []
-    out = batch
-    for layer in net.layers:
-        z = out @ layer.weights + layer.bias
-        pre_activations.append(z)
-        out = np.maximum(z, 0.0) if layer.activation == "relu" else z
-        inputs.append(out)
-    return out, inputs[:-1], pre_activations
-
-
 def _forward(net: DenseNet, batch: np.ndarray) -> np.ndarray:
     """Outputs only, each layer computed in place in its own output: at most
     two layer outputs are alive at once, beside the batch."""
@@ -185,28 +175,68 @@ def net_forward(net: DenseNet, x) -> np.ndarray:
     return _forward(net, x[None, :])[0]
 
 
-def _backprop(net: DenseNet, batch: np.ndarray, targets: np.ndarray, grads: list) -> float:
-    """Mean squared error over the batch; writes its gradients into ``grads``."""
-    out, inputs, pre_activations = _forward_batch(net, batch)
-    diff = out - targets
-    loss = float(np.mean(diff**2))
-    delta = 2.0 * diff / diff.size
+def _workspace(net: DenseNet, rows: int) -> list[tuple]:
+    """Backprop buffers for batches of ``rows`` rows: per layer, a
+    ``(z, gate, delta)`` triple of its pre-activation (relu applied in place,
+    so it then holds the layer's output), its relu gate (None on a linear
+    layer) and the loss gradient at its pre-activation."""
+    work = []
+    for layer in net.layers:
+        shape = (rows, layer.weights.shape[1])
+        gate = np.empty(shape, dtype=bool) if layer.activation == "relu" else None
+        work.append((np.empty(shape), gate, np.empty(shape)))
+    return work
+
+
+def _train_forward(net: DenseNet, work: list[tuple], batch: np.ndarray) -> np.ndarray:
+    """The net's outputs on ``batch``, each layer computed in its ``work``
+    buffers; the relu gates are set on the way."""
+    out = batch
+    for layer, (z, gate, _) in zip(net.layers, work):
+        np.matmul(out, layer.weights, out=z)
+        z += layer.bias
+        if gate is not None:
+            np.greater(z, 0.0, out=gate)
+            np.maximum(z, 0.0, out=z)
+        out = z
+    return out
+
+
+def _backprop(
+    net: DenseNet, work: list[tuple], batch: np.ndarray, targets: np.ndarray, grads: list
+) -> float:
+    """Mean squared error over the batch; writes its gradients into ``grads``.
+
+    Every intermediate lives in ``work``, from ``_workspace(net,
+    len(batch))``, so a training step allocates nothing here.  The
+    operations are those of fresh-array backprop in the same order (a
+    ``float x bool`` product applies a relu gate), so the bits are too."""
+    out = _train_forward(net, work, batch)
+    delta = work[-1][2]
+    np.subtract(out, targets, out=delta)
+    # The outputs are not read again: their buffer takes the squared errors,
+    # summed and divided as np.mean does.
+    np.square(delta, out=out)
+    loss = float(np.add.reduce(out, axis=None)) / out.size
+    delta *= 2.0
+    delta /= delta.size
     for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
-        if layer.activation == "relu":
-            delta = delta * (pre_activations[i] > 0.0)
+        _, gate, delta = work[i]
+        if gate is not None:
+            np.multiply(delta, gate, out=delta)
         grad_w, grad_b = grads[i]
-        np.matmul(inputs[i].T, delta, out=grad_w)
+        np.matmul((work[i - 1][0] if i else batch).T, delta, out=grad_w)
         np.add.reduce(delta, axis=0, out=grad_b)
         if i:
-            delta = delta @ layer.weights.T
+            np.matmul(delta, net.layers[i].weights.T, out=work[i - 1][2])
     return loss
 
 
 def net_gradients(net: DenseNet, batch: np.ndarray, targets: np.ndarray):
-    """Loss and backprop gradients of mean squared error over the batch."""
+    """Loss and backprop gradients of mean squared error over the batch, in
+    fresh arrays."""
     grads = _param_views(np.empty_like(net.params), net.layers)
-    return _backprop(net, batch, targets, grads), grads
+    return _backprop(net, _workspace(net, batch.shape[0]), batch, targets, grads), grads
 
 
 def net_train(net: DenseNet, data, spec: TrainSpec = TrainSpec()) -> list[float]:
@@ -215,9 +245,9 @@ def net_train(net: DenseNet, data, spec: TrainSpec = TrainSpec()) -> list[float]
     ``data`` is an (inputs, targets) array pair; one-dimensional targets
     are one output each.  Shuffling is seeded from the net, so training is
     reproducible bit for bit.  Each batch is gathered from ``data`` by the
-    epoch's shuffle, so a strided window view is never copied whole.  Each
-    batch is one Adam step on the whole parameter vector (Kingma & Ba, ICLR
-    2015, Alg. 1).
+    epoch's shuffle, so a strided window view is never copied whole, and
+    runs through the ``_workspace`` of its height.  Each batch is one Adam
+    step on the whole parameter vector (Kingma & Ba, ICLR 2015, Alg. 1).
     """
     inputs, targets = data
     inputs = np.asarray(inputs, dtype=np.float64)
@@ -233,6 +263,12 @@ def net_train(net: DenseNet, data, spec: TrainSpec = TrainSpec()) -> list[float]
             f"{net.input_dim}->{net.output_dim}"
         )
 
+    # The autoencoder reconstructs its inputs: one gather serves both.
+    autoencoding = targets is inputs
+    # Buffers for the two batch heights an epoch sees, the full batch and
+    # the short last one, built once per fit.
+    full = min(spec.batch_size, n)
+    work = {rows: _workspace(net, rows) for rows in {full, n % full or full}}
     rng = np.random.default_rng(net.seed)
     theta = net.params
     grad = np.empty_like(theta)
@@ -252,8 +288,9 @@ def net_train(net: DenseNet, data, spec: TrainSpec = TrainSpec()) -> list[float]
             for start in range(0, n, spec.batch_size):
                 rows = order[start : start + spec.batch_size]
                 batch = inputs[rows]
-                batch_targets = targets[rows]
-                epoch_loss += _backprop(net, batch, batch_targets, grad_views) * batch.shape[0]
+                batch_targets = batch if autoencoding else targets[rows]
+                loss = _backprop(net, work[rows.size], batch, batch_targets, grad_views)
+                epoch_loss += loss * rows.size
                 step += 1
                 correction1 = 1.0 - _BETA1**step
                 correction2 = 1.0 - _BETA2**step
@@ -271,8 +308,13 @@ def net_train(net: DenseNet, data, spec: TrainSpec = TrainSpec()) -> list[float]
                 np.divide(moment2, correction2, out=denominator)
                 np.sqrt(denominator, out=denominator)
                 denominator += _EPS
-                np.divide(moment1, correction1, out=update)
-                update *= spec.learning_rate
+                if correction1 == 1.0:
+                    # From step 356 on, 1 - b1**t rounds to 1.0, and m/1.0
+                    # is m bit for bit: skip the divide.
+                    np.multiply(moment1, spec.learning_rate, out=update)
+                else:
+                    np.divide(moment1, correction1, out=update)
+                    update *= spec.learning_rate
                 update /= denominator
                 theta -= update
         mean_loss = epoch_loss / n

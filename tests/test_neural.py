@@ -16,7 +16,8 @@ from tsadkit.detectors.neural import (
     TrainSpec,
     _build_autoencoder,
     _forward,
-    _forward_batch,
+    _train_forward,
+    _workspace,
     dense_net,
     net_forward,
     net_gradients,
@@ -163,8 +164,16 @@ class TestEngine:
 
 def reference_gradients(net: DenseNet, batch: np.ndarray, targets: np.ndarray):
     """Backprop into fresh per-layer arrays, as before the flat parameter
-    vector.  Frozen here as the oracle for ``net_gradients``."""
-    out, inputs, pre_activations = _forward_batch(net, batch)
+    vector.  Frozen here as the oracle for ``net_gradients``, with the
+    forward pass that kept each layer's input and pre-activation."""
+    inputs = [batch]
+    pre_activations = []
+    out = batch
+    for layer in net.layers:
+        z = out @ layer.weights + layer.bias
+        pre_activations.append(z)
+        out = np.maximum(z, 0.0) if layer.activation == "relu" else z
+        inputs.append(out)
     diff = out - targets
     loss = float(np.mean(diff**2))
     delta = 2.0 * diff / diff.size
@@ -251,6 +260,15 @@ ORACLE_CASES = {
         TrainSpec(epochs=6, batch_size=16, learning_rate=1e-2),
         3,
     ),
+    # 40 epochs of 10 batches: steps 356 .. 400 run with Adam's first bias
+    # correction rounded to exactly 1.0.
+    "past_step_356": (
+        lambda: dense_net([4, 6, 1], ["relu", "linear"], seed=9),
+        40,
+        lambda x, rng: x @ np.array([1.0, -0.5, 0.25, 2.0]) + rng.normal(0.0, 0.1, x.shape[0]),
+        TrainSpec(epochs=40, batch_size=4, learning_rate=1e-2),
+        5,
+    ),
     "hand_built": (
         two_layer_net,
         37,
@@ -286,6 +304,8 @@ class TestFlatParameters:
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_training_matches_per_layer_adam_bit_for_bit(self, case):
         make_net, data, spec = oracle_case(case)
+        if case == "autoencoder":
+            assert data[1] is data[0]  # one gather serves inputs and targets
         net, oracle = make_net(), make_net()
         history = net_train(net, data, spec)
         expected = reference_train(oracle, data, spec)
@@ -433,7 +453,8 @@ class TestForwardOnlyScoring:
     def test_outputs_match_the_training_pass(self, fitted):
         _, _, net = fitted
         batch = wavy_series(500, 12).values[:480].reshape(16, 30)
-        assert same_bits(_forward(net, batch), _forward_batch(net, batch)[0])
+        trained = _train_forward(net, _workspace(net, batch.shape[0]), batch)
+        assert same_bits(_forward(net, batch), trained)
 
     @pytest.mark.parametrize("n", [1500, 6000])
     def test_score_holds_two_layer_outputs_and_their_input(self, fitted, n):

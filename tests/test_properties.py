@@ -28,10 +28,11 @@ from tsadkit import (
 from tsadkit.bench import _preprocess
 from tsadkit.detectors import ml
 from tsadkit.detectors.ml import LofModel
-from tsadkit.detectors.neural import _forward
+from tsadkit.detectors.neural import TrainSpec, _forward, dense_net, net_train
 from tsadkit.errors import ConstantSeries, PeriodTooLong, SeriesTooShort
 
 from conftest import bytes_dict_duplicates, series
+from test_neural import reference_train, same_bits
 
 FIXED = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
@@ -170,6 +171,41 @@ def test_blocked_net_scores_match_one_pass(name, blocks, offset, seed):
     want, size = unblocked_scores(name, net, cfg, train, test)
     assert got.shape == want.shape == (n,)
     assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(want, size))
+
+
+@FIXED
+@given(
+    widths=st.lists(st.integers(min_value=1, max_value=12), min_size=2, max_size=4),
+    data=st.data(),
+    batch_size=st.integers(min_value=2, max_value=8),
+    full_batches=st.integers(min_value=0, max_value=4),
+    epochs=st.integers(min_value=1, max_value=3),
+    learning_rate=st.sampled_from([1e-3, 1e-2, 1e-1]),
+    reconstruct=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_net_train_matches_per_layer_adam_bit_for_bit(
+    widths, data, batch_size, full_batches, epochs, learning_rate, reconstruct, seed
+):
+    """Training through the per-fit workspaces gives the per-layer oracle's
+    histories and parameters bit for bit, on small relu/linear nets of one
+    to three layers, with every epoch ending on a short batch.  A
+    reconstructing net trains on ``(inputs, inputs)``, the autoencoder's
+    single-gather path."""
+    if reconstruct:
+        widths[-1] = widths[0]
+    layers = len(widths) - 1
+    activation = st.sampled_from(["relu", "linear"])
+    activations = data.draw(st.lists(activation, min_size=layers, max_size=layers))
+    short = data.draw(st.integers(min_value=1, max_value=batch_size - 1))
+    n = full_batches * batch_size + short
+    rng = np.random.default_rng(seed)
+    inputs = rng.normal(0.0, 1.0, (n, widths[0]))
+    targets = inputs if reconstruct else rng.normal(0.0, 1.0, (n, widths[-1]))
+    spec = TrainSpec(batch_size=batch_size, epochs=epochs, learning_rate=learning_rate)
+    net, oracle = (dense_net(widths, activations, seed=seed) for _ in range(2))
+    assert net_train(net, (inputs, targets), spec) == reference_train(oracle, (inputs, targets), spec)
+    assert same_bits(net.params, oracle.params)
 
 
 # Signed zeros, adjacent floats and the smallest subnormals: few enough
