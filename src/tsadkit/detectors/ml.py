@@ -178,8 +178,6 @@ class KMeansModel:
 
     def __post_init__(self):
         centroids = np.asarray(self.centroids, dtype=np.float64)
-        if centroids.shape[0] < 1:
-            raise ValueError("need at least one centroid")
         if not np.all(np.isfinite(centroids)):
             raise ValueError("centroids must be finite")
         object.__setattr__(self, "centroids", centroids)
@@ -244,22 +242,10 @@ def kmeans_score(model: KMeansModel, windows: np.ndarray) -> np.ndarray:
 # DBSCAN-derived distance-to-core scoring
 
 
-def _check_epsilon(epsilon: float) -> None:
-    if not 0.0 < epsilon < math.inf:  # also rejects nan
-        raise InvalidHyperparameter(f"epsilon must be positive and finite, got {epsilon}")
-
-
 @dataclass(frozen=True)
 class DbscanModel:
     epsilon: float
     core_points: np.ndarray
-
-    def __post_init__(self):
-        _check_epsilon(self.epsilon)
-        core = np.asarray(self.core_points, dtype=np.float64)
-        if core.ndim != 2 or core.shape[0] < 1:
-            raise NoCorePoints("model must retain at least one core point")
-        object.__setattr__(self, "core_points", core)
 
 
 def dbscan_fit(windows: np.ndarray, epsilon: float = 0.4, mu: int = 5) -> DbscanModel:
@@ -268,7 +254,8 @@ def dbscan_fit(windows: np.ndarray, epsilon: float = 0.4, mu: int = 5) -> Dbscan
     _check_windows(windows)
     if mu < 1:
         raise InvalidHyperparameter(f"mu must be >= 1, got {mu}")
-    _check_epsilon(epsilon)
+    if not 0.0 < epsilon < math.inf:  # also rejects nan
+        raise InvalidHyperparameter(f"epsilon must be positive and finite, got {epsilon}")
     windows = np.ascontiguousarray(windows)
     m = windows.shape[0]
     eps2 = epsilon * epsilon
@@ -592,10 +579,6 @@ class IsoForest:
     trees: tuple
     subsample: int
 
-    def __post_init__(self):
-        if len(self.trees) < 1:
-            raise InvalidHyperparameter("need n_trees >= 1 built trees")
-
     @property
     def n_trees(self) -> int:
         return len(self.trees)
@@ -623,6 +606,8 @@ def iforest_fit(windows: np.ndarray, n_trees: int = 10, seed: int = 0) -> IsoFor
     m = windows.shape[0]
     if m < 2:
         raise TooFewWindows(f"isolation forest needs at least 2 windows, got {m}")
+    if n_trees < 1:
+        raise InvalidHyperparameter("need n_trees >= 1 built trees")
     subsample = min(256, m)
     depth_cap = math.ceil(math.log2(subsample))
     harmonics = _harmonic(subsample)
@@ -634,6 +619,8 @@ def iforest_fit(windows: np.ndarray, n_trees: int = 10, seed: int = 0) -> IsoFor
         lo, hi = float(column.min()), float(column.max())
         if lo == hi:
             return None
+        if not math.isfinite(hi - lo):
+            raise NonFiniteValues(f"window values span [{lo}, {hi}], a range that overflows")
         return feature, float(rng.uniform(lo, hi))
 
     def path_length(idx: np.ndarray, depth: int) -> float:
@@ -673,8 +660,6 @@ class OcSvmModel:
         coeffs = np.asarray(self.dual_coeffs, dtype=np.float64)
         if vectors.shape[0] != coeffs.size or vectors.shape[0] < 1:
             raise ValueError("support vectors and dual coefficients must align")
-        if self.rbf_gamma <= 0.0:
-            raise InvalidHyperparameter(f"rbf_gamma must be positive, got {self.rbf_gamma}")
         if np.any(coeffs < -1e-12) or abs(coeffs.sum() - 1.0) > 1e-6:
             raise ValueError("dual coefficients must be non-negative and sum to 1")
         object.__setattr__(self, "support_vectors", vectors)
@@ -699,6 +684,8 @@ def ocsvm_fit(
         raise TooFewWindows(f"one-class SVM needs at least 2 windows, got {m}")
     if not (0.0 < nu <= 1.0):
         raise InvalidHyperparameter(f"nu must lie in (0, 1], got {nu}")
+    if rbf_gamma is not None and not rbf_gamma > 0.0:  # also rejects nan
+        raise InvalidHyperparameter(f"rbf_gamma must be positive, got {rbf_gamma}")
     windows = np.ascontiguousarray(windows)
     gamma = 1.0 / windows.shape[1] if rbf_gamma is None else rbf_gamma
     norms = _sq_norms(windows)

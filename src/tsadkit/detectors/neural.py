@@ -121,7 +121,7 @@ class TrainSpec:
             raise InvalidHyperparameter(f"batch_size must be >= 1, got {self.batch_size}")
         if self.epochs < 1:
             raise InvalidHyperparameter(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0.0:
+        if not self.learning_rate > 0.0:  # also rejects nan
             raise InvalidHyperparameter("learning_rate must be positive")
 
 

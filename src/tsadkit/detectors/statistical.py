@@ -84,8 +84,6 @@ class ArFit:
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=np.float64)
-        if coeffs.size < 1:
-            raise InvalidOrder("need at least one AR coefficient")
         if not (np.all(np.isfinite(coeffs)) and math.isfinite(self.intercept)):
             raise ValueError("AR parameters must be finite")
         if not math.isfinite(self.residual_sigma) or self.residual_sigma < 0.0:
@@ -101,6 +99,11 @@ def _lag_matrix(values: np.ndarray, p: int) -> np.ndarray:
     """Row t-p holds (x_{t-1}, ..., x_{t-p}) for t = p .. n-1."""
     windows = np.lib.stride_tricks.sliding_window_view(values, p)[:-1]
     return windows[:, ::-1]
+
+
+def _ar_residuals(values: np.ndarray, fit: ArFit) -> np.ndarray:
+    """x_t minus its AR forecast from the p values before it, for t >= p."""
+    return values[fit.p :] - (_lag_matrix(values, fit.p) @ fit.coefficients + fit.intercept)
 
 
 def ar_fit(train: TimeSeries, p: Optional[int] = None) -> ArFit:
@@ -137,9 +140,7 @@ def ar_fit(train: TimeSeries, p: Optional[int] = None) -> ArFit:
 def ar_score(fit: ArFit, series: TimeSeries) -> np.ndarray:
     """One-step-ahead absolute forecast errors of every point after the
     first p, rolling over true past values."""
-    values = series.values
-    predictions = _lag_matrix(values, fit.p) @ fit.coefficients + fit.intercept
-    return np.abs(values[fit.p :] - predictions)
+    return np.abs(_ar_residuals(series.values, fit))
 
 
 # ---------------------------------------------------------------------------
@@ -155,8 +156,6 @@ class MaFit:
 
     def __post_init__(self):
         coeffs = np.asarray(self.coefficients, dtype=np.float64)
-        if coeffs.size < 1:
-            raise InvalidOrder("need at least one MA coefficient")
         if not (np.all(np.isfinite(coeffs)) and math.isfinite(self.mu)):
             raise ValueError("MA parameters must be finite")
         object.__setattr__(self, "coefficients", coeffs)
@@ -205,10 +204,7 @@ def ma_fit(train: TimeSeries, q: int) -> MaFit:
             f"MA({q}) with long AR order {long_order} leaves {rows} rows from n={n}; "
             f"need at least {2 * q}"
         )
-    long_ar = ar_fit(train, long_order)
-    eps = values[long_order:] - (
-        _lag_matrix(values, long_order) @ long_ar.coefficients + long_ar.intercept
-    )
+    eps = _ar_residuals(values, ar_fit(train, long_order))
     mu = float(values.mean())
     # Row t holds (eps_{t-1}, ..., eps_{t-q}) for targets x_t, t >= long_order+q.
     design = _lag_matrix(eps, q)
@@ -250,8 +246,6 @@ class ArmaFit:
     def __post_init__(self):
         ar = np.asarray(self.ar, dtype=np.float64)
         ma = np.asarray(self.ma, dtype=np.float64)
-        if ar.size + ma.size < 1:
-            raise InvalidOrder("need at least one AR or MA coefficient")
         if not (np.all(np.isfinite(ar)) and np.all(np.isfinite(ma)) and math.isfinite(self.intercept)):
             raise ValueError("ARMA parameters must be finite")
         object.__setattr__(self, "ar", ar)
@@ -272,10 +266,6 @@ class ArimaFit:
 
     inner: ArmaFit
     d: int = 0
-
-    def __post_init__(self):
-        if self.d not in (0, 1, 2):
-            raise InvalidOrder(f"d must be 0, 1 or 2, got {self.d}")
 
 
 def _css_residuals(values: np.ndarray, theta: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -398,11 +388,8 @@ def _hannan_rissanen_init(values: np.ndarray, p: int, q: int) -> np.ndarray:
     if n < 3 * long_order:
         long_order = max(1, n // 3)
     series = TimeSeries(values=values, series_id="_init")
-    long_ar = ar_fit(series, long_order)
     eps = np.zeros(n)
-    eps[long_order:] = values[long_order:] - (
-        _lag_matrix(values, long_order) @ long_ar.coefficients + long_ar.intercept
-    )
+    eps[long_order:] = _ar_residuals(values, ar_fit(series, long_order))
     start = long_order + max(p, q)
     cols = [np.ones(n - start)]
     for i in range(1, p + 1):
@@ -476,20 +463,21 @@ class SmoothingFit:
     season: Optional[tuple] = None
     train_sse: float = 0.0
 
-    def __post_init__(self):
-        for name, value in (("alpha", self.alpha), ("beta", self.beta), ("gamma", self.gamma)):
-            if value is not None and not (0.0 <= value <= 1.0):
-                raise InvalidHyperparameter(f"{name} must lie in [0, 1], got {value}")
-        if self.gamma is not None and (self.season is None or len(self.season) < 2):
-            raise InvalidPeriod("seasonal smoothing needs a season state of at least 2 values")
-
     @property
     def season_period(self) -> Optional[int]:
         return None if self.season is None else len(self.season)
 
 
+def _check_weights(**weights: Optional[float]) -> None:
+    """Reject a given smoothing weight outside [0, 1]; None is grid-searched."""
+    for name, value in weights.items():
+        if value is not None and not (0.0 <= value <= 1.0):
+            raise InvalidHyperparameter(f"{name} must lie in [0, 1], got {value}")
+
+
 def ses_fit(train: TimeSeries, alpha: Optional[float] = None) -> SmoothingFit:
     """Simple exponential smoothing; alpha grid-searched on one-step SSE."""
+    _check_weights(alpha=alpha)
     values = train.values
     if values.size < 2:
         raise SeriesTooShort("smoothing needs at least 2 observations")
@@ -513,6 +501,7 @@ def holt_fit(
     train: TimeSeries, alpha: Optional[float] = None, beta: Optional[float] = None
 ) -> SmoothingFit:
     """Level+trend smoothing; (alpha, beta) grid-searched on one-step SSE."""
+    _check_weights(alpha=alpha, beta=beta)
     values = train.values
     if values.size < 3:
         raise SeriesTooShort("trend smoothing needs at least 3 observations")
@@ -605,6 +594,7 @@ def holtwinters_fit(
     fixed, cycling three rounds; the full cartesian grid would cost 99^3
     recursions for the same axis resolution.
     """
+    _check_weights(alpha=alpha, beta=beta, gamma=gamma)
     if period < 2:
         raise InvalidPeriod(f"period must be >= 2, got {period}")
     values = train.values
@@ -682,16 +672,6 @@ class PciFit:
     alpha: float = 98.5
     residual_s: float = 0.0
 
-    def __post_init__(self):
-        if self.k < 1:
-            raise InvalidHyperparameter(f"k must be >= 1, got {self.k}")
-        if not (50.0 < self.alpha < 100.0):
-            raise InvalidHyperparameter(f"alpha must lie in (50, 100), got {self.alpha}")
-        if not math.isfinite(self.residual_s):
-            raise NonFiniteValues(f"residual_s must be finite, got {self.residual_s}")
-        if self.residual_s < 0.0:
-            raise ValueError("residual_s must be non-negative")
-
 
 def _pci_predict(values: np.ndarray, k: int) -> np.ndarray:
     """Weighted forecasts of ``values[2k:]``, each from the 2k values before
@@ -707,8 +687,15 @@ def _pci_predict(values: np.ndarray, k: int) -> np.ndarray:
 
 def pci_fit(train: TimeSeries, k: int = 30, alpha: float = 98.5) -> PciFit:
     """Estimate the predictor's residual spread on the training series."""
+    if k < 1:
+        raise InvalidHyperparameter(f"k must be >= 1, got {k}")
+    if not (50.0 < alpha < 100.0):
+        raise InvalidHyperparameter(f"alpha must lie in (50, 100), got {alpha}")
     residuals = train.values[2 * k :] - _pci_predict(train.values, k)
-    return PciFit(k=k, alpha=alpha, residual_s=float(residuals.std()))
+    residual_s = float(residuals.std())
+    if not math.isfinite(residual_s):
+        raise NonFiniteValues(f"residual_s must be finite, got {residual_s}")
+    return PciFit(k=k, alpha=alpha, residual_s=residual_s)
 
 
 def pci_score(fit: PciFit, series: TimeSeries) -> np.ndarray:

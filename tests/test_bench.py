@@ -21,6 +21,7 @@ from tsadkit import (
     smoke_series,
     write_series_csv,
 )
+from tsadkit import errors
 from tsadkit.bench import _pair_seed, _preprocess
 from tsadkit.cli import main, parse_kv_file
 from tsadkit.detectors import REGISTRY, ml
@@ -100,6 +101,36 @@ class TestRunBenchmark:
         assert (rows[0].train_seconds, rows[0].inference_seconds) == (0.0, 0.0)
         assert summary["datasets"]["UD1"]["ar"]["n_excluded"] == 1
         assert curves == {}
+
+    def test_a_huge_series_fails_without_aborting_the_batch(self, tmp_path):
+        # Unstandardized values near +-1.5e308: window ranges, distances and
+        # sums overflow.  Each detector fails that series with a typed
+        # reason, and the healthy series keeps the rows it gets alone.
+        healthy = labelled_series(seed=1)
+        base = labelled_series(seed=2)
+        huge = replace(base, values=np.clip(base.values, -1.5, 1.5) * 1e308)
+        (tmp_path / "both").mkdir()
+        (tmp_path / "alone").mkdir()
+        config = quick_config(detectors=DETECTOR_NAMES, standardize=False)
+
+        def outcome(rows):
+            return [(r.detector, r.status, r.auc, r.best_f1, r.nmm, r.failure_reason) for r in rows]
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            rows, _, _ = run_benchmark(
+                replace(config, datasets=(str(write_manifest(tmp_path / "both", [healthy, huge])),))
+            )
+            alone, _, _ = run_benchmark(
+                replace(config, datasets=(str(write_manifest(tmp_path / "alone", [healthy])),))
+            )
+        assert len(rows) == 2 * len(DETECTOR_NAMES)
+        assert outcome(rows[: len(DETECTOR_NAMES)]) == outcome(alone)
+        failed = rows[len(DETECTOR_NAMES) :]
+        for row in failed:
+            assert row.status == "failed"
+            assert issubclass(getattr(errors, row.failure_reason.split(":")[0]), TsadError)
+        iforest = next(row for row in failed if row.detector == "iforest")
+        assert iforest.failure_reason.startswith("NonFiniteValues: window values span")
 
     def test_detrend_keeps_the_first_test_point(self, tmp_path):
         # The only anomaly is the first test point (head = 0.3 * 200 = 60).

@@ -237,33 +237,55 @@ class TestDetectorConfig:
         np.testing.assert_array_equal(scores[0], scores[1])
 
     @pytest.mark.parametrize(
-        "name, hyperparameters",
+        "name, hyperparameters, reason",
         [
-            ("kmeans", {"k": 0}),
-            ("kmeans", {"k": "four"}),
-            ("pci", {"k": 0}),
-            ("ses", {"alpha": 2.0}),
-            ("iforest", {"n_trees": 0}),
-            ("ocsvm", {"nu": 2.0}),
-            ("gbt", {"max_depth": 0}),
-            ("mlp", {"epochs": 0}),
-            ("ar", {"p": "two"}),
-            ("ma", {"q": [3]}),
-            ("ocsvm", {"rbf_gamma": "abc"}),
-            ("es", {"period": "x"}),
-            ("pci", {"pci_alpha": "maybe"}),
-            ("ocsvm", {"project_2d": 2}),
-            ("kmeans", {"k": 2.7}),
-            ("ar", {"p": 2.9}),
-            ("iforest", {"n_trees": True}),
+            ("kmeans", {"k": 0}, "InvalidHyperparameter: k-means needs k >= 1 centroids, got k=0"),
+            ("kmeans", {"k": "four"}, "InvalidHyperparameter: kmeans: k='four' is not a valid int"),
+            ("pci", {"k": 0}, "InvalidHyperparameter: k must be >= 1, got 0"),
+            ("pci", {"k": -3}, "InvalidHyperparameter: k must be >= 1, got -3"),
+            ("pci", {"pci_alpha": 40}, "InvalidHyperparameter: alpha must lie in (50, 100), got 40.0"),
+            ("ses", {"alpha": 2.0}, "InvalidHyperparameter: alpha must lie in [0, 1], got 2.0"),
+            ("ses", {"alpha": -0.5}, "InvalidHyperparameter: alpha must lie in [0, 1], got -0.5"),
+            ("es", {"alpha": 1.5}, "InvalidHyperparameter: alpha must lie in [0, 1], got 1.5"),
+            ("es", {"beta": -0.1}, "InvalidHyperparameter: beta must lie in [0, 1], got -0.1"),
+            ("es", {"period": 6, "gamma": 2.0}, "InvalidHyperparameter: gamma must lie in [0, 1], got 2.0"),
+            (
+                "es",
+                {"period": 6, "alpha": 1.5, "beta": -0.1, "gamma": 2.0},
+                "InvalidHyperparameter: alpha must lie in [0, 1], got 1.5",
+            ),
+            ("iforest", {"n_trees": 0}, "InvalidHyperparameter: need n_trees >= 1 built trees"),
+            ("ocsvm", {"nu": 2.0}, "InvalidHyperparameter: nu must lie in (0, 1], got 2.0"),
+            ("ocsvm", {"rbf_gamma": -1.0}, "InvalidHyperparameter: rbf_gamma must be positive, got -1.0"),
+            ("ocsvm", {"rbf_gamma": "nan"}, "InvalidHyperparameter: rbf_gamma must be positive, got nan"),
+            ("dbscan", {"epsilon": 0.0}, "InvalidHyperparameter: epsilon must be positive and finite, got 0.0"),
+            ("arima", {"d": 3}, "InvalidOrder: d must be 0, 1 or 2, got 3"),
+            (
+                "gbt",
+                {"max_depth": 0},
+                "InvalidHyperparameter: learning_rate must be positive, max_depth >= 1 and n_estimators >= 0",
+            ),
+            ("mlp", {"epochs": 0}, "InvalidHyperparameter: epochs must be >= 1, got 0"),
+            ("mlp", {"learning_rate": "nan"}, "InvalidHyperparameter: learning_rate must be positive"),
+            ("ar", {"p": "two"}, "InvalidHyperparameter: ar: p='two' is not a valid int"),
+            ("ma", {"q": [3]}, "InvalidHyperparameter: ma: q=[3] is not a valid int"),
+            ("ocsvm", {"rbf_gamma": "abc"}, "InvalidHyperparameter: ocsvm: rbf_gamma='abc' is not a valid float"),
+            ("es", {"period": "x"}, "InvalidHyperparameter: es: period='x' is not a valid int"),
+            ("pci", {"pci_alpha": "maybe"}, "InvalidHyperparameter: pci: pci_alpha='maybe' is not a valid float"),
+            ("ocsvm", {"project_2d": 2}, "InvalidHyperparameter: ocsvm: project_2d=2 is not a valid bool"),
+            ("kmeans", {"k": 2.7}, "InvalidHyperparameter: kmeans: k=2.7 is not a valid int"),
+            ("ar", {"p": 2.9}, "InvalidHyperparameter: ar: p=2.9 is not a valid int"),
+            ("iforest", {"n_trees": True}, "InvalidHyperparameter: iforest: n_trees=True is not a valid int"),
         ],
     )
-    def test_bad_values_become_failed_reports(self, name, hyperparameters):
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_bad_values_become_failed_reports(self, name, hyperparameters, reason):
+        # Every value is rejected before the detector computes anything, so
+        # no numpy warning is raised on the way to the failed row.
         train, test = short_noisy_sine()
         cfg = DetectorConfig(name=name, window_width=8, hyperparameters=hyperparameters)
-        with np.errstate(all="ignore"):
-            run = timed_run(get_detector(name), cfg, train, test)
-        assert run.failure.startswith("InvalidHyperparameter:")
+        run = timed_run(get_detector(name), cfg, train, test)
+        assert run.failure == reason
 
     @pytest.mark.parametrize(
         "name, key, value, derived",

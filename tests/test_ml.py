@@ -109,8 +109,8 @@ class TestKMeans:
             kmeans_fit(raw_frame(np.zeros((3, 2))), k=5)
 
     def test_model_validation(self):
-        with pytest.raises(ValueError):
-            KMeansModel(centroids=np.zeros((0, 3)), inertia=0.0)
+        with pytest.raises(InvalidHyperparameter, match="needs k >= 1 centroids, got k=0"):
+            kmeans_fit(raw_frame(np.zeros((3, 2))), k=0)
 
 
 class TestDbscan:
@@ -151,11 +151,6 @@ class TestDbscan:
     def test_mu_cannot_exceed_neighbours(self):
         with pytest.raises(NoCorePoints):
             dbscan_fit(raw_frame(np.ones((5, 2))), epsilon=1.0, mu=5)
-
-    def test_parameter_validation(self):
-        for epsilon in (0.0, float("nan"), float("inf")):
-            with pytest.raises(InvalidHyperparameter):
-                DbscanModel(epsilon=epsilon, core_points=np.ones((1, 2)))
 
     def test_mu_is_checked_before_the_distance_matrix(self, monkeypatch):
         def no_matrix(*args):
@@ -503,6 +498,13 @@ class TestIforest:
         with pytest.raises(TooFewWindows):
             iforest_fit(raw_frame(np.zeros((1, 2))))
 
+    def test_overflowing_split_range_is_typed(self):
+        # Two features whose values span more than the largest float: the
+        # split draw would overflow, so the fit fails typed before it.
+        windows = raw_frame([[1.5e308, -1.5e308], [-1.5e308, 1.5e308], [0.0, 0.0]])
+        with pytest.raises(NonFiniteValues, match="overflows"):
+            iforest_fit(windows, n_trees=1)
+
 
 class TestOcsvm:
     def test_center_inside_far_point_outside(self):
@@ -548,6 +550,15 @@ class TestOcsvm:
             ocsvm_fit(windows, nu=1.5)
         with pytest.raises(TooFewWindows):
             ocsvm_fit(raw_frame(np.zeros((1, 2))))
+
+    @pytest.mark.parametrize("rbf_gamma", [0.0, -1.0, float("nan")])
+    def test_rbf_gamma_is_checked_before_the_kernel(self, monkeypatch, rbf_gamma):
+        def no_matrix(*args):
+            raise AssertionError("a kernel block was built")
+
+        monkeypatch.setattr(ml, "_pairwise_sq", no_matrix)
+        with pytest.raises(InvalidHyperparameter, match=f"rbf_gamma must be positive, got {rbf_gamma}"):
+            ocsvm_fit(raw_frame(np.zeros((10, 2))), rbf_gamma=rbf_gamma)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,8 +44,10 @@ from tsadkit.detectors.statistical import (
     _student_t_cdf,
 )
 from tsadkit.errors import (
+    InvalidHyperparameter,
     InvalidOrder,
     InvalidPeriod,
+    NonFiniteValues,
     OrderTooLarge,
     PeriodTooLong,
     SeriesTooShort,
@@ -62,6 +65,14 @@ def ar1(n, coeff=0.5, sigma=1.0, seed=0, intercept=0.0):
     for t in range(1, n + 100):
         x[t] = intercept + coeff * x[t - 1] + noise[t]
     return series(x[100:])
+
+
+class UnreadTrain:
+    """A train whose values fail the test if a fit reads them."""
+
+    @property
+    def values(self):
+        raise AssertionError("the fit read the train")
 
 
 class TestLagCap:
@@ -152,8 +163,6 @@ class TestAr:
         assert np.argmax(out) == 137
 
     def test_fit_validation(self):
-        with pytest.raises(InvalidOrder):
-            ArFit(coefficients=np.empty(0), intercept=0.0, residual_sigma=1.0)
         with pytest.raises(ValueError):
             ArFit(coefficients=np.array([np.nan]), intercept=0.0, residual_sigma=1.0)
         with pytest.raises(ValueError):
@@ -205,8 +214,6 @@ class TestMa:
         assert np.argmax(out) == 50
 
     def test_fit_validation(self):
-        with pytest.raises(InvalidOrder):
-            MaFit(coefficients=np.empty(0), mu=0.0)
         with pytest.raises(ValueError):
             MaFit(coefficients=np.array([np.inf]), mu=0.0)
 
@@ -319,8 +326,6 @@ class TestArma:
             arma_fit(ar1(10), p=2, q=2)
 
     def test_fit_validation(self):
-        with pytest.raises(InvalidOrder):
-            ArmaFit(ar=np.empty(0), ma=np.empty(0), intercept=0.0)
         with pytest.raises(ValueError):
             ArmaFit(ar=np.array([0.5]), ma=np.array([np.nan]), intercept=0.0)
 
@@ -342,14 +347,12 @@ class TestArima:
         assert arima_fit(ar1(400, seed=19), p=1, q=1).d == 0
 
     def test_invalid_d(self):
-        with pytest.raises(InvalidOrder):
-            arima_fit(ar1(400), p=1, d=3, q=1)
+        for d in (-1, 3):
+            with pytest.raises(InvalidOrder, match=f"d must be 0, 1 or 2, got {d}"):
+                arima_fit(ar1(400), p=1, d=d, q=1)
         inner = ArmaFit(ar=np.array([0.5]), ma=np.empty(0), intercept=0.0)
         assert ArimaFit(inner=inner).d == 0
         assert ArimaFit(inner=inner, d=2).d == 2
-        for d in (-1, 3):
-            with pytest.raises(InvalidOrder):
-                ArimaFit(inner=inner, d=d)
 
     def test_score_hand_example(self):
         inner = ArmaFit(ar=np.array([0.0]), ma=np.empty(0), intercept=0.5)
@@ -439,13 +442,27 @@ class TestSmoothing:
         assert out[0] == 0.0
         assert np.max(out) < 1.0
 
-    def test_fit_validation(self):
-        with pytest.raises(ValueError):
-            SmoothingFit(alpha=1.5)
-        with pytest.raises(InvalidPeriod):
-            SmoothingFit(alpha=0.5, gamma=0.5)
-        with pytest.raises(InvalidPeriod):
-            SmoothingFit(alpha=0.5, gamma=0.5, season=(0.0,))
+    @pytest.mark.parametrize(
+        "fit, weights, message",
+        [
+            (ses_fit, {"alpha": 1.5}, "alpha must lie in [0, 1], got 1.5"),
+            (ses_fit, {"alpha": float("nan")}, "alpha must lie in [0, 1], got nan"),
+            (holt_fit, {"alpha": -0.1}, "alpha must lie in [0, 1], got -0.1"),
+            (holt_fit, {"alpha": 0.5, "beta": 2.0}, "beta must lie in [0, 1], got 2.0"),
+            (holtwinters_fit, {"period": 4, "gamma": 1.5}, "gamma must lie in [0, 1], got 1.5"),
+            (holtwinters_fit, {"period": 1, "beta": -2.0, "gamma": 1.5}, "beta must lie in [0, 1], got -2.0"),
+            (
+                holtwinters_fit,
+                {"period": 4, "alpha": 3.0, "beta": -2.0, "gamma": 1.5},
+                "alpha must lie in [0, 1], got 3.0",
+            ),
+        ],
+    )
+    def test_fit_validation(self, fit, weights, message):
+        # A given weight is rejected before the fit reads the train, so
+        # before any grid sweep, and before the period is checked.
+        with pytest.raises(InvalidHyperparameter, match=re.escape(message)):
+            fit(UnreadTrain(), **weights)
 
 
 class TestPci:
@@ -459,11 +476,29 @@ class TestPci:
         assert fit.k == 30
         assert fit.alpha == 98.5
 
-    def test_alpha_range_enforced(self):
-        with pytest.raises(ValueError):
-            PciFit(alpha=40.0)
-        with pytest.raises(ValueError):
-            PciFit(k=0)
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ({"alpha": 40.0}, "alpha must lie in (50, 100), got 40.0"),
+            ({"alpha": 100.0}, "alpha must lie in (50, 100), got 100.0"),
+            ({"alpha": float("nan")}, "alpha must lie in (50, 100), got nan"),
+            ({"k": 0}, "k must be >= 1, got 0"),
+            ({"k": -3}, "k must be >= 1, got -3"),
+        ],
+    )
+    def test_alpha_range_enforced(self, monkeypatch, params, message):
+        def no_forecast(*args):
+            raise AssertionError("the predictor ran")
+
+        monkeypatch.setattr(statistical, "_pci_predict", no_forecast)
+        with pytest.raises(InvalidHyperparameter, match=re.escape(message)):
+            pci_fit(ar1(200), **params)
+
+    def test_overflowing_residual_spread(self):
+        huge = np.tile([1.5e308, -1.5e308, 1.5e308, 1.5e308], 30)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NonFiniteValues, match="residual_s must be finite"):
+                pci_fit(series(huge), k=5)
 
     def test_hand_formula(self):
         fit = PciFit(k=1, alpha=95.0, residual_s=1.0)
