@@ -41,12 +41,12 @@ from .preprocessing import (
 __all__ = ["RunConfig", "ResultRow", "smoke_series", "run_benchmark", "emit_reports"]
 
 # Desk-scale built-in dataset: five seasonal series with point anomalies.
-_SMOKE_SPECS = (
-    SynthSpec(length=1500, base="sine_seasonal", anomaly_rate=0.01, anomaly_kind="point", seed=101, season_period=50),
-    SynthSpec(length=1500, base="sine_seasonal", anomaly_rate=0.01, anomaly_kind="point", seed=102, season_period=40),
-    SynthSpec(length=1500, base="sine_seasonal", anomaly_rate=0.01, anomaly_kind="point", seed=103, season_period=60),
-    SynthSpec(length=1500, base="sine_seasonal", anomaly_rate=0.01, anomaly_kind="point", seed=104, season_period=50),
-    SynthSpec(length=1500, base="sine_seasonal", anomaly_rate=0.01, anomaly_kind="point", seed=105, season_period=45),
+_SMOKE_SPECS = tuple(
+    SynthSpec(
+        length=1500, base="sine_seasonal", anomaly_rate=0.01, anomaly_kind="point",
+        seed=seed, season_period=period,
+    )
+    for seed, period in ((101, 50), (102, 40), (103, 60), (104, 50), (105, 45))
 )
 
 

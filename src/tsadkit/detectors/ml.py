@@ -36,6 +36,7 @@ from ..errors import (
     InvalidHyperparameter,
     NoCorePoints,
     NonFiniteValues,
+    NumericalDivergence,
     TooFewWindows,
 )
 
@@ -177,19 +178,19 @@ class KMeansModel:
     inertia: float
 
     def __post_init__(self):
-        centroids = np.asarray(self.centroids, dtype=np.float64)
-        if not np.all(np.isfinite(centroids)):
+        if not np.all(np.isfinite(self.centroids)):
             raise ValueError("centroids must be finite")
-        object.__setattr__(self, "centroids", centroids)
 
     @property
     def k(self) -> int:
         return int(self.centroids.shape[0])
 
 
-def kmeans_fit(windows: np.ndarray, k: int = 4, seed: int = 0) -> KMeansModel:
+def kmeans_fit(windows: np.ndarray, k: int, seed: int = 0) -> KMeansModel:
     """Lloyd iterations from distance-weighted seeding until the assignment
-    stops changing (at most 300 rounds); empty clusters keep their centroid."""
+    stops changing (at most 300 rounds); empty clusters keep their centroid.
+    Only rounding can make a round raise the inertia, as it does when the
+    windows lie far from the origin; that raises NumericalDivergence."""
     _check_windows(windows)
     if k < 1:
         raise InvalidHyperparameter(f"k-means needs k >= 1 centroids, got k={k}")
@@ -213,11 +214,12 @@ def kmeans_fit(windows: np.ndarray, k: int = 4, seed: int = 0) -> KMeansModel:
 
     assignment = None
     inertia = math.inf
-    for _ in range(300):
+    for round_ in range(300):
         d2 = _pairwise_sq(windows, centroids)
         new_assignment = d2.argmin(axis=1)
         new_inertia = float(d2[np.arange(m), new_assignment].sum())
-        assert new_inertia <= inertia * (1.0 + 1e-12) + 1e-9, "inertia increased"
+        if not new_inertia <= inertia * (1.0 + 1e-12) + 1e-9:
+            raise NumericalDivergence(round_, f"k-means inertia rose from {inertia} to {new_inertia}")
         inertia = new_inertia
         if assignment is not None and np.array_equal(new_assignment, assignment):
             break
@@ -248,7 +250,7 @@ class DbscanModel:
     core_points: np.ndarray
 
 
-def dbscan_fit(windows: np.ndarray, epsilon: float = 0.4, mu: int = 5) -> DbscanModel:
+def dbscan_fit(windows: np.ndarray, epsilon: float, mu: int) -> DbscanModel:
     """Find the training windows whose epsilon-neighborhood (self excluded)
     holds at least mu points."""
     _check_windows(windows)
@@ -489,7 +491,7 @@ class LofModel:
         return np.bincount(pq, weights=lrds, minlength=block.shape[0]) / size / lrd_query
 
 
-def lof_score(reference: np.ndarray, query_window, k: int = 10) -> float:
+def lof_score(reference: np.ndarray, query_window, k: int) -> float:
     """LOF of one query window against the reference windows, one per row."""
     model = LofModel(k_neighbors=k, reference_windows=reference)
     return model.query(np.asarray(query_window, dtype=np.float64))
@@ -600,7 +602,7 @@ def _avg_path(n: int, harmonics: np.ndarray) -> float:
     return 2.0 * harmonics[n - 1] - 2.0 * (n - 1) / n
 
 
-def iforest_fit(windows: np.ndarray, n_trees: int = 10, seed: int = 0) -> IsoForest:
+def iforest_fit(windows: np.ndarray, n_trees: int, seed: int = 0) -> IsoForest:
     """Build n_trees isolation trees on subsamples of at most 256 windows."""
     _check_windows(windows)
     m = windows.shape[0]
@@ -653,22 +655,17 @@ class OcSvmModel:
     dual_coeffs: np.ndarray
     rho: float
     rbf_gamma: float
-    converged: bool = True
+    converged: bool
 
     def __post_init__(self):
-        vectors = np.asarray(self.support_vectors, dtype=np.float64)
-        coeffs = np.asarray(self.dual_coeffs, dtype=np.float64)
+        vectors, coeffs = self.support_vectors, self.dual_coeffs
         if vectors.shape[0] != coeffs.size or vectors.shape[0] < 1:
             raise ValueError("support vectors and dual coefficients must align")
         if np.any(coeffs < -1e-12) or abs(coeffs.sum() - 1.0) > 1e-6:
             raise ValueError("dual coefficients must be non-negative and sum to 1")
-        object.__setattr__(self, "support_vectors", vectors)
-        object.__setattr__(self, "dual_coeffs", coeffs)
 
 
-def ocsvm_fit(
-    windows: np.ndarray, nu: float = 0.7, rbf_gamma: Optional[float] = None
-) -> OcSvmModel:
+def ocsvm_fit(windows: np.ndarray, nu: float, rbf_gamma: Optional[float] = None) -> OcSvmModel:
     """Solve the nu-one-class dual by most-violating-pair coordinate updates.
 
     Constraints: each alpha_i in [0, 1/(nu*m)], sum alpha_i = 1.  Stops when
@@ -788,9 +785,9 @@ class GbtModel:
     """
 
     trees: tuple
-    learning_rate: float = 0.1
-    base_score: float = 0.0
-    loss_history: tuple = ()
+    learning_rate: float
+    base_score: float
+    loss_history: tuple
 
 
 class _PresortedColumns:
@@ -877,10 +874,7 @@ def _gbt_best_split(cols: _PresortedColumns, g: np.ndarray, idx: np.ndarray):
 
 
 def gbt_fit(
-    train_frame: tuple[np.ndarray, np.ndarray],
-    n_estimators: int = 1000,
-    max_depth: int = 3,
-    learning_rate: float = 0.1,
+    train_frame: tuple[np.ndarray, np.ndarray], n_estimators: int, max_depth: int, learning_rate: float
 ) -> GbtModel:
     """Boost depth-capped trees against the one-step forecasting targets.
 

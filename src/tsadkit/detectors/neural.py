@@ -349,7 +349,7 @@ _TRAIN_PARAMS = {
 
 
 class MlpDetector:
-    """Window-to-next-value forecaster: w -> 100 -> 50 -> 1, relu hidden."""
+    """Window-to-next-value forecaster: relu hidden layers, one linear output."""
 
     name = "mlp"
     family = "neural"

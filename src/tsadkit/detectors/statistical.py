@@ -83,12 +83,10 @@ class ArFit:
     residual_sigma: float
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=np.float64)
-        if not (np.all(np.isfinite(coeffs)) and math.isfinite(self.intercept)):
+        if not (np.all(np.isfinite(self.coefficients)) and math.isfinite(self.intercept)):
             raise ValueError("AR parameters must be finite")
         if not math.isfinite(self.residual_sigma) or self.residual_sigma < 0.0:
             raise ValueError("residual_sigma must be finite and non-negative")
-        object.__setattr__(self, "coefficients", coeffs)
 
     @property
     def p(self) -> int:
@@ -155,10 +153,8 @@ class MaFit:
     mu: float
 
     def __post_init__(self):
-        coeffs = np.asarray(self.coefficients, dtype=np.float64)
-        if not (np.all(np.isfinite(coeffs)) and math.isfinite(self.mu)):
+        if not (np.all(np.isfinite(self.coefficients)) and math.isfinite(self.mu)):
             raise ValueError("MA parameters must be finite")
-        object.__setattr__(self, "coefficients", coeffs)
 
     @property
     def q(self) -> int:
@@ -241,15 +237,12 @@ class ArmaFit:
     ar: np.ndarray
     ma: np.ndarray
     intercept: float
-    converged: bool = True
+    converged: bool
 
     def __post_init__(self):
-        ar = np.asarray(self.ar, dtype=np.float64)
-        ma = np.asarray(self.ma, dtype=np.float64)
-        if not (np.all(np.isfinite(ar)) and np.all(np.isfinite(ma)) and math.isfinite(self.intercept)):
+        finite = np.all(np.isfinite(self.ar)) and np.all(np.isfinite(self.ma))
+        if not (finite and math.isfinite(self.intercept)):
             raise ValueError("ARMA parameters must be finite")
-        object.__setattr__(self, "ar", ar)
-        object.__setattr__(self, "ma", ma)
 
     @property
     def p(self) -> int:
@@ -265,7 +258,7 @@ class ArimaFit:
     """ARMA after d rounds of differencing."""
 
     inner: ArmaFit
-    d: int = 0
+    d: int
 
 
 def _css_residuals(values: np.ndarray, theta: np.ndarray, p: int, q: int) -> np.ndarray:
@@ -403,14 +396,12 @@ def _hannan_rissanen_init(values: np.ndarray, p: int, q: int) -> np.ndarray:
     return theta
 
 
-def arima_fit(
-    train: TimeSeries, p: int = 1, d: Optional[int] = None, q: int = 2
-) -> ArimaFit:
+def arima_fit(train: TimeSeries, p: int, d: Optional[int], q: int) -> ArimaFit:
     """Difference d times, then fit ARMA(p, q) on what remains.
 
-    When d is omitted, a cheap trend test picks 1 if a least-squares line
-    over the train rises by more than two residual standard deviations end
-    to end, else 0.
+    When d is None, a cheap trend test picks 1 if a least-squares line over
+    the train rises by more than two residual standard deviations end to
+    end, else 0.
     """
     if d is None:
         d = _trend_order(train.values)
@@ -668,9 +659,9 @@ def smoothing_score(fit: SmoothingFit, test: TimeSeries) -> np.ndarray:
 class PciFit:
     """Inverse-distance forecast band: half-width t_{alpha,2k-1} * s * sqrt(1+1/(2k))."""
 
-    k: int = 30
-    alpha: float = 98.5
-    residual_s: float = 0.0
+    k: int
+    alpha: float
+    residual_s: float
 
 
 def _pci_predict(values: np.ndarray, k: int) -> np.ndarray:
@@ -685,7 +676,7 @@ def _pci_predict(values: np.ndarray, k: int) -> np.ndarray:
     return windows @ weights / weights.sum()
 
 
-def pci_fit(train: TimeSeries, k: int = 30, alpha: float = 98.5) -> PciFit:
+def pci_fit(train: TimeSeries, k: int, alpha: float) -> PciFit:
     """Estimate the predictor's residual spread on the training series."""
     if k < 1:
         raise InvalidHyperparameter(f"k must be >= 1, got {k}")
@@ -759,7 +750,7 @@ def student_t_ppf(p: float, dof: int) -> float:
 
 
 class ArDetector:
-    """Autoregression of order p (default: the lag-cap formula)."""
+    """Autoregression: one-step least-squares forecast from the last p values."""
 
     name = "ar"
     family = "statistical"
@@ -773,7 +764,7 @@ class ArDetector:
 
 
 class MaDetector:
-    """Moving average of order q (default: the window width)."""
+    """Moving average: innovations regressed on the last q estimated innovations."""
 
     name = "ma"
     family = "statistical"
@@ -788,7 +779,7 @@ class MaDetector:
 
 
 class ArimaDetector:
-    """ARIMA(p, d, q); d defaults to a cheap trend test, orders to (1, 2)."""
+    """ARIMA(p, d, q): ARMA fit by conditional least squares after d differences."""
 
     name = "arima"
     family = "statistical"

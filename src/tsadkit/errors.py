@@ -57,7 +57,8 @@ class DimensionMismatch(TsadError, ValueError):
 
 
 class NumericalDivergence(TsadError, ArithmeticError):
-    """Training loss became non-finite; reports the epoch where it happened."""
+    """A training loss became non-finite, or a k-means inertia rose; reports
+    the epoch or round where it happened."""
 
     def __init__(self, epoch: int, message: str | None = None):
         self.epoch = epoch

@@ -42,18 +42,15 @@ class RocCurve:
     thresholds: np.ndarray
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=np.float64)
-        thresholds = np.asarray(self.thresholds, dtype=np.float64)
+        points = self.points
         if points.ndim != 2 or points.shape[1] != 2:
             raise ValueError(f"points must have shape (k, 2), got {points.shape}")
-        if thresholds.shape != (points.shape[0],):
+        if self.thresholds.shape != (points.shape[0],):
             raise ValueError("thresholds must match points one-to-one")
         if np.any(points < -1e-12) or np.any(points > 1.0 + 1e-12):
             raise ValueError("fpr/tpr must lie in [0, 1]")
         if np.any(np.diff(points[:, 0]) < -1e-12) or np.any(np.diff(points[:, 1]) < -1e-12):
             raise ValueError("fpr and tpr must be non-decreasing along the sweep")
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "thresholds", thresholds)
 
     @property
     def fpr(self) -> np.ndarray:

@@ -132,6 +132,29 @@ class TestRunBenchmark:
         iforest = next(row for row in failed if row.detector == "iforest")
         assert iforest.failure_reason.startswith("NonFiniteValues: window values span")
 
+    def test_a_rising_kmeans_inertia_fails_without_aborting_the_batch(self, tmp_path):
+        # Unstandardized values near 1e7: window distances are rounding
+        # noise, so a k-means round raises the inertia.  ar fails the same
+        # series, its lag design singular.  Every row is still written.
+        healthy = labelled_series(seed=1)
+        base = labelled_series(n=400, anomaly_at=380, seed=2)
+        offset = replace(base, values=base.values + 1e7)
+        manifest = write_manifest(tmp_path, [healthy, offset])
+        config = quick_config(
+            datasets=(str(manifest),), detectors=("ar", "kmeans"), standardize=False
+        )
+        rows, summary, curves = run_benchmark(config)
+        emit_reports(rows, tmp_path / "out", summary, curves)
+        assert [(r.series_id, r.detector, r.status) for r in rows] == [
+            ("series_0", "ar", "ok"),
+            ("series_0", "kmeans", "ok"),
+            ("series_1", "ar", "failed"),
+            ("series_1", "kmeans", "failed"),
+        ]
+        assert rows[2].failure_reason.startswith("SingularDesign:")
+        assert rows[3].failure_reason.startswith("NumericalDivergence: k-means inertia rose from")
+        assert len((tmp_path / "out" / "results.csv").read_text().splitlines()) == 5
+
     def test_detrend_keeps_the_first_test_point(self, tmp_path):
         # The only anomaly is the first test point (head = 0.3 * 200 = 60).
         # The whole series is differenced before the cut, so the train tail
@@ -457,12 +480,17 @@ class TestCatalog:
             entry.append(line)
         assert entries["ar"] == [
             "ar [statistical]",
-            "  Autoregression of order p (default: the lag-cap formula).",
+            "  Autoregression: one-step least-squares forecast from the last p values.",
             "  p = lag cap floor(12*(n_train/100)^(1/4))",
+        ]
+        assert entries["ma"] == [
+            "ma [statistical]",
+            "  Moving average: innovations regressed on the last q estimated innovations.",
+            "  q = window width w",
         ]
         assert entries["arima"] == [
             "arima [statistical]",
-            "  ARIMA(p, d, q); d defaults to a cheap trend test, orders to (1, 2).",
+            "  ARIMA(p, d, q): ARMA fit by conditional least squares after d differences.",
             "  d = 1 if trend detected else 0",
             "  p = 1",
             "  q = 2",
@@ -484,7 +512,7 @@ class TestCatalog:
         ]
         assert entries["mlp"] == [
             "mlp [neural]",
-            "  Window-to-next-value forecaster: w -> 100 -> 50 -> 1, relu hidden.",
+            "  Window-to-next-value forecaster: relu hidden layers, one linear output.",
             "  batch_size = 32",
             "  epochs = 50",
             "  hidden_dims = (100, 50)",

@@ -25,12 +25,16 @@ from tsadkit import (
 )
 from tsadkit.detectors import ml
 from tsadkit.detectors.ml import (
+    DbscanDetector,
     DbscanModel,
+    GbtDetector,
     GbtModel,
+    IforestDetector,
     IsoForest,
     KMeansModel,
     LofModel,
     OcSvmModel,
+    OcsvmDetector,
     _Tree,
     _avg_path,
     _harmonic,
@@ -52,10 +56,14 @@ from tsadkit.errors import (
     InvalidHyperparameter,
     NoCorePoints,
     NonFiniteValues,
+    NumericalDivergence,
     TooFewWindows,
 )
 
 from conftest import bytes_dict_duplicates, long_synth, raw_frame, series, traced_peak
+
+# The one-class SVM's default nu, for the tests that fit at it.
+NU = OcsvmDetector.params["nu"]
 
 
 def blob_windows(m, width, center, spread=0.1, seed=0):
@@ -111,6 +119,13 @@ class TestKMeans:
     def test_model_validation(self):
         with pytest.raises(InvalidHyperparameter, match="needs k >= 1 centroids, got k=0"):
             kmeans_fit(raw_frame(np.zeros((3, 2))), k=0)
+
+    def test_rising_inertia_is_a_typed_failure(self):
+        # Windows near 1e7: their squared distances, aa + bb - 2ab, are
+        # rounding noise, and a Lloyd round raises the inertia.
+        x = 1e7 + np.random.default_rng(0).normal(0.0, 1.0, 600)
+        with pytest.raises(NumericalDivergence, match="k-means inertia rose from"):
+            kmeans_fit(subsequences(series(x), 30), k=4, seed=0)
 
 
 class TestDbscan:
@@ -206,7 +221,7 @@ class TestPairwiseGuard:
 
         def fit_and_score():
             lof = LofModel(k_neighbors=10, reference_windows=train)
-            svm = ocsvm_fit(raw_frame(train))
+            svm = ocsvm_fit(raw_frame(train), NU)
             dbscan = dbscan_fit(raw_frame(train), epsilon=2.0, mu=5)
             return (
                 lof.scores(test),
@@ -417,7 +432,7 @@ class TestTree:
         rng = np.random.default_rng(31)
         x = np.cumsum(rng.normal(0.0, 1.0, 400)) * 0.1
         forest = iforest_fit(subsequences(series(x), 5), n_trees=8, seed=4)
-        boosted = gbt_fit(frame(series(x), 5), n_estimators=12, max_depth=3)
+        boosted = gbt_fit(frame(series(x), 5), n_estimators=12, max_depth=3, learning_rate=0.1)
         return rng.normal(0.0, 1.0, (15, 5)), forest.trees + boosted.trees
 
     def test_apply_matches_per_row_descent(self):
@@ -456,7 +471,7 @@ class TestIforest:
     def test_score_range(self):
         rng = np.random.default_rng(15)
         windows = raw_frame(rng.normal(0.0, 1.0, (100, 4)))
-        out = iforest_score(iforest_fit(windows, seed=1), windows)
+        out = iforest_score(iforest_fit(windows, **IforestDetector.params, seed=1), windows)
         assert np.all(out > 0.0)
         assert np.all(out <= 1.0)
 
@@ -496,7 +511,7 @@ class TestIforest:
 
     def test_too_few_windows(self):
         with pytest.raises(TooFewWindows):
-            iforest_fit(raw_frame(np.zeros((1, 2))))
+            iforest_fit(raw_frame(np.zeros((1, 2))), **IforestDetector.params)
 
     def test_overflowing_split_range_is_typed(self):
         # Two features whose values span more than the largest float: the
@@ -549,7 +564,7 @@ class TestOcsvm:
         with pytest.raises(ValueError):
             ocsvm_fit(windows, nu=1.5)
         with pytest.raises(TooFewWindows):
-            ocsvm_fit(raw_frame(np.zeros((1, 2))))
+            ocsvm_fit(raw_frame(np.zeros((1, 2))), NU)
 
     @pytest.mark.parametrize("rbf_gamma", [0.0, -1.0, float("nan")])
     def test_rbf_gamma_is_checked_before_the_kernel(self, monkeypatch, rbf_gamma):
@@ -558,7 +573,7 @@ class TestOcsvm:
 
         monkeypatch.setattr(ml, "_pairwise_sq", no_matrix)
         with pytest.raises(InvalidHyperparameter, match=f"rbf_gamma must be positive, got {rbf_gamma}"):
-            ocsvm_fit(raw_frame(np.zeros((10, 2))), rbf_gamma=rbf_gamma)
+            ocsvm_fit(raw_frame(np.zeros((10, 2))), NU, rbf_gamma=rbf_gamma)
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -567,6 +582,7 @@ class TestOcsvm:
                 dual_coeffs=np.array([0.7, 0.7]),
                 rho=0.0,
                 rbf_gamma=1.0,
+                converged=True,
             )
 
 
@@ -574,7 +590,7 @@ class TestGbt:
     def test_constant_target_is_learned_exactly(self):
         windows = np.arange(30.0).reshape(10, 3)
         fr = (windows, np.full(10, 4.0))
-        model = gbt_fit(fr, n_estimators=10)
+        model = gbt_fit(fr, **{**GbtDetector.params, "n_estimators": 10})
         assert model.base_score == 4.0
         out = gbt_score(model, fr)
         assert np.array_equal(out, np.zeros(10))
@@ -583,7 +599,7 @@ class TestGbt:
         rng = np.random.default_rng(23)
         x = rng.normal(0.0, 1.0, 300)
         fr = frame(series(np.cumsum(x) * 0.1), width=5)
-        model = gbt_fit(fr, n_estimators=60)
+        model = gbt_fit(fr, **{**GbtDetector.params, "n_estimators": 60})
         history = np.asarray(model.loss_history)
         assert history.size == 60
         assert np.all(np.diff(history) <= 1e-9)
@@ -592,7 +608,7 @@ class TestGbt:
         windows = np.concatenate((np.full(20, -1.0), np.full(20, 1.0))).reshape(-1, 1)
         targets = np.concatenate((np.full(20, -3.0), np.full(20, 3.0)))
         fr = (windows, targets)
-        model = gbt_fit(fr, n_estimators=200, max_depth=1)
+        model = gbt_fit(fr, **{**GbtDetector.params, "n_estimators": 200, "max_depth": 1})
         predictions = np.abs(gbt_score(model, fr))
         assert np.max(predictions) < 1e-3
 
@@ -603,7 +619,7 @@ class TestGbt:
         for t in range(1, 800):
             x[t] = -0.8 * x[t - 1] + noise[t]
         train, test = series(x[:500]), series(x[500:])
-        model = gbt_fit(frame(train, 5), n_estimators=100)
+        model = gbt_fit(frame(train, 5), **{**GbtDetector.params, "n_estimators": 100})
         out = gbt_score(model, frame(with_lookback(train, test, 5), 5))
         assert len(out) == len(test)
         # Anti-persistent dynamics: the last-value forecast is much worse
@@ -717,6 +733,7 @@ class TestPresortedSplit:
     )
     def test_matches_per_feature_search(self, frames, kwargs):
         train, test = frames()
+        kwargs = {**GbtDetector.params, **kwargs}
         model = gbt_fit(train, **kwargs)
         reference = reference_gbt_fit(train, **kwargs)
         assert model.loss_history == reference.loss_history
@@ -842,6 +859,7 @@ class TestFrozenGbtFit:
     )
     def test_matches_frozen_fit(self, frames, kwargs):
         train, test = frames()
+        kwargs = {**GbtDetector.params, **kwargs}
         model = gbt_fit(train, **kwargs)
         frozen = frozen_gbt_fit(train, **kwargs)
         assert np.array(model.loss_history).tobytes() == np.array(frozen.loss_history).tobytes()
@@ -861,20 +879,20 @@ class TestFrozenGbtFit:
         np.testing.assert_array_equal(partly.tied, [0, 3, 6])
 
 
-def _fitted(fit):
-    """``fit`` applied to 40 well-formed windows of width 4."""
-    return fit(blob_windows(40, 4, 0.0))
+def _fitted(name: str):
+    """The fit ``WINDOW_MATRIX_CALLS[name]`` of 40 well-formed windows of width 4."""
+    return WINDOW_MATRIX_CALLS[name](blob_windows(40, 4, 0.0))
 
 
 WINDOW_MATRIX_CALLS = {
     "kmeans_fit": lambda windows: kmeans_fit(windows, k=2),
     "dbscan_fit": lambda windows: dbscan_fit(windows, epsilon=1.0, mu=2),
     "iforest_fit": lambda windows: iforest_fit(windows, n_trees=2),
-    "ocsvm_fit": ocsvm_fit,
-    "kmeans_score": lambda windows: kmeans_score(_fitted(kmeans_fit), windows),
-    "dbscan_score": lambda windows: dbscan_score(_fitted(dbscan_fit), windows),
-    "iforest_score": lambda windows: iforest_score(_fitted(iforest_fit), windows),
-    "ocsvm_score": lambda windows: ocsvm_score(_fitted(ocsvm_fit), windows),
+    "ocsvm_fit": lambda windows: ocsvm_fit(windows, NU),
+    "kmeans_score": lambda windows: kmeans_score(_fitted("kmeans_fit"), windows),
+    "dbscan_score": lambda windows: dbscan_score(_fitted("dbscan_fit"), windows),
+    "iforest_score": lambda windows: iforest_score(_fitted("iforest_fit"), windows),
+    "ocsvm_score": lambda windows: ocsvm_score(_fitted("ocsvm_fit"), windows),
 }
 
 
@@ -1137,8 +1155,8 @@ class TestInPlaceDistances:
     @pytest.mark.parametrize("case", FIT_CASES)
     def test_ocsvm_matches_frozen_fit_and_score(self, case):
         windows, queries = DISTANCE_CASES[case]()
-        model = ocsvm_fit(raw_frame(windows))
-        support, coeffs, rho, converged = frozen_ocsvm_fit(windows)
+        model = ocsvm_fit(raw_frame(windows), NU)
+        support, coeffs, rho, converged = frozen_ocsvm_fit(windows, NU)
         # The fit computes kernel rows from row blocks, which need not round
         # as the whole syrk does: the support set is identical, and the
         # coefficients and rho agree to 1e-10 and 1e-12.
@@ -1192,9 +1210,9 @@ class TestInPlaceDistances:
                 with pytest.raises(NonFiniteValues):
                     LofModel(k_neighbors=1, reference_windows=a)
                 with pytest.raises(NonFiniteValues):
-                    ocsvm_fit(raw_frame(a))
+                    ocsvm_fit(raw_frame(a), NU)
                 with pytest.raises(NonFiniteValues):
-                    dbscan_fit(raw_frame(a))
+                    dbscan_fit(raw_frame(a), **DbscanDetector.params)
 
 
 class TestDistancePeaks:
@@ -1214,7 +1232,7 @@ class TestDistancePeaks:
 
     def test_ocsvm_holds_one_kernel(self):
         train, test = self.windows(self.N, 63), self.windows(self.M, 64)
-        model, peak = traced_peak(lambda: ocsvm_fit(raw_frame(train)))
+        model, peak = traced_peak(lambda: ocsvm_fit(raw_frame(train), NU))
         assert peak <= 1.1 * 8 * self.N**2, peak / (8 * self.N**2)
         test_frame = raw_frame(test)
         _, peak = traced_peak(lambda: ocsvm_score(model, test_frame))
@@ -1222,7 +1240,7 @@ class TestDistancePeaks:
         assert peak <= 1.1 * kernel_bytes, peak / kernel_bytes
 
     def test_ocsvm_score_holds_blocks_not_the_kernel(self):
-        model = ocsvm_fit(raw_frame(self.windows(self.N, 63)))
+        model = ocsvm_fit(raw_frame(self.windows(self.N, 63)), NU)
         n_sv = model.support_vectors.shape[0]
         block_bytes = 8 * ml._BLOCK_ENTRIES
         for rows in (self.M, 4 * self.M):
@@ -1294,7 +1312,7 @@ class TestRowBlockPeaks:
 
     def test_ocsvm_fit(self, m):
         train = raw_frame(self.windows(m, 83))
-        _, peak = traced_peak(lambda: ocsvm_fit(train))
+        _, peak = traced_peak(lambda: ocsvm_fit(train, NU))
         # Two kernel rows and the support vectors, beside the blocks.
         block_bytes = 8 * ml._BLOCK_ENTRIES
         assert peak <= 4 * block_bytes + 8 * m * (self.WIDTH + 16), peak / block_bytes
@@ -1349,7 +1367,7 @@ class TestOneBlockAtATime:
         assert peak <= 2.5 * 8 * self.ENTRIES, peak / (8 * self.ENTRIES)
 
     def test_ocsvm_score(self):
-        model = ocsvm_fit(raw_frame(self.windows(1200, 92)))
+        model = ocsvm_fit(raw_frame(self.windows(1200, 92)), NU)
         test = raw_frame(self.windows(6000, 93))
         rows = ml._block_height(model.support_vectors.shape[0])
         assert test.shape[0] > 2 * rows
@@ -1550,8 +1568,8 @@ class TestFrozenIndexOracles:
     @pytest.mark.parametrize("windows", [ocsvm_m421, ocsvm_m2971], ids=["m421", "m2971"])
     def test_ocsvm_fit(self, windows):
         windows = windows()
-        model = ocsvm_fit(windows)
-        support, coeffs, rho, converged = frozen_two_row_ocsvm_fit(windows)
+        model = ocsvm_fit(windows, NU)
+        support, coeffs, rho, converged = frozen_two_row_ocsvm_fit(windows, NU)
         assert same_bytes(model.support_vectors, support)
         assert same_bytes(model.dual_coeffs, coeffs)
         assert model.rho == rho and model.converged == converged

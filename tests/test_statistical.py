@@ -23,6 +23,7 @@ from tsadkit.detectors.statistical import (
     ArimaFit,
     ArmaFit,
     MaFit,
+    PciDetector,
     PciFit,
     SmoothingFit,
     ar_fit,
@@ -327,7 +328,7 @@ class TestArma:
 
     def test_fit_validation(self):
         with pytest.raises(ValueError):
-            ArmaFit(ar=np.array([0.5]), ma=np.array([np.nan]), intercept=0.0)
+            ArmaFit(ar=np.array([0.5]), ma=np.array([np.nan]), intercept=0.0, converged=True)
 
 
 class TestArima:
@@ -341,21 +342,20 @@ class TestArima:
     def test_auto_d_picks_one_for_drift(self):
         rng = np.random.default_rng(17)
         walk = np.cumsum(0.5 + rng.normal(0.0, 1.0, 400))
-        assert arima_fit(series(walk), p=1, q=1).d == 1
+        assert arima_fit(series(walk), p=1, d=None, q=1).d == 1
 
     def test_auto_d_picks_zero_when_stationary(self):
-        assert arima_fit(ar1(400, seed=19), p=1, q=1).d == 0
+        assert arima_fit(ar1(400, seed=19), p=1, d=None, q=1).d == 0
 
     def test_invalid_d(self):
         for d in (-1, 3):
             with pytest.raises(InvalidOrder, match=f"d must be 0, 1 or 2, got {d}"):
                 arima_fit(ar1(400), p=1, d=d, q=1)
-        inner = ArmaFit(ar=np.array([0.5]), ma=np.empty(0), intercept=0.0)
-        assert ArimaFit(inner=inner).d == 0
+        inner = ArmaFit(ar=np.array([0.5]), ma=np.empty(0), intercept=0.0, converged=True)
         assert ArimaFit(inner=inner, d=2).d == 2
 
     def test_score_hand_example(self):
-        inner = ArmaFit(ar=np.array([0.0]), ma=np.empty(0), intercept=0.5)
+        inner = ArmaFit(ar=np.array([0.0]), ma=np.empty(0), intercept=0.5, converged=True)
         fit = ArimaFit(inner=inner, d=1)
         out = arima_score(fit, series([9.5, 10.0, 10.5, 11.0, 11.6]))
         # Differenced: [0.5, 0.5, 0.5, 0.6]; forecasts are 0.5.  The first
@@ -465,16 +465,15 @@ class TestSmoothing:
             fit(UnreadTrain(), **weights)
 
 
+# PCI's default alpha, read from the detector's table (the fit calls it alpha).
+PCI_ALPHA = PciDetector.params["pci_alpha"]
+
+
 class TestPci:
     def test_constant_scores_zero(self):
         train = series(np.full(100, 3.0))
-        out = pci_score(pci_fit(train, k=5), series(np.full(80, 3.0)))
+        out = pci_score(pci_fit(train, k=5, alpha=PCI_ALPHA), series(np.full(80, 3.0)))
         assert np.max(out) == 0.0
-
-    def test_defaults(self):
-        fit = PciFit()
-        assert fit.k == 30
-        assert fit.alpha == 98.5
 
     @pytest.mark.parametrize(
         "params, message",
@@ -492,13 +491,13 @@ class TestPci:
 
         monkeypatch.setattr(statistical, "_pci_predict", no_forecast)
         with pytest.raises(InvalidHyperparameter, match=re.escape(message)):
-            pci_fit(ar1(200), **params)
+            pci_fit(ar1(200), **{"k": PciDetector.params["k"], "alpha": PCI_ALPHA, **params})
 
     def test_overflowing_residual_spread(self):
         huge = np.tile([1.5e308, -1.5e308, 1.5e308, 1.5e308], 30)
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(NonFiniteValues, match="residual_s must be finite"):
-                pci_fit(series(huge), k=5)
+                pci_fit(series(huge), k=5, alpha=PCI_ALPHA)
 
     def test_hand_formula(self):
         fit = PciFit(k=1, alpha=95.0, residual_s=1.0)
@@ -514,15 +513,15 @@ class TestPci:
         train = ar1(300, seed=41)
         test_values = ar1(260, seed=42).values.copy()
         test_values[140] += 12.0
-        out = pci_score(pci_fit(train, k=10), with_lookback(train, series(test_values), 20))
+        out = pci_score(pci_fit(train, k=10, alpha=PCI_ALPHA), with_lookback(train, series(test_values), 20))
         assert len(out) == 260
         assert np.argmax(out) == 140
 
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
-            pci_fit(series(np.arange(10.0)), k=5)
+            pci_fit(series(np.arange(10.0)), k=5, alpha=PCI_ALPHA)
         with pytest.raises(SeriesTooShort):
-            pci_score(PciFit(k=5, residual_s=1.0), series(np.arange(10.0)))
+            pci_score(PciFit(k=5, alpha=PCI_ALPHA, residual_s=1.0), series(np.arange(10.0)))
 
 
 class TestStudentT:
