@@ -18,7 +18,6 @@ from .core import (
 )
 from .data import (
     DATASET_IDS,
-    DatasetManifest,
     SynthSpec,
     generate_synthetic,
     load_manifest,
@@ -54,7 +53,6 @@ __all__ = [
     "DATASET_IDS",
     "DETECTOR_NAMES",
     "REGISTRY",
-    "DatasetManifest",
     "DetectorConfig",
     "ResultRow",
     "RocCurve",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -111,8 +112,7 @@ def _resolve_dataset(entry: str, data_dir: Optional[Path]) -> tuple[str, list[Ti
             return entry, [replace(series, period_hint=48)]
         manifest_path = root / "manifest.txt"
         if manifest_path.exists():
-            manifest = load_manifest(manifest_path, entry)
-            paths = [path for _, path in manifest.series]
+            paths = [path for _, path in load_manifest(manifest_path)]
         else:
             paths = sorted(root.glob("*.csv"))
         if not paths:
@@ -121,8 +121,9 @@ def _resolve_dataset(entry: str, data_dir: Optional[Path]) -> tuple[str, list[Ti
     # Anything else is a manifest path whose stem names the dataset.
     path = Path(entry)
     dataset_id = path.stem.upper()
-    manifest = load_manifest(path, dataset_id)
-    return dataset_id, [load_yahoo_csv(p) for _, p in manifest.series]
+    if dataset_id not in DATASET_IDS:
+        raise InvalidSpec(f"unknown dataset_id {dataset_id!r}; expected one of {DATASET_IDS}")
+    return dataset_id, [load_yahoo_csv(p) for _, p in load_manifest(path)]
 
 
 def _pair_seed(base_seed: int, series_id: str, detector: str) -> int:
@@ -162,14 +163,21 @@ def run_benchmark(config: RunConfig) -> tuple[list[ResultRow], dict, dict]:
 
     Deterministic apart from timings: every (series, detector) pair gets its
     own seed derived from the run seed, the series id and the detector name.
+    Every dataset is loaded before any detector runs; a series id that
+    occurs twice in the run raises InvalidSpec, because the curves and the
+    ROC files are keyed by series id.
     """
     for name in config.detectors:
         get_detector(name)  # unknown names fail before any work happens
+    datasets = [_resolve_dataset(str(entry), config.data_dir) for entry in config.datasets]
+    counts = Counter(series.series_id for _, series_list in datasets for series in series_list)
+    repeated = sorted(sid for sid, count in counts.items() if count > 1)
+    if repeated:
+        raise InvalidSpec(f"series ids occur more than once in the run: {repeated}")
 
     rows: list[ResultRow] = []
     curves: dict[tuple[str, str], RocCurve] = {}
-    for entry in config.datasets:
-        dataset_id, series_list = _resolve_dataset(str(entry), config.data_dir)
+    for dataset_id, series_list in datasets:
         for series in series_list:
             rows.extend(_run_series(config, dataset_id, series, curves))
     return rows, _summarize(rows), curves

@@ -29,7 +29,6 @@ from .errors import (
 
 __all__ = [
     "DATASET_IDS",
-    "DatasetManifest",
     "SynthSpec",
     "load_yahoo_csv",
     "load_nab_csv",
@@ -44,27 +43,6 @@ DATASET_IDS = ("UD1", "UD2", "UD3", "UD4", "NYCT", "SYNTH")
 _VALUE_COLUMN = "value"
 _LABEL_COLUMNS = ("is_anomaly", "anomaly")
 _CHANGEPOINT_COLUMN = "changepoint"
-
-
-@dataclass(frozen=True)
-class DatasetManifest:
-    """Named collection of series files that form one benchmark dataset."""
-
-    dataset_id: str
-    series: tuple[tuple[str, Path], ...]
-
-    def __post_init__(self):
-        if self.dataset_id not in DATASET_IDS:
-            raise InvalidSpec(
-                f"unknown dataset_id {self.dataset_id!r}; expected one of {DATASET_IDS}"
-            )
-        ids = [sid for sid, _ in self.series]
-        if len(set(ids)) != len(ids):
-            dupes = sorted({s for s in ids if ids.count(s) > 1})
-            raise InvalidSpec(f"duplicate series ids in manifest: {dupes}")
-        object.__setattr__(
-            self, "series", tuple((sid, Path(p)) for sid, p in self.series)
-        )
 
 
 @dataclass(frozen=True)
@@ -290,11 +268,12 @@ def write_series_csv(series: TimeSeries, path) -> None:
             writer.writerow([i, repr(float(value)), int(label)])
 
 
-def load_manifest(path, dataset_id: str) -> DatasetManifest:
+def load_manifest(path) -> list[tuple[str, Path]]:
     """Read a manifest: one series path per line, '#' lines and blanks ignored.
 
-    Relative paths resolve against the manifest's own directory; each series
-    id is the file stem.
+    Returns ``(series_id, path)`` pairs in file order.  Relative paths
+    resolve against the manifest's own directory; each series id is the
+    file stem.
     """
     path = Path(path)
     entries: list[tuple[str, Path]] = []
@@ -307,7 +286,7 @@ def load_manifest(path, dataset_id: str) -> DatasetManifest:
             if not series_path.is_absolute():
                 series_path = path.parent / series_path
             entries.append((series_path.stem, series_path))
-    return DatasetManifest(dataset_id=dataset_id, series=tuple(entries))
+    return entries
 
 
 def _season(spec: SynthSpec) -> Optional[int]:

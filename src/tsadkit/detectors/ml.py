@@ -7,10 +7,13 @@ on its final timestamp, and the windows of the first test points reach back
 into the train tail.  The boosted-tree detector is the exception: it
 forecasts the observation after each window, like the statistical family.
 Neighbor searches are exact brute force, which keeps every detector
-oracle-testable.  LOF, DBSCAN and the one-class SVM cost O(m^2) time in the
-m training windows but build their distances one row block at a time, so
-they hold O(block + m*(k + d)) memory for k neighbours of width-d windows;
-no distance block grows past _MAX_PAIRWISE_ENTRIES entries.
+oracle-testable.  Every blocked distance loop (k-means scoring, DBSCAN,
+LOF and the one-class SVM's fit and scoring) runs through one iterator,
+_distance_blocks, which yields one row block of squared distances at a
+time in one reused buffer.  So LOF, DBSCAN and the one-class SVM cost
+O(m^2) time in the m training windows but hold O(block + m*(k + d))
+memory for k neighbours of width-d windows; no distance block grows past
+_MAX_PAIRWISE_ENTRIES entries.
 """
 
 from __future__ import annotations
@@ -63,9 +66,8 @@ __all__ = [
 # Largest distance matrix _pairwise_sq builds: 2**27 float64 entries, 1 GiB.
 _MAX_PAIRWISE_ENTRIES = 2**27
 _KDIST_FLOOR = 1e-12
-# Row blocks over a distance matrix hold about this many entries: LOF fit
-# and scoring, DBSCAN's fit and scoring, the one-class SVM's fit and
-# scoring kernels, and the dense nets' scoring layer outputs.
+# Row blocks hold about this many entries: the distance blocks of
+# _distance_blocks, and the dense nets' scoring layer outputs.
 _BLOCK_ENTRIES = 2**16
 # _pairwise_sq adds the squared norms through a scratch of about this many
 # entries (64 KiB).  Under glibc malloc's default 128 KiB mmap threshold,
@@ -103,20 +105,13 @@ def _window_blocks(windows: np.ndarray, cols: int):
         yield rows, np.ascontiguousarray(windows[rows])
 
 
-def _work_buffers(rows: int, height: int, cols: int, count: int = 2) -> np.ndarray:
-    """``count`` buffers of min(rows, height) rows of ``cols`` entries, for a
-    loop over row blocks of at most ``height`` rows.  A loop that reuses
-    them, instead of building new block-sized arrays on every block, keeps
-    glibc malloc from returning those pages and faulting them in again."""
-    return np.empty((count, min(rows, height), cols))
-
-
-def _partitioned(rows: np.ndarray, kth, out: np.ndarray) -> np.ndarray:
-    """``np.partition(rows, kth, axis=1)``, built in the first rows of ``out``."""
-    part = out[: rows.shape[0]]
-    np.copyto(part, rows)
-    part.partition(kth, axis=1)
-    return part
+def _without_self(sq: np.ndarray, lo: int) -> np.ndarray:
+    """Square roots, in place, of the squared distances ``sq`` of rows lo,
+    lo + 1, ... of a row set to the whole set, each row's own entry inf."""
+    np.sqrt(sq, out=sq)
+    own = np.arange(sq.shape[0])
+    sq[own, lo + own] = np.inf
+    return sq
 
 
 def _check_windows(windows: np.ndarray) -> None:
@@ -166,6 +161,23 @@ def _pairwise_sq(
     if not np.isfinite(sq.max(initial=0.0)):
         raise NonFiniteValues("pairwise window distances overflow")
     return sq
+
+
+def _distance_blocks(queries: np.ndarray, reference: np.ndarray):
+    """``(rows, block, sq)`` over ``_window_blocks(queries, len(reference))``,
+    ``sq`` the ``_pairwise_sq`` of ``block`` to ``reference``.
+
+    The reference norms are computed once, and every ``sq`` is written into
+    one buffer that the next block overwrites, so a caller is done with a
+    block's distances before it asks for the next.  Reusing one buffer,
+    instead of building a block-sized array on every block, keeps glibc
+    malloc from returning those pages and faulting them in again."""
+    norms = _sq_norms(reference)
+    work = None
+    for rows, block in _window_blocks(queries, reference.shape[0]):
+        if work is None:  # the first block is the tallest
+            work = np.empty((block.shape[0], reference.shape[0]))
+        yield rows, block, _pairwise_sq(block, reference, norms, work)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +247,8 @@ def kmeans_score(model: KMeansModel, windows: np.ndarray) -> np.ndarray:
     """Euclidean distance to the nearest centroid, assigned to the window end."""
     _check_windows(windows)
     d = np.empty(windows.shape[0])
-    for rows, block in _window_blocks(windows, model.k):
-        d[rows] = _pairwise_sq(block, model.centroids).min(axis=1)
+    for rows, _, sq in _distance_blocks(windows, model.centroids):
+        d[rows] = sq.min(axis=1)
     return np.sqrt(d, out=d)
 
 
@@ -262,10 +274,8 @@ def dbscan_fit(windows: np.ndarray, epsilon: float, mu: int) -> DbscanModel:
     m = windows.shape[0]
     eps2 = epsilon * epsilon
     counts = np.empty(m, dtype=np.intp)
-    norms = _sq_norms(windows)
-    work = _work_buffers(m, _block_height(m), m, 1)[0]
-    for rows in _row_blocks(m, m):
-        within = _pairwise_sq(windows[rows], windows, norms, work) <= eps2
+    for rows, _, sq in _distance_blocks(windows, windows):
+        within = sq <= eps2
         own = np.arange(within.shape[0])
         counts[rows] = within.sum(axis=1) - within[own, rows.start + own]
     core_mask = counts >= mu
@@ -283,13 +293,9 @@ def dbscan_score(model: DbscanModel, windows: np.ndarray) -> np.ndarray:
     The square root of each row's minimum equals the minimum of the row's
     square roots, because sqrt is monotone and correctly rounded."""
     _check_windows(windows)
-    core = model.core_points
-    c = core.shape[0]
     d = np.empty(windows.shape[0])
-    norms = _sq_norms(core)
-    work = _work_buffers(windows.shape[0], _block_height(max(c, windows.shape[1])), c, 1)[0]
-    for rows, block in _window_blocks(windows, c):
-        d[rows] = _pairwise_sq(block, core, norms, work).min(axis=1)
+    for rows, _, sq in _distance_blocks(windows, model.core_points):
+        d[rows] = sq.min(axis=1)
     np.sqrt(d, out=d)
     return np.where(d <= model.epsilon, 0.0, d)
 
@@ -331,28 +337,28 @@ class LofModel:
         if not (1 <= k < m):
             raise TooFewWindows(f"need k_neighbors < m reference windows, got k={k}, m={m}")
         object.__setattr__(self, "reference_windows", windows)
-        object.__setattr__(self, "fit_rows", _block_height(m))
         kdist = np.empty(m)
         kdist_prev = np.zeros(m)
-        rows, cols, dists = [], [], []
-        norms = _sq_norms(windows)
-        work = _work_buffers(m, self.fit_rows, m)
-        for block in _row_blocks(m, m):
-            d = self._fit_distances(block.start, norms, work[0])
-            part = _partitioned(d, (k - 1, max(k - 2, 0)), work[1])
-            kdist[block] = np.maximum(part[:, k - 1], _KDIST_FLOOR)
+        owners, cols, dists = [], [], []
+        for rows, _, d in _distance_blocks(windows, windows):
+            _without_self(d, rows.start)
+            part = np.partition(d, (k - 1, max(k - 2, 0)), axis=1)
+            kdist[rows] = np.maximum(part[:, k - 1], _KDIST_FLOOR)
             if k >= 2:
-                kdist_prev[block] = part[:, k - 2]
-            flat = np.flatnonzero(d <= kdist[block, None])
+                kdist_prev[rows] = part[:, k - 2]
+            del part  # a block-sized copy: free it before the next block's
+            flat = np.flatnonzero(d <= kdist[rows, None])
             r, c = np.divmod(flat, m)
-            rows.append(r + block.start)
+            owners.append(r + rows.start)
             cols.append(c)
             dists.append(d.ravel().take(flat))
-        rows = np.concatenate(rows)
+        owners = np.concatenate(owners)
         for name, value in (
+            # Every block's slice spans the block height.
+            ("fit_rows", rows.stop - rows.start),
             ("kdist", kdist),
             ("kdist_prev", kdist_prev),
-            ("nbr_ptr", np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))),
+            ("nbr_ptr", np.concatenate(([0], np.cumsum(np.bincount(owners, minlength=m))))),
             ("nbr_idx", np.concatenate(cols)),
             ("nbr_dist", np.concatenate(dists)),
             # Column 0 is the last key, so lexsort sorts by it first.
@@ -360,19 +366,12 @@ class LofModel:
         ):
             object.__setattr__(self, name, value)
 
-    def _fit_distances(
-        self, lo: int, bb: Optional[np.ndarray] = None, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def _fit_distances(self, lo: int) -> np.ndarray:
         """The fit's row block starting at reference row ``lo``: distances of
         rows lo .. lo + fit_rows to every reference window, own entries inf,
-        with ``bb`` and ``out`` as in ``_pairwise_sq``.  The same call on the
-        same operands repeats the fit's bits."""
+        bit for bit as the fit computed them."""
         windows = self.reference_windows
-        d = _pairwise_sq(windows[lo : lo + self.fit_rows], windows, bb, out)
-        np.sqrt(d, out=d)
-        own = np.arange(d.shape[0])
-        d[own, lo + own] = np.inf
-        return d
+        return _without_self(_pairwise_sq(windows[lo : lo + self.fit_rows], windows), lo)
 
     def query(self, window: np.ndarray) -> float:
         """Exact LOF of the window against reference union {window}."""
@@ -381,12 +380,9 @@ class LofModel:
     def scores(self, windows: np.ndarray) -> np.ndarray:
         """Exact LOF of each row against reference union {row}, in row blocks."""
         windows = np.asarray(windows, dtype=np.float64)
-        m = self.kdist.size
         out = np.empty(windows.shape[0])
-        work = _work_buffers(windows.shape[0], _block_height(max(m, windows.shape[1])), m)
-        norms = _sq_norms(self.reference_windows)
-        for rows, block in _window_blocks(windows, m):
-            out[rows] = self._score_block(block, work, norms)
+        for rows, block, dq in _distance_blocks(windows, self.reference_windows):
+            out[rows] = self._score_block(block, dq)
         return out
 
     def _duplicates(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -429,14 +425,10 @@ class LofModel:
         joined = np.where(dq >= kdist, kdist, np.maximum(self.kdist_prev[x], dq))
         return np.maximum(joined, _KDIST_FLOOR)
 
-    def _score_block(
-        self, block: np.ndarray, work: np.ndarray, bb: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """LOF of each block row; ``work`` is two buffers of at least
-        len(block) rows of m entries, from ``_work_buffers``, and ``bb`` the
-        reference windows' ``_sq_norms``, computed here when not given."""
+    def _score_block(self, block: np.ndarray, dq: np.ndarray) -> np.ndarray:
+        """LOF of each block row from ``dq``, the block's squared distances to
+        the reference windows, which it overwrites."""
         k, m = self.k_neighbors, self.kdist.size
-        dq = _pairwise_sq(block, self.reference_windows, bb, work[0])
         np.sqrt(dq, out=dq)
         dup, ref = self._duplicates(block)
         # A duplicated reference row must see the fit's distances bit for
@@ -445,9 +437,9 @@ class LofModel:
         h = self.fit_rows
         for lo in sorted(set((ref - ref % h).tolist())):
             inside = (ref >= lo) & (ref < lo + h)
-            dq[dup[inside]] = self._fit_distances(lo, bb)[ref[inside] - lo]
+            dq[dup[inside]] = self._fit_distances(lo)[ref[inside] - lo]
         dq[dup, ref] = 0.0
-        kdist_q = np.maximum(_partitioned(dq, k - 1, work[1])[:, k - 1], _KDIST_FLOOR)
+        kdist_q = np.maximum(np.partition(dq, k - 1, axis=1)[:, k - 1], _KDIST_FLOOR)
 
         # (query, y) pairs with y in the query's neighbourhood, query-major.
         flat = np.flatnonzero(dq <= kdist_q[:, None])
@@ -685,7 +677,6 @@ def ocsvm_fit(windows: np.ndarray, nu: float, rbf_gamma: Optional[float] = None)
         raise InvalidHyperparameter(f"rbf_gamma must be positive, got {rbf_gamma}")
     windows = np.ascontiguousarray(windows)
     gamma = 1.0 / windows.shape[1] if rbf_gamma is None else rbf_gamma
-    norms = _sq_norms(windows)
 
     box = 1.0 / (nu * m)
     alpha = np.zeros(m)
@@ -694,15 +685,11 @@ def ocsvm_fit(windows: np.ndarray, nu: float, rbf_gamma: Optional[float] = None)
     if full < m:
         alpha[full] = 1.0 - full * box
     gradient = np.empty(m)
-    for rows in _row_blocks(m, m):
-        kernel = _pairwise_sq(windows[rows], windows, norms)
+    for rows, _, kernel in _distance_blocks(windows, windows):
         kernel *= -gamma
         gradient[rows] = np.exp(kernel, out=kernel) @ alpha
-        # Free this block before _pairwise_sq builds the next one.  A buffer
-        # reused across blocks, as the scoring loops have, left taxi-window's
-        # peak RSS 0.2 MiB higher (glibc heap layout), with no clear speed-up.
-        del kernel
 
+    norms = _sq_norms(windows)
     converged = False
     for _ in range(_OCSVM_MAX_ITER):
         can_down = alpha > 1e-12
@@ -714,13 +701,7 @@ def ocsvm_fit(windows: np.ndarray, nu: float, rbf_gamma: Optional[float] = None)
             converged = True
             break
         total = alpha[i] + alpha[j]
-        # _pairwise_sq's operations in its order, without its fixed work:
-        # the gradient's blocks above already checked every entry finite.
-        pair = [i, j]
-        kernel = windows[pair] @ windows.T
-        kernel *= -2.0
-        kernel += norms[pair, None] + norms
-        np.maximum(kernel, 0.0, out=kernel)
+        kernel = _pairwise_sq(windows[[i, j]], windows, norms)
         kernel *= -gamma
         k_i, k_j = np.exp(kernel, out=kernel)
         curvature = k_i[i] + k_j[j] - 2.0 * k_i[j]
@@ -758,13 +739,8 @@ def ocsvm_score(model: OcSvmModel, windows: np.ndarray) -> np.ndarray:
 
     The test-by-support-vector kernel is built one row block at a time."""
     _check_windows(windows)
-    vectors = model.support_vectors
-    s = vectors.shape[0]
     scores = np.empty(windows.shape[0])
-    norms = _sq_norms(vectors)
-    work = _work_buffers(windows.shape[0], _block_height(max(s, windows.shape[1])), s, 1)[0]
-    for rows, block in _window_blocks(windows, s):
-        kernel = _pairwise_sq(block, vectors, norms, work)
+    for rows, _, kernel in _distance_blocks(windows, model.support_vectors):
         kernel *= -model.rbf_gamma
         np.exp(kernel, out=kernel)
         scores[rows] = model.rho - kernel @ model.dual_coeffs

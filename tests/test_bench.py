@@ -21,7 +21,7 @@ from tsadkit import (
     smoke_series,
     write_series_csv,
 )
-from tsadkit import errors
+from tsadkit import bench, errors
 from tsadkit.bench import _pair_seed, _preprocess
 from tsadkit.cli import main, parse_kv_file
 from tsadkit.detectors import REGISTRY, ml
@@ -637,6 +637,25 @@ class TestCli:
 
         args = build_parser().parse_args(["run"])
         assert config_from_sources(args).data_dir == tmp_path
+
+    def test_a_series_id_in_two_datasets_is_refused_before_any_run(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # Both datasets hold series "s"; its second curve would overwrite the
+        # first in the curves and in roc/s_ar.csv.
+        for entry in ("UD1", "UD2"):
+            (tmp_path / entry).mkdir()
+            write_series_csv(labelled_series(seed=len(entry)), tmp_path / entry / "s.csv")
+        runs = []
+        monkeypatch.setattr(bench, "timed_run", lambda *args: runs.append(args))
+        out = tmp_path / "o"
+        code = main(
+            ["run", "--dataset", "UD1", "--dataset", "UD2", "--data-dir", str(tmp_path),
+             "--detector", "ar", "--out", str(out)]
+        )
+        assert code == 2
+        assert "series ids occur more than once in the run: ['s']" in capsys.readouterr().err
+        assert runs == [] and not out.exists()
 
     def test_missing_data_dir_is_a_clean_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("TSAD_DATA_DIR", raising=False)

@@ -8,12 +8,13 @@ import numpy as np
 import pytest
 
 from tsadkit import (
-    DatasetManifest,
+    RunConfig,
     SynthSpec,
     generate_synthetic,
     load_manifest,
     load_nab_csv,
     load_yahoo_csv,
+    run_benchmark,
     synthetic_base,
     write_series_csv,
 )
@@ -191,16 +192,23 @@ class TestManifest:
         csv_b.write_text("timestamp,value,is_anomaly\n1,2.0,0\n")
         manifest = tmp_path / "UD1.txt"
         manifest.write_text("# comment\ns1.csv\n\ns2.csv\n")
-        out = load_manifest(manifest, "UD1")
-        assert [sid for sid, _ in out.series] == ["s1", "s2"]
+        out = load_manifest(manifest)
+        assert out == [("s1", csv_a), ("s2", csv_b)]
 
-    def test_duplicate_series_id(self):
-        with pytest.raises(InvalidSpec):
-            DatasetManifest(dataset_id="UD1", series=(("s", "a.csv"), ("s", "b.csv")))
+    def test_duplicate_series_id(self, tmp_path):
+        for sub in ("a", "b"):
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "s.csv").write_text("timestamp,value,is_anomaly\n1,1.0,0\n")
+        manifest = tmp_path / "UD1.txt"
+        manifest.write_text("a/s.csv\nb/s.csv\n")
+        with pytest.raises(InvalidSpec, match=r"\['s'\]"):
+            run_benchmark(RunConfig(datasets=(str(manifest),), detectors=("ar",)))
 
-    def test_unknown_dataset_id(self):
-        with pytest.raises(InvalidSpec):
-            DatasetManifest(dataset_id="BOGUS", series=())
+    def test_unknown_dataset_id(self, tmp_path):
+        manifest = tmp_path / "bogus.txt"
+        manifest.write_text("")
+        with pytest.raises(InvalidSpec, match="unknown dataset_id 'BOGUS'"):
+            run_benchmark(RunConfig(datasets=(str(manifest),), detectors=("ar",)))
 
 
 class TestSynthetic:

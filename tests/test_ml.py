@@ -1346,11 +1346,10 @@ class TestScorePeakAtFortyThousandPoints:
 
 
 class TestOneBlockAtATime:
-    """LOF's fit loop builds each distance block and its partitioned copy in
-    two buffers it reuses, and the one-class SVM's scoring frees each
-    kernel block before ``_pairwise_sq`` builds the next, so they peak near
-    two blocks, not at three or four.  Blocks of 2**20 entries (8 MiB)
-    dwarf the O(m) structures beside them."""
+    """Every blocked distance loop writes its blocks into the one buffer
+    that ``_distance_blocks`` reuses, so each loop peaks near one block, or
+    two with LOF's partitioned copy, not at three or four.  Blocks of 2**20
+    entries (8 MiB) dwarf the O(m) structures beside them."""
 
     ENTRIES = 2**20
 
@@ -1372,6 +1371,33 @@ class TestOneBlockAtATime:
         rows = ml._block_height(model.support_vectors.shape[0])
         assert test.shape[0] > 2 * rows
         _, peak = traced_peak(lambda: ocsvm_score(model, test))
+        assert peak <= 2.5 * 8 * self.ENTRIES, peak / (8 * self.ENTRIES)
+
+    def test_ocsvm_fit(self):
+        windows = raw_frame(self.windows(1500, 94))  # blocks of 699, 699 and 102 rows
+        _, peak = traced_peak(lambda: ocsvm_fit(windows, NU))
+        assert peak <= 2.5 * 8 * self.ENTRIES, peak / (8 * self.ENTRIES)
+
+    def test_kmeans_score(self):
+        model = kmeans_fit(raw_frame(self.windows(1200, 95)), 4)
+        # A view of 99,971 width-30 windows, as the scorers get them: the
+        # block copies, 34,952 rows each, are the blocks here.
+        values = np.random.default_rng(96).normal(0.0, 1.0, 100_000)
+        test = np.lib.stride_tricks.sliding_window_view(values, 30)
+        assert test.shape[0] > 2 * ml._block_height(test.shape[1])
+        _, peak = traced_peak(lambda: kmeans_score(model, test))
+        assert peak <= 2.5 * 8 * self.ENTRIES, peak / (8 * self.ENTRIES)
+
+    def test_dbscan_fit(self):
+        windows = raw_frame(self.windows(1500, 97))  # blocks of 699, 699 and 102 rows
+        _, peak = traced_peak(lambda: dbscan_fit(windows, epsilon=6.0, mu=5))
+        assert peak <= 2.5 * 8 * self.ENTRIES, peak / (8 * self.ENTRIES)
+
+    def test_dbscan_score(self):
+        model = dbscan_fit(raw_frame(self.windows(1500, 98)), epsilon=6.0, mu=5)
+        test = raw_frame(self.windows(6000, 99))
+        assert test.shape[0] > 2 * ml._block_height(model.core_points.shape[0])
+        _, peak = traced_peak(lambda: dbscan_score(model, test))
         assert peak <= 2.5 * 8 * self.ENTRIES, peak / (8 * self.ENTRIES)
 
 
@@ -1560,10 +1586,10 @@ class TestFrozenIndexOracles:
         reference, queries, k = INDEX_CASES[case]()
         model = LofModel(k_neighbors=k, reference_windows=reference)
         step = height or queries.shape[0]
-        work = ml._work_buffers(queries.shape[0], step, model.kdist.size)
         for lo in range(0, queries.shape[0], step):
             block = queries[lo : lo + step]
-            assert same_bytes(model._score_block(block, work), frozen_score_block(model, block))
+            dq = ml._pairwise_sq(block, model.reference_windows)
+            assert same_bytes(model._score_block(block, dq), frozen_score_block(model, block))
 
     @pytest.mark.parametrize("windows", [ocsvm_m421, ocsvm_m2971], ids=["m421", "m2971"])
     def test_ocsvm_fit(self, windows):
