@@ -18,6 +18,8 @@ from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .core import DetectorConfig, TimeSeries
 from .data import (
     DATASET_IDS,
@@ -261,6 +263,18 @@ def _cell(value) -> str:
     return repr(float(value)) if isinstance(value, float) else value
 
 
+def _run_reprs(rates: np.ndarray) -> list[str]:
+    """``repr`` of each rate, formatted once per run of equal rates.
+
+    A ROC curve's rates only rise along it, and each vertex repeats the fpr
+    or the tpr of the one before, so runs are long.  Runs end where the
+    bits change, so -0.0 and 0.0 keep their own strings."""
+    bits = rates.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    texts = np.array([repr(rate) for rate in rates[starts].tolist()], dtype=object)
+    return np.repeat(texts, np.diff(np.append(starts, rates.size))).tolist()
+
+
 def emit_reports(rows: Sequence[ResultRow], output_dir, summary: dict, curves: dict) -> None:
     """Write results.csv, summary.json and one ROC file per ok row.
 
@@ -280,7 +294,8 @@ def emit_reports(rows: Sequence[ResultRow], output_dir, summary: dict, curves: d
     roc_dir = output_dir / "roc"
     roc_dir.mkdir(exist_ok=True)
     for (series_id, detector), curve in curves.items():
-        points = zip(curve.fpr.tolist(), curve.tpr.tolist(), curve.thresholds.tolist())
-        text = "fpr,tpr,threshold\r\n" + "".join(f"{a!r},{b!r},{t!r}\r\n" for a, b, t in points)
+        # The thresholds fall along the curve, all distinct: one repr each.
+        columns = (_run_reprs(curve.fpr), _run_reprs(curve.tpr), map(repr, curve.thresholds.tolist()))
+        text = "fpr,tpr,threshold\r\n" + "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
         with (roc_dir / f"{series_id}_{detector}.csv").open("w", newline="", encoding="utf-8") as fh:
             fh.write(text)

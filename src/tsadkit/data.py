@@ -43,6 +43,9 @@ DATASET_IDS = ("UD1", "UD2", "UD3", "UD4", "NYCT", "SYNTH")
 _VALUE_COLUMN = "value"
 _LABEL_COLUMNS = ("is_anomaly", "anomaly")
 _CHANGEPOINT_COLUMN = "changepoint"
+# Data rows parsed per numpy call: enough to amortize the call, few enough
+# that a chunk's tokens stay small beside the series they become.
+_CHUNK_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -98,22 +101,17 @@ def load_yahoo_csv(path) -> TimeSeries:
     Accepts either (timestamp, value, is_anomaly) or
     (timestamps, value, anomaly[, changepoint]); when a changepoint column is
     present its flags are OR-ed into the labels, keeping a single binary
-    channel.
+    channel.  Values and flags are parsed one chunk of rows at a time
+    (see ``_parse_chunk``).
     """
     path = Path(path)
-    values: list[float] = []
-    labels: list[int] = []
-    for line_no, fields in _csv_rows(path, _yahoo_columns):
-        values.append(_parse_float(path, line_no, fields[0]))
-        flag = _parse_flag(path, line_no, fields[1])
-        if len(fields) > 2:
-            flag |= _parse_flag(path, line_no, fields[2])
-        labels.append(flag)
-    return TimeSeries(
-        values=np.asarray(values, dtype=np.float64),
-        labels=np.asarray(labels, dtype=np.int64),
-        series_id=path.stem,
-    )
+    # zip stops at the last column read: the changepoint flags may be absent.
+    parsers = (_VALUES, _FLAGS, _FLAGS)
+    chunks = [_parse_chunk(path, chunk, parsers) for chunk in _csv_chunks(path, _yahoo_columns)]
+    values, labels, *changepoints = (np.concatenate(column) for column in zip(*chunks))
+    for flags in changepoints:
+        labels |= flags
+    return TimeSeries(values=values, labels=labels, series_id=path.stem)
 
 
 def _yahoo_columns(header: list[str]) -> list[str]:
@@ -124,16 +122,19 @@ def _yahoo_columns(header: list[str]) -> list[str]:
     return [_VALUE_COLUMN, label, *changepoint]
 
 
-def _csv_rows(path: Path, columns):
-    """Line number and a tuple of the named fields of each non-blank data row
-    of a CSV file.
+def _csv_chunks(path: Path, columns):
+    """``(line_nos, tokens)`` per chunk of up to _CHUNK_ROWS non-blank data
+    rows of a CSV file: the chunk's line numbers, and per named column a
+    tuple of its fields in those rows.
 
     ``columns(header)`` names the two or more fields to read, given the
     header with its names stripped; a name the header lacks raises
     MissingColumn before any row is read.  Raises ParseError for an empty
     file, for a row whose field count differs from the header's, and for a
-    header without data rows.  Rows are read as the caller asks for them,
-    so a row's parse error still comes before a later row's field count.
+    header without data rows.  The file is streamed, and the rows before a
+    row of the wrong field count are handed out before that row's error is
+    raised, so a caller that parses each chunk as it comes reports an
+    earlier row's parse error first, as a row-by-row reader does.
     """
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -147,16 +148,53 @@ def _csv_rows(path: Path, columns):
                 raise MissingColumn(name)
             indexes.append(header.index(name))
         fields = operator.itemgetter(*indexes)
-        empty = True
+        line_nos, rows, chunks = [], [], 0
         for line_no, row in enumerate(reader, start=2):
             if not row:
                 continue
             if len(row) != len(header):
+                if rows:
+                    yield line_nos, tuple(zip(*rows))
                 raise ParseError(path, line_no, f"expected {len(header)} fields, got {len(row)}")
-            empty = False
-            yield line_no, fields(row)
-    if empty:
-        raise ParseError(path, 2, "file contains a header but no data rows")
+            line_nos.append(line_no)
+            rows.append(fields(row))
+            if len(rows) == _CHUNK_ROWS:
+                yield line_nos, tuple(zip(*rows))
+                line_nos, rows, chunks = [], [], chunks + 1
+        if rows:
+            yield line_nos, tuple(zip(*rows))
+        elif not chunks:
+            raise ParseError(path, 2, "file contains a header but no data rows")
+
+
+def _parse_chunk(path: Path, chunk, parsers) -> list:
+    """Each column of a ``_csv_chunks`` chunk through its parser pair
+    ``(whole, row)``.
+
+    ``whole(tokens)`` parses a whole column in one call and raises
+    ValueError if any token is bad.  Only then are the chunk's tokens walked
+    with ``row(path, line_no, token)``, rows in file order and each row's
+    fields in column order, to raise the ParseError of the first bad token:
+    the error a row-by-row reader raises.
+    """
+    line_nos, columns = chunk
+    try:
+        return [whole(tokens) for (whole, _), tokens in zip(parsers, columns)]
+    except ValueError:
+        pass
+    for line_no, fields in zip(line_nos, zip(*columns)):
+        for (_, row), token in zip(parsers, fields):
+            row(path, line_no, token)
+    raise AssertionError(f"{path}: a column parser refused tokens that its row parser accepts")
+
+
+def _floats(tokens) -> np.ndarray:
+    """Tokens as float64, each parsed as ``float`` parses it (numpy calls
+    it); ValueError unless every one parses to a finite value."""
+    values = np.array(tokens, dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite value")
+    return values
 
 
 def _parse_float(path: Path, line_no: int, token: str) -> float:
@@ -169,11 +207,18 @@ def _parse_float(path: Path, line_no: int, token: str) -> float:
     return value
 
 
-def _parse_flag(path: Path, line_no: int, token: str) -> int:
-    flag = _parse_float(path, line_no, token)
-    if flag not in (0.0, 1.0):
+def _flags(tokens) -> np.ndarray:
+    """Tokens parsed as 0/1 flags, as int64; ValueError unless every one
+    parses to 0 or 1."""
+    flags = np.array(tokens, dtype=np.float64)
+    if not ((flags == 0.0) | (flags == 1.0)).all():
+        raise ValueError("label other than 0 or 1")
+    return flags.astype(np.int64)
+
+
+def _parse_flag(path: Path, line_no: int, token: str) -> None:
+    if _parse_float(path, line_no, token) not in (0.0, 1.0):
         raise ParseError(path, line_no, f"label must be 0 or 1, got {token!r}")
-    return int(flag)
 
 
 def load_nab_csv(data_path, label_windows_path) -> TimeSeries:
@@ -184,23 +229,22 @@ def load_nab_csv(data_path, label_windows_path) -> TimeSeries:
     timestamp falls inside any window (bounds inclusive).
     """
     data_path = Path(data_path)
-    stamps: list[datetime] = []
-    values: list[float] = []
-    for line_no, (stamp, value) in _csv_rows(data_path, lambda _: ["timestamp", _VALUE_COLUMN]):
-        stamps.append(_parse_stamp(data_path, line_no, stamp))
-        values.append(_parse_float(data_path, line_no, value))
+    chunks = [
+        _parse_chunk(data_path, chunk, (_STAMPS, _VALUES))
+        for chunk in _csv_chunks(data_path, lambda _: ["timestamp", _VALUE_COLUMN])
+    ]
+    stamps, values = (np.concatenate(column) for column in zip(*chunks))
 
     windows = _label_windows_for(data_path, Path(label_windows_path))
     labels = np.zeros(len(values), dtype=np.int64)
     for start, end in windows:
-        for i, stamp in enumerate(stamps):
-            if start <= stamp <= end:
-                labels[i] = 1
-    return TimeSeries(
-        values=np.asarray(values, dtype=np.float64),
-        labels=labels,
-        series_id=data_path.stem,
-    )
+        labels[(stamps >= start) & (stamps <= end)] = 1
+    return TimeSeries(values=values, labels=labels, series_id=data_path.stem)
+
+
+def _stamps(tokens) -> np.ndarray:
+    """Tokens parsed as ISO-8601 timestamps, as an object array."""
+    return np.array([datetime.fromisoformat(token.strip()) for token in tokens], dtype=object)
 
 
 def _parse_stamp(path: Path, line_no: int, token: str) -> datetime:
@@ -208,6 +252,12 @@ def _parse_stamp(path: Path, line_no: int, token: str) -> datetime:
         return datetime.fromisoformat(token.strip())
     except ValueError:
         raise ParseError(path, line_no, f"cannot parse timestamp {token!r}") from None
+
+
+# (whole column, one token) parser pairs for _parse_chunk.
+_VALUES = (_floats, _parse_float)
+_FLAGS = (_flags, _parse_flag)
+_STAMPS = (_stamps, _parse_stamp)
 
 
 def _label_windows_for(data_path: Path, label_path: Path) -> list[tuple[datetime, datetime]]:

@@ -97,12 +97,23 @@ def _row_blocks(rows: int, cols: int, entries: Optional[int] = None):
 
 def _window_blocks(windows: np.ndarray, cols: int):
     """``(rows, block)`` over consecutive rows of ``windows``, ``block`` a
-    C-contiguous copy of ``windows[rows]``: a strided window view is copied
-    one block at a time, and BLAS gets the same contiguous rows a whole copy
-    gave it.  A block holds about _BLOCK_ENTRIES entries of the rows x cols
-    result it feeds, or of itself when the windows are wider."""
+    C-contiguous ``windows[rows]``: BLAS gets the same contiguous rows a
+    whole copy gave it.  Rows of a C-contiguous ``windows`` are yielded as
+    views; a strided window view is copied one block at a time into one
+    buffer, which the next block overwrites, so a caller is done with a
+    block before it asks for the next, and no two copies are alive at once.
+    A block holds about _BLOCK_ENTRIES entries of the rows x cols result it
+    feeds, or of itself when the windows are wider."""
+    buffer = None
     for rows in _row_blocks(windows.shape[0], max(cols, windows.shape[1])):
-        yield rows, np.ascontiguousarray(windows[rows])
+        block = windows[rows]
+        if not block.flags.c_contiguous:
+            if buffer is None:  # the first block is the tallest
+                buffer = np.empty_like(block, order="C")
+            copy = buffer[: block.shape[0]]
+            copy[...] = block
+            block = copy
+        yield rows, block
 
 
 def _without_self(sq: np.ndarray, lo: int) -> np.ndarray:
@@ -168,8 +179,10 @@ def _distance_blocks(queries: np.ndarray, reference: np.ndarray):
     ``sq`` the ``_pairwise_sq`` of ``block`` to ``reference``.
 
     The reference norms are computed once, and every ``sq`` is written into
-    one buffer that the next block overwrites, so a caller is done with a
-    block's distances before it asks for the next.  Reusing one buffer,
+    one buffer that the next block overwrites, as a strided ``block`` is, so
+    a caller is done with a block and its distances before it asks for the
+    next: k-means, DBSCAN, LOF and the one-class SVM all reduce each block
+    to rows of their output inside the loop.  Reusing one buffer,
     instead of building a block-sized array on every block, keeps glibc
     malloc from returning those pages and faulting them in again."""
     norms = _sq_norms(reference)

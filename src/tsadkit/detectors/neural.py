@@ -159,7 +159,9 @@ def _score_rows(net: DenseNet, windows: np.ndarray, row_score) -> np.ndarray:
     """``row_score(outputs, inputs)`` of each row block of ``windows``, one
     score per row.  A block holds about ml._BLOCK_ENTRIES entries of the
     net's widest layer, so scoring holds a copy of the block's windows and
-    two block-sized layer outputs whatever the number of windows."""
+    two block-sized layer outputs whatever the number of windows.  The
+    copy is overwritten by the next block's, so ``row_score`` returns
+    scores, not a view of its inputs."""
     widest = max(max(layer.weights.shape) for layer in net.layers)
     scores = np.empty(windows.shape[0])
     for rows, block in _window_blocks(windows, widest):

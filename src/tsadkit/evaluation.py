@@ -122,17 +122,23 @@ def _check_labels(labels: np.ndarray) -> tuple[int, int]:
 def _sweep(values: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cuts ``score >= u`` for every unique score ``u``, highest first.
 
-    One stable descending sort and one cumulative sum give each cut's value,
-    true positives and predicted positives (Fawcett 2006, Alg. 1-2).
+    One descending sort and one cumulative sum give each cut's value, true
+    positives and predicted positives (Fawcett 2006, Alg. 1-2).  Each run
+    of equal sorted scores is one cut; ``!=`` finds the runs, so -0.0 and
+    0.0 share one, as they compare equal.  The sort is numpy's default
+    (SIMD) argsort, which may order a run's members any way: a run's counts
+    do not depend on that order, and its value is taken from its largest
+    index, the member a stable sort puts last, so a run holding both zeros
+    gives the sign the stable sort gave.
     """
     if labels.shape != values.shape:
         raise DimensionMismatch(f"{labels.size} labels for {values.size} scores")
-    order = np.argsort(-values, kind="stable")
+    order = np.argsort(-values)
     sorted_scores = values[order]
-    # One step per unique score value: indices of the last occurrence.
-    step_ends = np.append(np.nonzero(np.diff(sorted_scores))[0], values.size - 1)
-    tp = np.cumsum(labels[order])[step_ends]
-    return sorted_scores[step_ends], tp, step_ends + 1
+    starts = np.flatnonzero(np.concatenate(([True], sorted_scores[1:] != sorted_scores[:-1])))
+    ends = np.append(starts[1:], values.size) - 1
+    tp = np.cumsum(labels[order])[ends]
+    return values[np.maximum.reduceat(order, starts)], tp, ends + 1
 
 
 def roc_auc(scores: ScoreSeries, labels) -> tuple[RocCurve, float]:

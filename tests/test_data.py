@@ -18,6 +18,7 @@ from tsadkit import (
     synthetic_base,
     write_series_csv,
 )
+from tsadkit.data import _CHUNK_ROWS
 from tsadkit.errors import (
     InvalidSpec,
     LabelFileMissingEntry,
@@ -121,6 +122,16 @@ CSV_LAYOUTS = {
 }
 
 
+# Per loader: a row template with the value and the other parsed field
+# (the label, or the timestamp) open, a good and a bad token for that field,
+# and the bad token's message.  A Yahoo row parses its value first, a NAB
+# row its timestamp.
+OTHER_FIELD = {
+    "yahoo": ("1,{value},{other}", "0", "2", "label must be 0 or 1, got '2'"),
+    "nab": ("{other},{value}", "2014-07-01 00:00:00", "July", "cannot parse timestamp 'July'"),
+}
+
+
 def load_csv_text(loader: str, tmp_path, text: str):
     path = tmp_path / "s.csv"
     path.write_text(text)
@@ -167,6 +178,37 @@ class TestMalformedCsv:
         padded = ",".join(f" {name} " for name in header.split(","))
         text = f"{padded}\n\n{template.format(5.0)}\n\n{template.format(6.0)}\n"
         assert load_csv_text(loader, tmp_path, text).values.tolist() == [5.0, 6.0]
+
+    def assert_error(self, loader, tmp_path, rows: list[str], row: int, message: str):
+        header, _ = CSV_LAYOUTS[loader]
+        with pytest.raises(ParseError) as err:
+            load_csv_text(loader, tmp_path, "\n".join([header, *rows]) + "\n")
+        assert err.value.row == row
+        assert str(err.value) == f"{tmp_path / 's.csv'}:{row}: {message}"
+
+    def test_an_earlier_bad_field_comes_before_a_later_bad_value(self, loader, tmp_path):
+        template, good, bad, message = OTHER_FIELD[loader]
+        rows = [template.format(value=5.0, other=bad), template.format(value="oops", other=good)]
+        self.assert_error(loader, tmp_path, rows, 2, message)
+
+    def test_a_row_reports_its_first_bad_field_in_column_order(self, loader, tmp_path):
+        template, good, bad, message = OTHER_FIELD[loader]
+        rows = [template.format(value=5.0, other=good), template.format(value="oops", other=bad)]
+        first = message if loader == "nab" else "cannot parse 'oops' as a number"
+        self.assert_error(loader, tmp_path, rows, 3, first)
+
+    def test_a_bad_value_comes_before_a_later_short_row(self, loader, tmp_path):
+        _, template = CSV_LAYOUTS[loader]
+        rows = [template.format(5.0), template.format("oops"), "1"]
+        self.assert_error(loader, tmp_path, rows, 3, "cannot parse 'oops' as a number")
+
+    def test_a_bad_value_past_the_first_chunk_reports_its_own_row(self, loader, tmp_path):
+        _, template = CSV_LAYOUTS[loader]
+        bad = _CHUNK_ROWS + 37  # data rows before the bad one
+        rows = [template.format(float(i)) for i in range(bad)] + [template.format("oops")]
+        rows += [template.format(1.0)] * _CHUNK_ROWS
+        rows.insert(_CHUNK_ROWS + 5, "")  # a blank row shifts the later line numbers
+        self.assert_error(loader, tmp_path, rows, bad + 3, "cannot parse 'oops' as a number")
 
 
 class TestRoundTrip:

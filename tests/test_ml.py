@@ -1386,7 +1386,7 @@ class TestOneBlockAtATime:
         test = np.lib.stride_tricks.sliding_window_view(values, 30)
         assert test.shape[0] > 2 * ml._block_height(test.shape[1])
         _, peak = traced_peak(lambda: kmeans_score(model, test))
-        assert peak <= 2.5 * 8 * self.ENTRIES, peak / (8 * self.ENTRIES)
+        assert peak <= 1.5 * 8 * self.ENTRIES, peak / (8 * self.ENTRIES)
 
     def test_dbscan_fit(self):
         windows = raw_frame(self.windows(1500, 97))  # blocks of 699, 699 and 102 rows

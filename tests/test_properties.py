@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,7 +26,9 @@ from tsadkit import (
     subsequences,
     with_lookback,
 )
+from tsadkit import evaluation
 from tsadkit.bench import _preprocess
+from tsadkit.core import ScoreSeries
 from tsadkit.detectors import ml
 from tsadkit.detectors.ml import LofModel
 from tsadkit.detectors.neural import TrainSpec, _forward, dense_net, net_train
@@ -265,3 +268,62 @@ def test_window_views_are_read_only(n, width, forecast):
     with pytest.raises(ValueError, match="read-only"):
         windows[0, 0] = 1.0
     assert whole.values.tobytes() == values.tobytes()
+
+
+def reference_sweep(values: np.ndarray, labels: np.ndarray) -> tuple:
+    """``_sweep`` as it was with one stable descending sort: each cut's
+    value is the last of its run of equal scores in the stable order.
+    Frozen here as the oracle for the default-sort sweep."""
+    order = np.argsort(-values, kind="stable")
+    sorted_scores = values[order]
+    step_ends = np.append(np.nonzero(np.diff(sorted_scores))[0], values.size - 1)
+    tp = np.cumsum(labels[order])[step_ends]
+    return sorted_scores[step_ends], tp, step_ends + 1
+
+
+def sweep_outputs(scores: ScoreSeries, labels: np.ndarray) -> list[bytes]:
+    """The bytes of the ROC vertices, thresholds and area and of the best
+    F-score; None for metrics the labels leave undefined."""
+    positives = int(labels.sum())
+    outputs = [None, None, None]
+    if 0 < positives < labels.size:
+        curve, auc = evaluation.roc_auc(scores, labels)
+        outputs[:2] = curve.points.tobytes(), curve.thresholds.tobytes() + np.float64(auc).tobytes()
+    if positives:
+        outputs[2] = np.float64(evaluation.best_f1(scores, labels)).tobytes()
+    return outputs
+
+
+# Tie-heavy draws from NEAR_VALUES (both zeros among them), any finite
+# floats (mostly distinct), and one value repeated.
+SWEEP_SCORES = st.one_of(
+    st.lists(st.sampled_from(NEAR_VALUES), min_size=1, max_size=80),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=80),
+    st.builds(lambda value, n: [value] * n, st.sampled_from(NEAR_VALUES), st.integers(1, 80)),
+)
+
+
+@st.composite
+def scores_and_labels(draw) -> tuple[np.ndarray, np.ndarray]:
+    scores = draw(SWEEP_SCORES)
+    labels = draw(st.lists(st.integers(0, 1), min_size=len(scores), max_size=len(scores)))
+    return np.array(scores, dtype=np.float64), np.array(labels)
+
+
+@FIXED
+@given(scored=scores_and_labels())
+@example(scored=(np.array([0.0]), np.array([1])))
+@example(scored=(np.array([-0.0, 0.0, -0.0, 1.0]), np.array([0, 1, 0, 1])))
+def test_sweep_matches_the_stable_sort(scored):
+    """The sweep's cuts, counts and cut values, the ROC curve and area and
+    the best F-score equal the stable-sort sweep's bit for bit, signs of
+    zero included, whatever order the default sort leaves ties in."""
+    values, labels = scored
+    got = evaluation._sweep(values, labels)
+    want = reference_sweep(values, labels)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    series = ScoreSeries(values)
+    new = sweep_outputs(series, labels)
+    with mock.patch.object(evaluation, "_sweep", reference_sweep):
+        assert new == sweep_outputs(series, labels)
