@@ -125,6 +125,11 @@ def _without_self(sq: np.ndarray, lo: int) -> np.ndarray:
     return sq
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each row of a C-contiguous float64 matrix as one np.void of its bytes."""
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1])))[:, 0]
+
+
 def _check_windows(windows: np.ndarray) -> None:
     """Raise DimensionMismatch unless ``windows`` is a matrix, one window per row."""
     if np.ndim(windows) != 2:
@@ -229,7 +234,11 @@ def kmeans_fit(windows: np.ndarray, k: int, seed: int = 0) -> KMeansModel:
     centroids[0] = windows[rng.integers(m)]
     d2 = _pairwise_sq(windows, centroids[:1])[:, 0]
     for i in range(1, k):
-        total = d2.sum()
+        # Finite distances can still sum past the largest float.
+        with np.errstate(over="ignore"):
+            total = d2.sum()
+        if not math.isfinite(total):
+            raise NonFiniteValues("k-means seeding distances overflow")
         if total > 0.0:
             choice = rng.choice(m, p=d2 / total)
         else:
@@ -328,9 +337,10 @@ class LofModel:
     ascending order, ``nbr_dist``).  A query can only shrink a k-distance,
     so y's neighbourhood in reference union {query} is a subset of its
     cached list, and scoring costs O(m) per query plus O(k) per neighbour.
-    ``row_order`` lists the reference rows sorted lexicographically by
-    value (stable, so equal rows keep their order), for the duplicate rule
-    in ``_score_block``.
+    ``row_order`` lists the reference rows sorted by their bytes (stable,
+    so equal rows keep their order), one int64 per row, for the duplicate
+    rule in ``_score_block``; the fit folds -0.0 into 0.0 in the stored
+    windows first, so equal values have equal bytes.
     """
 
     k_neighbors: int
@@ -345,6 +355,13 @@ class LofModel:
 
     def __post_init__(self):
         windows = np.ascontiguousarray(self.reference_windows, dtype=np.float64)
+        # Fold -0.0 into 0.0, so that the rows' bytes match the folded
+        # queries of _duplicates; copy only when a -0.0 is there.  The fold
+        # moves no distance: in (-2g) + (aa + bb) of _pairwise_sq a signed
+        # zero can only flip the sign of a zero g, which aa + bb > 0 then
+        # absorbs, and two all-zero rows give (-0.0 or 0.0) + 0.0 = 0.0.
+        if np.signbit(windows[windows == 0.0]).any():
+            windows = windows + 0.0
         m = windows.shape[0]
         k = self.k_neighbors
         if not (1 <= k < m):
@@ -374,8 +391,7 @@ class LofModel:
             ("nbr_ptr", np.concatenate(([0], np.cumsum(np.bincount(owners, minlength=m))))),
             ("nbr_idx", np.concatenate(cols)),
             ("nbr_dist", np.concatenate(dists)),
-            # Column 0 is the last key, so lexsort sorts by it first.
-            ("row_order", np.lexsort(windows.T[::-1])),
+            ("row_order", np.argsort(_row_keys(windows), kind="stable")),
         ):
             object.__setattr__(self, name, value)
 
@@ -400,34 +416,15 @@ class LofModel:
 
     def _duplicates(self, block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(r, i)``: block row r equals reference row i and no earlier
-        reference row, rows compared with ``==`` (so -0.0 equals 0.0).
+        reference row, rows compared by their bytes once -0.0 is folded
+        into 0.0 (so -0.0 equals 0.0, as under ``==``).
 
-        A lower-bound search over ``row_order``: ``searchsorted`` on column
-        0 finds each block row's run of reference rows with the same first
-        value, and a binary search on whole rows halves every run at each
-        step, so the longest run r costs log2(r) steps of O(block) work."""
-        windows, order = self.reference_windows, self.row_order
-        at = np.arange(block.shape[0])
-        last = order.size - 1
-
-        def before(pos: np.ndarray) -> np.ndarray:
-            """Whether reference row order[pos] sorts before each block row."""
-            probe = windows[order[np.minimum(pos, last)]]
-            differ = probe != block
-            col = differ.argmax(axis=1)
-            return differ[at, col] & (probe[at, col] < block[at, col])
-
-        first_column = windows[order, 0]
-        base = np.searchsorted(first_column, block[:, 0])
-        size = np.searchsorted(first_column, block[:, 0], "right") - base
-        while size.max(initial=0) > 1:
-            half = size // 2
-            base += half * before(base + half)
-            size -= half
-        # The lower bound is base or base + 1; a row outside its run, or
-        # past the end, differs from the block row in column 0.
-        first = order[np.minimum(base + before(base), last)]
-        hit = (windows[first] == block).all(axis=1)
+        One ``searchsorted`` over the row keys in ``row_order`` finds each
+        block row's lower bound, the first of its equal rows if it has one."""
+        keys, order = _row_keys(self.reference_windows), self.row_order
+        queries = _row_keys(block + 0.0)
+        first = order[np.minimum(np.searchsorted(keys, queries, sorter=order), order.size - 1)]
+        hit = keys[first] == queries
         return np.flatnonzero(hit), first[hit]
 
     def _joined_kdist(self, dq: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -1001,17 +998,14 @@ class OcsvmDetector:
 
     name = "ocsvm"
     family = "ml"
-    params = {"nu": 0.7, "rbf_gamma": Derived("1/w", float), "project_2d": False}
-
-    def _width(self, cfg: DetectorConfig) -> int:
-        return 2 if resolve(cfg, self.params)["project_2d"] else cfg.window_width
+    params = {"nu": 0.7, "rbf_gamma": Derived("1/w", float)}
 
     def fit(self, train: TimeSeries, cfg: DetectorConfig) -> OcSvmModel:
         p = resolve(cfg, self.params)
-        return ocsvm_fit(subsequences(train, self._width(cfg)), p["nu"], p["rbf_gamma"])
+        return ocsvm_fit(subsequences(train, cfg.window_width), p["nu"], p["rbf_gamma"])
 
     def score(self, model, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries) -> np.ndarray:
-        return ocsvm_score(model, _test_subsequences(train, test, self._width(cfg)))
+        return ocsvm_score(model, _test_subsequences(train, test, cfg.window_width))
 
 
 class GbtDetector:

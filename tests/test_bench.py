@@ -155,6 +155,30 @@ class TestRunBenchmark:
         assert rows[3].failure_reason.startswith("NumericalDivergence: k-means inertia rose from")
         assert len((tmp_path / "out" / "results.csv").read_text().splitlines()) == 5
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_kmeans_seeding_overflow_fails_without_aborting_the_batch(self, tmp_path):
+        # Unstandardized noise near 1e153: each seeding distance is finite,
+        # their sum overflows.  kmeans fails that series with a typed
+        # reason, and the batch goes on to write every row.
+        rng = np.random.default_rng(0)
+        labels = np.zeros(600, dtype=np.int64)
+        labels[450] = 1
+        huge = series(rng.standard_normal(600) * 1e153, labels=labels)
+        manifest = write_manifest(tmp_path, [labelled_series(seed=1), huge])
+        config = quick_config(
+            datasets=(str(manifest),), detectors=("ar", "kmeans"), standardize=False
+        )
+        rows, summary, curves = run_benchmark(config)
+        emit_reports(rows, tmp_path / "out", summary, curves)
+        assert [(r.series_id, r.detector, r.status) for r in rows] == [
+            ("series_0", "ar", "ok"),
+            ("series_0", "kmeans", "ok"),
+            ("series_1", "ar", "failed"),
+            ("series_1", "kmeans", "failed"),
+        ]
+        assert rows[3].failure_reason == "NonFiniteValues: k-means seeding distances overflow"
+        assert len((tmp_path / "out" / "results.csv").read_text().splitlines()) == 5
+
     def test_detrend_keeps_the_first_test_point(self, tmp_path):
         # The only anomaly is the first test point (head = 0.3 * 200 = 60).
         # The whole series is differenced before the cut, so the train tail
@@ -507,7 +531,6 @@ class TestCatalog:
             "ocsvm [ml]",
             "  nu-one-class SVM with an RBF kernel over sliding windows.",
             "  nu = 0.7",
-            "  project_2d = False",
             "  rbf_gamma = 1/w",
         ]
         assert entries["mlp"] == [

@@ -272,7 +272,6 @@ class TestDetectorConfig:
             ("ocsvm", {"rbf_gamma": "abc"}, "InvalidHyperparameter: ocsvm: rbf_gamma='abc' is not a valid float"),
             ("es", {"period": "x"}, "InvalidHyperparameter: es: period='x' is not a valid int"),
             ("pci", {"pci_alpha": "maybe"}, "InvalidHyperparameter: pci: pci_alpha='maybe' is not a valid float"),
-            ("ocsvm", {"project_2d": 2}, "InvalidHyperparameter: ocsvm: project_2d=2 is not a valid bool"),
             ("kmeans", {"k": 2.7}, "InvalidHyperparameter: kmeans: k=2.7 is not a valid int"),
             ("ar", {"p": 2.9}, "InvalidHyperparameter: ar: p=2.9 is not a valid int"),
             ("iforest", {"n_trees": True}, "InvalidHyperparameter: iforest: n_trees=True is not a valid int"),

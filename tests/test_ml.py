@@ -127,6 +127,14 @@ class TestKMeans:
         with pytest.raises(NumericalDivergence, match="k-means inertia rose from"):
             kmeans_fit(subsequences(series(x), 30), k=4, seed=0)
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_seeding_distances_that_sum_past_the_float_range_are_a_typed_failure(self):
+        # Windows of noise near 1e153: every squared distance to the first
+        # centroid is finite, their sum is not, and no seeding draw is left.
+        x = np.random.default_rng(0).standard_normal(600) * 1e153
+        with pytest.raises(NonFiniteValues, match="k-means seeding distances overflow"):
+            kmeans_fit(subsequences(series(x), 30), k=4, seed=0)
+
 
 class TestDbscan:
     def test_identical_windows_are_core(self):
@@ -344,6 +352,15 @@ def lof_duplicates():
     return reference, np.vstack((copies, rng.normal(0.0, 1.0, (20, 30)))), 10
 
 
+def lof_signed_zero_reference():
+    # lof_duplicates with -0.0 in column 0 of every other reference row:
+    # about half of its first 30 queries repeat such a row with 0.0 there,
+    # so the duplicate rule finds them only if the fit folds -0.0 into 0.0.
+    reference, queries, k = lof_duplicates()
+    reference[::2, 0] = -0.0
+    return reference, queries, k
+
+
 def lof_flat_run():
     # A long run of 160 identical windows: each has all the others in its
     # neighbourhood, so one (query, y) pair expands to 160 list entries.
@@ -361,6 +378,7 @@ LOF_CASES = {
     "ties-k10": lambda: lof_ties(10),
     "duplicates": lof_duplicates,
     "flat-run": lof_flat_run,
+    "signed-zero-reference": lof_signed_zero_reference,
 }
 
 
@@ -965,10 +983,12 @@ class TestAdapters:
             )
             assert np.allclose(base, moved, atol=1e-7), name
 
-    def test_ocsvm_projection_width(self):
+    def test_ocsvm_window_width(self):
         detector = get_detector("ocsvm")
-        cfg = DetectorConfig(name="ocsvm", window_width=12, hyperparameters={"project_2d": True})
-        assert detector.fit(self.make_series(7), cfg).support_vectors.shape[1] == 2
+        cfg = DetectorConfig(name="ocsvm", window_width=2)
+        model = detector.fit(self.make_series(7), cfg)
+        assert model.support_vectors.shape[1] == 2
+        assert model.rbf_gamma == 0.5
 
     def test_unknown_key_rejected(self):
         detector = get_detector("iforest")
@@ -1578,6 +1598,15 @@ class TestFrozenIndexOracles:
         reference, _, k = INDEX_CASES[case]()
         model = LofModel(k_neighbors=k, reference_windows=reference)
         for name, want in frozen_lof_lists(model.reference_windows, k).items():
+            assert same_bytes(getattr(model, name), want), name
+
+    @pytest.mark.parametrize("case", ["signed-zero-reference", "signed-zeros"])
+    def test_lof_fit_folds_negative_zeros_without_moving_a_distance(self, case):
+        reference, _, k = INDEX_CASES[case]()
+        assert np.signbit(reference[reference == 0.0]).any()
+        model = LofModel(k_neighbors=k, reference_windows=reference)
+        assert not np.signbit(model.reference_windows[model.reference_windows == 0.0]).any()
+        for name, want in frozen_lof_lists(reference, k).items():
             assert same_bytes(getattr(model, name), want), name
 
     @pytest.mark.parametrize("case", INDEX_CASES)
