@@ -7,7 +7,7 @@ benchmark runner with a CLI.
 
 from __future__ import annotations
 
-from .bench import ResultRow, RunConfig, emit_reports, run_benchmark, smoke_series
+from .bench import RunConfig, emit_reports, run_benchmark, smoke_series
 from .core import (
     DetectorConfig,
     ScoreSeries,
@@ -29,8 +29,8 @@ from .data import (
 from .detectors import DETECTOR_NAMES, REGISTRY, catalog_lines, get_detector
 from .errors import TsadError
 from .evaluation import (
+    ResultRow,
     RocCurve,
-    TimedRun,
     best_f1,
     naive_mse,
     nmm,
@@ -62,7 +62,6 @@ __all__ = [
     "StandardizeParams",
     "SynthSpec",
     "TimeSeries",
-    "TimedRun",
     "TsadError",
     "best_f1",
     "catalog_lines",

@@ -2,10 +2,10 @@
 
 The runner applies the same protocol to every (series, detector) pair:
 chronological split, standardization fitted on the train segment, optional
-differencing, then a timed fit+score+evaluate.  Failures and test segments
-whose labels hold one class become status rows instead of aborting the
-batch.  Rows are produced sequentially in one thread so the recorded
-timings are honest.
+differencing, then :func:`~tsadkit.evaluation.timed_run`, which gives the
+pair's results.csv row.  Failures and test segments whose labels hold one
+class become status rows instead of aborting the batch.  Rows are produced
+sequentially in one thread so the recorded timings are honest.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .data import (
 )
 from .detectors import DETECTOR_NAMES, get_detector
 from .errors import InvalidSpec, PeriodTooLong, TsadError
-from .evaluation import RocCurve, TimedRun, timed_run
+from .evaluation import ResultRow, RocCurve, timed_run
 from .preprocessing import (
     SplitSpec,
     difference,
@@ -76,22 +76,6 @@ class RunConfig:
         object.__setattr__(self, "output_dir", Path(self.output_dir))
         if self.data_dir is not None:
             object.__setattr__(self, "data_dir", Path(self.data_dir))
-
-
-@dataclass(frozen=True)
-class ResultRow:
-    """One line of results.csv; metrics are None unless status is ok."""
-
-    dataset_id: str
-    series_id: str
-    detector: str
-    auc: Optional[float]
-    best_f1: Optional[float]
-    nmm: Optional[float]
-    train_seconds: float
-    inference_seconds: float
-    status: str
-    failure_reason: str = ""
 
 
 def smoke_series() -> list[TimeSeries]:
@@ -191,39 +175,25 @@ def _run_series(
     series: TimeSeries,
     curves: dict[tuple[str, str], RocCurve],
 ) -> list[ResultRow]:
-    # A series that cannot be prepared, or whose test labels hold one class,
-    # gives every detector the same status row without running it.
-    skip: Optional[TimedRun] = None
+    # A series that cannot be prepared gives every detector the same failed
+    # row without running it.
     try:
         train, test = _preprocess(config, series)
-        if test.labels is None or int(test.labels.sum()) in (0, len(test)):
-            skip = TimedRun(0.0, 0.0, failure="test segment holds one label class", excluded=True)
     except TsadError as exc:
-        skip = TimedRun(0.0, 0.0, failure=f"{type(exc).__name__}: {exc}")
-
+        reason = f"{type(exc).__name__}: {exc}"
+        return [
+            ResultRow(
+                dataset_id, series.series_id, name, None, None, None, 0.0, 0.0, "failed", reason
+            )
+            for name in config.detectors
+        ]
     rows = []
     for name in config.detectors:
-        if skip is None:
-            cfg = DetectorConfig(name=name, seed=_pair_seed(config.seed, series.series_id, name))
-            run = timed_run(get_detector(name), cfg, train, test)
-            if run.ok:
-                curves[(series.series_id, name)] = run.curve
-        else:
-            run = skip
-        rows.append(
-            ResultRow(
-                dataset_id=dataset_id,
-                series_id=series.series_id,
-                detector=name,
-                auc=run.auc,
-                best_f1=run.best_f1,
-                nmm=run.nmm,
-                train_seconds=run.train_seconds,
-                inference_seconds=run.inference_seconds,
-                status=run.status,
-                failure_reason=run.failure,
-            )
-        )
+        cfg = DetectorConfig(name=name, seed=_pair_seed(config.seed, series.series_id, name))
+        row, curve = timed_run(get_detector(name), cfg, train, test)
+        if curve is not None:
+            curves[(series.series_id, name)] = curve
+        rows.append(replace(row, dataset_id=dataset_id))
     return rows
 
 

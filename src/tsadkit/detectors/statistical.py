@@ -721,7 +721,8 @@ def _student_t_cdf(t: float, dof: int) -> float:
 def student_t_ppf(p: float, dof: int) -> float:
     """Quantile of Student's t via bisection on the closed-form CDF.
 
-    Bisection runs until the bracket is narrower than 1e-10.
+    Bisection runs until the bracket is narrower than 1e-10, or until no
+    float lies between its ends (above 2**19 their spacing exceeds 1e-10).
     """
     if dof < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {dof}")
@@ -733,11 +734,11 @@ def student_t_ppf(p: float, dof: int) -> float:
         return -student_t_ppf(1.0 - p, dof)
     lo, hi = 0.0, 1.0
     while _student_t_cdf(hi, dof) < p:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ArithmeticError("t quantile bracket expansion failed")
+        hi *= 2.0  # the CDF is 1.0 at inf, so the doubling ends
     while hi - lo > 1e-10:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if _student_t_cdf(mid, dof) < p:
             lo = mid
         else:

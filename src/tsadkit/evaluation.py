@@ -2,8 +2,9 @@
 
 A detector's ``score(model, cfg, train, test)`` returns a plain float
 array; :func:`timed_run` wraps it in the run's one :class:`ScoreSeries`,
-which the metrics take.  Every detector scores every test point, so the
-metrics take the test labels as they are, one per score.
+which the metrics take, and returns the pair's :class:`ResultRow`.  Every
+detector scores every test point, so the metrics take the test labels as
+they are, one per score.
 """
 
 from __future__ import annotations
@@ -18,14 +19,30 @@ from .core import DetectorConfig, ScoreSeries, TimeSeries
 from .errors import DegenerateLabels, DimensionMismatch, NaiveZero, NonFiniteValues, TsadError
 
 __all__ = [
+    "ResultRow",
     "RocCurve",
-    "TimedRun",
     "roc_auc",
     "best_f1",
     "naive_mse",
     "nmm",
     "timed_run",
 ]
+
+
+@dataclass(frozen=True)
+class ResultRow:
+    """One line of results.csv; metrics are None unless status is ok."""
+
+    dataset_id: str
+    series_id: str
+    detector: str
+    auc: Optional[float]
+    best_f1: Optional[float]
+    nmm: Optional[float]
+    train_seconds: float
+    inference_seconds: float
+    status: str
+    failure_reason: str = ""
 
 
 @dataclass(frozen=True)
@@ -59,53 +76,6 @@ class RocCurve:
     @property
     def tpr(self) -> np.ndarray:
         return self.points[:, 1]
-
-
-@dataclass(frozen=True)
-class TimedRun:
-    """Outcome of one timed fit+score+evaluate for one (detector, series) pair.
-
-    An ok run carries all three metrics and its ROC curve; a failed run
-    carries ``failure`` instead, never both.  An excluded run is a failed
-    run that the labels, not the detector, made unscorable.
-    """
-
-    train_seconds: float
-    inference_seconds: float
-    auc: Optional[float] = None
-    best_f1: Optional[float] = None
-    nmm: Optional[float] = None
-    curve: Optional[RocCurve] = None
-    failure: str = ""
-    excluded: bool = False
-
-    def __post_init__(self):
-        if self.train_seconds < 0.0 or self.inference_seconds < 0.0:
-            raise ValueError("timings must be non-negative")
-        if self.excluded and not self.failure:
-            raise ValueError("an excluded run carries its reason as failure")
-        results = (self.auc, self.best_f1, self.nmm, self.curve)
-        if self.failure:
-            if any(value is not None for value in results):
-                raise ValueError("a failed run carries no metrics")
-        else:
-            if None in results:
-                raise ValueError("an ok run carries all metrics and its curve")
-            if not (0.0 <= self.auc <= 1.0 and 0.0 <= self.best_f1 <= 1.0):
-                raise ValueError("auc and best_f1 must lie in [0, 1]")
-            # Zero is legal: a detector may emit an all-zero score vector.
-            if not self.nmm >= 0.0:
-                raise ValueError("nmm must be non-negative")
-
-    @property
-    def ok(self) -> bool:
-        return not self.failure
-
-    @property
-    def status(self) -> str:
-        if self.ok:
-            return "ok"
-        return "excluded" if self.excluded else "failed"
 
 
 def _check_labels(labels: np.ndarray) -> tuple[int, int]:
@@ -156,7 +126,8 @@ def roc_auc(scores: ScoreSeries, labels) -> tuple[RocCurve, float]:
     tp = np.concatenate(([0], tp))
     tpr = tp / positives
     fpr = fp / negatives
-    auc = float(np.trapezoid(tpr, fpr))
+    # Rounding can put a perfect separation one ulp above 1.
+    auc = min(float(np.trapezoid(tpr, fpr)), 1.0)
     # Exact on the integer counts: the cross product of consecutive steps.
     dtp, dfp = np.diff(tp), np.diff(fp)
     keep = np.ones(tp.size, dtype=bool)
@@ -197,15 +168,26 @@ def nmm(model_mse: float, naive: float) -> float:
     return float(model_mse) / float(naive)
 
 
-def timed_run(detector, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries) -> TimedRun:
+def timed_run(
+    detector, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries
+) -> tuple[ResultRow, Optional[RocCurve]]:
     """Fit and score under monotonic wall-clock timers, then evaluate.
 
-    Detector and metric errors become a failed run instead of aborting the
+    Returns the pair's results.csv row, its ``dataset_id`` left empty, and
+    its ROC curve, None unless the row is ok.  Test labels that hold one
+    class, or none, make an excluded row before the fit, with zero timings.
+    Detector and metric errors make a failed row instead of aborting the
     caller's batch; its timings cover the stages reached.  A detector must
     give one finite score per test point, as a 1-D array.  The run makes no
     internal concurrency; callers wanting meaningful timings must not run
     anything else in parallel.
     """
+
+    def row(status, seconds=(0.0, 0.0), metrics=(None, None, None), reason=""):
+        return ResultRow("", test.series_id, cfg.name, *metrics, *seconds, status, reason)
+
+    if test.labels is None or int(test.labels.sum()) in (0, len(test)):
+        return row("excluded", reason="test segment holds one label class"), None
     fit_end = score_end = None
     start = time.perf_counter()
     try:
@@ -216,8 +198,6 @@ def timed_run(detector, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries
         scores = ScoreSeries(raw)
         if len(scores) != len(test):
             raise DimensionMismatch(f"{len(scores)} scores for {len(test)} test points")
-        if test.labels is None:
-            raise DegenerateLabels("test segment has no labels")
         curve, auc = roc_auc(scores, test.labels)
         f1 = best_f1(scores, test.labels)
         # Finite scores above ~1e154 square to inf: nmm is then inf, an ok row.
@@ -228,16 +208,6 @@ def timed_run(detector, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries
         stop = time.perf_counter()
         fit_end = stop if fit_end is None else fit_end
         score_end = stop if score_end is None else score_end
-        return TimedRun(
-            train_seconds=fit_end - start,
-            inference_seconds=score_end - fit_end,
-            failure=f"{type(exc).__name__}: {exc}",
-        )
-    return TimedRun(
-        train_seconds=fit_end - start,
-        inference_seconds=score_end - fit_end,
-        auc=auc,
-        best_f1=f1,
-        nmm=ratio,
-        curve=curve,
-    )
+        seconds = (fit_end - start, score_end - fit_end)
+        return row("failed", seconds, reason=f"{type(exc).__name__}: {exc}"), None
+    return row("ok", (fit_end - start, score_end - fit_end), (auc, f1, ratio)), curve

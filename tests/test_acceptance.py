@@ -307,8 +307,8 @@ def test_criterion_06_every_detector_separates_point_anomalies():
             cfg = DetectorConfig(
                 name=name, window_width=width, hyperparameters=hyper, seed=seed * 7 + 1
             )
-            run = timed_run(get_detector(name), cfg, train, test)
-            assert run.ok, f"{name} failed on seed {seed}: {run.failure}"
+            run, _ = timed_run(get_detector(name), cfg, train, test)
+            assert run.status == "ok", f"{name} failed on seed {seed}: {run.failure_reason}"
             minima[name] = min(minima[name], run.auc)
     for name, worst_auc in minima.items():
         if name == "kmeans":

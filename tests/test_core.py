@@ -283,8 +283,8 @@ class TestDetectorConfig:
         # no numpy warning is raised on the way to the failed row.
         train, test = short_noisy_sine()
         cfg = DetectorConfig(name=name, window_width=8, hyperparameters=hyperparameters)
-        run = timed_run(get_detector(name), cfg, train, test)
-        assert run.failure == reason
+        run, _ = timed_run(get_detector(name), cfg, train, test)
+        assert run.failure_reason == reason
 
     @pytest.mark.parametrize(
         "name, key, value, derived",

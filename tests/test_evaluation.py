@@ -10,6 +10,7 @@ import pytest
 
 from tsadkit import (
     DetectorConfig,
+    ResultRow,
     ScoreSeries,
     best_f1,
     naive_mse,
@@ -99,6 +100,17 @@ def score_families(rng, n):
     yield np.where(rng.random(n) < 0.5, distinct, np.nextafter(distinct, np.inf))
 
 
+def _separated(positives: int, negatives: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct scores that rank every positive above every negative; the
+    positives sit at shuffled positions."""
+    labels = np.zeros(positives + negatives, dtype=np.int64)
+    labels[np.random.default_rng(positives).permutation(labels.size)[:positives]] = 1
+    scores = np.empty(labels.size)
+    scores[labels == 0] = np.arange(negatives)
+    scores[labels == 1] = negatives + np.arange(positives)
+    return scores, labels
+
+
 class TestRocAuc:
     def test_perfect(self):
         _, auc = roc_auc(scored([1, 2, 3, 4]), [0, 0, 1, 1])
@@ -107,6 +119,13 @@ class TestRocAuc:
     def test_inverted(self):
         _, auc = roc_auc(scored([1, 2, 3, 4]), [1, 1, 0, 0])
         assert auc == 0.0
+
+    @pytest.mark.parametrize("positives, negatives", [(187, 207), (188, 209)])
+    def test_a_perfect_separation_is_exactly_one(self, positives, negatives):
+        # Summed over every fpr step, the trapezoids round one ulp above 1.
+        scores, labels = _separated(positives, negatives)
+        _, auc = roc_auc(scored(scores), labels)
+        assert auc == 1.0
 
     def test_random_scores_near_half(self):
         rng = np.random.default_rng(0)
@@ -350,6 +369,15 @@ class _FailingDetector:
         raise AssertionError
 
 
+class _RefusingDetector(_SpyDetector):
+    """Fails any test that fits it."""
+
+    name = "refusing"
+
+    def fit(self, train, cfg):
+        raise AssertionError("fit was called")
+
+
 class TestTimedRun:
     def _data(self):
         rng = np.random.default_rng(5)
@@ -363,15 +391,24 @@ class TestTimedRun:
 
     def test_timers_and_metrics(self):
         train, test = self._data()
-        run = timed_run(_SpyDetector(), DetectorConfig(name="spy"), train, test)
-        assert run.ok
+        run, _ = timed_run(_SpyDetector(), DetectorConfig(name="spy"), train, test)
+        assert run.status == "ok"
         assert run.train_seconds >= 0 and run.inference_seconds >= 0
         assert run.auc == 1.0
 
+    def test_the_row_names_its_pair_and_leaves_the_dataset_to_the_caller(self):
+        train, test = self._data()
+        run, curve = timed_run(_SpyDetector(), DetectorConfig(name="spy"), train, test)
+        assert (run.dataset_id, run.series_id, run.detector) == ("", "t", "spy")
+        assert run.failure_reason == ""
+        expected, _ = roc_auc(ScoreSeries(np.abs(test.values)), test.labels)
+        assert np.array_equal(curve.points, expected.points)
+        assert np.array_equal(curve.thresholds, expected.thresholds)
+
     def test_deterministic_metrics(self):
         train, test = self._data()
-        a = timed_run(_SpyDetector(), DetectorConfig(name="spy"), train, test)
-        b = timed_run(_SpyDetector(), DetectorConfig(name="spy"), train, test)
+        a, _ = timed_run(_SpyDetector(), DetectorConfig(name="spy"), train, test)
+        b, _ = timed_run(_SpyDetector(), DetectorConfig(name="spy"), train, test)
         assert a.auc == b.auc
         assert a.best_f1 == b.best_f1
         assert a.nmm == b.nmm
@@ -380,47 +417,64 @@ class TestTimedRun:
         train, test = self._data()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            run = timed_run(_HugeDetector(), DetectorConfig(name="huge"), train, test)
-        assert run.ok, run.failure
+            run, _ = timed_run(_HugeDetector(), DetectorConfig(name="huge"), train, test)
+        assert run.status == "ok", run.failure_reason
         assert run.nmm == np.inf
+        assert run.auc == 1.0
+
+    @pytest.mark.parametrize("positives, negatives", [(187, 207), (188, 209)])
+    def test_a_perfect_separation_is_an_ok_row(self, positives, negatives):
+        scores, labels = _separated(positives, negatives)
+        train, _ = self._data()
+        test = series(scores, labels=labels)
+        run, _ = timed_run(_GivenDetector(scores), DetectorConfig(name="given"), train, test)
+        assert run.status == "ok", run.failure_reason
         assert run.auc == 1.0
 
     def test_failure_becomes_report(self):
         train, test = self._data()
-        out = timed_run(_FailingDetector(), DetectorConfig(name="broken"), train, test)
-        assert not out.ok
-        assert "SeriesTooShort" in out.failure
-        assert out.curve is None
+        out, curve = timed_run(_FailingDetector(), DetectorConfig(name="broken"), train, test)
+        assert out.status == "failed"
+        assert "SeriesTooShort" in out.failure_reason
+        assert curve is None
 
     def test_a_score_count_other_than_the_test_length_fails_the_run(self):
         train, test = self._data()
-        out = timed_run(_ShortDetector(), DetectorConfig(name="short"), train, test)
+        out, curve = timed_run(_ShortDetector(), DetectorConfig(name="short"), train, test)
         assert out.status == "failed"
-        assert out.failure == "DimensionMismatch: 99 scores for 100 test points"
-        assert out.curve is None
+        assert out.failure_reason == "DimensionMismatch: 99 scores for 100 test points"
+        assert curve is None
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_scores_fail_the_run(self, bad):
         train, test = self._data()
         scores = np.abs(test.values)
         scores[3] = bad
-        out = timed_run(_GivenDetector(scores), DetectorConfig(name="given"), train, test)
+        out, curve = timed_run(_GivenDetector(scores), DetectorConfig(name="given"), train, test)
         assert out.status == "failed"
-        assert out.failure == "NonFiniteScores: scores contain non-finite values"
-        assert out.curve is None
+        assert out.failure_reason == "NonFiniteScores: scores contain non-finite values"
+        assert curve is None
 
     def test_a_score_column_fails_the_run(self):
         train, test = self._data()
         column = np.abs(test.values)[:, None]
-        out = timed_run(_GivenDetector(column), DetectorConfig(name="given"), train, test)
+        out, curve = timed_run(_GivenDetector(column), DetectorConfig(name="given"), train, test)
         assert out.status == "failed"
         reason = "DimensionMismatch: scores must be one-dimensional, got shape (100, 1)"
-        assert out.failure == reason
-        assert out.curve is None
+        assert out.failure_reason == reason
+        assert curve is None
 
-    def test_unlabeled_test_fails_gracefully(self):
+    @pytest.mark.parametrize(
+        "labels", [np.zeros(60, dtype=int), np.ones(60, dtype=int), None],
+        ids=["no-positive", "all-positive", "unlabelled"],
+    )
+    def test_one_label_class_is_excluded_before_the_fit(self, labels):
         rng = np.random.default_rng(6)
         train = series(rng.standard_normal(50))
-        test = series(rng.standard_normal(60))
-        out = timed_run(_SpyDetector(), DetectorConfig(name="spy"), train, test)
-        assert not out.ok
+        test = series(rng.standard_normal(60), labels=labels)
+        out, curve = timed_run(_RefusingDetector(), DetectorConfig(name="refusing"), train, test)
+        assert out == ResultRow(
+            "", "t", "refusing", None, None, None, 0.0, 0.0,
+            "excluded", "test segment holds one label class",
+        )
+        assert curve is None

@@ -665,8 +665,8 @@ class TestGbt:
         labels[40] = 1
         train, test = series(x[:120]), series(x[120:], labels)
         cfg = DetectorConfig(name="gbt", window_width=8, hyperparameters=hyperparameters)
-        run = timed_run(get_detector("gbt"), cfg, train, test)
-        assert run.failure.startswith("InvalidHyperparameter:")
+        run, _ = timed_run(get_detector("gbt"), cfg, train, test)
+        assert run.failure_reason.startswith("InvalidHyperparameter:")
 
 
 def per_feature_best_split(data: np.ndarray, g: np.ndarray, idx: np.ndarray, lam: float):

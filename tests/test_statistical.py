@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -66,6 +70,18 @@ def ar1(n, coeff=0.5, sigma=1.0, seed=0, intercept=0.0):
     for t in range(1, n + 100):
         x[t] = intercept + coeff * x[t - 1] + noise[t]
     return series(x[100:])
+
+
+def in_a_fresh_process(code: str, seconds: float = 30.0) -> str:
+    """What ``code`` prints, run in a fresh interpreter that is killed after
+    ``seconds``: a computation that never returns fails the test instead of
+    stalling the suite."""
+    env = {**os.environ, "PYTHONPATH": str(Path(statistical.__file__).parents[2])}
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=seconds, env=env,
+        check=True,
+    )
+    return done.stdout
 
 
 class UnreadTrain:
@@ -517,6 +533,25 @@ class TestPci:
         assert len(out) == 260
         assert np.argmax(out) == 140
 
+    def test_one_lag_and_a_tail_quantile_give_an_ok_row(self):
+        # k = 1 gives one degree of freedom, whose 99.99999 % quantile
+        # (about 3.2e6) lies above 2**19, where floats are more than 1e-10 apart.
+        code = (
+            "import numpy as np\n"
+            "from tsadkit import DetectorConfig, TimeSeries, get_detector, timed_run\n"
+            "rng = np.random.default_rng(3)\n"
+            "labels = np.zeros(200, dtype=np.int64)\n"
+            "labels[120] = 1\n"
+            "values = rng.standard_normal(300)\n"
+            "values[220] += 8.0\n"
+            "train = TimeSeries(values[:100], series_id='t')\n"
+            "test = TimeSeries(values[100:], labels=labels, series_id='t')\n"
+            "cfg = DetectorConfig(name='pci', hyperparameters={'k': 1, 'pci_alpha': 99.99999})\n"
+            "row, _ = timed_run(get_detector('pci'), cfg, train, test)\n"
+            "print(row.status, row.failure_reason)\n"
+        )
+        assert in_a_fresh_process(code).split() == ["ok"]
+
     def test_too_short(self):
         with pytest.raises(SeriesTooShort):
             pci_fit(series(np.arange(10.0)), k=5, alpha=PCI_ALPHA)
@@ -565,6 +600,21 @@ class TestStudentT:
         for p in (0.6, 0.9, 0.985):
             for dof in (1, 5, 59):
                 assert abs(_student_t_cdf(student_t_ppf(p, dof), dof) - p) < 1e-9
+
+    @staticmethod
+    def one_dof_quantile(p: float) -> float:
+        code = f"from tsadkit.detectors.statistical import student_t_ppf; print(student_t_ppf({p!r}, 1))"
+        return float(in_a_fresh_process(code))
+
+    def test_one_dof_quantile_above_2_to_the_19(self):
+        # Floats there lie more than 1e-10 apart, so the bracket cannot
+        # narrow to 1e-10; it stops when no float lies between its ends.
+        p = 0.9999999
+        assert self.one_dof_quantile(p) == pytest.approx(math.tan(math.pi * (p - 0.5)), rel=1e-6)
+
+    def test_one_dof_quantile_above_1e12(self):
+        # About 3.2e12: the bracket doubles past 1e12 and still ends.
+        assert 1e12 < self.one_dof_quantile(1 - 1e-13) < math.inf
 
     def test_domain(self):
         with pytest.raises(ValueError):
