@@ -29,7 +29,7 @@ from .data import (
     load_nab_csv,
     load_yahoo_csv,
 )
-from .detectors import DETECTOR_NAMES, get_detector
+from .detectors import get_detector
 from .errors import InvalidSpec, PeriodTooLong, TsadError
 from .evaluation import ResultRow, RocCurve, timed_run
 from .preprocessing import (
@@ -69,13 +69,21 @@ class RunConfig:
     data_dir: Optional[Path] = None
 
     def __post_init__(self):
-        if not self.detectors:
-            raise InvalidSpec("at least one detector is required")
         object.__setattr__(self, "datasets", tuple(self.datasets))
         object.__setattr__(self, "detectors", tuple(self.detectors))
+        if not self.detectors:
+            raise InvalidSpec("at least one detector is required")
+        repeated = _repeats(self.detectors)
+        if repeated:
+            raise InvalidSpec(f"detectors occur more than once in the run: {repeated}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
         if self.data_dir is not None:
             object.__setattr__(self, "data_dir", Path(self.data_dir))
+
+
+def _repeats(names) -> list[str]:
+    """The names that occur more than once, sorted."""
+    return sorted(name for name, count in Counter(names).items() if count > 1)
 
 
 def smoke_series() -> list[TimeSeries]:
@@ -156,8 +164,7 @@ def run_benchmark(config: RunConfig) -> tuple[list[ResultRow], dict, dict]:
     for name in config.detectors:
         get_detector(name)  # unknown names fail before any work happens
     datasets = [_resolve_dataset(str(entry), config.data_dir) for entry in config.datasets]
-    counts = Counter(series.series_id for _, series_list in datasets for series in series_list)
-    repeated = sorted(sid for sid, count in counts.items() if count > 1)
+    repeated = _repeats(series.series_id for _, series_list in datasets for series in series_list)
     if repeated:
         raise InvalidSpec(f"series ids occur more than once in the run: {repeated}")
 
@@ -250,6 +257,8 @@ def emit_reports(rows: Sequence[ResultRow], output_dir, summary: dict, curves: d
 
     The results.csv columns are ``ResultRow``'s fields.  Floats are
     serialized with repr, so re-parsing them recovers the exact values.
+    Any other ``*.csv`` file directly under ``roc/``, left by an earlier run
+    into the same directory, is deleted.
     """
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -263,9 +272,15 @@ def emit_reports(rows: Sequence[ResultRow], output_dir, summary: dict, curves: d
         fh.write("\n")
     roc_dir = output_dir / "roc"
     roc_dir.mkdir(exist_ok=True)
+    written = set()
     for (series_id, detector), curve in curves.items():
         # The thresholds fall along the curve, all distinct: one repr each.
         columns = (_run_reprs(curve.fpr), _run_reprs(curve.tpr), map(repr, curve.thresholds.tolist()))
         text = "fpr,tpr,threshold\r\n" + "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
-        with (roc_dir / f"{series_id}_{detector}.csv").open("w", newline="", encoding="utf-8") as fh:
+        path = roc_dir / f"{series_id}_{detector}.csv"
+        with path.open("w", newline="", encoding="utf-8") as fh:
             fh.write(text)
+        written.add(path.name)
+    for stale in roc_dir.glob("*.csv"):
+        if stale.name not in written and stale.is_file():
+            stale.unlink()

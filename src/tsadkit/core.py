@@ -215,17 +215,13 @@ def frame(series: TimeSeries, width: int) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(windows, targets)``: window i is row i of the ``(n - width,
     width)`` matrix, ``values[i : i + width]``, and its target is
-    ``values[i + width]``.  The matrix is a read-only strided view of the
-    values, not a copy, so it costs no memory of its own.
+    ``values[i + width]``: the :func:`subsequences` matrix without its last
+    row, so it is a read-only strided view of the values, not a copy.
     """
-    if width < 1:
-        raise ValueError("width must be >= 1")
-    values = series.values
-    n = values.size
+    n = len(series)
     if n <= width:
         raise SeriesTooShort(f"need more than width={width} observations, got {n}")
-    windows = np.lib.stride_tricks.sliding_window_view(values[:-1], width)
-    return windows, values[width:]
+    return subsequences(series, width)[:-1], series.values[width:]
 
 
 def subsequences(series: TimeSeries, width: int) -> np.ndarray:

@@ -13,7 +13,7 @@ for PCI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -22,6 +22,7 @@ from ..core import (
     Derived,
     DetectorConfig,
     TimeSeries,
+    frame,
     resolve,
     with_lookback,
 )
@@ -40,7 +41,6 @@ from ..preprocessing import difference
 __all__ = [
     "ArFit",
     "MaFit",
-    "ArmaFit",
     "ArimaFit",
     "SmoothingFit",
     "PciFit",
@@ -94,7 +94,8 @@ class ArFit:
 
 
 def _lag_matrix(values: np.ndarray, p: int) -> np.ndarray:
-    """Row t-p holds (x_{t-1}, ..., x_{t-p}) for t = p .. n-1."""
+    """Row t-p holds (x_{t-1}, ..., x_{t-p}) for t = p .. n-1; p = 0 gives
+    n rows of no columns."""
     windows = np.lib.stride_tricks.sliding_window_view(values, p)[:-1]
     return windows[:, ::-1]
 
@@ -231,13 +232,15 @@ def ma_score(fit: MaFit, test: TimeSeries) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ArmaFit:
-    """Mixed model x_t = c + sum a_i x_{t-i} + sum b_j e_{t-j} + e_t."""
+class ArimaFit:
+    """Mixed model x_t = c + sum a_i x_{t-i} + sum b_j e_{t-j} + e_t, fitted
+    after d rounds of differencing (d = 0 for a plain ARMA fit)."""
 
     ar: np.ndarray
     ma: np.ndarray
     intercept: float
     converged: bool
+    d: int = 0
 
     def __post_init__(self):
         finite = np.all(np.isfinite(self.ar)) and np.all(np.isfinite(self.ma))
@@ -253,19 +256,12 @@ class ArmaFit:
         return int(self.ma.size)
 
 
-@dataclass(frozen=True)
-class ArimaFit:
-    """ARMA after d rounds of differencing."""
-
-    inner: ArmaFit
-    d: int
-
-
-def _css_residuals(values: np.ndarray, theta: np.ndarray, p: int, q: int) -> np.ndarray:
+def _css_residuals(values: np.ndarray, theta: np.ndarray, p: int) -> np.ndarray:
     """Innovations e_t for t in [p, n), zero-initialized before that.
 
-    The recursion runs on Python floats, which index far faster than numpy
-    scalars; each prediction adds c, then the AR terms, then the MA terms.
+    ``theta`` is (c, a_1 .. a_p, b_1 .. b_q).  The recursion runs on Python
+    floats, which index far faster than numpy scalars; each prediction adds
+    c, then the AR terms, then the MA terms.
     """
     x = values.tolist()
     c = float(theta[0])
@@ -284,7 +280,7 @@ def _css_residuals(values: np.ndarray, theta: np.ndarray, p: int, q: int) -> np.
     return np.array(eps)
 
 
-def _css_jacobian(values: np.ndarray, theta: np.ndarray, p: int, q: int, eps: np.ndarray) -> np.ndarray:
+def _css_jacobian(values: np.ndarray, theta: np.ndarray, p: int, eps: np.ndarray) -> np.ndarray:
     """d eps_t / d theta via the same recursion, rows zero for t < p.
 
     Each column is a scalar filter on Python floats: start from the direct
@@ -322,12 +318,12 @@ def _css_jacobian(values: np.ndarray, theta: np.ndarray, p: int, q: int, eps: np
     return jac
 
 
-def arma_fit(train: TimeSeries, p: int, q: int) -> ArmaFit:
+def arma_fit(train: TimeSeries, p: int, q: int) -> ArimaFit:
     """Conditional sum of squares minimized by damped Gauss-Newton.
 
     Initialized from a two-stage regression on long-AR residuals; stops when
     the improvement falls below 1e-8 or after 500 iterations, in which case
-    the best iterate is returned flagged not converged.
+    the best iterate is returned flagged not converged.  The record's d is 0.
     """
     if p < 0 or q < 0 or p + q < 1:
         raise InvalidOrder(f"need p, q >= 0 and p+q >= 1, got p={p}, q={q}")
@@ -337,12 +333,12 @@ def arma_fit(train: TimeSeries, p: int, q: int) -> ArmaFit:
         raise SeriesTooShort(f"ARMA({p},{q}) needs at least {3 * (p + q) + 2} points, got {n}")
 
     theta = _hannan_rissanen_init(values, p, q)
-    eps = _css_residuals(values, theta, p, q)
+    eps = _css_residuals(values, theta, p)
     sse = float(eps @ eps)
     lam = 1e-3
     converged = False
     for _ in range(500):
-        jac = _css_jacobian(values, theta, p, q, eps)
+        jac = _css_jacobian(values, theta, p, eps)
         grad = jac.T @ eps
         hess = jac.T @ jac
         accepted = False
@@ -352,7 +348,7 @@ def arma_fit(train: TimeSeries, p: int, q: int) -> ArmaFit:
             except np.linalg.LinAlgError:
                 raise SingularDesign("ARMA normal equations are singular") from None
             candidate = theta + delta
-            eps_new = _css_residuals(values, candidate, p, q)
+            eps_new = _css_residuals(values, candidate, p)
             sse_new = float(eps_new @ eps_new)
             if math.isfinite(sse_new) and sse_new < sse:
                 accepted = True
@@ -367,7 +363,7 @@ def arma_fit(train: TimeSeries, p: int, q: int) -> ArmaFit:
         if improvement < 1e-8:
             converged = True
             break
-    return ArmaFit(
+    return ArimaFit(
         ar=theta[1 : 1 + p],
         ma=theta[1 + p :],
         intercept=float(theta[0]),
@@ -384,12 +380,11 @@ def _hannan_rissanen_init(values: np.ndarray, p: int, q: int) -> np.ndarray:
     eps = np.zeros(n)
     eps[long_order:] = _ar_residuals(values, ar_fit(series, long_order))
     start = long_order + max(p, q)
-    cols = [np.ones(n - start)]
-    for i in range(1, p + 1):
-        cols.append(values[start - i : n - i])
-    for j in range(1, q + 1):
-        cols.append(eps[start - j : n - j])
-    design = np.column_stack(cols)
+    # Rows t = start .. n-1 of the intercept, the p value lags and the q
+    # innovation lags.
+    design = np.column_stack(
+        (np.ones(n - start), _lag_matrix(values, p)[start - p :], _lag_matrix(eps, q)[start - q :])
+    )
     theta, _, rank, _ = np.linalg.lstsq(design, values[start:], rcond=None)
     if rank < design.shape[1]:
         raise SingularDesign("ARMA initialization design is rank-deficient")
@@ -411,8 +406,7 @@ def arima_fit(train: TimeSeries, p: int, d: Optional[int], q: int) -> ArimaFit:
         raise SeriesTooShort(
             f"ARIMA({p},{d},{q}) needs at least {3 * (p + q) + d + 2} points, got {len(train)}"
         )
-    differenced = difference(train, d)
-    return ArimaFit(inner=arma_fit(differenced, p, q), d=d)
+    return replace(arma_fit(difference(train, d), p, q), d=d)
 
 
 def _trend_order(values: np.ndarray) -> int:
@@ -426,11 +420,9 @@ def _trend_order(values: np.ndarray) -> int:
 def arima_score(fit: ArimaFit, series: TimeSeries) -> np.ndarray:
     """Difference d times, then the one-step residuals of every point after
     the first d + p; innovations before those points are zero."""
-    inner = fit.inner
-    differenced = np.diff(series.values, n=fit.d)
-    theta = np.concatenate(([inner.intercept], inner.ar, inner.ma))
-    eps = _css_residuals(differenced, theta, inner.p, inner.q)
-    return np.abs(eps[inner.p :])
+    theta = np.concatenate(([fit.intercept], fit.ar, fit.ma))
+    eps = _css_residuals(difference(series, fit.d).values, theta, fit.p)
+    return np.abs(eps[fit.p :])
 
 
 # ---------------------------------------------------------------------------
@@ -664,16 +656,12 @@ class PciFit:
     residual_s: float
 
 
-def _pci_predict(values: np.ndarray, k: int) -> np.ndarray:
-    """Weighted forecasts of ``values[2k:]``, each from the 2k values before
-    it; weight 1/j for lag j."""
-    n = values.size
-    if n <= 2 * k:
-        raise SeriesTooShort(f"PCI needs more than 2k={2 * k} points, got {n}")
-    # Window row for x_t is (x_{t-2k}, ..., x_{t-1}).
-    windows = np.lib.stride_tricks.sliding_window_view(values, 2 * k)[:-1]
+def _pci_predict(series: TimeSeries, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Weighted forecasts of every point after the first 2k, each from the 2k
+    values before it (weight 1/j for lag j), and those points."""
+    windows, targets = frame(series, 2 * k)
     weights = 1.0 / np.arange(2 * k, 0, -1)
-    return windows @ weights / weights.sum()
+    return windows @ weights / weights.sum(), targets
 
 
 def pci_fit(train: TimeSeries, k: int, alpha: float) -> PciFit:
@@ -682,8 +670,8 @@ def pci_fit(train: TimeSeries, k: int, alpha: float) -> PciFit:
         raise InvalidHyperparameter(f"k must be >= 1, got {k}")
     if not (50.0 < alpha < 100.0):
         raise InvalidHyperparameter(f"alpha must lie in (50, 100), got {alpha}")
-    residuals = train.values[2 * k :] - _pci_predict(train.values, k)
-    residual_s = float(residuals.std())
+    predictions, targets = _pci_predict(train, k)
+    residual_s = float((targets - predictions).std())
     if not math.isfinite(residual_s):
         raise NonFiniteValues(f"residual_s must be finite, got {residual_s}")
     return PciFit(k=k, alpha=alpha, residual_s=residual_s)
@@ -692,10 +680,10 @@ def pci_fit(train: TimeSeries, k: int, alpha: float) -> PciFit:
 def pci_score(fit: PciFit, series: TimeSeries) -> np.ndarray:
     """|residual| / interval half-width of every point after the first 2k;
     score > 1 means outside the band."""
-    predictions = _pci_predict(series.values, fit.k)
+    predictions, targets = _pci_predict(series, fit.k)
     t_quantile = student_t_ppf(fit.alpha / 100.0, 2 * fit.k - 1)
     half_width = t_quantile * max(fit.residual_s, 1e-12) * math.sqrt(1.0 + 1.0 / (2 * fit.k))
-    return np.abs(series.values[2 * fit.k :] - predictions) / half_width
+    return np.abs(targets - predictions) / half_width
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +779,7 @@ class ArimaDetector:
         return arima_fit(train, p["p"], p["d"], p["q"])
 
     def score(self, model, cfg: DetectorConfig, train: TimeSeries, test: TimeSeries) -> np.ndarray:
-        return arima_score(model, with_lookback(train, test, model.d + model.inner.p))
+        return arima_score(model, with_lookback(train, test, model.d + model.p))
 
 
 class SesDetector:

@@ -47,35 +47,27 @@ class ResultRow:
 
 @dataclass(frozen=True)
 class RocCurve:
-    """Vertices of a threshold sweep as (fpr, tpr) pairs from (0,0) to (1,1).
+    """Vertices of a threshold sweep, from (fpr, tpr) = (0,0) to (1,1).
 
-    ``thresholds[i]`` is the cut producing ``points[i]``; the initial point
-    uses +inf (nothing predicted positive).  Cuts that fall inside a straight
-    run of the sweep are left out: they lie on the segment between the
-    vertices around them, so the curve and its area are the same.
+    ``fpr[i]`` and ``tpr[i]`` are the rates of the cut ``thresholds[i]``,
+    the three columns of the curve's ROC file; the initial point uses +inf
+    (nothing predicted positive).  Cuts that fall inside a straight run of
+    the sweep are left out: they lie on the segment between the vertices
+    around them, so the curve and its area are the same.
     """
 
-    points: np.ndarray
+    fpr: np.ndarray
+    tpr: np.ndarray
     thresholds: np.ndarray
 
     def __post_init__(self):
-        points = self.points
-        if points.ndim != 2 or points.shape[1] != 2:
-            raise ValueError(f"points must have shape (k, 2), got {points.shape}")
-        if self.thresholds.shape != (points.shape[0],):
-            raise ValueError("thresholds must match points one-to-one")
-        if np.any(points < -1e-12) or np.any(points > 1.0 + 1e-12):
-            raise ValueError("fpr/tpr must lie in [0, 1]")
-        if np.any(np.diff(points[:, 0]) < -1e-12) or np.any(np.diff(points[:, 1]) < -1e-12):
-            raise ValueError("fpr and tpr must be non-decreasing along the sweep")
-
-    @property
-    def fpr(self) -> np.ndarray:
-        return self.points[:, 0]
-
-    @property
-    def tpr(self) -> np.ndarray:
-        return self.points[:, 1]
+        if self.fpr.ndim != 1 or not self.fpr.shape == self.tpr.shape == self.thresholds.shape:
+            raise ValueError("fpr, tpr and thresholds must be 1-D and of one length")
+        for rates in (self.fpr, self.tpr):
+            if np.any(rates < -1e-12) or np.any(rates > 1.0 + 1e-12):
+                raise ValueError("fpr/tpr must lie in [0, 1]")
+            if np.any(np.diff(rates) < -1e-12):
+                raise ValueError("fpr and tpr must be non-decreasing along the sweep")
 
 
 def _check_labels(labels: np.ndarray) -> tuple[int, int]:
@@ -133,7 +125,7 @@ def roc_auc(scores: ScoreSeries, labels) -> tuple[RocCurve, float]:
     keep = np.ones(tp.size, dtype=bool)
     keep[1:-1] = dfp[:-1] * dtp[1:] != dtp[:-1] * dfp[1:]
     thresholds = np.concatenate(([np.inf], cuts))
-    curve = RocCurve(points=np.column_stack((fpr[keep], tpr[keep])), thresholds=thresholds[keep])
+    curve = RocCurve(fpr=fpr[keep], tpr=tpr[keep], thresholds=thresholds[keep])
     return curve, auc
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -346,6 +347,13 @@ class TestRunBenchmark:
         with pytest.raises(InvalidSpec):
             RunConfig(datasets=("SYNTH",), detectors=())
 
+    def test_a_repeated_detector_is_refused(self):
+        # Each repeat would add a second row per series under one name and
+        # overwrite that pair's ROC file.
+        message = "detectors occur more than once in the run: ['ar', 'ma']"
+        with pytest.raises(InvalidSpec, match=re.escape(message)):
+            RunConfig(datasets=("SYNTH",), detectors=("ma", "ar", "iforest", "ar", "ma"))
+
 
 class TestPairSeeds:
     def test_deterministic(self):
@@ -427,7 +435,8 @@ class TestReports:
 
     def test_roc_file_bytes(self, tmp_path):
         curve = RocCurve(
-            points=np.array([[0.0, 0.0], [1.0 / 3.0, 0.0], [1.0 / 3.0, 1.0], [1.0, 1.0]]),
+            fpr=np.array([0.0, 1.0 / 3.0, 1.0 / 3.0, 1.0]),
+            tpr=np.array([0.0, 0.0, 1.0, 1.0]),
             thresholds=np.array([np.inf, 2.5, 1e-300, -3.0]),
         )
         emit_reports([], tmp_path, {}, {("s1", "ar"): curve})
@@ -487,6 +496,21 @@ class TestReports:
         for roc in sorted((outputs[0] / "roc").glob("*.csv")):
             twin = outputs[1] / "roc" / roc.name
             assert roc.read_bytes() == twin.read_bytes()
+
+    def test_a_rerun_into_the_same_directory_leaves_one_roc_file_per_ok_row(self, tmp_path):
+        out = tmp_path / "out"
+        for detectors in (("ar", "iforest"), ("ar",)):
+            rows, summary, curves = run_benchmark(quick_config(detectors=detectors))
+            emit_reports(rows, out, summary, curves)
+        # Only the run's own *.csv files directly under roc/ are kept.
+        (out / "roc" / "notes.txt").write_text("kept", encoding="utf-8")
+        (out / "roc" / "sub.csv").mkdir()
+        (out / "roc" / "stale_ar.csv").write_text("stale", encoding="utf-8")
+        emit_reports(rows, out, summary, curves)
+        ok = sorted(f"{row.series_id}_{row.detector}.csv" for row in rows if row.status == "ok")
+        assert len(ok) == 5
+        assert sorted(path.name for path in (out / "roc").glob("*.csv") if path.is_file()) == ok
+        assert (out / "roc" / "notes.txt").exists() and (out / "roc" / "sub.csv").is_dir()
 
 
 class TestCatalog:
@@ -679,6 +703,13 @@ class TestCli:
         assert code == 2
         assert "series ids occur more than once in the run: ['s']" in capsys.readouterr().err
         assert runs == [] and not out.exists()
+
+    def test_a_repeated_detector_is_refused_before_any_output(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        code = main(["run", "--detector", "ar", "--detector", "ar", "--out", str(out)])
+        assert code == 2
+        assert "detectors occur more than once in the run: ['ar']" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_data_dir_is_a_clean_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("TSAD_DATA_DIR", raising=False)

@@ -159,15 +159,16 @@ class TestRocAuc:
         scores = np.round(rng.standard_normal(100), 1)
         labels = (rng.random(100) < 0.3).astype(int)
         curve, _ = roc_auc(scored(scores), labels)
-        assert tuple(curve.points[0]) == (0.0, 0.0)
-        assert tuple(curve.points[-1]) == (1.0, 1.0)
+        assert (curve.fpr[0], curve.tpr[0]) == (0.0, 0.0)
+        assert (curve.fpr[-1], curve.tpr[-1]) == (1.0, 1.0)
         assert np.all(np.diff(curve.fpr) >= 0)
         assert np.all(np.diff(curve.tpr) >= 0)
         assert curve.thresholds[0] == np.inf
 
     def test_curve_keeps_only_vertices(self):
         curve, auc = roc_auc(scored([1, 2, 3, 4]), [0, 0, 1, 1])
-        assert curve.points.tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        assert curve.fpr.tolist() == [0.0, 0.0, 1.0]
+        assert curve.tpr.tolist() == [0.0, 1.0, 1.0]
         assert curve.thresholds.tolist() == [np.inf, 3.0, 1.0]
         assert auc == 1.0
 
@@ -187,7 +188,7 @@ class TestRocAuc:
                 kept.append(last)
                 negatives, positives = n - int(labels.sum()), int(labels.sum())
                 expected = [[fp[i] / negatives, tp[i] / positives] for i in kept]
-                assert curve.points.tolist() == expected
+                assert np.column_stack((curve.fpr, curve.tpr)).tolist() == expected
                 assert curve.thresholds.tolist() == [thresholds[i] for i in kept]
                 # Every dropped cut lies on the segment between its kept neighbours.
                 for before, after in zip(kept, kept[1:]):
@@ -402,7 +403,8 @@ class TestTimedRun:
         assert (run.dataset_id, run.series_id, run.detector) == ("", "t", "spy")
         assert run.failure_reason == ""
         expected, _ = roc_auc(ScoreSeries(np.abs(test.values)), test.labels)
-        assert np.array_equal(curve.points, expected.points)
+        assert np.array_equal(curve.fpr, expected.fpr)
+        assert np.array_equal(curve.tpr, expected.tpr)
         assert np.array_equal(curve.thresholds, expected.thresholds)
 
     def test_deterministic_metrics(self):

@@ -288,7 +288,8 @@ def sweep_outputs(scores: ScoreSeries, labels: np.ndarray) -> list[bytes]:
     outputs = [None, None, None]
     if 0 < positives < labels.size:
         curve, auc = evaluation.roc_auc(scores, labels)
-        outputs[:2] = curve.points.tobytes(), curve.thresholds.tobytes() + np.float64(auc).tobytes()
+        points = curve.fpr.tobytes() + curve.tpr.tobytes()
+        outputs[:2] = points, curve.thresholds.tobytes() + np.float64(auc).tobytes()
     if positives:
         outputs[2] = np.float64(evaluation.best_f1(scores, labels)).tobytes()
     return outputs
