@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -30,7 +31,7 @@ from .data import (
     load_yahoo_csv,
 )
 from .detectors import get_detector
-from .errors import InvalidSpec, PeriodTooLong, TsadError
+from .errors import InvalidSpec, NonFiniteValues, PeriodTooLong, TsadError
 from .evaluation import ResultRow, RocCurve, timed_run
 from .preprocessing import (
     SplitSpec,
@@ -133,8 +134,16 @@ def _preprocess(config: RunConfig, series: TimeSeries) -> tuple[TimeSeries, Time
     Standardization and differencing act on the whole series, so the train
     tail stays contiguous with the test; the cut then moves left by the
     points differencing dropped, and the test segment keeps every point.
+    A value whose square overflows (|x| above ~1.34e154) fails the series
+    before any of that: variances, distances and squared errors of such
+    values are inf.
     """
     train, test = split(series, config.split)
+    peak = float(np.abs(series.values).max())
+    if peak * peak == math.inf:
+        raise NonFiniteValues(
+            f"series {series.series_id!r} holds a value of magnitude {peak!r}, whose square overflows"
+        )
     if config.standardize:
         series = standardize(series, fit_standardizer(train))
     if config.deseasonalize:

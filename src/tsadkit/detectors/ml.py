@@ -540,27 +540,32 @@ def _grow_tree(data: np.ndarray, depth_cap: int, split_rule, leaf_value) -> _Tre
     ``split_rule(data, idx)`` returns ``(feature, threshold)`` or None for a
     leaf; it is only asked below ``depth_cap`` and for at least two rows.
     ``leaf_value(idx, depth)`` gives the value stored at a leaf.
+
+    The pending nodes sit on an explicit stack, right child below left, so
+    a node's left child is the next node grown.  A nested function that
+    called itself would hold itself through its closure cell: that cycle
+    would keep ``data`` and the fit's split state (the closures and what
+    they hold) alive until a full cyclic collection, long after the fit.
     """
     nodes: list = []
     depth_reached = 0
-
-    def grow(idx: np.ndarray, depth: int) -> int:
-        nonlocal depth_reached
+    # (rows, depth, id of the node whose right child this is, or -1)
+    stack = [(np.arange(data.shape[0]), 0, -1)]
+    while stack:
+        idx, depth, parent = stack.pop()
         nid = len(nodes)
-        nodes.append(None)
+        if parent >= 0:
+            nodes[parent][3] = nid
         split = split_rule(data, idx) if depth < depth_cap and idx.size >= 2 else None
         if split is None:
-            nodes[nid] = (0, 0.0, nid, nid, leaf_value(idx, depth))
+            nodes.append((0, 0.0, nid, nid, leaf_value(idx, depth)))
             depth_reached = max(depth_reached, depth)
-            return nid
+            continue
         feature, threshold = split
+        nodes.append([feature, threshold, nid + 1, None, 0.0])
         mask = data[idx, feature] < threshold
-        left = grow(idx[mask], depth + 1)
-        right = grow(idx[~mask], depth + 1)
-        nodes[nid] = (feature, threshold, left, right, 0.0)
-        return nid
-
-    grow(np.arange(data.shape[0]), 0)
+        stack.append((idx[~mask], depth + 1, nid))
+        stack.append((idx[mask], depth + 1, -1))
     feature, threshold, left, right, value = zip(*nodes)
     return _Tree(
         feature=np.array(feature, dtype=np.intp),

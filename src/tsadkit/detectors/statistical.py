@@ -575,7 +575,10 @@ def holtwinters_fit(
 
     Each free parameter is swept over {0.01, ..., 0.99} with the others
     fixed, cycling three rounds; the full cartesian grid would cost 99^3
-    recursions for the same axis resolution.
+    recursions for the same axis resolution.  A sweep is fully determined
+    by its parameter and the other two weights, so one the descent comes
+    back to is not run again: its argmin column and that column's state
+    are kept under that key.
     """
     _check_weights(alpha=alpha, beta=beta, gamma=gamma)
     if period < 2:
@@ -591,33 +594,39 @@ def holtwinters_fit(
         "gamma": 0.5 if gamma is None else gamma,
     }
     free = [name for name, fixed in (("alpha", alpha), ("beta", beta), ("gamma", gamma)) if fixed is None]
+
+    def argmin_state(*axes):
+        """The sweep's argmin column and its (level, trend, season, sse)."""
+        sse, levels, trends, season_tail = _hw_sweep(values, period, *axes)
+        best = int(np.argmin(sse))
+        return best, (float(levels[best]), float(trends[best]), tuple(season_tail[:, best]), float(sse[best]))
+
     if free:
+        sweeps: dict = {}
         for _ in range(3):
             for name in free:
-                axes = {
-                    key: (_GRID if key == name else np.full(_GRID.size, current[key]))
-                    for key in ("alpha", "beta", "gamma")
-                }
-                sweep = _hw_sweep(values, period, axes["alpha"], axes["beta"], axes["gamma"])
-                best = int(np.argmin(sweep[0]))
+                key = (name, *(current[other] for other in ("alpha", "beta", "gamma") if other != name))
+                if key not in sweeps:
+                    sweeps[key] = argmin_state(*(
+                        _GRID if other == name else np.full(_GRID.size, current[other])
+                        for other in ("alpha", "beta", "gamma")
+                    ))
+                best, state = sweeps[key]
                 current[name] = float(_GRID[best])
-        # The last sweep's argmin column ran the final combination, so its
+        # The last key's argmin column ran the final combination, so its
         # state is the fit's.
     else:
         one = np.asarray([1.0])
-        sweep = _hw_sweep(
-            values, period, one * current["alpha"], one * current["beta"], one * current["gamma"]
-        )
-        best = 0
-    sse, levels, trends, season_tail = sweep
+        _, state = argmin_state(one * current["alpha"], one * current["beta"], one * current["gamma"])
+    level, trend, season, sse = state
     return SmoothingFit(
         alpha=current["alpha"],
         beta=current["beta"],
         gamma=current["gamma"],
-        level=float(levels[best]),
-        trend=float(trends[best]),
-        season=tuple(season_tail[:, best]),
-        train_sse=float(sse[best]),
+        level=level,
+        trend=trend,
+        season=season,
+        train_sse=sse,
     )
 
 

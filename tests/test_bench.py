@@ -103,35 +103,37 @@ class TestRunBenchmark:
         assert summary["datasets"]["UD1"]["ar"]["n_excluded"] == 1
         assert curves == {}
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_a_huge_series_fails_without_aborting_the_batch(self, tmp_path):
-        # Unstandardized values near +-1.5e308: window ranges, distances and
-        # sums overflow.  Each detector fails that series with a typed
-        # reason, and the healthy series keeps the rows it gets alone.
+        # Values near +-1.5e308, whose squares overflow: the series fails
+        # before any standardization or fit, with one reason for every
+        # detector and no numpy warning, and the healthy series keeps the
+        # rows it gets alone.
         healthy = labelled_series(seed=1)
         base = labelled_series(seed=2)
         huge = replace(base, values=np.clip(base.values, -1.5, 1.5) * 1e308)
         (tmp_path / "both").mkdir()
         (tmp_path / "alone").mkdir()
-        config = quick_config(detectors=DETECTOR_NAMES, standardize=False)
+        both = write_manifest(tmp_path / "both", [healthy, huge])
+        alone = write_manifest(tmp_path / "alone", [healthy])
+        reason = (
+            "NonFiniteValues: series 'series_1' holds a value of magnitude 1.5e+308, "
+            "whose square overflows"
+        )
 
         def outcome(rows):
             return [(r.detector, r.status, r.auc, r.best_f1, r.nmm, r.failure_reason) for r in rows]
 
-        with np.errstate(over="ignore", invalid="ignore"):
-            rows, _, _ = run_benchmark(
-                replace(config, datasets=(str(write_manifest(tmp_path / "both", [healthy, huge])),))
-            )
-            alone, _, _ = run_benchmark(
-                replace(config, datasets=(str(write_manifest(tmp_path / "alone", [healthy])),))
-            )
-        assert len(rows) == 2 * len(DETECTOR_NAMES)
-        assert outcome(rows[: len(DETECTOR_NAMES)]) == outcome(alone)
-        failed = rows[len(DETECTOR_NAMES) :]
-        for row in failed:
-            assert row.status == "failed"
-            assert issubclass(getattr(errors, row.failure_reason.split(":")[0]), TsadError)
-        iforest = next(row for row in failed if row.detector == "iforest")
-        assert iforest.failure_reason.startswith("NonFiniteValues: window values span")
+        for standardize in (False, True):
+            config = quick_config(detectors=DETECTOR_NAMES, standardize=standardize)
+            rows, summary, curves = run_benchmark(replace(config, datasets=(str(both),)))
+            alone_rows, _, _ = run_benchmark(replace(config, datasets=(str(alone),)))
+            out = tmp_path / f"out-{standardize}"
+            emit_reports(rows, out, summary, curves)
+            assert len((out / "results.csv").read_text().splitlines()) == 1 + 2 * len(DETECTOR_NAMES)
+            assert outcome(rows[: len(DETECTOR_NAMES)]) == outcome(alone_rows)
+            failed = [(r.series_id, r.status, r.failure_reason) for r in rows[len(DETECTOR_NAMES) :]]
+            assert failed == [("series_1", "failed", reason)] * len(DETECTOR_NAMES)
 
     def test_a_rising_kmeans_inertia_fails_without_aborting_the_batch(self, tmp_path):
         # Unstandardized values near 1e7: window distances are rounding

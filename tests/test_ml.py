@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
 
 from tsadkit import (
+    DETECTOR_NAMES,
     DetectorConfig,
+    RunConfig,
     SplitSpec,
     fit_standardizer,
     frame,
@@ -23,6 +28,7 @@ from tsadkit import (
     timed_run,
     with_lookback,
 )
+from tsadkit.bench import _preprocess
 from tsadkit.detectors import ml
 from tsadkit.detectors.ml import (
     DbscanDetector,
@@ -477,6 +483,83 @@ class TestTree:
             # A binary tree has one more leaf than it has internal nodes.
             assert 2 * leaves.size == tree.value.size + 1
 
+
+@contextlib.contextmanager
+def collector_off():
+    """No cyclic collection inside the block, so cycles stay countable."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+def cyclic_garbage(run) -> int:
+    """Objects left for the cyclic collector by ``run()``.  It runs once
+    first, so that imports and caches of a first call are not counted."""
+    run()
+    with collector_off():
+        run()
+        return gc.collect()
+
+
+def synth_pair() -> tuple:
+    """(train, test) of the first SYNTH series, cut as a default run cuts it."""
+    return _preprocess(RunConfig(datasets=("SYNTH",), detectors=("ar",)), smoke_series()[0])
+
+
+def overflowing_pair() -> tuple:
+    """A train whose windows span more than the largest float, so the
+    isolation forest raises NonFiniteValues while it grows its first tree,
+    and a test with both label classes."""
+    labels = np.zeros(40, dtype=np.int64)
+    labels[30] = 1
+    return series(np.resize([1.5e308, -1.5e308, 0.0], 60)), series(np.sin(np.arange(40.0)), labels=labels)
+
+
+def small_config(name: str) -> DetectorConfig:
+    # A few boosting rounds grow the same kind of trees as the default 1,000.
+    return DetectorConfig(name=name, hyperparameters={"n_estimators": 5} if name == "gbt" else {})
+
+
+class TestNoReferenceCycles:
+    """A fit and a score leave no cyclic garbage: reference counting frees
+    each fit's working state (a tree's rows, the split search's state) as
+    soon as the fit returns."""
+
+    @pytest.mark.parametrize("name", DETECTOR_NAMES)
+    def test_fit_and_score_leave_no_cycle(self, name):
+        train, test = synth_pair()
+        detector, cfg = get_detector(name), small_config(name)
+        assert cyclic_garbage(lambda: detector.score(detector.fit(train, cfg), cfg, train, test)) == 0
+
+    @pytest.mark.parametrize(
+        "name, pair, status",
+        [("iforest", synth_pair, "ok"), ("gbt", synth_pair, "ok"), ("iforest", overflowing_pair, "failed")],
+        ids=["iforest-ok", "gbt-ok", "iforest-failed"],
+    )
+    def test_timed_run_leaves_no_cycle(self, name, pair, status):
+        train, test = pair()
+        detector, cfg = get_detector(name), small_config(name)
+        rows = []
+        assert cyclic_garbage(lambda: rows.append(timed_run(detector, cfg, train, test)[0])) == 0
+        assert [row.status for row in rows] == [status, status]
+
+    def test_grow_tree_drops_its_split_rule_on_return(self):
+        class MedianSplit:
+            def __call__(self, data, idx):
+                column = data[idx, 0]
+                return (0, float(np.median(column))) if column.min() < column.max() else None
+
+        with collector_off():
+            rule = MedianSplit()
+            dead = weakref.ref(rule)
+            tree = ml._grow_tree(np.arange(16.0).reshape(8, 2), 3, rule, lambda idx, depth: idx.size)
+            del rule
+            assert dead() is None
+        assert tree.depth == 3
+        np.testing.assert_array_equal(tree.value[tree.is_leaf], np.ones(8))
 
 class TestIforest:
     def test_outlier_has_top_score(self):

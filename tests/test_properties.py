@@ -29,13 +29,14 @@ from tsadkit import (
 from tsadkit import evaluation
 from tsadkit.bench import _preprocess
 from tsadkit.core import ScoreSeries
-from tsadkit.detectors import ml
+from tsadkit.detectors import ml, statistical
 from tsadkit.detectors.ml import LofModel
 from tsadkit.detectors.neural import TrainSpec, _forward, dense_net, net_train
 from tsadkit.errors import ConstantSeries, PeriodTooLong, SeriesTooShort
 
 from conftest import bytes_dict_duplicates, series
 from test_neural import reference_train, same_bits
+from test_statistical import frozen_holtwinters_fit, smoothing_bits
 
 FIXED = settings(derandomize=True, max_examples=300, deadline=None, database=None)
 
@@ -328,3 +329,29 @@ def test_sweep_matches_the_stable_sort(scored):
     new = sweep_outputs(series, labels)
     with mock.patch.object(evaluation, "_sweep", reference_sweep):
         assert new == sweep_outputs(series, labels)
+
+
+@FIXED
+@given(
+    period=st.integers(min_value=2, max_value=12),
+    cycles=st.integers(min_value=2, max_value=12),
+    amplitude=st.floats(min_value=0.0, max_value=10.0),
+    slope=st.floats(min_value=-0.5, max_value=0.5),
+    noise=st.floats(min_value=0.0, max_value=2.0),
+    fixed=st.sampled_from([{}, {"alpha": 0.3}, {"beta": 0.1, "gamma": 0.6}]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_memoized_holtwinters_fit_equals_the_nine_sweep_fit(
+    period, cycles, amplitude, slope, noise, fixed, seed
+):
+    """Skipping the sweeps the coordinate descent repeats leaves every
+    field of the fit bit for bit as the fit that runs all of them, and
+    the fit never runs more sweeps than that one."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(period * cycles)
+    values = amplitude * np.sin(2 * np.pi * t / period) + slope * t + rng.normal(0.0, noise, t.size)
+    train = series(values)
+    with mock.patch.object(statistical, "_hw_sweep", wraps=statistical._hw_sweep) as sweep:
+        fit = statistical.holtwinters_fit(train, period, **fixed)
+    assert sweep.call_count <= 3 * (3 - len(fixed))
+    assert smoothing_bits(fit) == smoothing_bits(frozen_holtwinters_fit(train, period, **fixed))

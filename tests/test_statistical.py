@@ -19,8 +19,10 @@ from tsadkit import (
     naive_mse,
     nmm,
     run_benchmark,
+    smoke_series,
     with_lookback,
 )
+from tsadkit.bench import _preprocess
 from tsadkit.detectors import statistical
 from tsadkit.detectors.statistical import (
     ArFit,
@@ -1032,6 +1034,21 @@ class TestSmoothingOracle:
         expected = outcome(frozen_holtwinters_fit, train, 48, **fixed)
         assert isinstance(expected, SmoothingFit)
         assert smoothing_bits(fit) == smoothing_bits(expected)
+
+    def test_holtwinters_skips_the_sweeps_the_descent_repeats(self, monkeypatch):
+        # On the first SYNTH series the descent comes back to four of its
+        # nine (parameter, other two weights) keys; the fit is unchanged.
+        train, _ = _preprocess(RunConfig(datasets=("SYNTH",), detectors=("es",)), smoke_series()[0])
+        calls, sweep = [], statistical._hw_sweep
+
+        def counted(*args):
+            calls.append(args)
+            return sweep(*args)
+
+        monkeypatch.setattr(statistical, "_hw_sweep", counted)
+        fit = holtwinters_fit(train, 50)
+        assert len(calls) == 5
+        assert smoothing_bits(fit) == smoothing_bits(frozen_holtwinters_fit(train, 50))
 
     def test_one_combination_sweep_keeps_the_sequential_sse(self):
         # The final k = 1 sweep, whose sse is the fit's train_sse.
