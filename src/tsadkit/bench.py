@@ -77,6 +77,8 @@ class RunConfig:
         repeated = _repeats(self.detectors)
         if repeated:
             raise InvalidSpec(f"detectors occur more than once in the run: {repeated}")
+        if self.period is not None and self.period < 1:
+            raise InvalidSpec(f"period must be >= 1, got {self.period}")
         object.__setattr__(self, "output_dir", Path(self.output_dir))
         if self.data_dir is not None:
             object.__setattr__(self, "data_dir", Path(self.data_dir))
@@ -147,7 +149,7 @@ def _preprocess(config: RunConfig, series: TimeSeries) -> tuple[TimeSeries, Time
     if config.standardize:
         series = standardize(series, fit_standardizer(train))
     if config.deseasonalize:
-        period = config.period or series.period_hint
+        period = series.period_hint if config.period is None else config.period
         if period is None:
             raise InvalidSpec(
                 f"series {series.series_id!r} has no period hint; pass an explicit period"

@@ -785,7 +785,15 @@ class _PresortedColumns:
     """Per-fit state of the split search (presorted columns, Chen & Guestrin
     2016), built once and shared by every node of every round.
 
-    Row f of ``order`` is feature f's stable argsort of the training rows.
+    Row f of ``order`` is feature f's stable argsort of the training rows,
+    and ``rank[f, i]`` is row i's flat position in ``order``: f * N plus
+    its place in that sort.  A node's flat positions in row f are its
+    rows' ranks, sorted.  They list its rows as ``order[f]`` does, which,
+    that argsort being stable and the node's rows ascending, is the stable
+    argsort of the node's own values of f.
+    ``g_sorted`` holds the round's gradients in ``order``'s layout; the fit
+    fills this one buffer every round, as a fresh array each round
+    fragments the heap and raises the peak resident memory.
     Only features that hold a tie need their sorted values at a node, to
     forbid a split between equal values; ``tied`` selects them, as a basic
     slice when every feature holds one so that nothing is copied.
@@ -798,6 +806,11 @@ class _PresortedColumns:
         rows, d = data.shape
         self.data = data
         self.order = np.argsort(data.T, axis=1, kind="stable")
+        # int32 halves the bytes a node's rank sort moves.
+        positions = np.arange(d * rows, dtype=np.int32 if d * rows < 2**31 else np.intp)
+        self.rank = np.empty_like(positions).reshape(d, rows)
+        np.put_along_axis(self.rank, self.order, positions.reshape(d, rows), axis=1)
+        self.g_sorted = np.empty((d, rows))
         self.sorted_vals = np.take_along_axis(data.T, self.order, axis=1)
         has_tie = (self.sorted_vals[:, 1:] == self.sorted_vals[:, :-1]).any(axis=1)
         self.any_tied = bool(has_tie.any())
@@ -813,25 +826,25 @@ class _PresortedColumns:
 def _gbt_best_split(cols: _PresortedColumns, g: np.ndarray, idx: np.ndarray):
     """Best (feature, split) over all features for one node, or None; h_i = 1.
 
-    Node index sets are ascending, so the node's rows in ``cols.order[f]``
-    are the stable sort of its values of f; the root takes ``order`` as it
-    is.  The first feature of largest gain wins if that gain is > 0."""
-    order, tied_vals = cols.order, cols.tied_vals
-    d, n = order.shape[0], idx.size
-    if n < order.shape[1]:
-        member = np.zeros(order.shape[1], dtype=bool)
-        member[idx] = True
-        # Flat positions of the node's rows, n in each row of ``order``: a
-        # gather by them is several times faster than a boolean compress.
-        flat = np.flatnonzero(member.take(order)).reshape(d, n)
-        order = order.take(flat)
+    ``cols.g_sorted`` must hold ``g`` in ``cols.order``'s layout.  The root
+    reads it and ``cols.tied_vals`` as they are; a smaller node sorts its
+    rows' ranks to find its n flat positions in each row of ``order`` and
+    gathers by them.  The first feature of largest gain wins if that gain
+    is > 0."""
+    d, n = cols.order.shape[0], idx.size
+    go, tied_vals = cols.g_sorted, cols.tied_vals
+    flat = None
+    if n < cols.order.shape[1]:
+        flat = cols.rank.take(idx, axis=1)
+        flat.sort(axis=1)
+        go = go.take(flat)
         if cols.any_tied:
             tied_vals = cols.sorted_vals.take(flat[cols.tied])
     G = g[idx].sum()
     parent = G * G / (n + _GBT_LAMBDA)
     # Column i splits after the (i + 1)-th row: hl = i + 1, hr = n - hl.
     # The last column, hl = n, is no split; it is computed and then barred.
-    gl = np.cumsum(g[order], axis=1)
+    gl = np.cumsum(go, axis=1)
     # gains = 0.5 * (gl^2 / (hl + lambda) + gr^2 / (hr + lambda) - parent),
     # in that operation order.
     gains = cols.gains[: d * n].reshape(d, n)
@@ -860,7 +873,11 @@ def _gbt_best_split(cols: _PresortedColumns, g: np.ndarray, idx: np.ndarray):
     feature = int(best.argmax())
     if not best[feature] > 0.0:
         return None
-    lo, hi = order[feature, pos[feature] : pos[feature] + 2]
+    at = slice(pos[feature], pos[feature] + 2)
+    if flat is None:
+        lo, hi = cols.order[feature, at]
+    else:
+        lo, hi = cols.order.take(flat[feature, at])
     return feature, float(0.5 * (cols.data[lo, feature] + cols.data[hi, feature]))
 
 
@@ -898,6 +915,7 @@ def gbt_fit(
     history = []
     omega_total = 0.0
     for _ in range(n_estimators):
+        g.take(cols.order, out=cols.g_sorted)
         tree = _grow_tree(data, max_depth, best_split, leaf_weight)
         trees.append(tree)
         step *= learning_rate

@@ -356,6 +356,11 @@ class TestRunBenchmark:
         with pytest.raises(InvalidSpec, match=re.escape(message)):
             RunConfig(datasets=("SYNTH",), detectors=("ma", "ar", "iforest", "ar", "ma"))
 
+    @pytest.mark.parametrize("period", [0, -3])
+    def test_a_period_below_one_is_refused(self, period):
+        with pytest.raises(InvalidSpec, match=re.escape(f"period must be >= 1, got {period}")):
+            RunConfig(datasets=("SYNTH",), detectors=("ar",), deseasonalize=True, period=period)
+
 
 class TestPairSeeds:
     def test_deterministic(self):
@@ -711,6 +716,22 @@ class TestCli:
         code = main(["run", "--detector", "ar", "--detector", "ar", "--out", str(out)])
         assert code == 2
         assert "detectors occur more than once in the run: ['ar']" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("period", ["0", "-1"])
+    def test_a_period_below_one_exits_two_before_any_output(self, tmp_path, capsys, period):
+        out = tmp_path / "o"
+        code = main(["run", "--detector", "ar", f"--deseasonalize={period}", "--out", str(out)])
+        assert code == 2
+        assert f"period must be >= 1, got {period}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_a_config_file_period_of_zero_exits_two(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("detectors=ar\ndeseasonalize=1\nperiod=0\n", encoding="utf-8")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 2
+        assert "period must be >= 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_data_dir_is_a_clean_error(self, tmp_path, monkeypatch, capsys):

@@ -35,6 +35,7 @@ from tsadkit.detectors.neural import TrainSpec, _forward, dense_net, net_train
 from tsadkit.errors import ConstantSeries, PeriodTooLong, SeriesTooShort
 
 from conftest import bytes_dict_duplicates, series
+from test_ml import frozen_gbt_best_split
 from test_neural import reference_train, same_bits
 from test_statistical import frozen_holtwinters_fit, smoothing_bits
 
@@ -355,3 +356,38 @@ def test_memoized_holtwinters_fit_equals_the_nine_sweep_fit(
         fit = statistical.holtwinters_fit(train, period, **fixed)
     assert sweep.call_count <= 3 * (3 - len(fixed))
     assert smoothing_bits(fit) == smoothing_bits(frozen_holtwinters_fit(train, period, **fixed))
+
+
+@FIXED
+@given(
+    rows=st.integers(min_value=2, max_value=60),
+    width=st.integers(min_value=1, max_value=8),
+    tied=st.booleans(),
+    constant_column=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(rows=2, width=1, tied=False, constant_column=False, seed=0)
+@example(rows=40, width=6, tied=True, constant_column=True, seed=0)
+def test_rank_sorted_split_search_equals_the_membership_compress(
+    rows, width, tied, constant_column, seed
+):
+    """For a random ascending row subset of every size from 2 to N, the
+    search over the node's sorted ranks finds the split that compressing
+    ``order`` by membership finds, after the gather each boosting round
+    makes."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(0.0, 1.0, rows + width)
+    if tied:
+        values = np.round(values, 1)
+    windows = frame(series(values), width)[0].copy()
+    if constant_column:
+        windows[:, rng.integers(width)] = 0.3
+    order = np.argsort(windows.T, axis=1, kind="stable")
+    sorted_vals = np.take_along_axis(windows.T, order, axis=1)
+    cols = ml._PresortedColumns(windows)
+    g = rng.normal(0.0, 1.0, rows)
+    g.take(cols.order, out=cols.g_sorted)
+    for n in range(2, rows + 1):
+        idx = np.sort(rng.choice(rows, n, replace=False))
+        got = ml._gbt_best_split(cols, g, idx)
+        assert got == frozen_gbt_best_split(order, sorted_vals, g, idx), n
