@@ -533,13 +533,23 @@ class _Tree:
         return self.value[node]
 
 
-def _grow_tree(data: np.ndarray, depth_cap: int, split_rule, leaf_value) -> _Tree:
+def _grow_tree(
+    data: np.ndarray, depth_cap: int, split_rule, leaf_value, on_split=None
+) -> _Tree:
     """Grow depth first, left before right, so node ids (and leaves) follow
     growth order.
 
     ``split_rule(data, idx)`` returns ``(feature, threshold)`` or None for a
     leaf; it is only asked below ``depth_cap`` and for at least two rows.
     ``leaf_value(idx, depth)`` gives the value stored at a leaf.
+    ``on_split(idx, left, right)``, if given, hears each split's rows and
+    its two children's rows, as partitioned by ``row[feature] <
+    threshold``, before either child is grown; it is not called when the
+    children sit at ``depth_cap``, where no split rule asks for them.  The
+    boosted trees derive a child's presorted positions from this
+    partition, not from the position their search split at: with adjacent
+    floats the threshold, a midpoint, can round onto the lower value and
+    send its rows right.
 
     The pending nodes sit on an explicit stack, right child below left, so
     a node's left child is the next node grown.  A nested function that
@@ -563,9 +573,14 @@ def _grow_tree(data: np.ndarray, depth_cap: int, split_rule, leaf_value) -> _Tre
             continue
         feature, threshold = split
         nodes.append([feature, threshold, nid + 1, None, 0.0])
-        mask = data[idx, feature] < threshold
-        stack.append((idx[~mask], depth + 1, nid))
-        stack.append((idx[mask], depth + 1, -1))
+        # A gather from the 1-D column view takes numpy's one-index fast
+        # path, which data[idx, feature] does not.
+        mask = data[:, feature][idx] < threshold
+        left, right = idx[mask], idx[~mask]
+        if on_split is not None and depth + 1 < depth_cap:
+            on_split(idx, left, right)
+        stack.append((right, depth + 1, nid))
+        stack.append((left, depth + 1, -1))
     feature, threshold, left, right, value = zip(*nodes)
     return _Tree(
         feature=np.array(feature, dtype=np.intp),
@@ -794,12 +809,24 @@ class _PresortedColumns:
     ``g_sorted`` holds the round's gradients in ``order``'s layout; the fit
     fills this one buffer every round, as a fresh array each round
     fragments the heap and raises the peak resident memory.
+    ``mask`` (d x N bool) marks the positions of ``inherits``, the one node
+    that reads its positions from it: the larger child of the root or of a
+    node that itself inherited (LightGBM, Ke et al. 2017, derives the
+    larger child from its parent in the same way).
+    :meth:`children` clears the smaller child's positions from its parent's
+    in place, so the larger one compresses ``g_sorted`` by the mask instead
+    of sorting its ranks.  At most one inheriting node is pending, and it
+    is searched before the mask is cleared again: when it is a right child,
+    its smaller sibling's subtree grows first, and no node of that subtree
+    inherits or touches the mask.
     Only features that hold a tie need their sorted values at a node, to
     forbid a split between equal values; ``tied`` selects them, as a basic
     slice when every feature holds one so that nothing is copied.
-    ``lambda_plus[k]`` is k + lambda.  ``gains``, ``right`` and ``equal``
-    are flat scratch, so that a node's d x n arrays are contiguous: numpy
-    runs a contiguous operation as one loop, a strided one row by row.
+    ``lambda_plus[k]`` is k + lambda and ``lambda_down`` is it reversed, so
+    that a node's right-hand divisors are a contiguous slice.  ``gains``,
+    ``right`` and ``equal`` are flat scratch, so that a node's d x n arrays
+    are contiguous: numpy runs a contiguous operation as one loop, a
+    strided one row by row.
     """
 
     def __init__(self, data: np.ndarray):
@@ -811,35 +838,57 @@ class _PresortedColumns:
         self.rank = np.empty_like(positions).reshape(d, rows)
         np.put_along_axis(self.rank, self.order, positions.reshape(d, rows), axis=1)
         self.g_sorted = np.empty((d, rows))
+        self.mask = np.empty((d, rows), dtype=bool)
+        self.inherits = None
         self.sorted_vals = np.take_along_axis(data.T, self.order, axis=1)
         has_tie = (self.sorted_vals[:, 1:] == self.sorted_vals[:, :-1]).any(axis=1)
         self.any_tied = bool(has_tie.any())
         self.tied = slice(None) if has_tie.all() else np.flatnonzero(has_tie)
         self.tied_vals = self.sorted_vals[self.tied]
         self.lambda_plus = np.arange(rows + 1, dtype=np.float64) + _GBT_LAMBDA
+        self.lambda_down = self.lambda_plus[::-1].copy()
         self.gains = np.empty(d * rows)
         self.right = np.empty(d * rows)
         self.equal = np.empty(d * rows, dtype=bool)
-        self.features = np.arange(d)
+
+    def children(self, idx: np.ndarray, left: np.ndarray, right: np.ndarray) -> None:
+        """``_grow_tree``'s ``on_split``: when ``idx`` is the root or the
+        inheriting node, its larger child inherits its positions, less the
+        smaller child's."""
+        if idx.size == self.mask.shape[1]:
+            self.mask.fill(True)
+        elif idx is not self.inherits:
+            return
+        smaller, self.inherits = (left, right) if left.size < right.size else (right, left)
+        self.mask.ravel()[self.rank[:, smaller]] = False
 
 
 def _gbt_best_split(cols: _PresortedColumns, g: np.ndarray, idx: np.ndarray):
     """Best (feature, split) over all features for one node, or None; h_i = 1.
 
-    ``cols.g_sorted`` must hold ``g`` in ``cols.order``'s layout.  The root
-    reads it and ``cols.tied_vals`` as they are; a smaller node sorts its
-    rows' ranks to find its n flat positions in each row of ``order`` and
-    gathers by them.  The first feature of largest gain wins if that gain
-    is > 0."""
+    ``cols.g_sorted`` must hold ``g`` in ``cols.order``'s layout.  A node
+    finds its n positions in each row of ``order`` in one of three ways:
+    the root holds them all and reads ``g_sorted`` and ``cols.tied_vals``
+    as they are; the inheriting node compresses them by ``cols.mask``; any
+    other node sorts its rows' ranks and gathers by them.  The first
+    feature of largest gain, at its first position of that gain, wins if
+    that gain is > 0."""
     d, n = cols.order.shape[0], idx.size
     go, tied_vals = cols.g_sorted, cols.tied_vals
     flat = None
-    if n < cols.order.shape[1]:
+    inherited = idx is cols.inherits
+    if inherited:
+        # A 1-D boolean index runs faster than the same 2-D one.
+        go = go.ravel()[cols.mask.ravel()]
+        if cols.any_tied:
+            tied_vals = tied_vals.ravel()[cols.mask[cols.tied].ravel()]
+    elif n < cols.order.shape[1]:
         flat = cols.rank.take(idx, axis=1)
         flat.sort(axis=1)
         go = go.take(flat)
         if cols.any_tied:
             tied_vals = cols.sorted_vals.take(flat[cols.tied])
+    go = go.reshape(d, n)
     G = g[idx].sum()
     parent = G * G / (n + _GBT_LAMBDA)
     # Column i splits after the (i + 1)-th row: hl = i + 1, hr = n - hl.
@@ -853,7 +902,7 @@ def _gbt_best_split(cols: _PresortedColumns, g: np.ndarray, idx: np.ndarray):
     gains /= cols.lambda_plus[1 : n + 1]
     np.subtract(G, gl, out=right)
     right *= right
-    right /= cols.lambda_plus[n - 1 :: -1]
+    right /= cols.lambda_down[cols.lambda_down.size - n :]
     gains += right
     gains -= parent
     gains *= 0.5
@@ -868,16 +917,17 @@ def _gbt_best_split(cols: _PresortedColumns, g: np.ndarray, idx: np.ndarray):
         if isinstance(cols.tied, np.ndarray):  # the index array copied the rows
             gains[cols.tied] = tied_gains
     gains[:, -1] = -np.inf
-    pos = gains.argmax(axis=1)
-    best = gains[cols.features, pos]
-    feature = int(best.argmax())
-    if not best[feature] > 0.0:
+    # The flat argmax is the first feature of largest gain at its first
+    # position of that gain, a NaN counting as largest.
+    best = int(gains.argmax())
+    if not cols.gains[best] > 0.0:
         return None
-    at = slice(pos[feature], pos[feature] + 2)
-    if flat is None:
-        lo, hi = cols.order[feature, at]
+    feature, pos = divmod(best, n)
+    if flat is not None:
+        lo, hi = cols.order.take(flat[feature, pos : pos + 2])
     else:
-        lo, hi = cols.order.take(flat[feature, at])
+        at = np.flatnonzero(cols.mask[feature])[pos : pos + 2] if inherited else slice(pos, pos + 2)
+        lo, hi = cols.order[feature, at]
     return feature, float(0.5 * (cols.data[lo, feature] + cols.data[hi, feature]))
 
 
@@ -901,6 +951,7 @@ def gbt_fit(
     base = float(targets.mean())
     predictions = np.full(targets.size, base)
     step = np.empty(targets.size)
+    weights: list = []
     g = predictions - targets
 
     def best_split(data: np.ndarray, idx: np.ndarray):
@@ -909,6 +960,7 @@ def gbt_fit(
     def leaf_weight(idx: np.ndarray, depth: int) -> float:
         weight = float(-g[idx].sum() / (idx.size + _GBT_LAMBDA))
         step[idx] = weight
+        weights.append(weight)
         return weight
 
     trees = []
@@ -916,16 +968,17 @@ def gbt_fit(
     omega_total = 0.0
     for _ in range(n_estimators):
         g.take(cols.order, out=cols.g_sorted)
-        tree = _grow_tree(data, max_depth, best_split, leaf_weight)
+        weights.clear()
+        tree = _grow_tree(data, max_depth, best_split, leaf_weight, cols.children)
         trees.append(tree)
         step *= learning_rate
         predictions += step
         # A plain loop over the leaves in growth order keeps loss_history
         # reproducible: numpy's sum pairs terms, and Python 3.12's sum()
         # compensates rounding.
-        leaf_steps = (learning_rate * tree.value[tree.is_leaf]).tolist()
         squared_norm = 0.0
-        for leaf_step in leaf_steps:
+        for weight in weights:
+            leaf_step = learning_rate * weight
             squared_norm += leaf_step * leaf_step
         omega_total += 0.5 * _GBT_LAMBDA * squared_norm
         g = predictions - targets

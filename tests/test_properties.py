@@ -35,7 +35,7 @@ from tsadkit.detectors.neural import TrainSpec, _forward, dense_net, net_train
 from tsadkit.errors import ConstantSeries, PeriodTooLong, SeriesTooShort
 
 from conftest import bytes_dict_duplicates, series
-from test_ml import frozen_gbt_best_split
+from test_ml import frozen_gbt_best_split, frozen_gbt_fit, same_bytes
 from test_neural import reference_train, same_bits
 from test_statistical import frozen_holtwinters_fit, smoothing_bits
 
@@ -391,3 +391,119 @@ def test_rank_sorted_split_search_equals_the_membership_compress(
         idx = np.sort(rng.choice(rows, n, replace=False))
         got = ml._gbt_best_split(cols, g, idx)
         assert got == frozen_gbt_best_split(order, sorted_vals, g, idx), n
+
+
+def fit_searches(
+    windows: np.ndarray, targets: np.ndarray, max_depth: int, n_estimators: int
+) -> list:
+    """``(rows, inherited)`` of every split search ``gbt_fit`` makes, in
+    growth order, after checking that each one returns exactly
+    ``frozen_gbt_best_split`` for its rows and that the model equals
+    ``frozen_gbt_fit``'s byte for byte."""
+    order = np.argsort(windows.T, axis=1, kind="stable")
+    sorted_vals = np.take_along_axis(windows.T, order, axis=1)
+    search = ml._gbt_best_split
+    searches = []
+
+    def checked(cols, g, idx):
+        searches.append((idx.size, idx is cols.inherits))
+        got = search(cols, g, idx)
+        assert got == frozen_gbt_best_split(order, sorted_vals, g, idx), searches
+        return got
+
+    train = (windows, targets)
+    kwargs = {"n_estimators": n_estimators, "max_depth": max_depth, "learning_rate": 0.1}
+    with mock.patch.object(ml, "_gbt_best_split", checked):
+        model = ml.gbt_fit(train, **kwargs)
+    frozen = frozen_gbt_fit(train, **kwargs)
+    assert np.array(model.loss_history).tobytes() == np.array(frozen.loss_history).tobytes()
+    assert model.base_score == frozen.base_score
+    for tree, expected in zip(model.trees, frozen.trees, strict=True):
+        assert tree.depth == expected.depth
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert same_bytes(getattr(tree, name), getattr(expected, name)), name
+    return searches
+
+
+@FIXED
+@given(
+    rows=st.integers(min_value=2, max_value=60),
+    width=st.integers(min_value=1, max_value=8),
+    tied=st.booleans(),
+    constant_column=st.booleans(),
+    max_depth=st.integers(min_value=1, max_value=5),
+    n_estimators=st.integers(min_value=1, max_value=6),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@example(rows=2, width=1, tied=False, constant_column=False, max_depth=1, n_estimators=1, seed=0)
+@example(rows=60, width=8, tied=True, constant_column=True, max_depth=5, n_estimators=6, seed=0)
+def test_every_node_a_fit_searches_matches_the_frozen_search(
+    rows, width, tied, constant_column, max_depth, n_estimators, seed
+):
+    """Whichever way a node finds its presorted positions (the root's
+    whole columns, the inherited mask, its sorted ranks), its search
+    returns what the frozen membership compress returns for its rows, and
+    the fit grows the frozen fit's ensemble."""
+    rng = np.random.default_rng(seed)
+    values = rng.normal(0.0, 1.0, rows + width)
+    if tied:
+        values = np.round(values, 1)
+    windows, targets = frame(series(values), width)
+    windows = windows.copy()
+    if constant_column:
+        windows[:, rng.integers(width)] = 0.3
+    fit_searches(windows, targets, max_depth, n_estimators)
+
+
+def outlier_frame(*lifts: tuple[slice, float]) -> tuple[np.ndarray, np.ndarray]:
+    """24 rows: column 0 counts up, column 1 is noise, and each ``(rows,
+    lift)`` raises the targets of those rows of column 0 by ``lift``, so
+    the root peels them off."""
+    rng = np.random.default_rng(5)
+    windows = np.column_stack((np.arange(24.0), rng.normal(0.0, 1.0, 24)))
+    targets = rng.normal(0.0, 0.3, 24)
+    for rows, lift in lifts:
+        targets[rows] += lift
+    return windows, targets
+
+
+def adjacent_float_frame() -> tuple[np.ndarray, np.ndarray]:
+    """Column 0 holds 1.0 and the next float up: their midpoint rounds to
+    1.0, so the row at 1.0, which the search counts on the left, goes
+    right."""
+    windows, targets = outlier_frame((slice(0, 2), 10.0))
+    windows[2, 0] = np.nextafter(1.0, 2.0)
+    return windows, targets
+
+
+@pytest.mark.parametrize(
+    "frame_of, max_depth, first_tree",
+    [
+        # The root's larger child is its left one, searched next.
+        (lambda: outlier_frame((slice(21, None), 10.0)), 3, [(24, False), (21, True)]),
+        # The larger child is the right one: the smaller left sibling's
+        # subtree grows first and must leave the mask alone.
+        (
+            lambda: outlier_frame((slice(0, 2), 10.0), (slice(2, 4), 40.0)),
+            3,
+            [(24, False), (4, False), (2, False), (2, False), (20, True)],
+        ),
+        # Equal siblings: the left one inherits, the right one sorts.
+        (lambda: outlier_frame((slice(12, None), 10.0)), 3, [(24, False), (12, True)]),
+        # The inheriting left child's children sit at the depth cap, so it
+        # clears nothing; its sibling's subtree then sorts its ranks.
+        (lambda: outlier_frame((slice(21, None), 10.0)), 2, [(24, False), (21, True), (3, False)]),
+        # The root's split sends the row at 1.0 right, where the search
+        # position counted it left: the larger child holds 23 rows, not 22.
+        (adjacent_float_frame, 3, [(24, False), (23, True)]),
+    ],
+    ids=[
+        "larger-left", "larger-right", "equal-siblings", "larger-child-at-depth-cap",
+        "midpoint-rounds-down",
+    ],
+)
+def test_inheriting_children_search_as_the_frozen_oracle(frame_of, max_depth, first_tree):
+    """The first tree's first searches have the listed ``(rows,
+    inherited)``, and every search and the model match the frozen ones."""
+    searches = fit_searches(*frame_of(), max_depth, n_estimators=5)
+    assert searches[: len(first_tree)] == first_tree
